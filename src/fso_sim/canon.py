@@ -12,6 +12,15 @@ A successful resolution yields a plan for a temporary overlay community
 span several SoCs. Everything here is deterministic: candidates are ranked
 by registration order then id, and role slots are filled with the
 lexicographically least workable assignment.
+
+Escalation only ever widens the view, so a request keeps one candidate pool
+and grows it hop by hop: hop k merges in the registry of the k-th SoC on the
+chain and nothing else. The pool holds only the roles the activity asks
+for, each mapping an idle actor to its best (registered_at, actor) key; a
+key is a minimum over entries, so the merge order does not matter.
+Punctualized entries unfold through the holarchy's cached role atoms rather
+than a fresh subtree walk. Data topics come from each registry's maintained
+topic set, and are not looked at when the activity needs no data.
 """
 
 from __future__ import annotations
@@ -221,69 +230,58 @@ def publish(
             f"publish at t={item.published_at} after t={reg.info_entries[-1].published_at}"
         )
     reg.info_entries.append(item)
+    reg.topics.add(item.topic)
     return table.triggered_by(item.topic)
 
 
 # -- candidate pools --------------------------------------------------------
 
+# role -> {idle actor: (registered_at, actor)}, for the roles one activity needs
+Pool = dict[RoleId, dict[HolonId, tuple[int, HolonId]]]
 
-def _pool_from_chain(
-    h: Holarchy,
-    chain: tuple[HolonId, ...],
-    state: ActivationState,
-) -> dict[tuple[HolonId, RoleId], tuple[int, int]]:
-    """Collect idle candidate actors visible from a chain of SoC registries.
+
+def _empty_pool(activity: ResponseActivity) -> Pool:
+    return {role: {} for role in activity.required_roles}
+
+
+def _grow_pool(pool: Pool, h: Holarchy, soc: HolonId, state: ActivationState) -> None:
+    """Merge the idle candidates visible in ``soc``'s registry into the pool.
 
     Direct entries contribute their provider; punctualized entries are
-    unfolded into the member subtree they stand for. Key per (actor, role)
-    is (registered_at, actor), kept minimal across duplicates; it decides
-    candidate precedence.
+    unfolded into the actors of the member subtree they stand for that can
+    play the role. Entries for roles outside the pool are skipped. Key per
+    (actor, role) is (registered_at, actor), kept minimal across duplicates;
+    it decides candidate precedence.
     """
-    pool: dict[tuple[HolonId, RoleId], tuple[int, int]] = {}
-
-    def offer(a: HolonId, role: RoleId, registered_at: int) -> None:
-        if a not in state.inactive:
-            return
-        if role not in h.holons[a].capabilities:
-            return
-        key = (registered_at, a)
-        slot = (a, role)
-        if slot not in pool or key < pool[slot]:
-            pool[slot] = key
-
-    for soc in chain:
-        for entry in h.registries[soc].service_entries:
-            if entry.via is None:
-                provider = h.holons.get(entry.provider)
-                if provider is not None and provider.is_atomic:
-                    offer(entry.provider, entry.role, entry.registered_at)
-            else:
-                for a in sorted(h.subtree_atoms(entry.via)):
-                    offer(a, entry.role, entry.registered_at)
-    return pool
-
-
-def _data_on_chain(h: Holarchy, chain: tuple[HolonId, ...]) -> set[str]:
-    present: set[str] = set()
-    for soc in chain:
-        present |= h.registries[soc].topics_present()
-    return present
+    idle = state.inactive
+    for entry in h.registries[soc].service_entries:
+        ranked = pool.get(entry.role)
+        if ranked is None:
+            continue
+        if entry.via is None:
+            provider = h.holons.get(entry.provider)
+            if provider is None or not provider.is_atomic or entry.role not in provider.capabilities:
+                continue
+            actors: tuple[HolonId, ...] = (entry.provider,)
+        else:
+            actors = h.role_atoms(entry.via, entry.role)
+        at = entry.registered_at
+        for a in actors:
+            if a in idle:
+                best = ranked.get(a)
+                if best is None or at < best[0]:
+                    ranked[a] = (at, a)
 
 
 # -- role slot matching ------------------------------------------------------
 
 
-def _candidates_per_slot(
-    slots: tuple[RoleId, ...],
-    pool: dict[tuple[HolonId, RoleId], tuple[int, int]],
-) -> list[list[HolonId]]:
-    per_slot: list[list[HolonId]] = []
+def _candidates_per_slot(slots: tuple[RoleId, ...], pool: Pool) -> list[list[HolonId]]:
+    ranked: dict[RoleId, list[HolonId]] = {}
     for role in slots:
-        ranked = sorted(
-            (key, a) for (a, r), key in pool.items() if r == role
-        )
-        per_slot.append([a for _, a in ranked])
-    return per_slot
+        if role not in ranked:
+            ranked[role] = [a for _, a in sorted(pool[role].values())]
+    return [ranked[role] for role in slots]
 
 
 def _can_complete(
@@ -313,7 +311,7 @@ def _can_complete(
 
 def _solve(
     activity: ResponseActivity,
-    pool: dict[tuple[HolonId, RoleId], tuple[int, int]],
+    pool: Pool,
     available_data: set[str],
 ) -> Enabled | Missing:
     """Staff the activity's role slots from the pool, or say what is missing.
@@ -367,9 +365,9 @@ def evaluate_guard(
     h: Holarchy,
 ) -> Enabled | Missing:
     """Representative rule at a single SoC: can this community staff it alone?"""
-    chain = (reg.owner,)
-    pool = _pool_from_chain(h, chain, state)
-    return _solve(activity, pool, _data_on_chain(h, chain))
+    pool = _empty_pool(activity)
+    _grow_pool(pool, h, reg.owner, state)
+    return _solve(activity, pool, h.registries[reg.owner].topics)
 
 
 def raise_exception(request: RoleRequest, h: Holarchy) -> Forwarded | Unresolvable:
@@ -402,7 +400,9 @@ def resolve_request(
 
     Each escalation widens the view: the community at hop k works with the
     registries of the whole visited chain, so information published below
-    stays usable above. Escalation hops are recorded for the trace.
+    stays usable above. The pool and the data topics seen so far carry over
+    from hop to hop, and hop k adds only the k-th registry. Escalation hops
+    are recorded for the trace.
     """
     node = h.holons.get(start_soc)
     if node is None or not node.is_composite:
@@ -411,10 +411,13 @@ def resolve_request(
     full_chain = h.chain_to_root(start_soc)
     hops: list[HopRecord] = []
     outcome: Missing | None = None
+    pool = _empty_pool(activity)
+    data: set[str] = set()
     for k, soc in enumerate(full_chain):
-        visited = full_chain[: k + 1]
-        pool = _pool_from_chain(h, visited, state)
-        result = _solve(activity, pool, _data_on_chain(h, visited))
+        _grow_pool(pool, h, soc, state)
+        if activity.required_data:
+            data |= h.registries[soc].topics
+        result = _solve(activity, pool, data)
         if isinstance(result, Enabled):
             spanned = {start_soc}
             for a, _ in result.assignment:

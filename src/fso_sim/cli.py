@@ -84,6 +84,8 @@ def _load(path: str):
         return load_scenario_file(path)
     except OSError as exc:
         raise _CliError(f"cannot read scenario: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"scenario is not valid UTF-8: {exc.reason} at byte {exc.start}") from None
     except ParseError as exc:
         raise _CliError(f"scenario is not valid JSON: {exc}") from None
     except ValidationError as exc:
@@ -99,15 +101,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(write_trace(sim.trace))
+        _write(args.trace, "trace", write_trace(sim.trace))
     text = json.dumps(metrics.to_dict(), indent=2, sort_keys=True)
     if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        _write(args.metrics, "metrics", text + "\n")
     else:
         print(text)
     return 0
+
+
+def _write(path: str, what: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {what}: {exc}") from None
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -145,6 +153,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         metrics = report(records)
     except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"malformed trace: not valid UTF-8: {exc.reason} at byte {exc.start}", file=sys.stderr)
         return 1
     except MalformedTraceError as exc:
         print(f"malformed trace: {exc}", file=sys.stderr)

@@ -501,6 +501,13 @@ def write_trace(records: Iterable[TraceRecord]) -> str:
     return "".join(r.to_line() + "\n" for r in records)
 
 
+def _int_field(r: TraceRecord, key: str) -> int:
+    value = r.payload[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedTraceError(f"{r.kind} record has non-integer {key} {value!r}")
+    return value
+
+
 def report(records: Iterable[TraceRecord]) -> Metrics:
     """Fold a trace into metrics; a run's metrics come from its own trace."""
     m = Metrics()
@@ -516,8 +523,8 @@ def report(records: Iterable[TraceRecord]) -> Metrics:
                 m.events_published += 1
             elif r.kind == "SonFormed":
                 m.sons_formed += 1
-                hop_sum += p["hop_count"]
-                latency_sum += r.tick - p["triggered_at"]
+                hop_sum += _int_field(r, "hop_count")
+                latency_sum += r.tick - _int_field(r, "triggered_at")
                 last_sizes = (p["l_size"], p["r_size"])
             elif r.kind == "SonDissolved":
                 last_sizes = (p["l_size"], p["r_size"])

@@ -8,7 +8,14 @@ next request can be answered without climbing. Promoted SoCs that then keep
 failing are pruned again, restoring the earlier shape.
 
 Promotion and pruning produce new Holarchy values and leave the input
-untouched; the engine swaps its working holarchy for the returned one.
+untouched; the engine swaps its working holarchy for the returned one, which
+inherits the input's role-atom cache (see :mod:`fso_sim.holarchy`).
+
+The ledger keeps the signatures that have reached the promotion threshold
+but are not promoted yet in ``ready``, so a tick with nothing due costs
+nothing: :func:`maybe_permanentify` returns at once while ``ready`` is
+empty. A signature whose member set some SoC already holds stays in
+``ready`` and is promoted if that SoC is pruned later.
 """
 
 from __future__ import annotations
@@ -110,6 +117,7 @@ class ExperienceLedger:
     strengths: dict[tuple[HolonId, HolonId], float] = field(default_factory=dict)
     permanentified: set[SonSignature] = field(default_factory=set)
     created_socs: dict[HolonId, SonSignature] = field(default_factory=dict)
+    ready: set[SonSignature] = field(default_factory=set)
 
 
 def record_outcome(
@@ -122,8 +130,9 @@ def record_outcome(
     """Book one dissolved overlay into the ledger.
 
     Success strengthens every pairwise connection among the participants by
-    the policy increment; failure is timestamped so pruning can look at a
-    sliding window.
+    the policy increment, and the success that first reaches the promotion
+    threshold puts the signature in ``ledger.ready``; failure is timestamped
+    so pruning can look at a sliding window.
     """
     sig = SonSignature.of(son)
     rec = ledger.son_outcomes.setdefault(sig, SignatureRecord())
@@ -137,6 +146,8 @@ def record_outcome(
             perf.failed += 1
     if outcome is Outcome.SUCCESS:
         rec.successes += 1
+        if rec.successes == policy.permanentify_threshold:
+            ledger.ready.add(sig)
         for i, a in enumerate(actors):
             for b in actors[i + 1 :]:
                 pair = (a, b) if a < b else (b, a)
@@ -191,15 +202,15 @@ def maybe_permanentify(
     its members. The members keep their original communities; the new SoC
     references them as a secondary, institutional overlay.
     """
+    if not ledger.ready:
+        return h, ()
     existing_member_sets = {
         tuple(sorted(n.members)) for n in h.holons.values() if n.is_composite
     }
     due = [
         sig
-        for sig, rec in sorted(ledger.son_outcomes.items(), key=lambda kv: (kv[0].activity, kv[0].members))
-        if rec.successes >= policy.permanentify_threshold
-        and sig not in ledger.permanentified
-        and sig.members not in existing_member_sets
+        for sig in sorted(ledger.ready, key=lambda s: (s.activity, s.members))
+        if sig.members not in existing_member_sets
     ]
     if not due:
         return h, ()
@@ -211,6 +222,7 @@ def maybe_permanentify(
     next_id = max(holons) + 1
 
     for sig in due:
+        ledger.ready.discard(sig)
         if sig.members in existing_member_sets:
             # an earlier promotion in this same pass took the member set
             ledger.permanentified.add(sig)
@@ -258,7 +270,8 @@ def maybe_permanentify(
         ledger.created_socs[soc_id] = sig
         events.append(PromotionEvent(soc_id, anchor, sig.members, sig.activity))
 
-    return Holarchy(holons, parent, h.root, h.roles, registries), tuple(events)
+    evolved = Holarchy(holons, parent, h.root, h.roles, registries, h.role_atoms_cache())
+    return evolved, tuple(events)
 
 
 def maybe_prune(
@@ -313,4 +326,5 @@ def maybe_prune(
         del ledger.created_socs[soc]
         events.append(PruneEvent(soc, anchor, members))
 
-    return Holarchy(holons, parent, h.root, h.roles, registries), tuple(events)
+    evolved = Holarchy(holons, parent, h.root, h.roles, registries, h.role_atoms_cache(dropped=due))
+    return evolved, tuple(events)

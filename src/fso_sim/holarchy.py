@@ -11,6 +11,15 @@ Registries are the mutable runtime surface; they are only ever touched by
 the engine's single logical event loop. Structure changes (promotion of a
 recurring overlay into a permanent SoC, pruning) produce a new ``Holarchy``
 value, see :mod:`fso_sim.evolution`.
+
+Because the structure is immutable, a holarchy memoises the actors under
+each SoC, bucketed by role (:meth:`Holarchy.role_atoms`). The cache fills
+lazily, the first time staffing unfolds a SoC, so building a holarchy costs
+nothing extra. Evolution hands the cache on to the holarchy it returns:
+promotion grafts a new SoC whose members are actors already under its
+anchor, and pruning removes such a SoC again, so neither changes the actor
+set of any SoC that survives. Only the entries of pruned ids are dropped,
+since a later promotion may reuse the id for a different team.
 """
 
 from __future__ import annotations
@@ -124,15 +133,21 @@ class Registry:
     """Per-SoC store of service offers and published information.
 
     Entries stay totally ordered by (registered_at, provider, role); this
-    order is the canonical tie-break order everywhere.
+    order is the canonical tie-break order everywhere. ``topics`` is the set
+    of topics among ``info_entries``; :func:`fso_sim.canon.publish` keeps it
+    up to date, so staffing never rescans the information list.
     """
 
     owner: HolonId
     service_entries: list[ServiceEntry] = field(default_factory=list)
     info_entries: list[InformationItem] = field(default_factory=list)
+    topics: set[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.topics = {item.topic for item in self.info_entries}
 
     def topics_present(self) -> set[str]:
-        return {item.topic for item in self.info_entries}
+        return set(self.topics)
 
     def copy(self) -> "Registry":
         return Registry(self.owner, list(self.service_entries), list(self.info_entries))
@@ -169,6 +184,10 @@ class Violation:
         return f"{self.code}({self.holon}): {self.detail}"
 
 
+# SoC -> role -> the actors under the SoC that can play the role, in id order
+RoleAtoms = dict[HolonId, dict[RoleId, tuple[HolonId, ...]]]
+
+
 class Holarchy:
     """A validated holon tree with its per-SoC registries.
 
@@ -185,12 +204,14 @@ class Holarchy:
         root: HolonId,
         roles: frozenset[RoleId],
         registries: dict[HolonId, Registry],
+        role_atoms_cache: RoleAtoms | None = None,
     ) -> None:
         self.holons = holons
         self.parent = parent
         self.root = root
         self.roles = roles
         self.registries = registries
+        self._role_atoms = {} if role_atoms_cache is None else role_atoms_cache
 
     # -- basic queries -------------------------------------------------
 
@@ -245,6 +266,32 @@ class Holarchy:
             else:
                 stack.extend(n.members)
         return frozenset(found)
+
+    def role_atoms(self, soc: HolonId, role: RoleId) -> tuple[HolonId, ...]:
+        """The actors under ``soc`` that can play ``role``, in id order.
+
+        The first call for a SoC walks its subtree once and buckets every
+        actor by capability; later calls read the bucket.
+        """
+        by_role = self._role_atoms.get(soc)
+        if by_role is None:
+            buckets: dict[RoleId, list[HolonId]] = {}
+            for a in sorted(self.subtree_atoms(soc)):
+                for r in self.holons[a].capabilities:
+                    buckets.setdefault(r, []).append(a)
+            by_role = {r: tuple(actors) for r, actors in buckets.items()}
+            self._role_atoms[soc] = by_role
+        return by_role.get(role, ())
+
+    def role_atoms_cache(self, dropped: Iterable[HolonId] = ()) -> RoleAtoms:
+        """A copy of the role-atom cache to hand on to an evolved holarchy.
+
+        ``dropped`` names SoCs that the evolved holarchy no longer has.
+        """
+        cache = dict(self._role_atoms)
+        for soc in dropped:
+            cache.pop(soc, None)
+        return cache
 
     def subtree_capabilities(self, h: HolonId) -> frozenset[RoleId]:
         """Union of the capabilities of all actors under ``h``.

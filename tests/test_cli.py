@@ -137,3 +137,51 @@ def test_seed_is_required_and_bounded(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--scenario", str(SCENARIOS / "minimal.json"), "--seed", str(1 << 64))
     assert exc.value.code == 1
+
+
+# -- bad input exits 1 with a one-line message, never a traceback -------------
+
+
+def assert_clean_failure(code, capsys, needle):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert needle in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_validate_rejects_non_utf8_scenario(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"roles": ["café"]}'.encode("latin-1"))
+    code = run_cli("validate", "--scenario", str(bad))
+    assert_clean_failure(code, capsys, "not valid UTF-8")
+
+
+def test_report_rejects_non_utf8_trace(tmp_path, capsys):
+    bad = tmp_path / "latin1.trace"
+    bad.write_bytes(b'{"tick": 0, "kind": "EventPublished", "payload": {"topic": "caf\xe9"}}\n')
+    code = run_cli("report", "--trace", str(bad))
+    assert_clean_failure(code, capsys, "malformed trace")
+
+
+def test_report_rejects_non_integer_hop_count(tmp_path, capsys):
+    trace_path = tmp_path / "out.trace"
+    assert run_cli("run", "--scenario", str(SCENARIOS / "minimal.json"), "--seed", "0", "--trace", str(trace_path)) == 0
+    capsys.readouterr()
+    lines = []
+    for line in trace_path.read_text().splitlines():
+        doc = json.loads(line)
+        if doc["kind"] == "SonFormed":
+            doc["payload"]["hop_count"] = "zero"
+        lines.append(json.dumps(doc))
+    trace_path.write_text("\n".join(lines) + "\n")
+    code = run_cli("report", "--trace", str(trace_path))
+    assert_clean_failure(code, capsys, "non-integer hop_count")
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+def test_run_rejects_unwritable_output(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "dir" / "out.jsonl"
+    code = run_cli("run", "--scenario", str(SCENARIOS / "minimal.json"), "--seed", "0", flag, str(target))
+    assert_clean_failure(code, capsys, "cannot write")
+    assert not target.exists()

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from fso_sim import engine
 from fso_sim.canon import Son
 from fso_sim.evolution import (
     EvolutionPolicy,
@@ -25,6 +28,10 @@ from fso_sim.holarchy import (
     register_initial_services,
     validate,
 )
+
+from generators import random_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def atom(i, *caps):
@@ -222,3 +229,86 @@ def test_policy_rejects_nonsense():
         EvolutionPolicy(permanentify_threshold=0, prune_failure_threshold=1, prune_window=1)
     with pytest.raises(ValueError):
         EvolutionPolicy(permanentify_threshold=1, prune_failure_threshold=1, prune_window=0)
+
+
+# -- the role-atom cache survives evolution -----------------------------------
+
+
+def warm_role_atoms(h):
+    """Fill the cache for every SoC and role; later checks read it back."""
+    for s in h.composites():
+        for r in h.roles:
+            h.role_atoms(s, r)
+
+
+def assert_role_atoms_fresh(h):
+    for s in h.composites():
+        for r in sorted(h.roles):
+            fresh = sorted(a for a in h.subtree_atoms(s) if r in h.holons[a].capabilities)
+            assert list(h.role_atoms(s, r)) == fresh, (s, r)
+
+
+def run_checking_role_atoms(monkeypatch, scenario):
+    """Run a scenario, checking the cache after every promotion and pruning.
+
+    The holarchy going into each evolution step has a full cache, so every
+    check reads entries handed on from before the step.
+    """
+    seen = {"promotions": 0, "prunings": 0}
+
+    def checked(fn, counter):
+        def evolve(ledger, h, policy, t):
+            warm_role_atoms(h)
+            h2, events = fn(ledger, h, policy, t)
+            if events:
+                seen[counter] += len(events)
+                assert_role_atoms_fresh(h2)
+            return h2, events
+
+        return evolve
+
+    monkeypatch.setattr(engine, "maybe_permanentify", checked(maybe_permanentify, "promotions"))
+    monkeypatch.setattr(engine, "maybe_prune", checked(maybe_prune, "prunings"))
+    engine.run_scenario(scenario)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["promotion.json", "pruning.json"])
+def test_role_atoms_stay_fresh_through_shipped_evolution(monkeypatch, name):
+    seen = run_checking_role_atoms(monkeypatch, engine.load_scenario_file(str(SCENARIOS / name)))
+    assert seen["promotions"] >= 1
+    assert seen["prunings"] >= (1 if name == "pruning.json" else 0)
+
+
+def test_role_atoms_stay_fresh_through_generated_evolution(monkeypatch):
+    # generator seed 5001 promotes two teams and prunes both again
+    seen = run_checking_role_atoms(monkeypatch, random_scenario(5001, horizon=300))
+    assert seen == {"promotions": 2, "prunings": 2}
+
+
+def test_role_atoms_forget_a_pruned_id_that_promotion_reuses(wings):
+    ledger = ExperienceLedger()
+    first = make_son(0, [(1, 1), (2, 2)])
+    for t in (1, 2):
+        record_outcome(ledger, first, Outcome.SUCCESS, t, POLICY)
+    h2, (promoted,) = maybe_permanentify(ledger, wings, POLICY, 2)
+    assert promoted.soc == max(h2.holons)
+    warm_role_atoms(h2)
+    assert h2.role_atoms(promoted.soc, 1) == (1,)
+
+    for t in (3, 4):
+        record_outcome(ledger, first, Outcome.FAILURE, t, POLICY)
+    h3, (pruned,) = maybe_prune(ledger, h2, POLICY, 4)
+    assert pruned.soc == promoted.soc
+    assert_role_atoms_fresh(h3)
+
+    second = make_son(1, [(0, 0), (2, 2)])
+    for t in (5, 6):
+        record_outcome(ledger, second, Outcome.SUCCESS, t, POLICY)
+    h4, (reused,) = maybe_permanentify(ledger, h3, POLICY, 6)
+    assert reused.soc == promoted.soc and reused.members == (0, 2)
+    assert h4.role_atoms(reused.soc, 0) == (0,)
+    assert h4.role_atoms(reused.soc, 1) == ()
+    assert_role_atoms_fresh(h4)
+    # the holarchy the pruned team lived in still sees it
+    assert h2.role_atoms(promoted.soc, 1) == (1,)
