@@ -1,9 +1,9 @@
 """How the holarchy learns: promotion of a recurring overlay, then pruning.
 
 The same two actors keep teaming up across community borders. After the
-third success their overlay is made permanent: a new community appears so
-future requests resolve without climbing. A later streak of failures
-removes it again, restoring the original shape.
+third success their overlay is made permanent: a new community appears,
+though it does not yet change how later requests are staffed. A later
+streak of failures removes it again, restoring the original shape.
 """
 
 from __future__ import annotations

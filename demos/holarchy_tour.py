@@ -16,7 +16,6 @@ from fso_sim import (
     load_scenario,
     register_initial_services,
     validate,
-    visible_community_of,
 )
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "nine_actors.json"
@@ -48,7 +47,8 @@ def main() -> None:
     print()
 
     for a in h.atoms():
-        print(f"actor {a} sees {sorted(visible_community_of(h, a))}")
+        home = h.parent[a]
+        print(f"actor {a} sees its community {home}: {sorted(h.holons[home].members)}")
     print()
 
     assert validate(h) == []

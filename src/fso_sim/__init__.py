@@ -11,7 +11,6 @@ from .activation import (
     enroll,
     enumerate_activation_space,
     initial_state,
-    partition,
     release,
 )
 from .canon import (
@@ -21,10 +20,8 @@ from .canon import (
     SonPlan,
     Unresolved,
     dissolve_son,
-    evaluate_guard,
     form_son,
     publish,
-    raise_exception,
     resolve_request,
 )
 from .engine import (
@@ -48,7 +45,6 @@ from .environment import (
     PoissonProcess,
     Rng,
     ScriptedProcess,
-    next_event_time,
     sample_arrivals,
 )
 from .evolution import (
@@ -71,7 +67,6 @@ from .holarchy import (
     higher_up_of,
     register_initial_services,
     validate,
-    visible_community_of,
 )
 
 __version__ = "0.1.0"
@@ -107,7 +102,6 @@ __all__ = [
     "dissolve_son",
     "enroll",
     "enumerate_activation_space",
-    "evaluate_guard",
     "form_son",
     "higher_up_of",
     "initial_state",
@@ -115,11 +109,8 @@ __all__ = [
     "load_scenario_file",
     "maybe_permanentify",
     "maybe_prune",
-    "next_event_time",
     "parse_trace",
-    "partition",
     "publish",
-    "raise_exception",
     "record_outcome",
     "register_initial_services",
     "release",
@@ -130,6 +121,5 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "validate",
-    "visible_community_of",
     "write_trace",
 ]

@@ -6,15 +6,16 @@ currently playing a role inside some overlay community. Enrollment moves an
 actor from L to R bound to one (role, overlay) pair; release moves it back.
 The two sets partition the actor population at all times.
 
-States are immutable values; enroll and release return updated copies. The
-engine threads a single current state through the run.
+The engine owns one ActivationState for the whole run: enroll and release
+check their preconditions first and then update it in place, so a call that
+raises leaves the state untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .holarchy import Holarchy, HolonId, LogicalTime, RoleId, UnknownHolonError
+from .holarchy import Holarchy, HolonId, RoleId, UnknownHolonError
 
 
 class ActivationError(Exception):
@@ -48,27 +49,17 @@ class Binding:
     son_id: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class ActivationState:
-    """Immutable snapshot of the L/R split at one logical time."""
+    """The L/R split: idle actors, and each busy actor's binding."""
 
-    inactive: frozenset[HolonId]
-    active: tuple[tuple[HolonId, Binding], ...]
-    clock: LogicalTime = 0
-
-    def binding_of(self, a: HolonId) -> Binding | None:
-        for holon, binding in self.active:
-            if holon == a:
-                return binding
-        return None
-
-    def is_active(self, a: HolonId) -> bool:
-        return self.binding_of(a) is not None
+    inactive: set[HolonId]
+    active: dict[HolonId, Binding]
 
 
 def initial_state(h: Holarchy) -> ActivationState:
     """All actors idle: L is the full actor population, R is empty."""
-    return ActivationState(inactive=h.subtree_atoms(h.root), active=())
+    return ActivationState(inactive=set(h.subtree_atoms(h.root)), active={})
 
 
 def enroll(
@@ -77,7 +68,7 @@ def enroll(
     a: HolonId,
     role: RoleId,
     son_id: int,
-) -> ActivationState:
+) -> None:
     """Move actor ``a`` from the latent reserve into overlay ``son_id``.
 
     Raises AlreadyActiveError when a is already enrolled somewhere,
@@ -87,34 +78,22 @@ def enroll(
     node = h.holon(a)
     if not node.is_atomic:
         raise UnknownHolonError(f"holon {a} is composite; only actors enroll")
-    if state.is_active(a):
+    if a in state.active:
         raise AlreadyActiveError(f"actor {a} is already enrolled")
     if a not in state.inactive:
         raise UnknownHolonError(f"actor {a} is not part of this activation state")
     if role not in node.capabilities:
         raise IncapableRoleError(f"actor {a} cannot play role {role}")
-    return ActivationState(
-        inactive=state.inactive - {a},
-        active=state.active + ((a, Binding(role, son_id)),),
-        clock=state.clock,
-    )
+    state.inactive.remove(a)
+    state.active[a] = Binding(role, son_id)
 
 
-def release(state: ActivationState, a: HolonId) -> ActivationState:
+def release(state: ActivationState, a: HolonId) -> None:
     """Return actor ``a`` from its overlay to the latent reserve."""
-    binding = state.binding_of(a)
-    if binding is None:
+    if a not in state.active:
         raise NotActiveError(f"actor {a} is not enrolled anywhere")
-    return ActivationState(
-        inactive=state.inactive | {a},
-        active=tuple(pair for pair in state.active if pair[0] != a),
-        clock=state.clock,
-    )
-
-
-def partition(state: ActivationState) -> tuple[frozenset[HolonId], frozenset[HolonId]]:
-    """The (L, R) split: latent reserve and responding set."""
-    return state.inactive, frozenset(a for a, _ in state.active)
+    del state.active[a]
+    state.inactive.add(a)
 
 
 def check_partition(state: ActivationState, h: Holarchy) -> None:
@@ -123,7 +102,7 @@ def check_partition(state: ActivationState, h: Holarchy) -> None:
     Raises ActivationError when the sets overlap, miss an actor, or contain
     a stranger; used by the engine's debug mode after every step.
     """
-    latent, responding = partition(state)
+    latent, responding = state.inactive, state.active.keys()
     population = h.subtree_atoms(h.root)
     overlap = latent & responding
     if overlap:
@@ -133,8 +112,6 @@ def check_partition(state: ActivationState, h: Holarchy) -> None:
         missing = sorted(population - union)
         strangers = sorted(union - population)
         raise ActivationError(f"partition broken: missing={missing} strangers={strangers}")
-    if len(state.active) != len(responding):
-        raise ActivationError("an actor appears in more than one overlay binding")
 
 
 def enumerate_activation_space(h: Holarchy) -> int:

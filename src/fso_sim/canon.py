@@ -5,7 +5,8 @@ arrives, find a response activity whose trigger matches, and try to staff
 its required roles from the providers visible in the local registry. The
 exception rule: when staffing fails, escalate the request to the higher-up
 community, which retries with its wider view; at the root the request is
-unresolvable.
+unresolvable. :func:`resolve_request` applies both rules by walking the
+chain from the start SoC to the root, one hop at a time.
 
 A successful resolution yields a plan for a temporary overlay community
 (a SON) that enrolls the chosen actors for the activity's duration and may
@@ -35,7 +36,6 @@ from .holarchy import (
     LogicalTime,
     Registry,
     RoleId,
-    higher_up_of,
 )
 
 # stands in for a missing data topic inside a missing-roles list; never a
@@ -100,10 +100,9 @@ class ResponseActivity:
 
 @dataclass(frozen=True)
 class ActivityTable:
-    """All response activities of a scenario plus any extra known topics."""
+    """All response activities of a scenario."""
 
     activities: tuple[ResponseActivity, ...]
-    extra_topics: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         ids = [a.id for a in self.activities]
@@ -114,7 +113,7 @@ class ActivityTable:
 
     @property
     def known_topics(self) -> frozenset[str]:
-        topics: set[str] = set(self.extra_topics)
+        topics: set[str] = set()
         for a in self.activities:
             topics |= a.trigger_topics
             topics |= a.required_data
@@ -128,27 +127,6 @@ class ActivityTable:
 
     def triggered_by(self, topic: str) -> tuple[ResponseActivity, ...]:
         return tuple(a for a in self.activities if topic in a.trigger_topics)
-
-
-@dataclass(frozen=True)
-class RoleRequest:
-    """A staffing request wandering up the holarchy."""
-
-    activity: int
-    missing: tuple[int, ...]
-    soc: HolonId
-    hop_count: int
-    issued_at: LogicalTime
-
-
-@dataclass(frozen=True)
-class Forwarded:
-    request: RoleRequest
-
-
-@dataclass(frozen=True)
-class Unresolvable:
-    request: RoleRequest
 
 
 @dataclass(frozen=True)
@@ -355,38 +333,7 @@ def _solve(
     return Enabled(tuple(assignment))
 
 
-# -- the two canon rules -----------------------------------------------------
-
-
-def evaluate_guard(
-    activity: ResponseActivity,
-    reg: Registry,
-    state: ActivationState,
-    h: Holarchy,
-) -> Enabled | Missing:
-    """Representative rule at a single SoC: can this community staff it alone?"""
-    pool = _empty_pool(activity)
-    _grow_pool(pool, h, reg.owner, state)
-    return _solve(activity, pool, h.registries[reg.owner].topics)
-
-
-def raise_exception(request: RoleRequest, h: Holarchy) -> Forwarded | Unresolvable:
-    """Exception rule: pass the unstaffed request one community up."""
-    node = h.holons.get(request.soc)
-    if node is None or not node.is_composite:
-        raise UnknownSocError(f"request sits at {request.soc}, which is not a SoC")
-    above = higher_up_of(h, request.soc)
-    if above is None:
-        return Unresolvable(request)
-    return Forwarded(
-        RoleRequest(
-            activity=request.activity,
-            missing=request.missing,
-            soc=above,
-            hop_count=request.hop_count + 1,
-            issued_at=request.issued_at,
-        )
-    )
+# -- the two canon rules, applied along the chain to the root -----------------
 
 
 def resolve_request(
@@ -394,15 +341,17 @@ def resolve_request(
     start_soc: HolonId,
     h: Holarchy,
     state: ActivationState,
-    issued_at: LogicalTime = 0,
 ) -> SonPlan | Unresolved:
     """Run the canon from ``start_soc`` upward until staffed or exhausted.
 
-    Each escalation widens the view: the community at hop k works with the
-    registries of the whole visited chain, so information published below
-    stays usable above. The pool and the data topics seen so far carry over
-    from hop to hop, and hop k adds only the k-th registry. Escalation hops
-    are recorded for the trace.
+    Hop k applies the representative rule at the k-th SoC of the chain to
+    the root; when it fails, the exception rule passes the request to the
+    (k+1)-th, and past the root the request is unresolved. Each escalation
+    widens the view: the community at hop k works with the registries of the
+    whole visited chain, so information published below stays usable above.
+    The pool and the data topics seen so far carry over from hop to hop, and
+    hop k adds only the k-th registry. Escalation hops are recorded for the
+    trace.
     """
     node = h.holons.get(start_soc)
     if node is None or not node.is_composite:
@@ -433,11 +382,8 @@ def resolve_request(
                 hops=tuple(hops),
             )
         outcome = result
-        request = RoleRequest(activity.id, result.missing, soc, k, issued_at)
-        escalation = raise_exception(request, h)
-        if isinstance(escalation, Unresolvable):
-            break
-        hops.append(HopRecord(soc, escalation.request.soc, escalation.request.hop_count, result.missing))
+        if k + 1 < len(full_chain):
+            hops.append(HopRecord(soc, full_chain[k + 1], k + 1, result.missing))
 
     assert outcome is not None
     return Unresolved(
@@ -459,18 +405,18 @@ def form_son(
     t: LogicalTime,
     state: ActivationState,
     h: Holarchy,
-) -> tuple[Son, ActivationState]:
+) -> Son:
     """Enroll the planned members and open the overlay community.
 
-    Raises StaleAssignmentError when some planned actor is busy by now; the
-    caller should re-resolve instead of forcing the plan.
+    Raises StaleAssignmentError, enrolling nobody, when some planned actor
+    is busy by now; the caller should re-resolve instead of forcing the plan.
     """
-    current = state
-    for a, role in plan.assignment:
-        if current.is_active(a):
+    for a, _ in plan.assignment:
+        if a in state.active:
             raise StaleAssignmentError(f"actor {a} became busy before SON {son_id} formed")
-        current = enroll(current, h, a, role, son_id)
-    son = Son(
+    for a, role in plan.assignment:
+        enroll(state, h, a, role, son_id)
+    return Son(
         id=son_id,
         activity=plan.activity_id,
         request=request_id,
@@ -479,17 +425,19 @@ def form_son(
         formed_at=t,
         dissolves_at=t + plan.duration,
     )
-    return son, current
 
 
-def dissolve_son(son: Son, t: LogicalTime, state: ActivationState) -> ActivationState:
-    """Close the overlay on schedule, returning every member to the reserve."""
+def dissolve_son(son: Son, t: LogicalTime, state: ActivationState) -> None:
+    """Close the overlay on schedule, returning every member to the reserve.
+
+    Raises BindingMismatchError, releasing nobody, when some member is not
+    bound to this overlay in the role it was enrolled for.
+    """
     if t != son.dissolves_at:
         raise PrematureDissolveError(f"SON {son.id} dissolves at {son.dissolves_at}, not {t}")
-    current = state
     for a, role in son.members:
-        binding = current.binding_of(a)
+        binding = state.active.get(a)
         if binding is None or binding.son_id != son.id or binding.role != role:
             raise BindingMismatchError(f"actor {a} is not bound to SON {son.id} as role {role}")
-        current = release(current, a)
-    return current
+    for a, _ in son.members:
+        release(state, a)

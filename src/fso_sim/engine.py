@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .activation import ActivationState, check_partition, initial_state
+from .activation import check_partition, initial_state
 from .canon import (
     ActivityTable,
     ResponseActivity,
@@ -407,13 +407,16 @@ def scenario_from_dict(doc: Any) -> Scenario:
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
-    Raises ParseError for broken JSON and ValidationError, with the path of
-    the offending element, for format violations.
+    Raises ParseError for broken JSON, including nesting too deep for the
+    decoder and integer literals too long to convert, and ValidationError,
+    with the path of the offending element, for format violations.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from None
     return scenario_from_dict(doc)
 
 
@@ -485,6 +488,8 @@ def parse_trace(text: str) -> list[TraceRecord]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedTraceError(f"line {lineno}: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:
+            raise MalformedTraceError(f"line {lineno}: {exc}") from None
         if not isinstance(doc, dict) or set(doc) != {"tick", "kind", "payload"}:
             raise MalformedTraceError(f"line {lineno}: expected keys tick, kind, payload")
         if doc["kind"] not in TRACE_KINDS:
@@ -584,7 +589,7 @@ class Simulation:
         self.debug = _debug_default() if debug is None else debug
         self.holarchy: Holarchy = build_holarchy(scenario.holarchy)
         register_initial_services(self.holarchy, 0)
-        self.state: ActivationState = initial_state(self.holarchy)
+        self.state = initial_state(self.holarchy)
         self.ledger = ExperienceLedger()
         self.clock = 0
         self.trace: list[TraceRecord] = []
@@ -601,8 +606,7 @@ class Simulation:
         self.trace.append(TraceRecord(tick=self.clock, kind=kind, payload=payload))
 
     def _sizes(self) -> tuple[int, int]:
-        latent, responding = self.state.inactive, self.state.active
-        return len(latent), len(responding)
+        return len(self.state.inactive), len(self.state.active)
 
     # -- tick phases ----------------------------------------------------
 
@@ -610,7 +614,7 @@ class Simulation:
         sons = self._dissolve_at.pop(t, [])
         for son in sons:
             outcome = self.scenario.policy.outcome_of(son.activity, t)
-            self.state = dissolve_son(son, t, self.state)
+            dissolve_son(son, t, self.state)
             record_outcome(self.ledger, son, outcome, t, self.scenario.policy)
             l_size, r_size = self._sizes()
             self._emit(
@@ -645,7 +649,7 @@ class Simulation:
 
     def _attempt(self, activity_id: int, origin_soc: int, request_id: int, triggered_at: int) -> SonPlan | Unresolved:
         activity = self.scenario.activities.by_id(activity_id)
-        result = resolve_request(activity, origin_soc, self.holarchy, self.state, issued_at=triggered_at)
+        result = resolve_request(activity, origin_soc, self.holarchy, self.state)
         for hop in result.hops:
             self._emit(
                 "ExceptionRaised",
@@ -659,7 +663,7 @@ class Simulation:
         if isinstance(result, SonPlan):
             son_id = self._son_seq
             self._son_seq += 1
-            son, self.state = form_son(result, son_id, request_id, self.clock, self.state, self.holarchy)
+            son = form_son(result, son_id, request_id, self.clock, self.state, self.holarchy)
             self._dissolve_at.setdefault(son.dissolves_at, []).append(son)
             l_size, r_size = self._sizes()
             self._emit(

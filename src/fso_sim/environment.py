@@ -56,7 +56,11 @@ class Rng:
 
 @dataclass(frozen=True)
 class PoissonProcess:
-    """Exponential gaps at the given rate, snapped to whole ticks (min 1)."""
+    """Exponential gaps at the given rate, snapped to whole ticks (min 1).
+
+    A rate so small that a gap overflows to infinity ends the stream: no
+    arrival can come before any finite horizon.
+    """
 
     rate: float
 
@@ -68,6 +72,8 @@ class PoissonProcess:
         t = 0
         while True:
             gap = rng.exponential(self.rate)
+            if not math.isfinite(gap):
+                return
             t += max(1, math.floor(gap + 0.5))
             yield t
 
@@ -168,20 +174,3 @@ def sample_arrivals(
     out.sort(key=lambda a: (a.time, a.source_index))
     return out
 
-
-def next_event_time(
-    source: EventSource,
-    t: LogicalTime,
-    rng: Rng,
-) -> LogicalTime | None:
-    """First arrival of ``source`` strictly after ``t``.
-
-    The rng is treated as a value: its seed selects the stream and the
-    stream is replayed from the start, so repeated queries agree with each
-    other and with :func:`sample_arrivals` on the same stream.
-    """
-    fresh = Rng(rng.seed)
-    for time in source.process.arrivals(fresh):
-        if time > t:
-            return time
-    return None

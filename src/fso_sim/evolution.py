@@ -3,9 +3,12 @@
 Every dissolved overlay community leaves a record keyed by its signature
 (the activity plus the exact set of participants). Signatures that keep
 succeeding get promoted: the recurring overlay becomes a permanent SoC
-grafted under the lowest community that contains all its members, so the
-next request can be answered without climbing. Promoted SoCs that then keep
-failing are pruned again, restoring the earlier shape.
+grafted under the lowest community that contains all its members.
+Promotion does not yet let a later request be answered without climbing:
+that ancestor already sees the same actors, and the promoted SoC's registry
+entries rank after the ones registered at t=0, so no staffing decision
+changes. Promoted SoCs that then keep failing are pruned again, restoring
+the earlier shape.
 
 Promotion and pruning produce new Holarchy values and leave the input
 untouched; the engine swaps its working holarchy for the returned one, which
@@ -98,7 +101,6 @@ class SonSignature:
 class SignatureRecord:
     successes: int = 0
     failures: int = 0
-    last_seen: LogicalTime = 0
     failure_times: list[LogicalTime] = field(default_factory=list)
 
 
@@ -136,7 +138,6 @@ def record_outcome(
     """
     sig = SonSignature.of(son)
     rec = ledger.son_outcomes.setdefault(sig, SignatureRecord())
-    rec.last_seen = t
     actors = [a for a, _ in son.members]
     for a in actors:
         perf = ledger.holon_perf.setdefault(a, HolonRecord())

@@ -305,18 +305,6 @@ class Holarchy:
             caps |= self.holons[a].capabilities
         return frozenset(caps)
 
-    def registry_of(self, soc: HolonId) -> Registry:
-        node = self.holon(soc)
-        if not node.is_composite:
-            raise NotCompositeError(f"holon {soc} is atomic and owns no registry")
-        return self.registries[soc]
-
-    def capabilities_of(self, a: HolonId) -> frozenset[RoleId]:
-        node = self.holon(a)
-        if node.is_atomic:
-            return node.capabilities
-        return self.subtree_capabilities(a)
-
 
 def build_holarchy(spec: HolarchySpec) -> Holarchy:
     """Materialize and validate a holarchy from its declarative spec.
@@ -425,20 +413,6 @@ def higher_up_of(h: Holarchy, s: HolonId) -> HolonId | None:
     if not node.is_composite:
         raise NotCompositeError(f"holon {s} is atomic; only SoCs have higher-ups")
     return h.parent.get(s)
-
-
-def visible_community_of(h: Holarchy, a: HolonId) -> frozenset[HolonId]:
-    """The holons actor ``a`` can see: its community, one level, no further.
-
-    That is the member set of a's primary enclosing SoC (the community's
-    representative is itself a member, so it is always included). The root
-    SoC has no enclosing community and sees only itself.
-    """
-    h.holon(a)
-    if a not in h.parent:
-        return frozenset({a})
-    enclosing = h.holons[h.parent[a]]
-    return frozenset(enclosing.members)
 
 
 def validate(h: Holarchy) -> list[Violation]:

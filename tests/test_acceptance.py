@@ -96,7 +96,7 @@ def test_criterion_2_resolution_matches_exhaustive_search():
         for a in sorted(h.atoms()):
             caps = sorted(h.holons[a].capabilities)
             if caps and rng.random() < 0.3:
-                state = enroll(state, h, a, rng.choice(caps), son_id=999)
+                enroll(state, h, a, rng.choice(caps), son_id=999)
 
         socs = list(h.composites())
         rng.shuffle(socs)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fso_sim.activation import (
     AlreadyActiveError,
+    Binding,
     IncapableRoleError,
     NotActiveError,
     TooLargeError,
@@ -15,7 +16,6 @@ from fso_sim.activation import (
     enroll,
     enumerate_activation_space,
     initial_state,
-    partition,
     release,
 )
 from fso_sim.holarchy import (
@@ -48,32 +48,32 @@ def trio():
 
 def test_initial_state_is_all_idle(trio):
     state = initial_state(trio)
-    latent, responding = partition(state)
-    assert latent == frozenset({0, 1, 2})
-    assert responding == frozenset()
+    assert state.inactive == {0, 1, 2}
+    assert state.active == {}
 
 
 def test_enroll_and_release_move_actors(trio):
     state = initial_state(trio)
-    state = enroll(state, trio, 0, 1, son_id=5)
-    latent, responding = partition(state)
-    assert responding == frozenset({0})
-    assert 0 not in latent
-    assert state.binding_of(0).role == 1
-    assert state.binding_of(0).son_id == 5
-    state = release(state, 0)
-    assert partition(state) == (frozenset({0, 1, 2}), frozenset())
+    enroll(state, trio, 0, 1, son_id=5)
+    assert state.inactive == {1, 2}
+    assert state.active == {0: Binding(role=1, son_id=5)}
+    release(state, 0)
+    assert state == initial_state(trio)
 
 
 def test_enroll_rejects_double_enrollment(trio):
-    state = enroll(initial_state(trio), trio, 0, 0, son_id=1)
+    state = initial_state(trio)
+    enroll(state, trio, 0, 0, son_id=1)
     with pytest.raises(AlreadyActiveError):
         enroll(state, trio, 0, 1, son_id=2)
+    assert state.active == {0: Binding(role=0, son_id=1)}
 
 
 def test_enroll_rejects_incapable_role(trio):
+    state = initial_state(trio)
     with pytest.raises(IncapableRoleError):
-        enroll(initial_state(trio), trio, 1, 0, son_id=1)
+        enroll(state, trio, 1, 0, son_id=1)
+    assert state == initial_state(trio)
 
 
 def test_enroll_rejects_non_actors(trio):
@@ -84,8 +84,10 @@ def test_enroll_rejects_non_actors(trio):
 
 
 def test_release_requires_enrollment(trio):
+    state = initial_state(trio)
     with pytest.raises(NotActiveError):
-        release(initial_state(trio), 0)
+        release(state, 0)
+    assert state == initial_state(trio)
 
 
 def test_check_partition_catches_strangers(trio):
@@ -115,15 +117,14 @@ def test_partition_invariant_under_random_ops(ops, data):
     state = initial_state(h)
     son = 0
     for actor, role in ops:
-        if state.is_active(actor):
-            state = release(state, actor)
+        if actor in state.active:
+            release(state, actor)
         else:
             try:
-                state = enroll(state, h, actor, role, son_id=son)
+                enroll(state, h, actor, role, son_id=son)
                 son += 1
             except IncapableRoleError:
                 pass
         check_partition(state, h)
-        latent, responding = partition(state)
-        assert latent | responding == frozenset({0, 1, 2})
-        assert not latent & responding
+        assert state.inactive | state.active.keys() == {0, 1, 2}
+        assert not state.inactive & state.active.keys()

@@ -8,26 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fso_sim.activation import enroll, initial_state
+from fso_sim.activation import Binding, enroll, initial_state, release
 from fso_sim.canon import (
     DATA_MISSING,
     ActivityTable,
-    Enabled,
-    Forwarded,
-    Missing,
+    BindingMismatchError,
     PrematureDissolveError,
     ResponseActivity,
-    RoleRequest,
     SonPlan,
     StaleAssignmentError,
     UnknownTopicError,
-    Unresolvable,
     Unresolved,
     dissolve_son,
-    evaluate_guard,
     form_son,
     publish,
-    raise_exception,
     resolve_request,
 )
 from fso_sim.holarchy import (
@@ -105,58 +99,77 @@ def test_data_topics_are_publishable_without_triggering():
     assert publish(h.registries[1], item("reading"), table) == ()
 
 
-# -- the guard ---------------------------------------------------------------
+# -- the guard: hop 0 at a single-level holarchy -----------------------------
+
+
+def staffed(soc, assignment):
+    """What resolution from root SoC ``soc`` returns when it staffs at hop 0."""
+    return SonPlan(
+        activity_id=0,
+        assignment=assignment,
+        spanned_socs=frozenset({soc}),
+        origin_soc=soc,
+        resolved_soc=soc,
+        hop_count=0,
+        duration=1,
+    )
+
+
+def unstaffed(soc, missing):
+    """What resolution from root SoC ``soc`` returns when hop 0 fails."""
+    return Unresolved(activity_id=0, origin_soc=soc, hop_count=0, missing=missing)
 
 
 def test_guard_enabled_with_local_providers():
     h = build(atom(0, 0), atom(1, 1), soc(2, [0, 1]))
-    result = evaluate_guard(act(roles=(0, 1)), h.registries[2], initial_state(h), h)
-    assert result == Enabled(assignment=((0, 0), (1, 1)))
+    result = resolve_request(act(roles=(0, 1)), 2, h, initial_state(h))
+    assert result == staffed(2, ((0, 0), (1, 1)))
 
 
 def test_guard_reports_missing_roles():
     h = build(atom(0, 0), soc(1, [0]))
-    result = evaluate_guard(act(roles=(0, 1, 1)), h.registries[1], initial_state(h), h)
-    assert result == Missing(missing=(1, 1))
+    result = resolve_request(act(roles=(0, 1, 1)), 1, h, initial_state(h))
+    assert result == unstaffed(1, (1, 1))
 
 
 def test_guard_counts_role_multiplicity():
     h = build(atom(0, 0), atom(1, 0), soc(2, [0, 1]))
     state = initial_state(h)
-    assert isinstance(evaluate_guard(act(roles=(0, 0)), h.registries[2], state, h), Enabled)
-    result = evaluate_guard(act(roles=(0, 0, 0)), h.registries[2], state, h)
-    assert result == Missing(missing=(0,))
+    assert isinstance(resolve_request(act(roles=(0, 0)), 2, h, state), SonPlan)
+    result = resolve_request(act(roles=(0, 0, 0)), 2, h, state)
+    assert result == unstaffed(2, (0,))
 
 
 def test_guard_ignores_busy_actors():
     h = build(atom(0, 0), atom(1, 0), soc(2, [0, 1]))
-    state = enroll(initial_state(h), h, 0, 0, son_id=9)
-    result = evaluate_guard(act(roles=(0,)), h.registries[2], state, h)
-    assert result == Enabled(assignment=((1, 0),))
+    state = initial_state(h)
+    enroll(state, h, 0, 0, son_id=9)
+    result = resolve_request(act(roles=(0,)), 2, h, state)
+    assert result == staffed(2, ((1, 0),))
 
 
 def test_guard_requires_published_data():
     h = build(atom(0, 0), soc(1, [0]))
     table = ActivityTable(activities=(act(data=("reading",)),))
-    missing = evaluate_guard(act(data=("reading",)), h.registries[1], initial_state(h), h)
-    assert missing == Missing(missing=(DATA_MISSING,))
+    missing = resolve_request(act(data=("reading",)), 1, h, initial_state(h))
+    assert missing == unstaffed(1, (DATA_MISSING,))
     publish(h.registries[1], item("reading"), table)
-    assert isinstance(evaluate_guard(act(data=("reading",)), h.registries[1], initial_state(h), h), Enabled)
+    assert isinstance(resolve_request(act(data=("reading",)), 1, h, initial_state(h)), SonPlan)
 
 
 def test_guard_prefers_greedy_breaking_assignment():
     # the naive pick takes actor 0 for role 0 and then fails on role 1;
     # the only workable split gives role 0 to actor 1
     h = build(atom(0, 0, 1), atom(1, 0), soc(2, [0, 1]))
-    result = evaluate_guard(act(roles=(0, 1)), h.registries[2], initial_state(h), h)
-    assert result == Enabled(assignment=((1, 0), (0, 1)))
+    result = resolve_request(act(roles=(0, 1)), 2, h, initial_state(h))
+    assert result == staffed(2, ((1, 0), (0, 1)))
 
 
 def test_guard_assignment_is_lexicographically_least():
     h = build(atom(0, 0, 1), atom(1, 0, 1), atom(2, 0), soc(3, [0, 1, 2]))
-    result = evaluate_guard(act(roles=(0, 1)), h.registries[3], initial_state(h), h)
+    result = resolve_request(act(roles=(0, 1)), 3, h, initial_state(h))
     # role 0 could use 0, 1 or 2; taking 0 still leaves 1 for role 1
-    assert result == Enabled(assignment=((0, 0), (1, 1)))
+    assert result == staffed(3, ((0, 0), (1, 1)))
 
 
 # -- escalation --------------------------------------------------------------
@@ -173,19 +186,6 @@ def tower():
         soc(5, [2]),
         soc(6, [4, 5]),
     )
-
-
-def test_raise_exception_climbs_one_level(tower):
-    req = RoleRequest(activity=0, missing=(2,), soc=4, hop_count=0, issued_at=0)
-    out = raise_exception(req, tower)
-    assert isinstance(out, Forwarded)
-    assert out.request.soc == 6
-    assert out.request.hop_count == 1
-
-
-def test_raise_exception_stops_at_root(tower):
-    req = RoleRequest(activity=0, missing=(2,), soc=6, hop_count=1, issued_at=0)
-    assert isinstance(raise_exception(req, tower), Unresolvable)
 
 
 def test_resolve_locally_when_possible(tower):
@@ -241,22 +241,53 @@ def test_resolve_does_not_see_sibling_data(tower):
 def test_form_and_dissolve_round_trip(tower):
     state = initial_state(tower)
     plan = resolve_request(act(roles=(1, 2), duration=4), 4, tower, state)
-    son, busy = form_son(plan, son_id=0, request_id=7, t=10, state=state, h=tower)
+    son = form_son(plan, son_id=0, request_id=7, t=10, state=state, h=tower)
     assert son.dissolves_at == 14
-    assert busy.is_active(1) and busy.is_active(2)
+    assert state.active == {1: Binding(role=1, son_id=0), 2: Binding(role=2, son_id=0)}
+    assert state.inactive == {0}
     with pytest.raises(PrematureDissolveError):
-        dissolve_son(son, 13, busy)
-    idle = dissolve_son(son, 14, busy)
-    assert idle.inactive == state.inactive
-    assert idle.active == ()
+        dissolve_son(son, 13, state)
+    assert state.inactive == {0}
+    dissolve_son(son, 14, state)
+    assert state == initial_state(tower)
 
 
 def test_form_rejects_stale_plans(tower):
     state = initial_state(tower)
     plan = resolve_request(act(roles=(1,)), 4, tower, state)
-    taken = enroll(state, tower, 1, 1, son_id=3)
+    enroll(state, tower, 1, 1, son_id=3)
     with pytest.raises(StaleAssignmentError):
-        form_son(plan, son_id=4, request_id=0, t=0, state=taken, h=tower)
+        form_son(plan, son_id=4, request_id=0, t=0, state=state, h=tower)
+
+
+def test_form_enrolls_nobody_when_a_member_is_busy(tower):
+    state = initial_state(tower)
+    plan = resolve_request(act(roles=(0, 1, 2)), 4, tower, state)
+    assert plan.assignment == ((0, 0), (1, 1), (2, 2))
+    # the last planned member is taken, so enrolling as we go would have
+    # enrolled 0 and 1 before noticing
+    enroll(state, tower, 2, 2, son_id=3)
+    with pytest.raises(StaleAssignmentError):
+        form_son(plan, son_id=4, request_id=0, t=0, state=state, h=tower)
+    assert state.active == {2: Binding(role=2, son_id=3)}
+    assert state.inactive == {0, 1}
+
+
+def test_dissolve_releases_nobody_on_a_mismatched_binding(tower):
+    state = initial_state(tower)
+    plan = resolve_request(act(roles=(0, 1, 2), duration=2), 4, tower, state)
+    son = form_son(plan, son_id=0, request_id=0, t=0, state=state, h=tower)
+    # the last member is rebound to another overlay behind the SON's back
+    release(state, 2)
+    enroll(state, tower, 2, 2, son_id=1)
+    with pytest.raises(BindingMismatchError):
+        dissolve_son(son, 2, state)
+    assert state.active == {
+        0: Binding(role=0, son_id=0),
+        1: Binding(role=1, son_id=0),
+        2: Binding(role=2, son_id=1),
+    }
+    assert state.inactive == set()
 
 
 # -- agreement with the exhaustive oracle ------------------------------------
@@ -287,7 +318,7 @@ def test_solver_agrees_with_brute_force(data):
     state = initial_state(h)
     for a in sorted(busy):
         if caps[a]:
-            state = enroll(state, h, a, min(caps[a]), son_id=99)
+            enroll(state, h, a, min(caps[a]), son_id=99)
 
     roles = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4), label="roles")
     activity = act(roles=tuple(sorted(roles)))

@@ -185,3 +185,40 @@ def test_run_rejects_unwritable_output(tmp_path, capsys, flag):
     code = run_cli("run", "--scenario", str(SCENARIOS / "minimal.json"), "--seed", "0", flag, str(target))
     assert_clean_failure(code, capsys, "cannot write")
     assert not target.exists()
+
+
+# inputs that break the JSON decoder itself rather than the JSON grammar
+UNDECODABLE = {
+    "deep_nesting": "[" * 100_000 + "]" * 100_000,
+    "huge_integer": "1" * 5000,
+}
+
+
+@pytest.mark.parametrize("text", list(UNDECODABLE.values()), ids=list(UNDECODABLE))
+@pytest.mark.parametrize("command", ["validate", "run", "enumerate", "report"])
+def test_undecodable_input_exits_one(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    if command == "report":
+        code = run_cli("report", "--trace", str(path))
+        needle = "malformed trace"
+    else:
+        seed = ["--seed", "0"] if command == "run" else []
+        code = run_cli(command, "--scenario", str(path), *seed)
+        needle = "scenario is not valid JSON"
+    assert_clean_failure(code, capsys, needle)
+
+
+@pytest.mark.parametrize("rate", [5e-324, 1e-310])
+def test_run_accepts_a_rate_too_small_to_ever_fire(tmp_path, capsys, rate):
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    doc["environment"] = [
+        {"topic": "knock", "injection_soc": 1, "process": {"kind": "poisson", "rate": rate}}
+    ]
+    path = tmp_path / "tiny_rate.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli("run", "--scenario", str(path), "--seed", "0")
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert json.loads(captured.out)["events_published"] == 0

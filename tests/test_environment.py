@@ -15,7 +15,6 @@ from fso_sim.environment import (
     PoissonProcess,
     Rng,
     ScriptedProcess,
-    next_event_time,
     sample_arrivals,
     source_stream,
 )
@@ -62,6 +61,16 @@ def test_poisson_gaps_are_positive_integers():
 def test_poisson_rejects_bad_rate():
     with pytest.raises(ValueError):
         PoissonProcess(rate=0.0)
+
+
+@pytest.mark.parametrize("rate", [5e-324, 1e-310])
+def test_poisson_gap_overflowing_to_infinity_ends_the_stream(rate):
+    # the rate passes the positivity check, but Exp(rate) overflows, so no
+    # arrival can come before any finite horizon
+    process = PoissonProcess(rate=rate)
+    assert list(process.arrivals(source_stream(seed=1, index=0))) == []
+    spec = EnvironmentSpec(sources=(EventSource("a", 1, process),))
+    assert sample_arrivals(spec, (0, 10_000), seed=1) == []
 
 
 def test_periodic_and_scripted_are_exact():
@@ -111,29 +120,6 @@ def test_adding_a_source_does_not_shift_others():
     first = [a.time for a in sample_arrivals(one, (0, 500), seed=11)]
     both = [a.time for a in sample_arrivals(two, (0, 500), seed=11) if a.source_index == 0]
     assert first == both
-
-
-def test_next_event_time_agrees_with_sampling():
-    source = EventSource("a", 1, PoissonProcess(rate=0.25))
-    rng = source_stream(seed=5, index=0)
-    sampled = [a.time for a in sample_arrivals(EnvironmentSpec((source,)), (0, 300), seed=5)]
-    # folding next_event_time reproduces the sampled stream
-    folded = []
-    t = -1
-    while True:
-        t = next_event_time(source, t, rng)
-        if t is None or t >= 300:
-            break
-        folded.append(t)
-    assert folded == sampled
-
-
-def test_next_event_time_exhausts_scripted_sources():
-    source = EventSource("a", 1, ScriptedProcess(times=(4, 8)))
-    rng = source_stream(seed=0, index=0)
-    assert next_event_time(source, 3, rng) == 4
-    assert next_event_time(source, 4, rng) == 8
-    assert next_event_time(source, 8, rng) is None
 
 
 def test_poisson_mean_gap_matches_nearest_tick_rounding():

@@ -21,7 +21,6 @@ from fso_sim.holarchy import (
     register_initial_services,
     spec_of,
     validate,
-    visible_community_of,
 )
 
 from oracles import parent_scan, structural_check
@@ -84,12 +83,6 @@ def test_higher_up(nested):
         higher_up_of(nested, 0)
     with pytest.raises(UnknownHolonError):
         higher_up_of(nested, 99)
-
-
-def test_visible_community(nested):
-    assert visible_community_of(nested, 0) == frozenset({0, 1})
-    assert visible_community_of(nested, 4) == frozenset({4, 5})
-    assert visible_community_of(nested, 6) == frozenset({6})
 
 
 def test_duplicate_id_rejected():
