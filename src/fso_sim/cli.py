@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .activation import TooLargeError, enumerate_activation_space
@@ -173,9 +174,16 @@ def main(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head -1`): stop quietly, and keep
+        # the interpreter's final flush from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -404,15 +404,20 @@ def scenario_from_dict(doc: Any) -> Scenario:
     )
 
 
+def _reject_constant(token: str) -> float:
+    raise ParseError(f"{token} is not a JSON number")
+
+
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
     Raises ParseError for broken JSON, including nesting too deep for the
-    decoder and integer literals too long to convert, and ValidationError,
-    with the path of the offending element, for format violations.
+    decoder, integer literals too long to convert and the non-standard
+    tokens NaN, Infinity and -Infinity, and ValidationError, with the path
+    of the offending element, for format violations.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:
@@ -743,7 +748,7 @@ class Simulation:
         self._pending = survivors
 
     def _phase_evolution(self, t: int) -> None:
-        self.holarchy, promotions = maybe_permanentify(self.ledger, self.holarchy, self.scenario.policy, t)
+        promotions = maybe_permanentify(self.ledger, self.holarchy, self.scenario.policy, t)
         for ev in promotions:
             self._emit(
                 "Permanentified",
@@ -752,7 +757,7 @@ class Simulation:
                 members=list(ev.members),
                 activity=ev.activity,
             )
-        self.holarchy, prunes = maybe_prune(self.ledger, self.holarchy, self.scenario.policy, t)
+        prunes = maybe_prune(self.ledger, self.holarchy, self.scenario.policy, t)
         for ev in prunes:
             self._emit("Pruned", soc=ev.soc, parent=ev.parent, members=list(ev.members))
 

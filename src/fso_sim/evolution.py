@@ -10,19 +10,23 @@ entries rank after the ones registered at t=0, so no staffing decision
 changes. Promoted SoCs that then keep failing are pruned again, restoring
 the earlier shape.
 
-Promotion and pruning produce new Holarchy values and leave the input
-untouched; the engine swaps its working holarchy for the returned one, which
-inherits the input's role-atom cache (see :mod:`fso_sim.holarchy`).
+Promotion and pruning edit the run's one holarchy in place, through
+:meth:`Holarchy.graft` and :meth:`Holarchy.remove`, and return only their
+events.
 
-The ledger keeps the signatures that have reached the promotion threshold
-but are not promoted yet in ``ready``, so a tick with nothing due costs
-nothing: :func:`maybe_permanentify` returns at once while ``ready`` is
-empty. A signature whose member set some SoC already holds stays in
-``ready`` and is promoted if that SoC is pruned later.
+Both look only at what can have changed since the last tick. The ledger
+keeps the signatures that have reached the promotion threshold but are not
+promoted yet in ``ready``; a signature whose member set some SoC already
+holds stays there and is promoted if that SoC is pruned later. A windowed
+failure count can only rise when a failure is booked, so ``recheck`` holds
+just the promoted signatures that failed, or were promoted, since the last
+:func:`maybe_prune`, and a tick with neither prunes without looking at any
+SoC.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -117,9 +121,11 @@ class ExperienceLedger:
     son_outcomes: dict[SonSignature, SignatureRecord] = field(default_factory=dict)
     holon_perf: dict[HolonId, HolonRecord] = field(default_factory=dict)
     strengths: dict[tuple[HolonId, HolonId], float] = field(default_factory=dict)
-    permanentified: set[SonSignature] = field(default_factory=set)
-    created_socs: dict[HolonId, SonSignature] = field(default_factory=dict)
+    # the live promoted SoC of each signature; at most one, since a member
+    # set some SoC holds is never promoted again
+    promoted: dict[SonSignature, HolonId] = field(default_factory=dict)
     ready: set[SonSignature] = field(default_factory=set)
+    recheck: set[SonSignature] = field(default_factory=set)
 
 
 def record_outcome(
@@ -134,7 +140,8 @@ def record_outcome(
     Success strengthens every pairwise connection among the participants by
     the policy increment, and the success that first reaches the promotion
     threshold puts the signature in ``ledger.ready``; failure is timestamped
-    so pruning can look at a sliding window.
+    so pruning can look at a sliding window, and a failing promoted
+    signature goes into ``ledger.recheck``.
     """
     sig = SonSignature.of(son)
     rec = ledger.son_outcomes.setdefault(sig, SignatureRecord())
@@ -156,6 +163,8 @@ def record_outcome(
     else:
         rec.failures += 1
         rec.failure_times.append(t)
+        if sig in ledger.promoted:
+            ledger.recheck.add(sig)
 
 
 def connection_strength(ledger: ExperienceLedger, a: HolonId, b: HolonId) -> float:
@@ -195,7 +204,7 @@ def maybe_permanentify(
     h: Holarchy,
     policy: EvolutionPolicy,
     t: LogicalTime,
-) -> tuple[Holarchy, tuple[PromotionEvent, ...]]:
+) -> tuple[PromotionEvent, ...]:
     """Promote every signature that has crossed the success threshold.
 
     Each promotion happens once per signature, creates a fresh SoC id, and
@@ -203,32 +212,20 @@ def maybe_permanentify(
     its members. The members keep their original communities; the new SoC
     references them as a secondary, institutional overlay.
     """
-    if not ledger.ready:
-        return h, ()
-    existing_member_sets = {
-        tuple(sorted(n.members)) for n in h.holons.values() if n.is_composite
-    }
-    due = [
-        sig
-        for sig in sorted(ledger.ready, key=lambda s: (s.activity, s.members))
-        if sig.members not in existing_member_sets
-    ]
+    due = sorted(
+        (sig for sig in ledger.ready if not h.holds_members(sig.members)),
+        key=lambda s: (s.activity, s.members),
+    )
     if not due:
-        return h, ()
-
-    holons = dict(h.holons)
-    parent = dict(h.parent)
-    registries = dict(h.registries)
+        return ()
     events: list[PromotionEvent] = []
-    next_id = max(holons) + 1
+    next_id = max(h.holons) + 1
 
     for sig in due:
         ledger.ready.discard(sig)
-        if sig.members in existing_member_sets:
+        if h.holds_members(sig.members):
             # an earlier promotion in this same pass took the member set
-            ledger.permanentified.add(sig)
             continue
-        existing_member_sets.add(sig.members)
         soc_id = next_id
         next_id += 1
         anchor = _lca(h, [h.parent[m] for m in sig.members])
@@ -239,40 +236,18 @@ def maybe_permanentify(
             representative=min(sig.members),
             origin=HolonOrigin.PERMANENTIFIED,
         )
-        holons[soc_id] = new_soc
-        parent[soc_id] = anchor
-        old_anchor = holons[anchor]
-        holons[anchor] = Holon(
-            id=anchor,
-            kind=old_anchor.kind,
-            capabilities=old_anchor.capabilities,
-            members=old_anchor.members + (soc_id,),
-            representative=old_anchor.representative,
-            origin=old_anchor.origin,
+        own = sorted(
+            (ServiceEntry(m, role, registered_at=t) for m in sig.members for role in h.holons[m].capabilities),
+            key=ServiceEntry.sort_key,
         )
-
-        own = Registry(owner=soc_id)
-        for m in sig.members:
-            for role in sorted(holons[m].capabilities):
-                own.service_entries.append(ServiceEntry(m, role, registered_at=t))
-        own.service_entries.sort(key=ServiceEntry.sort_key)
-        registries[soc_id] = own
-
-        anchor_reg = registries[anchor].copy()
-        caps = sorted({r for m in sig.members for r in holons[m].capabilities})
-        for role in caps:
-            anchor_reg.service_entries.append(
-                ServiceEntry(new_soc.representative, role, registered_at=t, via=soc_id)
-            )
-        anchor_reg.service_entries.sort(key=ServiceEntry.sort_key)
-        registries[anchor] = anchor_reg
-
-        ledger.permanentified.add(sig)
-        ledger.created_socs[soc_id] = sig
+        caps = sorted({e.role for e in own})
+        proxies = [ServiceEntry(new_soc.representative, role, registered_at=t, via=soc_id) for role in caps]
+        h.graft(new_soc, anchor, Registry(owner=soc_id, service_entries=own), proxies)
+        ledger.promoted[sig] = soc_id
+        ledger.recheck.add(sig)
         events.append(PromotionEvent(soc_id, anchor, sig.members, sig.activity))
 
-    evolved = Holarchy(holons, parent, h.root, h.roles, registries, h.role_atoms_cache())
-    return evolved, tuple(events)
+    return tuple(events)
 
 
 def maybe_prune(
@@ -280,52 +255,25 @@ def maybe_prune(
     h: Holarchy,
     policy: EvolutionPolicy,
     t: LogicalTime,
-) -> tuple[Holarchy, tuple[PruneEvent, ...]]:
+) -> tuple[PruneEvent, ...]:
     """Remove promoted SoCs whose signature keeps failing.
 
     A promoted SoC is pruned when its signature collected at least the
     threshold number of failures inside the sliding window ending now. Only
     promoted SoCs are ever pruned; the scenario structure is untouchable.
+    Only the signatures in ``ledger.recheck`` are counted.
     """
-    due: list[HolonId] = []
-    for soc in sorted(ledger.created_socs):
-        if soc not in h.holons:
-            continue
-        sig = ledger.created_socs[soc]
-        rec = ledger.son_outcomes.get(sig)
-        if rec is None:
-            continue
-        recent = [ft for ft in rec.failure_times if t - policy.prune_window < ft <= t]
-        if len(recent) >= policy.prune_failure_threshold:
-            due.append(soc)
-    if not due:
-        return h, ()
+    due: dict[HolonId, SonSignature] = {}
+    for sig in ledger.recheck:
+        times = ledger.son_outcomes[sig].failure_times
+        if bisect_right(times, t) - bisect_right(times, t - policy.prune_window) >= policy.prune_failure_threshold:
+            due[ledger.promoted[sig]] = sig
+    ledger.recheck.clear()
 
-    holons = dict(h.holons)
-    parent = dict(h.parent)
-    registries = dict(h.registries)
     events: list[PruneEvent] = []
-
-    for soc in due:
-        anchor = parent[soc]
-        members = holons[soc].members
-        del holons[soc]
-        del parent[soc]
-        del registries[soc]
-        old_anchor = holons[anchor]
-        holons[anchor] = Holon(
-            id=anchor,
-            kind=old_anchor.kind,
-            capabilities=old_anchor.capabilities,
-            members=tuple(m for m in old_anchor.members if m != soc),
-            representative=old_anchor.representative,
-            origin=old_anchor.origin,
-        )
-        anchor_reg = registries[anchor].copy()
-        anchor_reg.service_entries = [e for e in anchor_reg.service_entries if e.via != soc]
-        registries[anchor] = anchor_reg
-        del ledger.created_socs[soc]
+    for soc in sorted(due):
+        members = h.holons[soc].members
+        anchor = h.remove(soc)
+        del ledger.promoted[due[soc]]
         events.append(PruneEvent(soc, anchor, members))
-
-    evolved = Holarchy(holons, parent, h.root, h.roles, registries, h.role_atoms_cache(dropped=due))
-    return evolved, tuple(events)
+    return tuple(events)

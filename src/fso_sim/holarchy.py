@@ -6,27 +6,28 @@ an ordered member list and a distinguished representative that stands for
 the whole community one level up. Each SoC owns a registry holding the
 service offers and published information visible at that level.
 
-The structural part of a holarchy is immutable after :func:`build_holarchy`.
-Registries are the mutable runtime surface; they are only ever touched by
-the engine's single logical event loop. Structure changes (promotion of a
-recurring overlay into a permanent SoC, pruning) produce a new ``Holarchy``
-value, see :mod:`fso_sim.evolution`.
+A run has exactly one holarchy, built by :func:`build_holarchy` and only
+ever touched by the engine's single logical event loop. Registries are its
+everyday mutable surface. Its structure changes in place, through
+:meth:`Holarchy.graft` and :meth:`Holarchy.remove` alone, when evolution
+promotes a recurring overlay into a permanent SoC or prunes one again (see
+:mod:`fso_sim.evolution`).
 
-Because the structure is immutable, a holarchy memoises the actors under
-each SoC, bucketed by role (:meth:`Holarchy.role_atoms`). The cache fills
-lazily, the first time staffing unfolds a SoC, so building a holarchy costs
-nothing extra. Evolution hands the cache on to the holarchy it returns:
-promotion grafts a new SoC whose members are actors already under its
-anchor, and pruning removes such a SoC again, so neither changes the actor
-set of any SoC that survives. Only the entries of pruned ids are dropped,
-since a later promotion may reuse the id for a different team.
+A holarchy memoises two things its structure already knows: the actors
+under each SoC, bucketed by role (:meth:`Holarchy.role_atoms`), and the set
+of every SoC's sorted member list (:meth:`Holarchy.holds_members`). Both
+fill lazily, so building a holarchy costs nothing extra, and the two edit
+methods keep them true. A grafted SoC's members are actors already under
+its anchor, so neither edit changes the actor set of any other SoC and the
+role-atom cache keeps every other entry. A removed id forgets its role
+atoms, because a later promotion takes ``max(holons) + 1`` as its id and so
+may reuse it for a different team.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Iterator
 
 HolonId = int
 RoleId = int
@@ -149,9 +150,6 @@ class Registry:
     def topics_present(self) -> set[str]:
         return set(self.topics)
 
-    def copy(self) -> "Registry":
-        return Registry(self.owner, list(self.service_entries), list(self.info_entries))
-
 
 @dataclass(frozen=True)
 class HolonSpec:
@@ -204,14 +202,14 @@ class Holarchy:
         root: HolonId,
         roles: frozenset[RoleId],
         registries: dict[HolonId, Registry],
-        role_atoms_cache: RoleAtoms | None = None,
     ) -> None:
         self.holons = holons
         self.parent = parent
         self.root = root
         self.roles = roles
         self.registries = registries
-        self._role_atoms = {} if role_atoms_cache is None else role_atoms_cache
+        self._role_atoms: RoleAtoms = {}
+        self._member_sets: set[tuple[HolonId, ...]] | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -283,15 +281,11 @@ class Holarchy:
             self._role_atoms[soc] = by_role
         return by_role.get(role, ())
 
-    def role_atoms_cache(self, dropped: Iterable[HolonId] = ()) -> RoleAtoms:
-        """A copy of the role-atom cache to hand on to an evolved holarchy.
-
-        ``dropped`` names SoCs that the evolved holarchy no longer has.
-        """
-        cache = dict(self._role_atoms)
-        for soc in dropped:
-            cache.pop(soc, None)
-        return cache
+    def holds_members(self, members: tuple[HolonId, ...]) -> bool:
+        """Whether some SoC's member list, sorted, is exactly ``members``."""
+        if self._member_sets is None:
+            self._member_sets = {tuple(sorted(n.members)) for n in self.holons.values() if n.is_composite}
+        return members in self._member_sets
 
     def subtree_capabilities(self, h: HolonId) -> frozenset[RoleId]:
         """Union of the capabilities of all actors under ``h``.
@@ -304,6 +298,48 @@ class Holarchy:
         for a in self.subtree_atoms(h):
             caps |= self.holons[a].capabilities
         return frozenset(caps)
+
+    # -- in-place evolution ----------------------------------------------
+
+    def graft(self, node: Holon, anchor: HolonId, registry: Registry, proxies: list[ServiceEntry]) -> None:
+        """Add composite ``node`` as the last member of SoC ``anchor``.
+
+        ``registry`` becomes the new SoC's own; ``proxies`` join the
+        anchor's registry in canonical order.
+        """
+        self.holons[node.id] = node
+        self.parent[node.id] = anchor
+        self.registries[node.id] = registry
+        old = self.holons[anchor]
+        self._set_members(old, old.members + (node.id,))
+        if self._member_sets is not None:
+            self._member_sets.add(tuple(sorted(node.members)))
+        entries = self.registries[anchor].service_entries
+        entries.extend(proxies)
+        entries.sort(key=ServiceEntry.sort_key)
+
+    def remove(self, soc: HolonId) -> HolonId:
+        """Undo :meth:`graft` for ``soc``; returns the SoC it hung under."""
+        anchor = self.parent.pop(soc)
+        node = self.holons.pop(soc)
+        del self.registries[soc]
+        # the next promotion may reuse the id for a different team
+        self._role_atoms.pop(soc, None)
+        old = self.holons[anchor]
+        self._set_members(old, tuple(m for m in old.members if m != soc))
+        if self._member_sets is not None:
+            self._member_sets.discard(tuple(sorted(node.members)))
+        reg = self.registries[anchor]
+        reg.service_entries = [e for e in reg.service_entries if e.via != soc]
+        return anchor
+
+    def _set_members(self, old: Holon, members: tuple[HolonId, ...]) -> None:
+        self.holons[old.id] = replace(old, members=members)
+        # no two SoCs share a member list (a promoted team's anchor lists
+        # the team itself), so dropping a list forgets only this SoC's
+        if self._member_sets is not None:
+            self._member_sets.discard(tuple(sorted(old.members)))
+            self._member_sets.add(tuple(sorted(members)))
 
 
 def build_holarchy(spec: HolarchySpec) -> Holarchy:

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fso_sim import cli
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def run_cli(*argv):
@@ -222,3 +226,47 @@ def test_run_accepts_a_rate_too_small_to_ever_fire(tmp_path, capsys, rate):
     assert code == 0
     assert captured.err == ""
     assert json.loads(captured.out)["events_published"] == 0
+
+
+# json.dumps writes float("inf") and float("nan") as the bare tokens
+# Infinity and NaN, which the JSON grammar does not have
+NON_STANDARD_NUMBERS = {
+    "infinite_rate": (("environment", 0, "process"), {"kind": "poisson", "rate": float("inf")}),
+    "nan_strength_increment": (("policy", "strength_increment"), float("nan")),
+    "negative_infinite_horizon": (("horizon",), float("-inf")),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_STANDARD_NUMBERS.values()), ids=list(NON_STANDARD_NUMBERS))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_standard_json_numbers_exit_one(tmp_path, capsys, command, case):
+    path, value = case
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    scenario = tmp_path / "non_standard.json"
+    scenario.write_text(json.dumps(doc))
+    seed = ["--seed", "0"] if command == "run" else []
+    code = run_cli(command, "--scenario", str(scenario), *seed)
+    assert_clean_failure(code, capsys, "is not a JSON number")
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_closed_stdout_pipe_ends_quietly(lines_read):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "fso_sim.cli", "run", "--scenario", str(SCENARIOS / "minimal.json"), "--seed", "0"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    for _ in range(lines_read):
+        assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert "Traceback" not in err
+    assert err == ""
+    # a reader that closes before anything is written always breaks the
+    # pipe; one that reads a line first may race the last write
+    assert code == 1 if lines_read == 0 else code in (0, 1)

@@ -68,10 +68,14 @@ POLICY = EvolutionPolicy(
 )
 
 
-@pytest.fixture
-def wings():
+def build_wings():
     # actors 0,1 on wing 4; actor 2 on wing 5; roof 6
     return build(atom(0, 0), atom(1, 1), atom(2, 2), soc(4, [0, 1]), soc(5, [2]), soc(6, [4, 5]))
+
+
+@pytest.fixture
+def wings():
+    return build_wings()
 
 
 def test_outcomes_accumulate_and_strengthen(wings):
@@ -94,9 +98,8 @@ def test_promotion_waits_for_threshold(wings):
     ledger = ExperienceLedger()
     son = make_son(0, [(1, 1), (2, 2)])
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
-    h2, events = maybe_permanentify(ledger, wings, POLICY, 1)
+    events = maybe_permanentify(ledger, wings, POLICY, 1)
     assert events == ()
-    assert h2 is wings
 
 
 def test_promotion_grafts_under_lowest_common_community(wings):
@@ -104,26 +107,23 @@ def test_promotion_grafts_under_lowest_common_community(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
     record_outcome(ledger, son, Outcome.SUCCESS, 4, POLICY)
-    h2, events = maybe_permanentify(ledger, wings, POLICY, 4)
+    events = maybe_permanentify(ledger, wings, POLICY, 4)
     assert len(events) == 1
     ev = events[0]
     assert ev.members == (1, 2)
     assert ev.parent == 6
-    new = h2.holons[ev.soc]
+    new = wings.holons[ev.soc]
     assert new.origin is HolonOrigin.PERMANENTIFIED
     assert new.representative == 1
-    assert h2.parent[ev.soc] == 6
+    assert wings.parent[ev.soc] == 6
     # members keep their original primary communities
-    assert h2.parent[1] == 4 and h2.parent[2] == 5
-    assert ev.soc in h2.holons[6].members
+    assert wings.parent[1] == 4 and wings.parent[2] == 5
+    assert ev.soc in wings.holons[6].members
     # the anchor registry now punctualizes the new community too
-    vias = {(e.provider, e.role, e.via) for e in h2.registries[6].service_entries if e.via == ev.soc}
+    vias = {(e.provider, e.role, e.via) for e in wings.registries[6].service_entries if e.via == ev.soc}
     assert vias == {(1, 1, ev.soc), (1, 2, ev.soc)}
-    assert [e for e in h2.registries[ev.soc].service_entries] != []
-    assert validate(h2) == []
-    # the original value is untouched
-    assert ev.soc not in wings.holons
-    assert all(e.via != ev.soc for e in wings.registries[6].service_entries)
+    assert [e for e in wings.registries[ev.soc].service_entries] != []
+    assert validate(wings) == []
 
 
 def test_promotion_happens_once_per_signature(wings):
@@ -131,12 +131,11 @@ def test_promotion_happens_once_per_signature(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2, 3):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    h2, first = maybe_permanentify(ledger, wings, POLICY, 3)
+    first = maybe_permanentify(ledger, wings, POLICY, 3)
     record_outcome(ledger, son, Outcome.SUCCESS, 9, POLICY)
-    h3, second = maybe_permanentify(ledger, h2, POLICY, 9)
+    second = maybe_permanentify(ledger, wings, POLICY, 9)
     assert len(first) == 1
     assert second == ()
-    assert h3 is h2
 
 
 def test_promotion_skips_existing_member_sets(wings):
@@ -145,9 +144,8 @@ def test_promotion_skips_existing_member_sets(wings):
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
     record_outcome(ledger, son, Outcome.SUCCESS, 2, POLICY)
     # SoC 4 already holds exactly {0, 1}
-    h2, events = maybe_permanentify(ledger, wings, POLICY, 2)
+    events = maybe_permanentify(ledger, wings, POLICY, 2)
     assert events == ()
-    assert h2 is wings
 
 
 def test_prune_needs_windowed_failures(wings):
@@ -155,28 +153,28 @@ def test_prune_needs_windowed_failures(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
     record_outcome(ledger, son, Outcome.SUCCESS, 2, POLICY)
-    h2, events = maybe_permanentify(ledger, wings, POLICY, 2)
+    events = maybe_permanentify(ledger, wings, POLICY, 2)
     soc_id = events[0].soc
 
     record_outcome(ledger, son, Outcome.FAILURE, 5, POLICY)
-    h3, pruned = maybe_prune(ledger, h2, POLICY, 5)
+    pruned = maybe_prune(ledger, wings, POLICY, 5)
     assert pruned == ()
 
     # a failure far outside the window does not count
     record_outcome(ledger, son, Outcome.FAILURE, 40, POLICY)
-    h3, pruned = maybe_prune(ledger, h2, POLICY, 40)
+    pruned = maybe_prune(ledger, wings, POLICY, 40)
     assert pruned == ()
 
     record_outcome(ledger, son, Outcome.FAILURE, 42, POLICY)
-    h3, pruned = maybe_prune(ledger, h2, POLICY, 42)
+    pruned = maybe_prune(ledger, wings, POLICY, 42)
     assert len(pruned) == 1
     assert pruned[0].soc == soc_id
-    assert soc_id not in h3.holons
-    assert soc_id not in h3.parent
-    assert soc_id not in h3.registries
-    assert h3.holons[6].members == wings.holons[6].members
-    assert all(e.via != soc_id for e in h3.registries[6].service_entries)
-    assert validate(h3) == []
+    assert soc_id not in wings.holons
+    assert soc_id not in wings.parent
+    assert soc_id not in wings.registries
+    assert wings.holons[6].members == build_wings().holons[6].members
+    assert all(e.via != soc_id for e in wings.registries[6].service_entries)
+    assert validate(wings) == []
 
 
 def test_prune_restores_original_shape(wings):
@@ -184,15 +182,45 @@ def test_prune_restores_original_shape(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
     record_outcome(ledger, son, Outcome.SUCCESS, 2, POLICY)
-    h2, events = maybe_permanentify(ledger, wings, POLICY, 2)
+    maybe_permanentify(ledger, wings, POLICY, 2)
     record_outcome(ledger, son, Outcome.FAILURE, 3, POLICY)
     record_outcome(ledger, son, Outcome.FAILURE, 4, POLICY)
-    h3, _ = maybe_prune(ledger, h2, POLICY, 4)
-    assert h3.holons == wings.holons
-    assert h3.parent == wings.parent
-    assert {i: {(e.provider, e.role, e.via) for e in r.service_entries} for i, r in h3.registries.items()} == {
-        i: {(e.provider, e.role, e.via) for e in r.service_entries} for i, r in wings.registries.items()
+    maybe_prune(ledger, wings, POLICY, 4)
+    fresh = build_wings()
+    assert wings.holons == fresh.holons
+    assert wings.parent == fresh.parent
+    assert {i: {(e.provider, e.role, e.via) for e in r.service_entries} for i, r in wings.registries.items()} == {
+        i: {(e.provider, e.role, e.via) for e in r.service_entries} for i, r in fresh.registries.items()
     }
+
+
+def test_prune_window_is_half_open(wings):
+    ledger = ExperienceLedger()
+    son = make_son(0, [(1, 1), (2, 2)])
+    for t in (1, 2):
+        record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
+    maybe_permanentify(ledger, wings, POLICY, 2)
+    # the window at t=13 is (3, 13]: the failure at 3 has just left it
+    for t in (3, 13):
+        record_outcome(ledger, son, Outcome.FAILURE, t, POLICY)
+        assert maybe_prune(ledger, wings, POLICY, t) == ()
+    record_outcome(ledger, son, Outcome.FAILURE, 14, POLICY)
+    assert len(maybe_prune(ledger, wings, POLICY, 14)) == 1
+
+
+def test_teams_pruned_in_one_pass_come_out_in_id_order(wings):
+    ledger = ExperienceLedger()
+    teams = [make_son(0, [(1, 1), (2, 2)]), make_son(1, [(0, 0), (2, 2)])]
+    for t in (1, 2):
+        for son in teams:
+            record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
+    promoted = maybe_permanentify(ledger, wings, POLICY, 2)
+    for t in (3, 4):
+        for son in reversed(teams):
+            record_outcome(ledger, son, Outcome.FAILURE, t, POLICY)
+    pruned = maybe_prune(ledger, wings, POLICY, 4)
+    assert [ev.soc for ev in pruned] == sorted(ev.soc for ev in promoted) == [7, 8]
+    assert validate(wings) == []
 
 
 def test_pruned_signature_is_not_promoted_again(wings):
@@ -200,13 +228,13 @@ def test_pruned_signature_is_not_promoted_again(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    h2, _ = maybe_permanentify(ledger, wings, POLICY, 2)
+    maybe_permanentify(ledger, wings, POLICY, 2)
     for t in (3, 4):
         record_outcome(ledger, son, Outcome.FAILURE, t, POLICY)
-    h3, _ = maybe_prune(ledger, h2, POLICY, 4)
+    maybe_prune(ledger, wings, POLICY, 4)
     for t in (5, 6, 7):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    h4, events = maybe_permanentify(ledger, h3, POLICY, 7)
+    events = maybe_permanentify(ledger, wings, POLICY, 7)
     assert events == ()
 
 
@@ -231,7 +259,7 @@ def test_policy_rejects_nonsense():
         EvolutionPolicy(permanentify_threshold=1, prune_failure_threshold=1, prune_window=0)
 
 
-# -- the role-atom cache survives evolution -----------------------------------
+# -- the role-atom cache stays true through evolution -------------------------
 
 
 def warm_role_atoms(h):
@@ -252,18 +280,18 @@ def run_checking_role_atoms(monkeypatch, scenario):
     """Run a scenario, checking the cache after every promotion and pruning.
 
     The holarchy going into each evolution step has a full cache, so every
-    check reads entries handed on from before the step.
+    check reads entries kept from before the step.
     """
     seen = {"promotions": 0, "prunings": 0}
 
     def checked(fn, counter):
         def evolve(ledger, h, policy, t):
             warm_role_atoms(h)
-            h2, events = fn(ledger, h, policy, t)
+            events = fn(ledger, h, policy, t)
             if events:
                 seen[counter] += len(events)
-                assert_role_atoms_fresh(h2)
-            return h2, events
+                assert_role_atoms_fresh(h)
+            return events
 
         return evolve
 
@@ -291,24 +319,152 @@ def test_role_atoms_forget_a_pruned_id_that_promotion_reuses(wings):
     first = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2):
         record_outcome(ledger, first, Outcome.SUCCESS, t, POLICY)
-    h2, (promoted,) = maybe_permanentify(ledger, wings, POLICY, 2)
-    assert promoted.soc == max(h2.holons)
-    warm_role_atoms(h2)
-    assert h2.role_atoms(promoted.soc, 1) == (1,)
+    (promoted,) = maybe_permanentify(ledger, wings, POLICY, 2)
+    assert promoted.soc == max(wings.holons)
+    warm_role_atoms(wings)
+    assert wings.role_atoms(promoted.soc, 1) == (1,)
 
     for t in (3, 4):
         record_outcome(ledger, first, Outcome.FAILURE, t, POLICY)
-    h3, (pruned,) = maybe_prune(ledger, h2, POLICY, 4)
+    (pruned,) = maybe_prune(ledger, wings, POLICY, 4)
     assert pruned.soc == promoted.soc
-    assert_role_atoms_fresh(h3)
+    assert_role_atoms_fresh(wings)
 
     second = make_son(1, [(0, 0), (2, 2)])
     for t in (5, 6):
         record_outcome(ledger, second, Outcome.SUCCESS, t, POLICY)
-    h4, (reused,) = maybe_permanentify(ledger, h3, POLICY, 6)
+    (reused,) = maybe_permanentify(ledger, wings, POLICY, 6)
     assert reused.soc == promoted.soc and reused.members == (0, 2)
-    assert h4.role_atoms(reused.soc, 0) == (0,)
-    assert h4.role_atoms(reused.soc, 1) == ()
-    assert_role_atoms_fresh(h4)
-    # the holarchy the pruned team lived in still sees it
-    assert h2.role_atoms(promoted.soc, 1) == (1,)
+    assert wings.role_atoms(reused.soc, 0) == (0,)
+    assert wings.role_atoms(reused.soc, 1) == ()
+    assert_role_atoms_fresh(wings)
+
+
+# -- promotion re-checks only what changed -----------------------------------
+
+
+def test_an_anchor_stops_blocking_its_member_set_once_it_holds_a_promoted_soc():
+    # SoC 4 holds exactly {0, 1, 2}, so signature (0, 1, 2) is blocked until
+    # promoting (0, 1) under 4 makes 4's member list (0, 1, 2, 5)
+    h = build(atom(0, 0), atom(1, 1), atom(2, 2), soc(4, [0, 1, 2]))
+    ledger = ExperienceLedger()
+    pair = make_son(0, [(0, 0), (1, 1)], activity=0)
+    trio = make_son(1, [(0, 0), (1, 1), (2, 2)], activity=1)
+    for t in (1, 2):
+        record_outcome(ledger, pair, Outcome.SUCCESS, t, POLICY)
+        record_outcome(ledger, trio, Outcome.SUCCESS, t, POLICY)
+    # the member sets held when the pass starts decide what it promotes
+    assert [(e.soc, e.members) for e in maybe_permanentify(ledger, h, POLICY, 2)] == [(5, (0, 1))]
+    assert ledger.ready == {SonSignature.of(trio)}
+    assert [(e.soc, e.parent, e.members) for e in maybe_permanentify(ledger, h, POLICY, 3)] == [(6, 4, (0, 1, 2))]
+    assert ledger.ready == set()
+    assert validate(h) == []
+
+
+class NoScan(dict):
+    """A holon map that fails the test if anything iterates over it."""
+
+    def _scanned(self, *args):
+        raise AssertionError("iterated over every holon")
+
+    __iter__ = keys = values = items = _scanned
+
+
+def test_blocked_ready_signatures_cost_no_holarchy_wide_scan(wings):
+    ledger = ExperienceLedger()
+    son = make_son(0, [(0, 0), (1, 1)])
+    for t in (1, 2):
+        record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
+    assert maybe_permanentify(ledger, wings, POLICY, 2) == ()
+    # SoC 4 holds {0, 1}; the member sets are known now, so later ticks
+    # with only the blocked signature ready look nothing up holon by holon
+    wings.holons = NoScan(wings.holons)
+    for t in (3, 4, 5):
+        assert maybe_permanentify(ledger, wings, POLICY, t) == ()
+    assert ledger.ready == {SonSignature.of(son)}
+
+
+def test_a_quiet_tick_prunes_without_looking_at_any_soc(wings):
+    ledger = ExperienceLedger()
+    son = make_son(0, [(1, 1), (2, 2)])
+    for t in (1, 2):
+        record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
+    (promoted,) = maybe_permanentify(ledger, wings, POLICY, 2)
+    record_outcome(ledger, son, Outcome.FAILURE, 3, POLICY)
+    assert maybe_prune(ledger, wings, POLICY, 3) == ()
+    # neither a failure nor a promotion since: nothing to count, no SoC to read
+    ledger.son_outcomes = ledger.promoted = None
+    wings.holons = NoScan(wings.holons)
+    for t in (4, 5, 6):
+        assert maybe_prune(ledger, wings, POLICY, t) == ()
+
+
+# -- the pruning rule against a brute-force recount ----------------------------
+
+
+def run_checking_prunes(monkeypatch, scenario):
+    """Run with invariant checks on, recounting every pruning pass by brute force.
+
+    Promotions, prunings and failures are tracked here from the events and
+    the booked outcomes, not from the ledger. At every pass, the live
+    promoted SoCs whose signature failed at least the threshold number of
+    times in ``(t - prune_window, t]`` must be exactly the ones pruned, in
+    id order.
+    """
+    failures: dict[SonSignature, list[int]] = {}
+    live: dict[int, SonSignature] = {}
+    promoted_at: dict[int, int] = {}
+    seen = {"promotions": 0, "prunings": 0, "same_tick": 0}
+
+    def booked(ledger, son, outcome, t, policy):
+        if outcome is Outcome.FAILURE:
+            failures.setdefault(SonSignature.of(son), []).append(t)
+        return record_outcome(ledger, son, outcome, t, policy)
+
+    def promoting(ledger, h, policy, t):
+        events = maybe_permanentify(ledger, h, policy, t)
+        for ev in events:
+            live[ev.soc] = SonSignature(ev.activity, ev.members)
+            promoted_at[ev.soc] = t
+        seen["promotions"] += len(events)
+        return events
+
+    def pruning(ledger, h, policy, t):
+        expected = [
+            s
+            for s in sorted(live)
+            if sum(1 for ft in failures.get(live[s], ()) if t - policy.prune_window < ft <= t)
+            >= policy.prune_failure_threshold
+        ]
+        events = maybe_prune(ledger, h, policy, t)
+        assert [ev.soc for ev in events] == expected, t
+        for ev in events:
+            assert ev.members == live.pop(ev.soc).members
+            seen["same_tick"] += promoted_at.pop(ev.soc) == t
+        seen["prunings"] += len(events)
+        return events
+
+    monkeypatch.setattr(engine, "record_outcome", booked)
+    monkeypatch.setattr(engine, "maybe_permanentify", promoting)
+    monkeypatch.setattr(engine, "maybe_prune", pruning)
+    engine.run_scenario(scenario, debug=True)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["promotion.json", "pruning.json"])
+def test_pruning_matches_a_brute_force_recount_on_shipped_scenarios(monkeypatch, name):
+    seen = run_checking_prunes(monkeypatch, engine.load_scenario_file(str(SCENARIOS / name)))
+    assert seen["promotions"] >= 1
+    assert seen["prunings"] >= (1 if name == "pruning.json" else 0)
+
+
+def test_pruning_matches_a_brute_force_recount_on_generated_scenarios(monkeypatch):
+    total = {"promotions": 0, "prunings": 0, "same_tick": 0}
+    for seed in range(30, 70):
+        for key, count in run_checking_prunes(monkeypatch, random_scenario(seed, horizon=300)).items():
+            total[key] += count
+    # seeds 32, 40, 49 and 54 prune; seed 40 prunes a team in the tick
+    # that promoted it
+    assert total["promotions"] >= 20
+    assert total["prunings"] >= 4
+    assert total["same_tick"] >= 1
