@@ -19,9 +19,17 @@ and grows it hop by hop: hop k merges in the registry of the k-th SoC on the
 chain and nothing else. The pool holds only the roles the activity asks
 for, each mapping an idle actor to its best (registered_at, actor) key; a
 key is a minimum over entries, so the merge order does not matter.
-Punctualized entries unfold through the holarchy's cached role atoms rather
-than a fresh subtree walk. Data topics come from each registry's maintained
-topic set, and are not looked at when the activity needs no data.
+
+A registry is read through the holarchy's ranked offer view
+(:meth:`Holarchy.ranked_offers`): per role, every actor it offers, once,
+best key first, with punctualized entries already unfolded. The view is
+built on first use and again only after that registry's service entries
+change. An activity with ``s`` role slots never needs more than each
+role's best ``s`` idle candidates (see :func:`_solve`), so a hop takes the
+first ``s`` idle actors of each view and stops, and matching looks at no
+more than ``s`` candidates per role. Data topics come from each registry's
+maintained topic set, and are not looked at when the activity needs no
+data.
 """
 
 from __future__ import annotations
@@ -100,7 +108,13 @@ class ResponseActivity:
 
 @dataclass(frozen=True)
 class ActivityTable:
-    """All response activities of a scenario."""
+    """All response activities of a scenario.
+
+    ``known_topics`` (every trigger and data topic) and the lookups behind
+    :meth:`by_id` and :meth:`triggered_by` are built once, at construction.
+    They are plain attributes, not dataclass fields, so they take no part
+    in comparison or repr.
+    """
 
     activities: tuple[ResponseActivity, ...]
 
@@ -110,23 +124,25 @@ class ActivityTable:
             raise ValueError("duplicate activity ids")
         if ids != sorted(ids):
             object.__setattr__(self, "activities", tuple(sorted(self.activities, key=lambda a: a.id)))
-
-    @property
-    def known_topics(self) -> frozenset[str]:
         topics: set[str] = set()
+        by_topic: dict[str, list[ResponseActivity]] = {}
         for a in self.activities:
             topics |= a.trigger_topics
             topics |= a.required_data
-        return frozenset(topics)
+            for topic in a.trigger_topics:
+                by_topic.setdefault(topic, []).append(a)
+        object.__setattr__(self, "known_topics", frozenset(topics))
+        object.__setattr__(self, "_by_id", {a.id: a for a in self.activities})
+        object.__setattr__(self, "_by_topic", {topic: tuple(acts) for topic, acts in by_topic.items()})
 
     def by_id(self, activity_id: int) -> ResponseActivity:
-        for a in self.activities:
-            if a.id == activity_id:
-                return a
-        raise CanonError(f"no activity with id {activity_id}")
+        try:
+            return self._by_id[activity_id]
+        except KeyError:
+            raise CanonError(f"no activity with id {activity_id}") from None
 
     def triggered_by(self, topic: str) -> tuple[ResponseActivity, ...]:
-        return tuple(a for a in self.activities if topic in a.trigger_topics)
+        return self._by_topic.get(topic, ())
 
 
 @dataclass(frozen=True)
@@ -215,50 +231,43 @@ def publish(
 # -- candidate pools --------------------------------------------------------
 
 # role -> {idle actor: (registered_at, actor)}, for the roles one activity needs
-Pool = dict[RoleId, dict[HolonId, tuple[int, HolonId]]]
+Pool = dict[RoleId, dict[HolonId, tuple[LogicalTime, HolonId]]]
 
 
 def _empty_pool(activity: ResponseActivity) -> Pool:
     return {role: {} for role in activity.required_roles}
 
 
-def _grow_pool(pool: Pool, h: Holarchy, soc: HolonId, state: ActivationState) -> None:
-    """Merge the idle candidates visible in ``soc``'s registry into the pool.
+def _grow_pool(pool: Pool, h: Holarchy, soc: HolonId, state: ActivationState, s: int) -> None:
+    """Merge the best ``s`` idle candidates per role of ``soc``'s registry into the pool.
 
-    Direct entries contribute their provider; punctualized entries are
-    unfolded into the actors of the member subtree they stand for that can
-    play the role. Entries for roles outside the pool are skipped. Key per
-    (actor, role) is (registered_at, actor), kept minimal across duplicates;
-    it decides candidate precedence.
+    Each role's ranked offer view is read from the front, skipping busy
+    actors, and left after ``s`` idle ones. An actor the pool already holds
+    keeps the smaller of its keys, so the pool's best ``s`` per role are the
+    best ``s`` of all registries merged so far: an actor among those is
+    among the best ``s`` of the registry that gives it its key.
     """
     idle = state.inactive
-    for entry in h.registries[soc].service_entries:
-        ranked = pool.get(entry.role)
-        if ranked is None:
-            continue
-        if entry.via is None:
-            provider = h.holons.get(entry.provider)
-            if provider is None or not provider.is_atomic or entry.role not in provider.capabilities:
-                continue
-            actors: tuple[HolonId, ...] = (entry.provider,)
-        else:
-            actors = h.role_atoms(entry.via, entry.role)
-        at = entry.registered_at
-        for a in actors:
+    for role, ranked in pool.items():
+        left = s
+        for key in h.ranked_offers(soc, role):
+            a = key[1]
             if a in idle:
                 best = ranked.get(a)
-                if best is None or at < best[0]:
-                    ranked[a] = (at, a)
+                if best is None or key < best:
+                    ranked[a] = key
+                left -= 1
+                if not left:
+                    break
 
 
 # -- role slot matching ------------------------------------------------------
 
 
 def _candidates_per_slot(slots: tuple[RoleId, ...], pool: Pool) -> list[list[HolonId]]:
-    ranked: dict[RoleId, list[HolonId]] = {}
-    for role in slots:
-        if role not in ranked:
-            ranked[role] = [a for _, a in sorted(pool[role].values())]
+    """Each slot's best ``len(slots)`` candidates for its role, best first."""
+    s = len(slots)
+    ranked = {role: [a for _, a in sorted(pool[role].values())[:s]] for role in pool}
     return [ranked[role] for role in slots]
 
 
@@ -287,6 +296,17 @@ def _can_complete(
     return True
 
 
+def _first_free(per_slot: list[list[HolonId]]) -> list[HolonId] | None:
+    """Every slot's first candidate not taken by an earlier slot, if each has one."""
+    picks: list[HolonId] = []
+    for cands in per_slot:
+        a = next((a for a in cands if a not in picks), None)
+        if a is None:
+            return None
+        picks.append(a)
+    return picks
+
+
 def _solve(
     activity: ResponseActivity,
     pool: Pool,
@@ -294,43 +314,56 @@ def _solve(
 ) -> Enabled | Missing:
     """Staff the activity's role slots from the pool, or say what is missing.
 
-    Slots are filled in sorted role order with the smallest-ranked actor
-    that still leaves the rest completable, which makes the chosen
-    assignment the lexicographically least perfect matching. When no
-    perfect matching exists the uncoverable slots are reported, greedily:
-    slots kept while a matching still extends over them form a maximum one.
+    The assignment is the first injective tuple of
+    ``itertools.product(*per_slot)``: the lexicographically least perfect
+    matching of slots onto ranked candidates. It only ever uses each role's
+    best ``s = len(slots)`` candidates. Were a slot's actor ranked below
+    them, one of them would be free, since the other slots hold at most
+    ``s - 1`` actors, and swapping it in would give a smaller matching. The
+    same swap shows that every test below finds a matching on the best
+    ``s`` exactly when it finds one on all candidates.
+
+    When every slot's first candidate not taken by an earlier slot exists,
+    those picks are the first injective tuple, as each skipped candidate is
+    held earlier. Otherwise slots are filled in order with the first
+    candidate that leaves the rest completable. When no perfect matching
+    exists the uncoverable slots are reported, greedily: slots kept while a
+    matching still extends over them form a maximum one.
     """
     slots = activity.required_roles
     per_slot = _candidates_per_slot(slots, pool)
+    picks = _first_free(per_slot)
 
     missing_roles: list[int] = []
-    coverable: list[int] = []
-    for i in range(len(slots)):
-        if _can_complete(per_slot, coverable + [i], set()):
-            coverable.append(i)
-        else:
-            missing_roles.append(slots[i])
+    if picks is None:
+        coverable: list[int] = []
+        for i in range(len(slots)):
+            if _can_complete(per_slot, coverable + [i], set()):
+                coverable.append(i)
+            else:
+                missing_roles.append(slots[i])
 
     missing_data = sorted(activity.required_data - available_data)
 
     if missing_roles or missing_data:
         return Missing(tuple(missing_roles) + (DATA_MISSING,) * len(missing_data))
 
-    assignment: list[tuple[HolonId, RoleId]] = []
-    taken: set[HolonId] = set()
-    for i, role in enumerate(slots):
-        rest = list(range(i + 1, len(slots)))
-        chosen = None
-        for a in per_slot[i]:
-            if a in taken:
-                continue
-            if _can_complete(per_slot, rest, taken | {a}):
-                chosen = a
-                break
-        assert chosen is not None, "perfect matching vanished mid-assignment"
-        taken.add(chosen)
-        assignment.append((chosen, role))
-    return Enabled(tuple(assignment))
+    if picks is None:
+        picks = []
+        taken: set[HolonId] = set()
+        for i in range(len(slots)):
+            rest = list(range(i + 1, len(slots)))
+            chosen = None
+            for a in per_slot[i]:
+                if a in taken:
+                    continue
+                if _can_complete(per_slot, rest, taken | {a}):
+                    chosen = a
+                    break
+            assert chosen is not None, "perfect matching vanished mid-assignment"
+            taken.add(chosen)
+            picks.append(chosen)
+    return Enabled(tuple(zip(picks, slots)))
 
 
 # -- the two canon rules, applied along the chain to the root -----------------
@@ -361,9 +394,10 @@ def resolve_request(
     hops: list[HopRecord] = []
     outcome: Missing | None = None
     pool = _empty_pool(activity)
+    s = len(activity.required_roles)
     data: set[str] = set()
     for k, soc in enumerate(full_chain):
-        _grow_pool(pool, h, soc, state)
+        _grow_pool(pool, h, soc, state, s)
         if activity.required_data:
             data |= h.registries[soc].topics
         result = _solve(activity, pool, data)

@@ -76,9 +76,15 @@ class EvolutionPolicy:
             raise ValueError("prune_window must be at least 1")
         if self.strength_increment < 0:
             raise ValueError("strength_increment must not be negative")
+        # activity -> its failure windows, so an outcome reads only its own;
+        # a plain attribute, not a field, so it takes no part in == or repr
+        windows: dict[int, list[FailureWindow]] = {}
+        for window in self.failure_injections:
+            windows.setdefault(window.activity, []).append(window)
+        object.__setattr__(self, "_windows", {a: tuple(ws) for a, ws in windows.items()})
 
     def outcome_of(self, activity: int, t: LogicalTime) -> "Outcome":
-        for window in self.failure_injections:
+        for window in self._windows.get(activity, ()):
             if window.applies(activity, t):
                 return Outcome.FAILURE
         return Outcome.SUCCESS
@@ -141,7 +147,9 @@ def record_outcome(
     the policy increment, and the success that first reaches the promotion
     threshold puts the signature in ``ledger.ready``; failure is timestamped
     so pruning can look at a sliding window, and a failing promoted
-    signature goes into ``ledger.recheck``.
+    signature goes into ``ledger.recheck``. Booking a failure at ``t``
+    forgets the signature's failures at or before ``t - prune_window``,
+    which no later window can count.
     """
     sig = SonSignature.of(son)
     rec = ledger.son_outcomes.setdefault(sig, SignatureRecord())
@@ -162,6 +170,7 @@ def record_outcome(
                 ledger.strengths[pair] = ledger.strengths.get(pair, 0.0) + policy.strength_increment
     else:
         rec.failures += 1
+        del rec.failure_times[: bisect_right(rec.failure_times, t - policy.prune_window)]
         rec.failure_times.append(t)
         if sig in ledger.promoted:
             ledger.recheck.add(sig)

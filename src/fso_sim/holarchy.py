@@ -13,15 +13,20 @@ everyday mutable surface. Its structure changes in place, through
 promotes a recurring overlay into a permanent SoC or prunes one again (see
 :mod:`fso_sim.evolution`).
 
-A holarchy memoises two things its structure already knows: the actors
-under each SoC, bucketed by role (:meth:`Holarchy.role_atoms`), and the set
-of every SoC's sorted member list (:meth:`Holarchy.holds_members`). Both
-fill lazily, so building a holarchy costs nothing extra, and the two edit
-methods keep them true. A grafted SoC's members are actors already under
-its anchor, so neither edit changes the actor set of any other SoC and the
-role-atom cache keeps every other entry. A removed id forgets its role
-atoms, because a later promotion takes ``max(holons) + 1`` as its id and so
-may reuse it for a different team.
+A holarchy memoises three things its structure already knows: the actors
+under each SoC, bucketed by role (:meth:`Holarchy.role_atoms`); the set of
+every SoC's sorted member list (:meth:`Holarchy.holds_members`); and, per
+SoC and role, every actor its registry offers, ranked by registration time
+(:meth:`Holarchy.ranked_offers`). All three fill lazily, so building a
+holarchy costs nothing extra. A grafted SoC's members are actors already
+under its anchor, so neither edit changes the actor set of any other SoC
+and the role-atom cache keeps every other entry. A removed id forgets its
+role atoms, because a later promotion takes ``max(holons) + 1`` as its id
+and so may reuse it for a different team. The offer views follow the
+registries instead: every writer of a registry's service entries
+(:func:`register_initial_services`, :meth:`Holarchy.graft` and
+:meth:`Holarchy.remove`) drops the view of the SoC it wrote, and no other
+view changes, since no other SoC's actors do.
 """
 
 from __future__ import annotations
@@ -184,6 +189,9 @@ class Violation:
 
 # SoC -> role -> the actors under the SoC that can play the role, in id order
 RoleAtoms = dict[HolonId, dict[RoleId, tuple[HolonId, ...]]]
+# SoC -> role -> (registered_at, actor) for every actor the SoC's registry
+# offers for the role, at its earliest entry, in ascending order
+RankedOffers = dict[HolonId, dict[RoleId, tuple[tuple[LogicalTime, HolonId], ...]]]
 
 
 class Holarchy:
@@ -209,6 +217,7 @@ class Holarchy:
         self.roles = roles
         self.registries = registries
         self._role_atoms: RoleAtoms = {}
+        self._ranked_offers: RankedOffers = {}
         self._member_sets: set[tuple[HolonId, ...]] | None = None
 
     # -- basic queries -------------------------------------------------
@@ -281,6 +290,38 @@ class Holarchy:
             self._role_atoms[soc] = by_role
         return by_role.get(role, ())
 
+    def ranked_offers(self, soc: HolonId, role: RoleId) -> tuple[tuple[LogicalTime, HolonId], ...]:
+        """Every actor ``soc``'s registry offers for ``role``, best first.
+
+        Each actor appears once, keyed ``(registered_at, actor)`` at the
+        minimum over the entries naming it. A direct entry counts when its
+        provider is an existing actor holding the role; a punctualized entry
+        stands for the role atoms of the member it was registered via. The
+        first call for a SoC and role reads the registry once.
+        """
+        views = self._ranked_offers.get(soc, {})
+        view = views.get(role)
+        if view is None:
+            earliest: dict[HolonId, LogicalTime] = {}
+            for entry in self.registries[soc].service_entries:
+                if entry.role != role:
+                    continue
+                if entry.via is None:
+                    provider = self.holons.get(entry.provider)
+                    if provider is None or not provider.is_atomic or role not in provider.capabilities:
+                        continue
+                    actors: tuple[HolonId, ...] = (entry.provider,)
+                else:
+                    actors = self.role_atoms(entry.via, role)
+                at = entry.registered_at
+                for a in actors:
+                    best = earliest.get(a)
+                    if best is None or at < best:
+                        earliest[a] = at
+            view = tuple(sorted((at, a) for a, at in earliest.items()))
+            self._ranked_offers.setdefault(soc, {})[role] = view
+        return view
+
     def holds_members(self, members: tuple[HolonId, ...]) -> bool:
         """Whether some SoC's member list, sorted, is exactly ``members``."""
         if self._member_sets is None:
@@ -317,6 +358,8 @@ class Holarchy:
         entries = self.registries[anchor].service_entries
         entries.extend(proxies)
         entries.sort(key=ServiceEntry.sort_key)
+        self._ranked_offers.pop(anchor, None)
+        self._ranked_offers.pop(node.id, None)
 
     def remove(self, soc: HolonId) -> HolonId:
         """Undo :meth:`graft` for ``soc``; returns the SoC it hung under."""
@@ -325,6 +368,8 @@ class Holarchy:
         del self.registries[soc]
         # the next promotion may reuse the id for a different team
         self._role_atoms.pop(soc, None)
+        self._ranked_offers.pop(soc, None)
+        self._ranked_offers.pop(anchor, None)
         old = self.holons[anchor]
         self._set_members(old, tuple(m for m in old.members if m != soc))
         if self._member_sets is not None:
@@ -441,6 +486,7 @@ def register_initial_services(h: Holarchy, t: LogicalTime = 0) -> None:
                     entries.append(ServiceEntry(rep, role, registered_at=t, via=m))
         entries.sort(key=ServiceEntry.sort_key)
         reg.service_entries.extend(entries)
+        h._ranked_offers.pop(soc, None)
 
 
 def higher_up_of(h: Holarchy, s: HolonId) -> HolonId | None:

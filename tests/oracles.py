@@ -153,6 +153,75 @@ def oracle_resolve(
     }
 
 
+def full_pool_resolve(
+    activity: ResponseActivity,
+    start_soc: HolonId,
+    h: Holarchy,
+    state: ActivationState,
+) -> dict[str, Any]:
+    """Settle a staffing request from every registry entry on the chain.
+
+    Unlike :func:`oracle_resolve` this honours registration times: at hop k
+    the pool holds every idle actor that some entry of the first k + 1
+    registries offers for a slot's role, ranked by (earliest registered_at,
+    actor), with nothing cut off. A direct entry counts when its provider is
+    an actor holding the role; a punctualized entry stands for the capable
+    actors under the member it was registered via. Missing slots come from
+    the greedy rule (keep a slot while the kept ones still have an injective
+    assignment), and the assignment is the first injective tuple of the
+    product of the full ranked lists.
+    """
+    chain = chain_up(h, start_soc)
+    slots = tuple(sorted(activity.required_roles))
+    earliest: dict[tuple[int, HolonId], int] = {}
+    last_missing: tuple[int, ...] = ()
+    for k, soc in enumerate(chain):
+        for entry in h.registries[soc].service_entries:
+            if entry.role not in slots:
+                continue
+            if entry.via is None:
+                node = h.holons.get(entry.provider)
+                if node is None or not node.is_atomic or entry.role not in node.capabilities:
+                    continue
+                actors = {entry.provider}
+            else:
+                actors = {a for a in atoms_under(h, entry.via) if entry.role in h.holons[a].capabilities}
+            for a in actors:
+                key = (entry.role, a)
+                earliest[key] = min(earliest.get(key, entry.registered_at), entry.registered_at)
+        cands = [
+            [a for _, a in sorted((at, a) for (r, a), at in earliest.items() if r == role and a in state.inactive)]
+            for role in slots
+        ]
+        topics: set[str] = set()
+        for visited in chain[: k + 1]:
+            topics |= {item.topic for item in h.registries[visited].info_entries}
+        missing_data = sorted(activity.required_data - topics)
+
+        covered: list[list[HolonId]] = []
+        missing_roles: list[int] = []
+        for i, role in enumerate(slots):
+            if _has_injective(covered + [cands[i]]):
+                covered.append(cands[i])
+            else:
+                missing_roles.append(role)
+        last_missing = tuple(missing_roles) + (DATA_GAP,) * len(missing_data)
+
+        if not missing_roles and not missing_data:
+            first = next(_injective_assignments(cands))
+            return {
+                "kind": "plan",
+                "hop_count": k,
+                "resolved_soc": soc,
+                "assignment": tuple(zip(first, slots)),
+            }
+    return {
+        "kind": "unresolved",
+        "hop_count": len(chain) - 1,
+        "missing": last_missing,
+    }
+
+
 # -- trace level checks -------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -26,14 +27,18 @@ from fso_sim.canon import (
 )
 from fso_sim.holarchy import (
     HolarchySpec,
+    Holon,
     HolonKind,
+    HolonOrigin,
     HolonSpec,
     InformationItem,
+    Registry,
+    ServiceEntry,
     build_holarchy,
     register_initial_services,
 )
 
-from oracles import oracle_resolve
+from oracles import full_pool_resolve, oracle_resolve
 
 
 def atom(i, *caps):
@@ -335,3 +340,107 @@ def test_solver_agrees_with_brute_force(data):
         assert isinstance(got, Unresolved)
         assert got.hop_count == want["hop_count"]
         assert tuple(sorted(got.missing)) == tuple(sorted(want["missing"]))
+
+
+# -- registration times decide precedence; only the best s per role matter ---
+
+
+def restamp(h, times):
+    """Give every registry entry a new registration time, in canonical order.
+
+    ``times`` maps (soc, provider, role, via) to the new time; entries it
+    does not name keep theirs. Only for a holarchy no request has read yet:
+    the ranked offer views are built on first use.
+    """
+    for soc, reg in h.registries.items():
+        reg.service_entries = sorted(
+            (
+                dataclasses.replace(e, registered_at=times.get((soc, e.provider, e.role, e.via), e.registered_at))
+                for e in reg.service_entries
+            ),
+            key=ServiceEntry.sort_key,
+        )
+
+
+def test_an_earlier_registration_above_outranks_a_later_one_below():
+    h = build(atom(0, 0), atom(1, 0), atom(2, 0), atom(3, 0), soc(4, [0, 1]), soc(5, [2, 3]), soc(6, [4, 5]))
+    restamp(h, {(4, 0, 0, None): 5, (4, 1, 0, None): 6, (6, 0, 0, 4): 9, (6, 2, 0, 5): 1})
+    state = initial_state(h)
+    enroll(state, h, 1, 0, son_id=99)
+    plan = resolve_request(act(roles=(0, 0)), 4, h, state)
+    # actor 0 keeps its key 5 from floor 4; 2 and 3 come in at 1 from the root
+    assert plan.hop_count == 1
+    assert plan.assignment == ((2, 0), (3, 0))
+
+
+def test_an_actor_keeps_its_earliest_key_across_hops():
+    h = build(atom(0, 0), atom(1, 0), atom(2, 0), atom(3, 0), soc(4, [0, 1]), soc(5, [2, 3]), soc(6, [4, 5]))
+    restamp(h, {(4, 0, 0, None): 5, (4, 1, 0, None): 6, (6, 0, 0, 4): 9, (6, 2, 0, 5): 7})
+    state = initial_state(h)
+    enroll(state, h, 1, 0, son_id=98)
+    enroll(state, h, 3, 0, son_id=99)
+    plan = resolve_request(act(roles=(0, 0)), 4, h, state)
+    # the root offers 2 at 7 and 0 at 9, but 0 keeps its key 5 from floor 4
+    assert plan.hop_count == 1
+    assert plan.assignment == ((0, 0), (2, 0))
+
+
+def test_busy_actors_among_the_best_s_are_passed_over():
+    h = build(atom(0, 0), atom(1, 0), atom(2, 0), atom(3, 0), atom(4, 1), soc(5, [0, 1, 2, 3, 4]))
+    state = initial_state(h)
+    enroll(state, h, 0, 0, son_id=98)
+    enroll(state, h, 2, 0, son_id=99)
+    plan = resolve_request(act(roles=(0, 0, 1)), 5, h, state)
+    assert plan.assignment == ((1, 0), (3, 0), (4, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solver_agrees_with_the_full_pool_under_mixed_registration_times(data):
+    n_atoms = data.draw(st.integers(2, 7), label="atoms")
+    caps = [
+        data.draw(st.frozensets(st.integers(0, 2), max_size=3), label=f"caps{a}")
+        for a in range(n_atoms)
+    ]
+    holons = [HolonSpec(a, HolonKind.ATOMIC, capabilities=tuple(sorted(caps[a]))) for a in range(n_atoms)]
+    split = data.draw(st.integers(1, n_atoms - 1), label="split")
+    holons += [soc(n_atoms, range(split)), soc(n_atoms + 1, range(split, n_atoms)), soc(n_atoms + 2, [n_atoms, n_atoms + 1])]
+    h = build(*holons)
+    root = n_atoms + 2
+
+    # a promoted team under the root offers some actors a second time there
+    team = tuple(sorted(data.draw(st.frozensets(st.sampled_from(range(n_atoms)), max_size=n_atoms), label="team")))
+    team_caps = sorted(set().union(*(caps[a] for a in team)))
+    if len(team) >= 2 and team_caps:
+        team_id = root + 1
+        node = Holon(team_id, HolonKind.COMPOSITE, members=team, representative=team[0], origin=HolonOrigin.PERMANENTIFIED)
+        own = sorted((ServiceEntry(a, r) for a in team for r in caps[a]), key=ServiceEntry.sort_key)
+        proxies = [ServiceEntry(team[0], r, via=team_id) for r in team_caps]
+        h.graft(node, root, Registry(owner=team_id, service_entries=own), proxies)
+
+    keys = [(s, e.provider, e.role, e.via) for s, reg in sorted(h.registries.items()) for e in reg.service_entries]
+    stamps = data.draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)), label="stamps")
+    restamp(h, dict(zip(keys, stamps)))
+
+    busy = data.draw(st.frozensets(st.sampled_from(range(n_atoms)), max_size=n_atoms - 1), label="busy")
+    state = initial_state(h)
+    for a in sorted(busy):
+        if caps[a]:
+            enroll(state, h, a, min(caps[a]), son_id=99)
+
+    roles = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4), label="roles")
+    activity = act(roles=tuple(sorted(roles)))
+    start = data.draw(st.sampled_from([n_atoms, n_atoms + 1]), label="start")
+
+    got = resolve_request(activity, start, h, state)
+    want = full_pool_resolve(activity, start, h, state)
+    if want["kind"] == "plan":
+        assert isinstance(got, SonPlan)
+        assert (got.hop_count, got.resolved_soc, got.assignment) == (
+            want["hop_count"],
+            want["resolved_soc"],
+            want["assignment"],
+        )
+    else:
+        assert isinstance(got, Unresolved)
+        assert (got.hop_count, got.missing) == (want["hop_count"], want["missing"])

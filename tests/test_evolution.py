@@ -252,6 +252,37 @@ def test_failure_windows_select_outcomes():
     assert policy.outcome_of(0, 6) is Outcome.SUCCESS
 
 
+def test_failure_windows_of_several_activities_select_outcomes():
+    windows = (
+        FailureWindow(activity=2, start=3, stop=9),
+        FailureWindow(activity=0, start=0, stop=4),
+        FailureWindow(activity=2, start=6, stop=12),
+        FailureWindow(activity=0, start=10, stop=11),
+    )
+    policy = EvolutionPolicy(
+        permanentify_threshold=2,
+        prune_failure_threshold=2,
+        prune_window=10,
+        failure_injections=windows,
+    )
+    for activity in range(4):
+        for t in range(15):
+            failing = any(w.applies(activity, t) for w in windows)
+            assert policy.outcome_of(activity, t) is (Outcome.FAILURE if failing else Outcome.SUCCESS)
+
+
+def test_failure_memory_keeps_only_the_prune_window():
+    ledger = ExperienceLedger()
+    son = make_son(0, [(0, 0), (2, 2)])
+    rec = None
+    for t in range(0, 200, 3):
+        record_outcome(ledger, son, Outcome.FAILURE, t, POLICY)
+        rec = ledger.son_outcomes[SonSignature.of(son)]
+        assert rec.failure_times == [u for u in range(0, t + 1, 3) if u > t - POLICY.prune_window]
+    assert rec.failures == len(range(0, 200, 3))
+    assert len(rec.failure_times) == 4
+
+
 def test_policy_rejects_nonsense():
     with pytest.raises(ValueError):
         EvolutionPolicy(permanentify_threshold=0, prune_failure_threshold=1, prune_window=1)
@@ -276,21 +307,47 @@ def assert_role_atoms_fresh(h):
             assert list(h.role_atoms(s, r)) == fresh, (s, r)
 
 
-def run_checking_role_atoms(monkeypatch, scenario):
-    """Run a scenario, checking the cache after every promotion and pruning.
+def warm_ranked_offers(h):
+    for s in h.composites():
+        for r in h.roles:
+            h.ranked_offers(s, r)
 
-    The holarchy going into each evolution step has a full cache, so every
-    check reads entries kept from before the step.
+
+def assert_ranked_offers_fresh(h):
+    """Each SoC's view against one built from its registry and subtree walks."""
+    for s in h.composites():
+        for r in sorted(h.roles):
+            earliest = {}
+            for e in h.registries[s].service_entries:
+                if e.role != r:
+                    continue
+                if e.via is None:
+                    actors = [e.provider] if r in h.holons[e.provider].capabilities else []
+                else:
+                    actors = [a for a in h.subtree_atoms(e.via) if r in h.holons[a].capabilities]
+                for a in actors:
+                    earliest[a] = min(earliest.get(a, e.registered_at), e.registered_at)
+            assert list(h.ranked_offers(s, r)) == sorted((at, a) for a, at in earliest.items()), (s, r)
+
+
+def run_checking_role_atoms(monkeypatch, scenario):
+    """Run a scenario, checking the caches after every promotion and pruning.
+
+    The holarchy going into each evolution step has a full role-atom cache
+    and every ranked offer view built, so every check reads entries kept
+    from before the step.
     """
     seen = {"promotions": 0, "prunings": 0}
 
     def checked(fn, counter):
         def evolve(ledger, h, policy, t):
             warm_role_atoms(h)
+            warm_ranked_offers(h)
             events = fn(ledger, h, policy, t)
             if events:
                 seen[counter] += len(events)
                 assert_role_atoms_fresh(h)
+                assert_ranked_offers_fresh(h)
             return events
 
         return evolve

@@ -8,9 +8,12 @@ from fso_sim.holarchy import (
     CycleDetectedError,
     DuplicateIdError,
     HolarchySpec,
+    Holon,
     HolonKind,
+    HolonOrigin,
     HolonSpec,
     MalformedHolonError,
+    Registry,
     NotCompositeError,
     RepresentativeNotMemberError,
     ServiceEntry,
@@ -174,3 +177,39 @@ def test_spec_round_trip(nested):
     assert again.holons == nested.holons
     assert again.parent == nested.parent
     assert again.root == nested.root
+
+
+def team(i, members):
+    return Holon(i, HolonKind.COMPOSITE, members=members, representative=members[0], origin=HolonOrigin.PERMANENTIFIED)
+
+
+def test_ranked_offers_follow_every_registry_writer(nested):
+    assert nested.ranked_offers(6, 0) == ()
+    register_initial_services(nested, t=5)
+    assert nested.ranked_offers(6, 0) == ((5, 0), (5, 2))
+    assert nested.ranked_offers(4, 0) == ((5, 0),)
+
+    # a team whose offers are older than the root's own outranks them there
+    own = [ServiceEntry(2, 0, registered_at=1), ServiceEntry(2, 2, registered_at=1), ServiceEntry(3, 2, registered_at=1)]
+    proxies = [ServiceEntry(2, 0, registered_at=1, via=7), ServiceEntry(2, 2, registered_at=1, via=7)]
+    nested.graft(team(7, (2, 3)), 6, Registry(owner=7, service_entries=own), proxies)
+    assert nested.ranked_offers(6, 0) == ((1, 2), (5, 0))
+    assert nested.ranked_offers(7, 2) == ((1, 2), (1, 3))
+
+    assert nested.remove(7) == 6
+    assert nested.ranked_offers(6, 0) == ((5, 0), (5, 2))
+
+    # the freed id comes back for a different team
+    own = [ServiceEntry(0, 0, registered_at=2), ServiceEntry(1, 1, registered_at=2)]
+    proxies = [ServiceEntry(0, 0, registered_at=2, via=7), ServiceEntry(0, 1, registered_at=2, via=7)]
+    nested.graft(team(7, (0, 1)), 6, Registry(owner=7, service_entries=own), proxies)
+    assert nested.ranked_offers(7, 0) == ((2, 0),)
+    assert nested.ranked_offers(7, 2) == ()
+    assert nested.ranked_offers(6, 0) == ((2, 0), (5, 2))
+
+
+def test_ranked_offers_skip_providers_that_cannot_play_the_role(nested):
+    register_initial_services(nested)
+    nested.registries[4].service_entries.append(ServiceEntry(1, 0, registered_at=1))
+    nested.registries[4].service_entries.append(ServiceEntry(9, 0, registered_at=1))
+    assert nested.ranked_offers(4, 0) == ((0, 0),)
