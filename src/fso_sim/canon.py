@@ -296,17 +296,6 @@ def _can_complete(
     return True
 
 
-def _first_free(per_slot: list[list[HolonId]]) -> list[HolonId] | None:
-    """Every slot's first candidate not taken by an earlier slot, if each has one."""
-    picks: list[HolonId] = []
-    for cands in per_slot:
-        a = next((a for a in cands if a not in picks), None)
-        if a is None:
-            return None
-        picks.append(a)
-    return picks
-
-
 def _solve(
     activity: ResponseActivity,
     pool: Pool,
@@ -314,56 +303,51 @@ def _solve(
 ) -> Enabled | Missing:
     """Staff the activity's role slots from the pool, or say what is missing.
 
-    The assignment is the first injective tuple of
-    ``itertools.product(*per_slot)``: the lexicographically least perfect
-    matching of slots onto ranked candidates. It only ever uses each role's
-    best ``s = len(slots)`` candidates. Were a slot's actor ranked below
-    them, one of them would be free, since the other slots hold at most
-    ``s - 1`` actors, and swapping it in would give a smaller matching. The
-    same swap shows that every test below finds a matching on the best
-    ``s`` exactly when it finds one on all candidates.
+    Slots are filled in sorted role order with the smallest-ranked actor
+    that still leaves the rest completable, which makes the chosen
+    assignment the lexicographically least perfect matching. When no
+    perfect matching exists the uncoverable slots are reported, greedily:
+    slots kept while a matching still extends over them form a maximum one.
 
-    When every slot's first candidate not taken by an earlier slot exists,
-    those picks are the first injective tuple, as each skipped candidate is
-    held earlier. Otherwise slots are filled in order with the first
-    candidate that leaves the rest completable. When no perfect matching
-    exists the uncoverable slots are reported, greedily: slots kept while a
-    matching still extends over them form a maximum one.
+    Each slot sees only its role's best ``s = len(slots)`` candidates, and
+    that changes no answer. Were a slot of the least matching held by an
+    actor ranked below them, one of them would be free, since the other
+    slots hold at most ``s - 1`` actors, and swapping it in would give a
+    smaller matching. The same swap shows that every completability test
+    finds a matching on the best ``s`` exactly when it finds one on all
+    candidates.
     """
     slots = activity.required_roles
     per_slot = _candidates_per_slot(slots, pool)
-    picks = _first_free(per_slot)
 
     missing_roles: list[int] = []
-    if picks is None:
-        coverable: list[int] = []
-        for i in range(len(slots)):
-            if _can_complete(per_slot, coverable + [i], set()):
-                coverable.append(i)
-            else:
-                missing_roles.append(slots[i])
+    coverable: list[int] = []
+    for i in range(len(slots)):
+        if _can_complete(per_slot, coverable + [i], set()):
+            coverable.append(i)
+        else:
+            missing_roles.append(slots[i])
 
     missing_data = sorted(activity.required_data - available_data)
 
     if missing_roles or missing_data:
         return Missing(tuple(missing_roles) + (DATA_MISSING,) * len(missing_data))
 
-    if picks is None:
-        picks = []
-        taken: set[HolonId] = set()
-        for i in range(len(slots)):
-            rest = list(range(i + 1, len(slots)))
-            chosen = None
-            for a in per_slot[i]:
-                if a in taken:
-                    continue
-                if _can_complete(per_slot, rest, taken | {a}):
-                    chosen = a
-                    break
-            assert chosen is not None, "perfect matching vanished mid-assignment"
-            taken.add(chosen)
-            picks.append(chosen)
-    return Enabled(tuple(zip(picks, slots)))
+    assignment: list[tuple[HolonId, RoleId]] = []
+    taken: set[HolonId] = set()
+    for i, role in enumerate(slots):
+        rest = list(range(i + 1, len(slots)))
+        chosen = None
+        for a in per_slot[i]:
+            if a in taken:
+                continue
+            if _can_complete(per_slot, rest, taken | {a}):
+                chosen = a
+                break
+        assert chosen is not None, "perfect matching vanished mid-assignment"
+        taken.add(chosen)
+        assignment.append((chosen, role))
+    return Enabled(tuple(assignment))
 
 
 # -- the two canon rules, applied along the chain to the root -----------------

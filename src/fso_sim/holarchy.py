@@ -25,8 +25,8 @@ role atoms, because a later promotion takes ``max(holons) + 1`` as its id
 and so may reuse it for a different team. The offer views follow the
 registries instead: every writer of a registry's service entries
 (:func:`register_initial_services`, :meth:`Holarchy.graft` and
-:meth:`Holarchy.remove`) drops the view of the SoC it wrote, and no other
-view changes, since no other SoC's actors do.
+:meth:`Holarchy.remove`) calls :meth:`Holarchy.offers_changed` for the SoC
+it wrote, and no other view changes, since no other SoC's actors do.
 """
 
 from __future__ import annotations
@@ -322,6 +322,14 @@ class Holarchy:
             self._ranked_offers.setdefault(soc, {})[role] = view
         return view
 
+    def offers_changed(self, soc: HolonId) -> None:
+        """Forget ``soc``'s ranked offer views.
+
+        Whatever edits a registry's service entries calls this for the
+        SoC it edited; the views are rebuilt on their next use.
+        """
+        self._ranked_offers.pop(soc, None)
+
     def holds_members(self, members: tuple[HolonId, ...]) -> bool:
         """Whether some SoC's member list, sorted, is exactly ``members``."""
         if self._member_sets is None:
@@ -358,8 +366,8 @@ class Holarchy:
         entries = self.registries[anchor].service_entries
         entries.extend(proxies)
         entries.sort(key=ServiceEntry.sort_key)
-        self._ranked_offers.pop(anchor, None)
-        self._ranked_offers.pop(node.id, None)
+        self.offers_changed(anchor)
+        self.offers_changed(node.id)
 
     def remove(self, soc: HolonId) -> HolonId:
         """Undo :meth:`graft` for ``soc``; returns the SoC it hung under."""
@@ -368,8 +376,8 @@ class Holarchy:
         del self.registries[soc]
         # the next promotion may reuse the id for a different team
         self._role_atoms.pop(soc, None)
-        self._ranked_offers.pop(soc, None)
-        self._ranked_offers.pop(anchor, None)
+        self.offers_changed(soc)
+        self.offers_changed(anchor)
         old = self.holons[anchor]
         self._set_members(old, tuple(m for m in old.members if m != soc))
         if self._member_sets is not None:
@@ -486,7 +494,7 @@ def register_initial_services(h: Holarchy, t: LogicalTime = 0) -> None:
                     entries.append(ServiceEntry(rep, role, registered_at=t, via=m))
         entries.sort(key=ServiceEntry.sort_key)
         reg.service_entries.extend(entries)
-        h._ranked_offers.pop(soc, None)
+        h.offers_changed(soc)
 
 
 def higher_up_of(h: Holarchy, s: HolonId) -> HolonId | None:

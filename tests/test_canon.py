@@ -349,8 +349,7 @@ def restamp(h, times):
     """Give every registry entry a new registration time, in canonical order.
 
     ``times`` maps (soc, provider, role, via) to the new time; entries it
-    does not name keep theirs. Only for a holarchy no request has read yet:
-    the ranked offer views are built on first use.
+    does not name keep theirs.
     """
     for soc, reg in h.registries.items():
         reg.service_entries = sorted(
@@ -360,6 +359,7 @@ def restamp(h, times):
             ),
             key=ServiceEntry.sort_key,
         )
+        h.offers_changed(soc)
 
 
 def test_an_earlier_registration_above_outranks_a_later_one_below():

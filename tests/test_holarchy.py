@@ -212,4 +212,5 @@ def test_ranked_offers_skip_providers_that_cannot_play_the_role(nested):
     register_initial_services(nested)
     nested.registries[4].service_entries.append(ServiceEntry(1, 0, registered_at=1))
     nested.registries[4].service_entries.append(ServiceEntry(9, 0, registered_at=1))
+    nested.offers_changed(4)
     assert nested.ranked_offers(4, 0) == ((0, 0),)
