@@ -35,7 +35,6 @@ from .engine import (
     report,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     write_trace,
 )
 from .environment import (
@@ -119,7 +118,6 @@ __all__ = [
     "run_scenario",
     "sample_arrivals",
     "scenario_from_dict",
-    "scenario_to_dict",
     "validate",
     "write_trace",
 ]

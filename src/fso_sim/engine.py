@@ -1,11 +1,16 @@
 """Scenario files, the simulation loop, traces, and metrics.
 
-A scenario is a strict UTF-8 JSON document with exactly the top level keys
-roles, holarchy, activities, environment, policy, horizon, seed and
-retry_bound; unknown keys are rejected everywhere. The simulator turns a
-scenario into a stream of trace records, one JSON object per line, with
-integer payloads only, so that a (scenario, seed) pair reproduces the same
-trace byte for byte.
+A scenario is a strict UTF-8 JSON document in the format of the shipped
+``schema/scenario.schema.json``. The loader compiles that schema once, at
+import, into its own checker, so no third-party package is needed; integers
+must be written without a fraction (``1``, not ``1.0``). It then checks by
+hand only what a schema cannot state: role ids below the number of roles,
+the holarchy's structure, unique activity ids, that each source's topic is
+used by some activity and its injection SoC is an existing composite, that
+scripted times ascend, and that failure windows stop no earlier than they
+start and name existing activities. The simulator turns a scenario into a
+stream of trace records, one JSON object per line, with integer payloads
+only, so that a (scenario, seed) pair reproduces the same trace byte for byte.
 
 Within a tick the order is fixed: due overlays dissolve, environment
 arrivals are published, triggered activities resolve in activity id order
@@ -18,9 +23,12 @@ so every formation has its dissolution on record.
 from __future__ import annotations
 
 import json
+import operator
 import os
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+import reprlib
+from dataclasses import dataclass
+from importlib import resources
+from typing import Any, Callable, Iterable, NoReturn
 
 from .activation import check_partition, initial_state
 from .canon import (
@@ -150,257 +158,219 @@ class Metrics:
 # -- scenario parsing --------------------------------------------------------
 
 
-def _fail(where: str, msg: str) -> None:
-    raise ValidationError(f"{where}: {msg}")
+class _Invalid(Exception):
+    """A schema violation: its message, then the steps of its path, innermost first."""
 
 
-def _expect_object(value: Any, where: str) -> dict[str, Any]:
-    if not isinstance(value, dict):
-        _fail(where, "expected an object")
-    return value
-
-
-def _expect_array(value: Any, where: str) -> list[Any]:
-    if not isinstance(value, list):
-        _fail(where, "expected an array")
-    return value
-
-
-def _expect_keys(obj: dict[str, Any], where: str, required: set[str], optional: set[str] = set()) -> None:
-    unknown = sorted(set(obj) - required - optional)
-    if unknown:
-        _fail(where, f"unknown keys {unknown}")
-    missing = sorted(required - set(obj))
-    if missing:
-        _fail(where, f"missing keys {missing}")
-
-
-def _expect_int(value: Any, where: str, minimum: int | None = None, maximum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(where, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(where, f"must be at least {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        _fail(where, f"must be at most {maximum}, got {value}")
-    return value
-
-
-def _expect_number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(where, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _expect_str(value: Any, where: str) -> str:
-    if not isinstance(value, str):
-        _fail(where, f"expected a string, got {value!r}")
-    return value
-
-
-def _parse_holon(obj: Any, where: str) -> HolonSpec:
-    obj = _expect_object(obj, where)
-    if "kind" not in obj:
-        _fail(where, "missing keys ['kind']")
-    kind = _expect_str(obj["kind"], f"{where}.kind")
-    if kind == "atomic":
-        _expect_keys(obj, where, {"id", "kind"}, {"capabilities"})
-        caps = tuple(
-            _expect_int(c, f"{where}.capabilities[{i}]", minimum=0)
-            for i, c in enumerate(_expect_array(obj.get("capabilities", []), f"{where}.capabilities"))
-        )
-        return HolonSpec(
-            id=_expect_int(obj["id"], f"{where}.id", minimum=0),
-            kind=HolonKind.ATOMIC,
-            capabilities=caps,
-        )
-    if kind == "composite":
-        _expect_keys(obj, where, {"id", "kind", "members"}, {"representative"})
-        members = tuple(
-            _expect_int(m, f"{where}.members[{i}]", minimum=0)
-            for i, m in enumerate(_expect_array(obj["members"], f"{where}.members"))
-        )
-        rep = None
-        if "representative" in obj:
-            rep = _expect_int(obj["representative"], f"{where}.representative", minimum=0)
-        return HolonSpec(
-            id=_expect_int(obj["id"], f"{where}.id", minimum=0),
-            kind=HolonKind.COMPOSITE,
-            members=members,
-            representative=rep,
-        )
-    _fail(f"{where}.kind", f"expected 'atomic' or 'composite', got {kind!r}")
-    raise AssertionError("unreachable")
-
-
-def _parse_activity(obj: Any, where: str, role_count: int) -> ResponseActivity:
-    obj = _expect_object(obj, where)
-    _expect_keys(obj, where, {"id", "trigger_topics", "required_roles"}, {"required_data", "duration"})
-    topics = frozenset(
-        _expect_str(s, f"{where}.trigger_topics[{i}]")
-        for i, s in enumerate(_expect_array(obj["trigger_topics"], f"{where}.trigger_topics"))
-    )
-    roles = tuple(
-        _expect_int(r, f"{where}.required_roles[{i}]", minimum=0, maximum=role_count - 1)
-        for i, r in enumerate(_expect_array(obj["required_roles"], f"{where}.required_roles"))
-    )
-    data = frozenset(
-        _expect_str(s, f"{where}.required_data[{i}]")
-        for i, s in enumerate(_expect_array(obj.get("required_data", []), f"{where}.required_data"))
-    )
-    duration = _expect_int(obj.get("duration", 1), f"{where}.duration", minimum=1)
-    try:
-        return ResponseActivity(
-            id=_expect_int(obj["id"], f"{where}.id", minimum=0),
-            trigger_topics=topics,
-            required_roles=tuple(sorted(roles)),
-            required_data=data,
-            duration=duration,
-        )
-    except ValueError as exc:
-        _fail(where, str(exc))
-        raise AssertionError("unreachable")
-
-
-def _parse_process(obj: Any, where: str) -> Process:
-    obj = _expect_object(obj, where)
-    kind = obj.get("kind")
-    if kind == "poisson":
-        _expect_keys(obj, where, {"kind", "rate"})
-        rate = _expect_number(obj["rate"], f"{where}.rate")
-        if not rate > 0:
-            _fail(f"{where}.rate", f"must be positive, got {rate}")
-        return PoissonProcess(rate=rate)
-    if kind == "periodic":
-        _expect_keys(obj, where, {"kind", "period"}, {"offset"})
-        return PeriodicProcess(
-            period=_expect_int(obj["period"], f"{where}.period", minimum=1),
-            offset=_expect_int(obj.get("offset", 0), f"{where}.offset", minimum=0),
-        )
-    if kind == "scripted":
-        _expect_keys(obj, where, {"kind", "times"})
-        times = tuple(
-            _expect_int(t, f"{where}.times[{i}]", minimum=0)
-            for i, t in enumerate(_expect_array(obj["times"], f"{where}.times"))
-        )
-        if list(times) != sorted(times):
-            _fail(f"{where}.times", "must be ascending")
-        return ScriptedProcess(times=times)
-    _fail(f"{where}.kind", f"expected 'poisson', 'periodic' or 'scripted', got {kind!r}")
-    raise AssertionError("unreachable")
-
-
-def _parse_policy(obj: Any, where: str) -> EvolutionPolicy:
-    obj = _expect_object(obj, where)
-    _expect_keys(
-        obj,
-        where,
-        {"permanentify_threshold", "prune_failure_threshold", "prune_window"},
-        {"strength_increment", "failure_injections"},
-    )
-    injections = []
-    for i, item in enumerate(_expect_array(obj.get("failure_injections", []), f"{where}.failure_injections")):
-        iw = f"{where}.failure_injections[{i}]"
-        item = _expect_object(item, iw)
-        _expect_keys(item, iw, {"activity", "start", "stop"})
-        start = _expect_int(item["start"], f"{iw}.start", minimum=0)
-        stop = _expect_int(item["stop"], f"{iw}.stop", minimum=0)
-        if stop < start:
-            _fail(iw, f"stop {stop} precedes start {start}")
-        injections.append(
-            FailureWindow(
-                activity=_expect_int(item["activity"], f"{iw}.activity", minimum=0),
-                start=start,
-                stop=stop,
-            )
-        )
-    increment = obj.get("strength_increment", 1.0)
-    increment = _expect_number(increment, f"{where}.strength_increment")
-    if increment < 0:
-        _fail(f"{where}.strength_increment", "must not be negative")
-    try:
-        return EvolutionPolicy(
-            permanentify_threshold=_expect_int(obj["permanentify_threshold"], f"{where}.permanentify_threshold", minimum=1),
-            prune_failure_threshold=_expect_int(obj["prune_failure_threshold"], f"{where}.prune_failure_threshold", minimum=1),
-            prune_window=_expect_int(obj["prune_window"], f"{where}.prune_window", minimum=1),
-            strength_increment=increment,
-            failure_injections=tuple(injections),
-        )
-    except ValueError as exc:
-        _fail(where, str(exc))
-        raise AssertionError("unreachable")
-
-
-TOP_LEVEL_KEYS = {
-    "roles",
-    "holarchy",
-    "activities",
-    "environment",
-    "policy",
-    "horizon",
-    "seed",
-    "retry_bound",
+_ANNOTATIONS = {"$schema", "$id", "title", "description", "$defs"}
+_FORMS = {"type", "const", "oneOf", "$ref"}
+# bound keyword -> (test the value must pass against the bound, its wording)
+_BOUNDS = {
+    "minimum": (operator.ge, "at least"),
+    "maximum": (operator.le, "at most"),
+    "exclusiveMinimum": (operator.gt, "greater than"),
+}
+# schema type -> (Python types, name, the keywords only that type admits)
+_TYPES: dict[str, tuple[Any, str, set[str]]] = {
+    "object": (dict, "an object", {"properties", "required", "additionalProperties"}),
+    "array": (list, "an array", {"items", "minItems"}),
+    "integer": (int, "an integer", set(_BOUNDS)),
+    "number": ((int, float), "a number", set(_BOUNDS)),
+    "string": (str, "a string", set()),
 }
 
 
+def _compile(node: dict[str, Any], defs: dict[str, Any]) -> Callable[[Any], None]:
+    """Turn a schema node into a checker that raises _Invalid.
+
+    A node holds exactly one of type, const, oneOf and $ref, plus the
+    keywords its type admits and annotations; objects are closed. Anything
+    else raises ValueError: the schema states no rule the loader skips.
+    """
+    kind = node.get("type")
+    extra = node.keys() - _ANNOTATIONS - _FORMS - (_TYPES[kind][2] if kind in _TYPES else set())
+    if extra or len(node.keys() & _FORMS) != 1 or kind not in (None, *_TYPES):
+        raise ValueError(f"unsupported schema keywords {sorted(extra or node)}")
+    if "$ref" in node:
+        return _compile(defs[node["$ref"].removeprefix("#/$defs/")], defs)
+    if "oneOf" in node:
+        return _one_of(node["oneOf"], defs)
+    if "const" in node:
+        return _const(node["const"])
+    return _typed(node, defs)
+
+
+def _const(expected: Any) -> Callable[[Any], None]:
+    def check(value: Any) -> None:
+        if value != expected:
+            raise _Invalid(f"expected {expected!r}, got {reprlib.repr(value)}")
+
+    return check
+
+
+def _typed(node: dict[str, Any], defs: dict[str, Any]) -> Callable[[Any], None]:
+    types, name, _ = _TYPES[node["type"]]
+    is_object, is_array = node["type"] == "object", node["type"] == "array"
+    if is_object and node.get("additionalProperties") is not False:
+        raise ValueError("objects must set additionalProperties to false")
+    props = {key: _compile(sub, defs) for key, sub in node.get("properties", {}).items()}
+    required = frozenset(node.get("required", ()))
+    item = _compile(node["items"], defs) if is_array else None
+    least = node.get("minItems", 0)
+    bounds = [(node[key], *_BOUNDS[key]) for key in _BOUNDS if key in node]
+
+    def check(value: Any) -> None:
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise _Invalid(f"expected {name}, got {reprlib.repr(value)}")
+        for bound, test, wording in bounds:
+            if not test(value, bound):
+                raise _Invalid(f"must be {wording} {bound}, got {value}")
+        if is_object:
+            if not props.keys() >= value.keys():
+                raise _Invalid(f"unknown keys {sorted(value.keys() - props.keys())}")
+            if not required <= value.keys():
+                raise _Invalid(f"missing keys {sorted(required - value.keys())}")
+            for key, sub in props.items():
+                if key in value:
+                    try:
+                        sub(value[key])
+                    except _Invalid as exc:
+                        exc.args += (f".{key}",)
+                        raise
+        elif is_array:
+            if len(value) < least:
+                raise _Invalid(f"must have at least {least} item(s), got {len(value)}")
+            for i, element in enumerate(value):
+                try:
+                    item(element)
+                except _Invalid as exc:
+                    exc.args += (f"[{i}]",)
+                    raise
+
+    return check
+
+
+def _one_of(branches: list[dict[str, Any]], defs: dict[str, Any]) -> Callable[[Any], None]:
+    """Each branch requires its own string ``kind`` const, so only the branch
+    the value's kind names can match, and only that one is checked.
+    """
+    by_kind = {}
+    for branch in branches:
+        const = branch.get("properties", {}).get("kind", {}).get("const")
+        if "kind" not in branch.get("required", ()) or not isinstance(const, str) or const in by_kind:
+            raise ValueError("oneOf branches must each require a distinct string kind const")
+        by_kind[const] = _compile(branch, defs)
+
+    def check(value: Any) -> None:
+        if not isinstance(value, dict):
+            raise _Invalid("expected an object")
+        if "kind" not in value:
+            raise _Invalid("missing keys ['kind']")
+        branch = by_kind.get(value["kind"]) if isinstance(value["kind"], str) else None
+        if branch is None:
+            raise _Invalid(f"expected one of {list(by_kind)}, got {reprlib.repr(value['kind'])}", ".kind")
+        branch(value)
+
+    return check
+
+
+_SCHEMA = json.loads(resources.files(__package__).joinpath("schema/scenario.schema.json").read_text(encoding="utf-8"))
+_check_scenario = _compile(_SCHEMA, _SCHEMA["$defs"])
+
+
+def _fail(where: str, msg: str) -> NoReturn:
+    raise ValidationError(f"{where}: {msg}")
+
+
 def scenario_from_dict(doc: Any) -> Scenario:
-    doc = _expect_object(doc, "scenario")
-    _expect_keys(doc, "scenario", TOP_LEVEL_KEYS)
-
-    role_names = tuple(
-        _expect_str(name, f"roles[{i}]") for i, name in enumerate(_expect_array(doc["roles"], "roles"))
-    )
-    if not role_names:
-        _fail("roles", "at least one role is required")
-
-    holon_specs = tuple(
-        _parse_holon(obj, f"holarchy[{i}]") for i, obj in enumerate(_expect_array(doc["holarchy"], "holarchy"))
-    )
-    spec = HolarchySpec(roles=frozenset(range(len(role_names))), holons=holon_specs)
+    """Check a document against the schema, then convert it, checking by
+    hand only the rules the schema cannot state (see the module docstring).
+    """
     try:
-        h = build_holarchy(spec)
+        _check_scenario(doc)
+    except _Invalid as exc:
+        msg, *path = exc.args
+        _fail("".join(reversed(path)).lstrip(".") or "scenario", msg)
+
+    role_names = tuple(doc["roles"])
+    spec = HolarchySpec(
+        roles=frozenset(range(len(role_names))),
+        holons=tuple(
+            HolonSpec(
+                id=h["id"],
+                kind=HolonKind(h["kind"]),
+                capabilities=tuple(h.get("capabilities", ())),
+                members=tuple(h.get("members", ())),
+                representative=h.get("representative"),
+            )
+            for h in doc["holarchy"]
+        ),
+    )
+    try:
+        holarchy = build_holarchy(spec)
     except HolarchyError as exc:
         _fail("holarchy", str(exc))
-        raise AssertionError("unreachable")
 
-    activities = tuple(
-        _parse_activity(obj, f"activities[{i}]", len(role_names))
-        for i, obj in enumerate(_expect_array(doc["activities"], "activities"))
-    )
+    activities = []
+    for i, a in enumerate(doc["activities"]):
+        for j, role in enumerate(a["required_roles"]):
+            if role >= len(role_names):
+                _fail(f"activities[{i}].required_roles[{j}]", f"must be at most {len(role_names) - 1}, got {role}")
+        activities.append(
+            ResponseActivity(
+                id=a["id"],
+                trigger_topics=frozenset(a["trigger_topics"]),
+                required_roles=tuple(a["required_roles"]),
+                required_data=frozenset(a.get("required_data", ())),
+                duration=a.get("duration", 1),
+            )
+        )
     try:
-        table = ActivityTable(activities=activities)
+        table = ActivityTable(activities=tuple(activities))
     except ValueError as exc:
         _fail("activities", str(exc))
-        raise AssertionError("unreachable")
 
     sources = []
-    for i, obj in enumerate(_expect_array(doc["environment"], "environment")):
-        where = f"environment[{i}]"
-        obj = _expect_object(obj, where)
-        _expect_keys(obj, where, {"topic", "injection_soc", "process"})
-        topic = _expect_str(obj["topic"], f"{where}.topic")
-        if topic not in table.known_topics:
-            _fail(f"{where}.topic", f"topic {topic!r} is not used by any activity")
-        soc = _expect_int(obj["injection_soc"], f"{where}.injection_soc", minimum=0)
-        if soc not in h.holons:
-            _fail(f"{where}.injection_soc", f"holon {soc} does not exist")
-        if not h.holons[soc].is_composite:
-            _fail(f"{where}.injection_soc", f"holon {soc} is atomic; events are published to SoCs")
-        sources.append(EventSource(topic=topic, injection_soc=soc, process=_parse_process(obj["process"], f"{where}.process")))
+    for i, src in enumerate(doc["environment"]):
+        where, soc, p = f"environment[{i}]", src["injection_soc"], src["process"]
+        if src["topic"] not in table.known_topics:
+            _fail(f"{where}.topic", f"topic {src['topic']!r} is not used by any activity")
+        if soc not in holarchy.holons or not holarchy.holons[soc].is_composite:
+            _fail(f"{where}.injection_soc", f"no composite holon {soc}; events are published to SoCs")
+        process: Process
+        if p["kind"] == "poisson":
+            process = PoissonProcess(rate=float(p["rate"]))
+        elif p["kind"] == "periodic":
+            process = PeriodicProcess(period=p["period"], offset=p.get("offset", 0))
+        elif p["times"] == sorted(p["times"]):
+            process = ScriptedProcess(times=tuple(p["times"]))
+        else:
+            _fail(f"{where}.process.times", "must be ascending")
+        sources.append(EventSource(topic=src["topic"], injection_soc=soc, process=process))
 
-    policy = _parse_policy(doc["policy"], "policy")
-    for i, window in enumerate(policy.failure_injections):
-        if all(a.id != window.activity for a in table.activities):
-            _fail(f"policy.failure_injections[{i}].activity", f"no activity with id {window.activity}")
+    policy = doc["policy"]
+    windows = policy.get("failure_injections", ())
+    for i, w in enumerate(windows):
+        if w["stop"] < w["start"]:
+            _fail(f"policy.failure_injections[{i}]", f"stop {w['stop']} precedes start {w['start']}")
+        if w["activity"] not in {a.id for a in table.activities}:
+            _fail(f"policy.failure_injections[{i}].activity", f"no activity with id {w['activity']}")
 
     return Scenario(
         role_names=role_names,
         holarchy=spec,
         activities=table,
         environment=EnvironmentSpec(sources=tuple(sources)),
-        policy=policy,
-        horizon=_expect_int(doc["horizon"], "horizon", minimum=0),
-        seed=_expect_int(doc["seed"], "seed", minimum=0, maximum=(1 << 64) - 1),
-        retry_bound=_expect_int(doc["retry_bound"], "retry_bound", minimum=0),
+        policy=EvolutionPolicy(
+            permanentify_threshold=policy["permanentify_threshold"],
+            prune_failure_threshold=policy["prune_failure_threshold"],
+            prune_window=policy["prune_window"],
+            strength_increment=float(policy.get("strength_increment", 1.0)),
+            failure_injections=tuple(FailureWindow(**w) for w in windows),
+        ),
+        horizon=doc["horizon"],
+        seed=doc["seed"],
+        retry_bound=doc["retry_bound"],
     )
 
 
@@ -428,57 +398,6 @@ def load_scenario(text: str) -> Scenario:
 def load_scenario_file(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         return load_scenario(fh.read())
-
-
-def scenario_to_dict(s: Scenario) -> dict[str, Any]:
-    """Inverse of scenario_from_dict, up to default field elision."""
-    holons = []
-    for hs in s.holarchy.holons:
-        if hs.kind is HolonKind.ATOMIC:
-            holons.append({"id": hs.id, "kind": "atomic", "capabilities": list(hs.capabilities)})
-        else:
-            entry: dict[str, Any] = {"id": hs.id, "kind": "composite", "members": list(hs.members)}
-            if hs.representative is not None:
-                entry["representative"] = hs.representative
-            holons.append(entry)
-    activities = [
-        {
-            "id": a.id,
-            "trigger_topics": sorted(a.trigger_topics),
-            "required_roles": list(a.required_roles),
-            "required_data": sorted(a.required_data),
-            "duration": a.duration,
-        }
-        for a in s.activities.activities
-    ]
-    sources = []
-    for src in s.environment.sources:
-        if isinstance(src.process, PoissonProcess):
-            process: dict[str, Any] = {"kind": "poisson", "rate": src.process.rate}
-        elif isinstance(src.process, PeriodicProcess):
-            process = {"kind": "periodic", "period": src.process.period, "offset": src.process.offset}
-        else:
-            process = {"kind": "scripted", "times": list(src.process.times)}
-        sources.append({"topic": src.topic, "injection_soc": src.injection_soc, "process": process})
-    return {
-        "roles": list(s.role_names),
-        "holarchy": holons,
-        "activities": activities,
-        "environment": sources,
-        "policy": {
-            "permanentify_threshold": s.policy.permanentify_threshold,
-            "prune_failure_threshold": s.policy.prune_failure_threshold,
-            "prune_window": s.policy.prune_window,
-            "strength_increment": s.policy.strength_increment,
-            "failure_injections": [
-                {"activity": w.activity, "start": w.start, "stop": w.stop}
-                for w in s.policy.failure_injections
-            ],
-        },
-        "horizon": s.horizon,
-        "seed": s.seed,
-        "retry_bound": s.retry_bound,
-    }
 
 
 # -- trace handling ----------------------------------------------------------
@@ -513,7 +432,7 @@ def write_trace(records: Iterable[TraceRecord]) -> str:
 
 def _int_field(r: TraceRecord, key: str) -> int:
     value = r.payload[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:  # True and False are not counts
         raise MalformedTraceError(f"{r.kind} record has non-integer {key} {value!r}")
     return value
 
@@ -531,16 +450,16 @@ def report(records: Iterable[TraceRecord]) -> Metrics:
         try:
             if r.kind == "EventPublished":
                 m.events_published += 1
-            elif r.kind == "SonFormed":
-                m.sons_formed += 1
-                hop_sum += _int_field(r, "hop_count")
-                latency_sum += r.tick - _int_field(r, "triggered_at")
-                last_sizes = (p["l_size"], p["r_size"])
-            elif r.kind == "SonDissolved":
-                last_sizes = (p["l_size"], p["r_size"])
+            elif r.kind in ("SonFormed", "SonDissolved"):
+                if r.kind == "SonFormed":
+                    m.sons_formed += 1
+                    hop_sum += _int_field(r, "hop_count")
+                    latency_sum += r.tick - _int_field(r, "triggered_at")
+                last_sizes = (_int_field(r, "l_size"), _int_field(r, "r_size"))
             elif r.kind == "RequestUnresolved":
-                if p["final"]:
-                    m.unresolved_requests += 1
+                if not isinstance(p["final"], bool):
+                    raise MalformedTraceError(f"{r.kind} record has non-boolean final {p['final']!r}")
+                m.unresolved_requests += p["final"]
             elif r.kind == "Permanentified":
                 m.permanentifications += 1
             elif r.kind == "Pruned":
@@ -612,6 +531,18 @@ class Simulation:
 
     def _sizes(self) -> tuple[int, int]:
         return len(self.state.inactive), len(self.state.active)
+
+    def _emit_unresolved(self, p: _Pending, final: bool) -> None:
+        self._emit(
+            "RequestUnresolved",
+            activity=p.activity_id,
+            request=p.request_id,
+            origin_soc=p.origin_soc,
+            attempt=self.scenario.retry_bound - p.retries_left,
+            final=final,
+            missing=list(p.last_missing),
+            triggered_at=p.triggered_at,
+        )
 
     # -- tick phases ----------------------------------------------------
 
@@ -695,29 +626,18 @@ class Simulation:
             self._emit("ActivityTriggered", activity=activity_id, request=request_id, soc=soc, topic=topic)
             result = self._attempt(activity_id, soc, request_id, t)
             if isinstance(result, Unresolved):
-                final = self.scenario.retry_bound == 0
-                self._emit(
-                    "RequestUnresolved",
-                    activity=activity_id,
-                    request=request_id,
+                p = _Pending(
+                    request_id=request_id,
+                    activity_id=activity_id,
                     origin_soc=soc,
-                    attempt=0,
-                    final=final,
-                    missing=list(result.missing),
                     triggered_at=t,
+                    retries_left=self.scenario.retry_bound,
+                    last_attempt=t,
+                    last_missing=result.missing,
                 )
-                if not final:
-                    self._pending.append(
-                        _Pending(
-                            request_id=request_id,
-                            activity_id=activity_id,
-                            origin_soc=soc,
-                            triggered_at=t,
-                            retries_left=self.scenario.retry_bound,
-                            last_attempt=t,
-                            last_missing=result.missing,
-                        )
-                    )
+                self._emit_unresolved(p, final=p.retries_left == 0)
+                if p.retries_left:
+                    self._pending.append(p)
 
     def _phase_retry(self, t: int) -> None:
         survivors: list[_Pending] = []
@@ -731,19 +651,8 @@ class Simulation:
             p.retries_left -= 1
             p.last_attempt = t
             p.last_missing = result.missing
-            attempt = self.scenario.retry_bound - p.retries_left
-            final = p.retries_left == 0
-            self._emit(
-                "RequestUnresolved",
-                activity=p.activity_id,
-                request=p.request_id,
-                origin_soc=p.origin_soc,
-                attempt=attempt,
-                final=final,
-                missing=list(result.missing),
-                triggered_at=p.triggered_at,
-            )
-            if not final:
+            self._emit_unresolved(p, final=p.retries_left == 0)
+            if p.retries_left:
                 survivors.append(p)
         self._pending = survivors
 
@@ -800,16 +709,7 @@ class Simulation:
             if self.debug:
                 self._check_invariants()
         for p in self._pending:
-            self._emit(
-                "RequestUnresolved",
-                activity=p.activity_id,
-                request=p.request_id,
-                origin_soc=p.origin_soc,
-                attempt=self.scenario.retry_bound - p.retries_left,
-                final=True,
-                missing=list(p.last_missing),
-                triggered_at=p.triggered_at,
-            )
+            self._emit_unresolved(p, final=True)
         self._pending = []
         return report(self.trace)
 

@@ -125,6 +125,22 @@ def test_report_rejects_malformed_traces(tmp_path, capsys):
     assert "malformed trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind,payload",
+    [
+        ("SonDissolved", {"l_size": "many", "r_size": 0}),
+        ("SonDissolved", {"l_size": 2, "r_size": [1]}),
+        ("RequestUnresolved", {"final": "no"}),
+    ],
+    ids=["text_l_size", "list_r_size", "text_final"],
+)
+def test_report_rejects_ill_typed_fields(tmp_path, capsys, kind, payload):
+    bad = tmp_path / "bad.trace"
+    records = [{"tick": 0, "kind": "EventPublished", "payload": {}}, {"tick": 1, "kind": kind, "payload": payload}]
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert_clean_failure(run_cli("report", "--trace", str(bad)), capsys, "malformed trace")
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--scenario", "x.json", "--seed", "not-a-number")

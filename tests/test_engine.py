@@ -8,7 +8,11 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fso_sim import engine
+from fso_sim.canon import ResponseActivity
 from fso_sim.engine import (
     MalformedTraceError,
     Metrics,
@@ -22,14 +26,17 @@ from fso_sim.engine import (
     report,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     write_trace,
 )
+from fso_sim.environment import EnvironmentSpec, EventSource, PeriodicProcess, PoissonProcess, ScriptedProcess
+from fso_sim.evolution import EvolutionPolicy
+from fso_sim.holarchy import HolarchySpec, HolonKind, HolonSpec
 
 from generators import random_scenario
 from oracles import fold_metrics, replay_partition, son_lifecycle_check
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SCHEMA = json.loads((Path(engine.__file__).parent / "schema" / "scenario.schema.json").read_text())
 
 
 def minimal_doc():
@@ -67,8 +74,44 @@ def minimal_doc():
 def test_load_happy_path():
     s = scenario_from_dict(minimal_doc())
     assert s.role_names == ("helper", "fixer")
-    assert s.horizon == 10
-    assert len(s.holarchy.holons) == 5
+    atomic, composite = HolonKind.ATOMIC, HolonKind.COMPOSITE
+    assert s.holarchy == HolarchySpec(
+        roles=frozenset({0, 1}),
+        holons=(
+            HolonSpec(id=0, kind=atomic, capabilities=(0,)),
+            HolonSpec(id=1, kind=atomic, capabilities=(1,)),
+            HolonSpec(id=2, kind=composite, members=(0,), representative=0),
+            HolonSpec(id=3, kind=composite, members=(1,), representative=1),
+            HolonSpec(id=4, kind=composite, members=(2, 3), representative=2),
+        ),
+    )
+    assert s.activities.activities == (
+        ResponseActivity(id=0, trigger_topics=frozenset({"knock"}), required_roles=(0,), duration=2),
+    )
+    assert s.environment == EnvironmentSpec(sources=(EventSource("knock", 2, ScriptedProcess(times=(1, 2))),))
+    assert s.policy == EvolutionPolicy(100, 100, 100, strength_increment=1.0, failure_injections=())
+    assert (s.horizon, s.seed, s.retry_bound) == (10, 0, 3)
+
+    # every optional key left out, and numbers written as ints
+    doc = minimal_doc()
+    del doc["holarchy"][0]["capabilities"], doc["holarchy"][4]["representative"]
+    del doc["activities"][0]["required_data"], doc["activities"][0]["duration"]
+    del doc["policy"]["strength_increment"], doc["policy"]["failure_injections"]
+    doc["environment"] += [
+        {"topic": "knock", "injection_soc": 3, "process": {"kind": "periodic", "period": 4}},
+        {"topic": "knock", "injection_soc": 4, "process": {"kind": "poisson", "rate": 2}},
+    ]
+    s = scenario_from_dict(doc)
+    assert s.holarchy.holons[0] == HolonSpec(id=0, kind=atomic, capabilities=())
+    assert s.holarchy.holons[4].representative is None
+    (activity,) = s.activities.activities
+    assert activity.duration == 1 and activity.required_data == frozenset()
+    assert s.policy.strength_increment == 1.0 and s.policy.failure_injections == ()
+    periodic, poisson = s.environment.sources[1].process, s.environment.sources[2].process
+    assert periodic == PeriodicProcess(period=4, offset=0)
+    assert poisson == PoissonProcess(rate=2.0) and type(poisson.rate) is float
+    doc["policy"]["strength_increment"] = 3
+    assert type(scenario_from_dict(doc).policy.strength_increment) is float
 
 
 def test_load_rejects_broken_json():
@@ -115,11 +158,63 @@ def test_load_rejects_structural_breakage():
     assert "holarchy" in str(err.value)
 
 
-def test_scenario_dict_round_trip():
-    doc = minimal_doc()
-    s = scenario_from_dict(doc)
-    again = scenario_from_dict(scenario_to_dict(s))
-    assert again == s
+# what an edit may put in place of a leaf
+LEAF_VALUES = [None, True, -1, 0, 2.0, 1.5, "x", [], {}, 1 << 64]
+BASE_DOCS = [minimal_doc()] + [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))]
+
+
+def _slots(value):
+    """(container, key) for every entry of every object and array in value."""
+    entries = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in list(entries):
+        yield value, key
+        yield from _slots(child)
+
+
+def _edit(doc, rng):
+    slots = list(_slots(doc))
+    edit = rng.choice(["drop", "add", "replace"])
+    if edit == "drop":
+        keyed = [(c, k) for c, k in slots if isinstance(c, dict)]
+        if keyed:
+            container, key = rng.choice(keyed)
+            del container[key]
+    elif edit == "add":
+        rng.choice([doc] + [c[k] for c, k in slots if isinstance(c[k], dict)])["unexpected"] = 1
+    else:
+        leaves = [(c, k) for c, k in slots if not isinstance(c[k], (dict, list))]
+        if leaves:
+            container, key = rng.choice(leaves)
+            container[key] = copy.deepcopy(rng.choice(LEAF_VALUES))
+
+
+# Edits come from a hypothesis-driven Random, so every slot is equally likely;
+# most edited documents break a rule both sides see, and at 300 examples a
+# loader that took True for an integer still passed now and then.
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(range(len(BASE_DOCS))), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_loader_rejects_whatever_jsonschema_rejects(base, edits, rng):
+    """The loader accepts a document or raises ValidationError, and never
+    accepts one that jsonschema rejects."""
+    import jsonschema
+
+    doc = copy.deepcopy(BASE_DOCS[base])
+    for _ in range(edits):
+        _edit(doc, rng)
+    try:
+        scenario_from_dict(doc)
+    except ValidationError:
+        return
+    jsonschema.validate(doc, SCHEMA)
+
+
+def test_schema_compiler_refuses_unsupported_keywords():
+    with pytest.raises(ValueError, match="pattern"):
+        engine._compile({"type": "string", "pattern": "^a"}, {})
+    with pytest.raises(ValueError, match="uniqueItems"):
+        engine._compile({"type": "array", "items": {"type": "string"}, "uniqueItems": True}, {})
+    with pytest.raises(ValueError, match="minItems"):
+        engine._compile({"type": "string", "minItems": 1}, {})
 
 
 def test_fixture_scenarios_load_and_match_schema():
