@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from fso_sim import Simulation, connection_strength, load_scenario
+from fso_sim import Simulation, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -32,7 +32,16 @@ def run_and_tell(name: str) -> None:
             )
         elif r.kind == "Pruned":
             print(f"t={r.tick}: community {p['soc']} pruned, members {p['members']} disband")
-    strength = connection_strength(sim.ledger, 0, 1)
+    # one unit per successful overlay the two actors shared, folded from the trace
+    strength = float(
+        sum(
+            1
+            for r in sim.trace
+            if r.kind == "SonDissolved"
+            and r.payload["outcome"] == "success"
+            and {0, 1} <= {a for a, _ in r.payload["members"]}
+        )
+    )
     print(f"connection strength between actors 0 and 1: {strength}")
     promoted = [i for i, n in sim.holarchy.holons.items() if n.origin.value == "permanentified"]
     print(f"permanent overlay communities at the end: {promoted or 'none'}")

@@ -51,7 +51,6 @@ from .evolution import (
     ExperienceLedger,
     FailureWindow,
     Outcome,
-    connection_strength,
     maybe_permanentify,
     maybe_prune,
     record_outcome,
@@ -97,7 +96,6 @@ __all__ = [
     "TraceRecord",
     "Unresolved",
     "build_holarchy",
-    "connection_strength",
     "dissolve_son",
     "enroll",
     "enumerate_activation_space",

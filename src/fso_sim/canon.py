@@ -200,10 +200,7 @@ class Son:
 
     id: int
     activity: int
-    request: int
     members: tuple[tuple[HolonId, RoleId], ...]
-    spanned_socs: frozenset[HolonId]
-    formed_at: LogicalTime
     dissolves_at: LogicalTime
 
 
@@ -419,7 +416,6 @@ def resolve_request(
 def form_son(
     plan: SonPlan,
     son_id: int,
-    request_id: int,
     t: LogicalTime,
     state: ActivationState,
     h: Holarchy,
@@ -437,10 +433,7 @@ def form_son(
     return Son(
         id=son_id,
         activity=plan.activity_id,
-        request=request_id,
         members=plan.assignment,
-        spanned_socs=plan.spanned_socs,
-        formed_at=t,
         dissolves_at=t + plan.duration,
     )
 

@@ -3,7 +3,7 @@
 Four subcommands: run a scenario, validate one, enumerate its activation
 space, and recompute metrics from a saved trace. Exit codes: 0 on success,
 1 when a scenario or trace fails validation, 2 when a runtime invariant
-breaks mid-run.
+breaks or an internal fault stops a run.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import json
 import os
 import sys
 
-from .activation import TooLargeError, enumerate_activation_space
+from .activation import ActivationError, TooLargeError, enumerate_activation_space
+from .canon import CanonError
 from .engine import (
     InvariantViolationError,
     MalformedTraceError,
@@ -25,7 +26,8 @@ from .engine import (
     report,
     write_trace,
 )
-from .holarchy import build_holarchy, validate
+from .evolution import EvolutionError
+from .holarchy import HolarchyError, HolonKind, build_holarchy
 
 
 def _u64(text: str) -> int:
@@ -43,7 +45,7 @@ def _non_negative(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1; exit 2 is reserved for invariant violations."""
+    """Usage errors exit 1; exit 2 is reserved for internal faults."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -101,6 +103,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
+    except (CanonError, ActivationError, EvolutionError, HolarchyError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 2
     if args.trace:
         _write(args.trace, "trace", write_trace(sim.trace))
     text = json.dumps(metrics.to_dict(), indent=2, sort_keys=True)
@@ -120,16 +125,12 @@ def _write(path: str, what: str, text: str) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    # loading already enforced every structural rule of the holarchy
     scenario = _load(args.scenario)
-    h = build_holarchy(scenario.holarchy)
-    violations = validate(h)
-    if violations:
-        for v in violations:
-            print(str(v), file=sys.stderr)
-        return 1
-    atoms = len(h.atoms())
+    holons = scenario.holarchy.holons
+    atoms = sum(1 for spec in holons if spec.kind is HolonKind.ATOMIC)
     print(
-        f"scenario ok: {len(h.holons)} holons ({atoms} actors), "
+        f"scenario ok: {len(holons)} holons ({atoms} actors), "
         f"{len(scenario.role_names)} roles, {len(scenario.activities.activities)} activities"
     )
     return 0

@@ -365,7 +365,6 @@ def scenario_from_dict(doc: Any) -> Scenario:
             permanentify_threshold=policy["permanentify_threshold"],
             prune_failure_threshold=policy["prune_failure_threshold"],
             prune_window=policy["prune_window"],
-            strength_increment=float(policy.get("strength_increment", 1.0)),
             failure_injections=tuple(FailureWindow(**w) for w in windows),
         ),
         horizon=doc["horizon"],
@@ -599,7 +598,7 @@ class Simulation:
         if isinstance(result, SonPlan):
             son_id = self._son_seq
             self._son_seq += 1
-            son = form_son(result, son_id, request_id, self.clock, self.state, self.holarchy)
+            son = form_son(result, son_id, self.clock, self.state, self.holarchy)
             self._dissolve_at.setdefault(son.dissolves_at, []).append(son)
             l_size, r_size = self._sizes()
             self._emit(

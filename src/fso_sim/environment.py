@@ -165,7 +165,6 @@ def sample_arrivals(
                         source_index=index,
                         item=InformationItem(
                             topic=source.topic,
-                            payload="",
                             source=source.injection_soc,
                             published_at=t,
                         ),

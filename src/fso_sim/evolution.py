@@ -1,4 +1,4 @@
-"""Learning from overlays: strengths, permanentification, pruning.
+"""Learning from overlays: permanentification and pruning.
 
 Every dissolved overlay community leaves a record keyed by its signature
 (the activity plus the exact set of participants). Signatures that keep
@@ -64,7 +64,6 @@ class EvolutionPolicy:
     permanentify_threshold: int
     prune_failure_threshold: int
     prune_window: int
-    strength_increment: float = 1.0
     failure_injections: tuple[FailureWindow, ...] = ()
 
     def __post_init__(self) -> None:
@@ -74,8 +73,6 @@ class EvolutionPolicy:
             raise ValueError("prune_failure_threshold must be at least 1")
         if self.prune_window < 1:
             raise ValueError("prune_window must be at least 1")
-        if self.strength_increment < 0:
-            raise ValueError("strength_increment must not be negative")
         # activity -> its failure windows, so an outcome reads only its own;
         # a plain attribute, not a field, so it takes no part in == or repr
         windows: dict[int, list[FailureWindow]] = {}
@@ -110,23 +107,14 @@ class SonSignature:
 @dataclass
 class SignatureRecord:
     successes: int = 0
-    failures: int = 0
     failure_times: list[LogicalTime] = field(default_factory=list)
 
 
 @dataclass
-class HolonRecord:
-    completed: int = 0
-    failed: int = 0
-
-
-@dataclass
 class ExperienceLedger:
-    """Accumulated memory of overlay outcomes and actor collaboration."""
+    """Accumulated memory of overlay outcomes."""
 
     son_outcomes: dict[SonSignature, SignatureRecord] = field(default_factory=dict)
-    holon_perf: dict[HolonId, HolonRecord] = field(default_factory=dict)
-    strengths: dict[tuple[HolonId, HolonId], float] = field(default_factory=dict)
     # the live promoted SoC of each signature; at most one, since a member
     # set some SoC holds is never promoted again
     promoted: dict[SonSignature, HolonId] = field(default_factory=dict)
@@ -143,8 +131,7 @@ def record_outcome(
 ) -> None:
     """Book one dissolved overlay into the ledger.
 
-    Success strengthens every pairwise connection among the participants by
-    the policy increment, and the success that first reaches the promotion
+    Success is counted, and the success that first reaches the promotion
     threshold puts the signature in ``ledger.ready``; failure is timestamped
     so pruning can look at a sliding window, and a failing promoted
     signature goes into ``ledger.recheck``. Booking a failure at ``t``
@@ -153,35 +140,15 @@ def record_outcome(
     """
     sig = SonSignature.of(son)
     rec = ledger.son_outcomes.setdefault(sig, SignatureRecord())
-    actors = [a for a, _ in son.members]
-    for a in actors:
-        perf = ledger.holon_perf.setdefault(a, HolonRecord())
-        if outcome is Outcome.SUCCESS:
-            perf.completed += 1
-        else:
-            perf.failed += 1
     if outcome is Outcome.SUCCESS:
         rec.successes += 1
         if rec.successes == policy.permanentify_threshold:
             ledger.ready.add(sig)
-        for i, a in enumerate(actors):
-            for b in actors[i + 1 :]:
-                pair = (a, b) if a < b else (b, a)
-                ledger.strengths[pair] = ledger.strengths.get(pair, 0.0) + policy.strength_increment
     else:
-        rec.failures += 1
         del rec.failure_times[: bisect_right(rec.failure_times, t - policy.prune_window)]
         rec.failure_times.append(t)
         if sig in ledger.promoted:
             ledger.recheck.add(sig)
-
-
-def connection_strength(ledger: ExperienceLedger, a: HolonId, b: HolonId) -> float:
-    """Accumulated collaboration strength between two actors; symmetric."""
-    if a == b:
-        return 0.0
-    pair = (a, b) if a < b else (b, a)
-    return ledger.strengths.get(pair, 0.0)
 
 
 @dataclass(frozen=True)

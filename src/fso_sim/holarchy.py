@@ -116,7 +116,6 @@ class ServiceEntry:
 
     provider: HolonId
     role: RoleId
-    topics: frozenset[str] = frozenset()
     registered_at: LogicalTime = 0
     via: HolonId | None = None
 
@@ -129,7 +128,6 @@ class InformationItem:
     """A published piece of information, matched against activity guards."""
 
     topic: str
-    payload: str
     source: HolonId
     published_at: LogicalTime
 
@@ -634,23 +632,3 @@ def _validate_registries(h: Holarchy) -> list[Violation]:
                         Violation("RepresentativeNotRegistered", soc, f"composite member {m} has no proxy entries")
                     )
     return out
-
-
-def spec_of(h: Holarchy) -> HolarchySpec:
-    """Recover the declarative spec of the scenario-original structure."""
-    holons = []
-    for i in sorted(h.holons):
-        node = h.holons[i]
-        if node.origin is not HolonOrigin.SCENARIO:
-            continue
-        if node.is_atomic:
-            holons.append(HolonSpec(i, HolonKind.ATOMIC, capabilities=tuple(sorted(node.capabilities))))
-        else:
-            members = tuple(
-                m for m in node.members
-                if h.holons[m].origin is HolonOrigin.SCENARIO
-            )
-            holons.append(
-                HolonSpec(i, HolonKind.COMPOSITE, members=members, representative=node.representative)
-            )
-    return HolarchySpec(roles=h.roles, holons=tuple(holons))

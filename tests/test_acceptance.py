@@ -88,7 +88,7 @@ def test_criterion_2_resolution_matches_exhaustive_search():
                 soc = rng.choice(h.composites())
                 publish(
                     h.registries[soc],
-                    InformationItem(topic=topic, payload="", source=soc, published_at=0),
+                    InformationItem(topic=topic, source=soc, published_at=0),
                     scenario.activities,
                 )
 

@@ -66,7 +66,7 @@ def act(id=0, topics=("ping",), roles=(0,), data=(), duration=1):
 
 
 def item(topic, t=0, source=0):
-    return InformationItem(topic=topic, payload="", source=source, published_at=t)
+    return InformationItem(topic=topic, source=source, published_at=t)
 
 
 # -- publication -------------------------------------------------------------
@@ -246,7 +246,7 @@ def test_resolve_does_not_see_sibling_data(tower):
 def test_form_and_dissolve_round_trip(tower):
     state = initial_state(tower)
     plan = resolve_request(act(roles=(1, 2), duration=4), 4, tower, state)
-    son = form_son(plan, son_id=0, request_id=7, t=10, state=state, h=tower)
+    son = form_son(plan, son_id=0, t=10, state=state, h=tower)
     assert son.dissolves_at == 14
     assert state.active == {1: Binding(role=1, son_id=0), 2: Binding(role=2, son_id=0)}
     assert state.inactive == {0}
@@ -262,7 +262,7 @@ def test_form_rejects_stale_plans(tower):
     plan = resolve_request(act(roles=(1,)), 4, tower, state)
     enroll(state, tower, 1, 1, son_id=3)
     with pytest.raises(StaleAssignmentError):
-        form_son(plan, son_id=4, request_id=0, t=0, state=state, h=tower)
+        form_son(plan, son_id=4, t=0, state=state, h=tower)
 
 
 def test_form_enrolls_nobody_when_a_member_is_busy(tower):
@@ -273,7 +273,7 @@ def test_form_enrolls_nobody_when_a_member_is_busy(tower):
     # enrolled 0 and 1 before noticing
     enroll(state, tower, 2, 2, son_id=3)
     with pytest.raises(StaleAssignmentError):
-        form_son(plan, son_id=4, request_id=0, t=0, state=state, h=tower)
+        form_son(plan, son_id=4, t=0, state=state, h=tower)
     assert state.active == {2: Binding(role=2, son_id=3)}
     assert state.inactive == {0, 1}
 
@@ -281,7 +281,7 @@ def test_form_enrolls_nobody_when_a_member_is_busy(tower):
 def test_dissolve_releases_nobody_on_a_mismatched_binding(tower):
     state = initial_state(tower)
     plan = resolve_request(act(roles=(0, 1, 2), duration=2), 4, tower, state)
-    son = form_son(plan, son_id=0, request_id=0, t=0, state=state, h=tower)
+    son = form_son(plan, son_id=0, t=0, state=state, h=tower)
     # the last member is rebound to another overlay behind the SON's back
     release(state, 2)
     enroll(state, tower, 2, 2, son_id=1)

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from fso_sim import cli
+from fso_sim import cli, engine
+from fso_sim.canon import CanonError
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -34,10 +35,65 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     assert "missing keys" in capsys.readouterr().err
 
 
+# one holarchy per structural rule the loader enforces while building it
+BROKEN_HOLARCHIES = {
+    "duplicate_id": (
+        [{"id": 0, "kind": "atomic", "capabilities": [0]}, {"id": 0, "kind": "atomic", "capabilities": [0]},
+         {"id": 1, "kind": "composite", "members": [0]}],
+        "declared twice",
+    ),
+    "shared_member": (
+        [{"id": 0, "kind": "atomic", "capabilities": [0]}, {"id": 1, "kind": "composite", "members": [0]},
+         {"id": 2, "kind": "composite", "members": [0]}, {"id": 3, "kind": "composite", "members": [1, 2]}],
+        "member of both",
+    ),
+    "representative_not_member": (
+        [{"id": 0, "kind": "atomic", "capabilities": [0]},
+         {"id": 1, "kind": "composite", "members": [0], "representative": 7}],
+        "is not a member",
+    ),
+    "unknown_role": (
+        [{"id": 0, "kind": "atomic", "capabilities": [3]}, {"id": 1, "kind": "composite", "members": [0]}],
+        "undeclared role",
+    ),
+    "unknown_member": (
+        [{"id": 0, "kind": "atomic", "capabilities": [0]}, {"id": 1, "kind": "composite", "members": [0, 9]}],
+        "unknown member",
+    ),
+    "two_roots": (
+        [{"id": 0, "kind": "atomic", "capabilities": [0]}, {"id": 1, "kind": "composite", "members": [0]},
+         {"id": 2, "kind": "atomic", "capabilities": [0]}, {"id": 3, "kind": "composite", "members": [2]}],
+        "exactly one root",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_HOLARCHIES.values()), ids=list(BROKEN_HOLARCHIES))
+def test_validate_rejects_broken_holarchies(tmp_path, capsys, case):
+    holarchy, needle = case
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    doc["holarchy"] = holarchy
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli("validate", "--scenario", str(path))
+    assert_clean_failure(code, capsys, needle)
+
+
 def test_validate_rejects_missing_file(capsys):
     code = run_cli("validate", "--scenario", "/nowhere/nothing.json")
     assert code == 1
     assert "cannot read scenario" in capsys.readouterr().err
+
+
+def test_run_reports_an_internal_error_without_a_traceback(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise CanonError("staffing broke")
+
+    monkeypatch.setattr(engine, "resolve_request", broken)
+    code = run_cli("run", "--scenario", str(SCENARIOS / "minimal.json"), "--seed", "0")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "internal error: staffing broke\n"
 
 
 def test_enumerate_prints_the_state_count(capsys):

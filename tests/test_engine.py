@@ -89,7 +89,7 @@ def test_load_happy_path():
         ResponseActivity(id=0, trigger_topics=frozenset({"knock"}), required_roles=(0,), duration=2),
     )
     assert s.environment == EnvironmentSpec(sources=(EventSource("knock", 2, ScriptedProcess(times=(1, 2))),))
-    assert s.policy == EvolutionPolicy(100, 100, 100, strength_increment=1.0, failure_injections=())
+    assert s.policy == EvolutionPolicy(100, 100, 100, failure_injections=())
     assert (s.horizon, s.seed, s.retry_bound) == (10, 0, 3)
 
     # every optional key left out, and numbers written as ints
@@ -106,12 +106,23 @@ def test_load_happy_path():
     assert s.holarchy.holons[4].representative is None
     (activity,) = s.activities.activities
     assert activity.duration == 1 and activity.required_data == frozenset()
-    assert s.policy.strength_increment == 1.0 and s.policy.failure_injections == ()
+    assert s.policy.failure_injections == ()
     periodic, poisson = s.environment.sources[1].process, s.environment.sources[2].process
     assert periodic == PeriodicProcess(period=4, offset=0)
     assert poisson == PoissonProcess(rate=2.0) and type(poisson.rate) is float
-    doc["policy"]["strength_increment"] = 3
-    assert type(scenario_from_dict(doc).policy.strength_increment) is float
+
+
+def test_strength_increment_is_accepted_and_has_no_effect():
+    doc = json.loads((SCENARIOS / "promotion.json").read_text())
+    del doc["policy"]["strength_increment"]
+    without = write_trace(run_scenario(scenario_from_dict(doc))[0])
+    for value in (0, 0.5, 7):
+        doc["policy"]["strength_increment"] = value
+        assert write_trace(run_scenario(scenario_from_dict(doc))[0]) == without
+    doc["policy"]["strength_increment"] = -1
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(doc)
+    assert "policy.strength_increment" in str(err.value)
 
 
 def test_load_rejects_broken_json():

@@ -22,7 +22,6 @@ from fso_sim.holarchy import (
     build_holarchy,
     higher_up_of,
     register_initial_services,
-    spec_of,
     validate,
 )
 
@@ -170,13 +169,6 @@ def test_registration_punctualizes_composites(nested):
     }
     ground = nested.registries[4].service_entries
     assert {(e.provider, e.role, e.via) for e in ground} == {(0, 0, None), (1, 1, None)}
-
-
-def test_spec_round_trip(nested):
-    again = build_holarchy(spec_of(nested))
-    assert again.holons == nested.holons
-    assert again.parent == nested.parent
-    assert again.root == nested.root
 
 
 def team(i, members):
