@@ -12,7 +12,6 @@ from pathlib import Path
 from fso_sim import (
     build_holarchy,
     enumerate_activation_space,
-    higher_up_of,
     load_scenario,
     register_initial_services,
     validate,
@@ -32,7 +31,7 @@ def main() -> None:
 
     for soc in h.composites():
         node = h.holons[soc]
-        above = higher_up_of(h, soc)
+        above = h.parent.get(soc)
         above_text = f"inside {above}" if above is not None else "top level"
         print(f"SoC {soc} ({above_text}), representative {node.representative}")
         for m in node.members:

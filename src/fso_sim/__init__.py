@@ -62,7 +62,6 @@ from .holarchy import (
     HolonKind,
     HolonSpec,
     build_holarchy,
-    higher_up_of,
     register_initial_services,
     validate,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "enroll",
     "enumerate_activation_space",
     "form_son",
-    "higher_up_of",
     "initial_state",
     "load_scenario",
     "load_scenario_file",

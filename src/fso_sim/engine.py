@@ -5,10 +5,12 @@ A scenario is a strict UTF-8 JSON document in the format of the shipped
 import, into its own checker, so no third-party package is needed; integers
 must be written without a fraction (``1``, not ``1.0``). It then checks by
 hand only what a schema cannot state: role ids below the number of roles,
-the holarchy's structure, unique activity ids, that each source's topic is
-used by some activity and its injection SoC is an existing composite, that
-scripted times ascend, and that failure windows stop no earlier than they
-start and name existing activities. The simulator turns a scenario into a
+the holarchy's structure (the rules of :func:`fso_sim.holarchy.validate`,
+which :func:`~fso_sim.holarchy.build_holarchy` enforces), unique activity
+ids, that each source's topic is used by some activity and its injection
+SoC is an existing composite, that scripted times ascend, and that failure
+windows stop no earlier than they start and name existing activities. The
+simulator turns a scenario into a
 stream of trace records, one JSON object per line, with integer payloads
 only, so that a (scenario, seed) pair reproduces the same trace byte for byte.
 
@@ -495,8 +497,8 @@ class Simulation:
     """One run over a scenario: deterministic given (scenario, seed).
 
     With debug enabled (FSO_SIM_DEBUG=1 or debug=True) the latent/responding
-    partition and the structural invariants are re-checked after every step
-    and violations raise InvariantViolationError.
+    partition and every rule of :func:`fso_sim.holarchy.validate` are
+    re-checked after every step and violations raise InvariantViolationError.
     """
 
     def __init__(

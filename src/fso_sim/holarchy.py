@@ -6,6 +6,10 @@ an ordered member list and a distinguished representative that stands for
 the whole community one level up. Each SoC owns a registry holding the
 service offers and published information visible at that level.
 
+The structural rules (a tree of nested communities under one composite
+root) are stated once, in :func:`validate`. :func:`build_holarchy` raises
+the first of them a spec breaks; a debug run audits them after every tick.
+
 A run has exactly one holarchy, built by :func:`build_holarchy` and only
 ever touched by the engine's single logical event loop. Registries are its
 everyday mutable surface. Its structure changes in place, through
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Iterator
 
 HolonId = int
 RoleId = int
@@ -60,10 +65,6 @@ class UnknownRoleError(HolarchyError):
 
 
 class UnknownHolonError(HolarchyError):
-    pass
-
-
-class NotCompositeError(HolarchyError):
     pass
 
 
@@ -394,80 +395,35 @@ class Holarchy:
 
 
 def build_holarchy(spec: HolarchySpec) -> Holarchy:
-    """Materialize and validate a holarchy from its declarative spec.
+    """Materialize a holarchy from its declarative spec, or raise its first fault.
 
-    Every composite receives an empty registry; initial service offers are
-    registered separately with :func:`register_initial_services`.
-
-    Raises DuplicateIdError, CycleDetectedError, RepresentativeNotMemberError,
-    UnknownRoleError, UnknownHolonError, or MalformedHolonError when the
-    description violates a structural invariant.
+    Representatives default to the lowest member. Every composite receives
+    an empty registry; initial service offers are registered separately
+    with :func:`register_initial_services`. The first violation of the
+    structural rules of :func:`validate` is raised as its
+    :class:`HolarchyError` subclass; duplicate ids, which a holarchy keyed
+    by id cannot hold, are the one fault checked here.
     """
     holons: dict[HolonId, Holon] = {}
+    parent: dict[HolonId, HolonId] = {}
+    registries: dict[HolonId, Registry] = {}
     for hs in spec.holons:
-        if hs.id < 0:
-            raise MalformedHolonError(f"holon id {hs.id} is negative")
         if hs.id in holons:
             raise DuplicateIdError(f"holon id {hs.id} declared twice")
-        if hs.kind is HolonKind.ATOMIC:
-            if hs.members:
-                raise MalformedHolonError(f"atomic holon {hs.id} lists members")
-            if hs.representative is not None:
-                raise MalformedHolonError(f"atomic holon {hs.id} names a representative")
-            holons[hs.id] = Holon(hs.id, HolonKind.ATOMIC, frozenset(hs.capabilities))
-        else:
-            if hs.capabilities:
-                raise MalformedHolonError(f"composite holon {hs.id} lists capabilities")
-            if not hs.members:
-                raise MalformedHolonError(f"composite holon {hs.id} has no members")
-            rep = hs.representative if hs.representative is not None else min(hs.members)
-            holons[hs.id] = Holon(hs.id, HolonKind.COMPOSITE, members=hs.members, representative=rep)
-
-    for node in holons.values():
-        for role in node.capabilities:
-            if role not in spec.roles:
-                raise UnknownRoleError(f"holon {node.id} claims undeclared role {role}")
-
-    parent: dict[HolonId, HolonId] = {}
-    for node in holons.values():
-        if not node.is_composite:
-            continue
-        for m in node.members:
-            if m not in holons:
-                raise UnknownHolonError(f"SoC {node.id} lists unknown member {m}")
-            if m in parent:
-                raise CycleDetectedError(
-                    f"holon {m} is a member of both {parent[m]} and {node.id}"
-                )
-            parent[m] = node.id
-        if node.representative not in node.members:
-            raise RepresentativeNotMemberError(
-                f"representative {node.representative} is not a member of SoC {node.id}"
-            )
-
-    roots = [i for i in holons if i not in parent]
-    if len(roots) != 1:
-        raise CycleDetectedError(f"membership must have exactly one root, found {sorted(roots)}")
-    root = roots[0]
-    if not holons[root].is_composite:
-        raise MalformedHolonError(f"root holon {root} must be a composite SoC")
-
-    # reachability doubles as the cycle check: with single parents, every
-    # unreachable node would sit on a cycle or under one
-    reachable: set[HolonId] = set()
-    stack = [root]
-    while stack:
-        current = stack.pop()
-        if current in reachable:
-            raise CycleDetectedError(f"membership cycle through holon {current}")
-        reachable.add(current)
-        stack.extend(holons[current].members)
-    if reachable != set(holons):
-        missing = sorted(set(holons) - reachable)
-        raise CycleDetectedError(f"holons {missing} are not reachable from root {root}")
-
-    registries = {i: Registry(owner=i) for i, n in holons.items() if n.is_composite}
-    return Holarchy(holons, parent, root, spec.roles, registries)
+        rep = hs.representative
+        if hs.kind is HolonKind.COMPOSITE:
+            if rep is None and hs.members:
+                rep = min(hs.members)
+            parent.update(dict.fromkeys(hs.members, hs.id))
+            registries[hs.id] = Registry(owner=hs.id)
+        holons[hs.id] = Holon(hs.id, hs.kind, frozenset(hs.capabilities), hs.members, rep)
+    # -1 when every holon is listed somewhere, which the rules reject
+    root = next((i for i in holons if i not in parent), -1)
+    h = Holarchy(holons, parent, root, spec.roles, registries)
+    # a fresh holarchy's registries are empty, so only the structure can fail
+    for v in _structure_violations(h):
+        raise _RAISED_AS[v.code](v.detail)
+    return h
 
 
 def register_initial_services(h: Holarchy, t: LogicalTime = 0) -> None:
@@ -495,100 +451,106 @@ def register_initial_services(h: Holarchy, t: LogicalTime = 0) -> None:
         h.offers_changed(soc)
 
 
-def higher_up_of(h: Holarchy, s: HolonId) -> HolonId | None:
-    """The SoC enclosing composite ``s``, or None when ``s`` is the root."""
-    node = h.holon(s)
-    if not node.is_composite:
-        raise NotCompositeError(f"holon {s} is atomic; only SoCs have higher-ups")
-    return h.parent.get(s)
-
-
 def validate(h: Holarchy) -> list[Violation]:
-    """Check every structural invariant; violations come back as data.
+    """Check every invariant of a holarchy; violations come back as data.
 
-    An empty list means the holarchy is sound. Unlike build_holarchy this
-    never raises: it is meant for auditing a possibly corrupted value.
+    This is the one statement of the holarchy's structural rules:
+    :func:`build_holarchy` raises the first of them, and a debug run audits
+    all of them, with the registry rules, after every tick. An empty list
+    means the holarchy is sound.
     """
-    out: list[Violation] = []
+    return [*_structure_violations(h), *_registry_violations(h)]
 
+
+# how build_holarchy raises each violation a spec can commit; the other
+# codes only a holarchy edited after building can show
+_RAISED_AS: dict[str, type[HolarchyError]] = {
+    "NegativeId": MalformedHolonError,
+    "AtomicWithMembers": MalformedHolonError,
+    "AtomicWithRepresentative": MalformedHolonError,
+    "CapabilityOnComposite": MalformedHolonError,
+    "EmptyComposite": MalformedHolonError,
+    "AtomicRoot": MalformedHolonError,
+    "UnknownRole": UnknownRoleError,
+    "RepresentativeNotMember": RepresentativeNotMemberError,
+    "UnknownMember": UnknownHolonError,
+    "MultipleParents": CycleDetectedError,
+    "RootCount": CycleDetectedError,
+    "Unreachable": CycleDetectedError,
+}
+
+
+def _structure_violations(h: Holarchy) -> Iterator[Violation]:
+    # primary parents, recomputed from raw member lists: only
+    # scenario-original SoCs contribute parental edges
+    parents: dict[HolonId, HolonId] = {}
     for i, node in h.holons.items():
+        if i < 0:
+            yield Violation("NegativeId", i, f"holon id {i} is negative")
         if node.id != i:
-            out.append(Violation("IdMismatch", i, f"keyed {i} but carries id {node.id}"))
+            yield Violation("IdMismatch", i, f"keyed {i} but carries id {node.id}")
         if node.is_atomic:
             if node.members:
-                out.append(Violation("AtomicWithMembers", i, "atomic holon lists members"))
+                yield Violation("AtomicWithMembers", i, f"atomic holon {i} lists members")
             if node.representative is not None:
-                out.append(Violation("AtomicWithRepresentative", i, "atomic holon names a representative"))
+                yield Violation("AtomicWithRepresentative", i, f"atomic holon {i} names a representative")
             for role in node.capabilities:
                 if role not in h.roles:
-                    out.append(Violation("UnknownRole", i, f"capability {role} not in role table"))
-        else:
-            if node.capabilities:
-                out.append(Violation("CapabilityOnComposite", i, "composite holon lists capabilities"))
-            if not node.members:
-                out.append(Violation("EmptyComposite", i, "composite holon has no members"))
-            if node.representative not in node.members:
-                out.append(
-                    Violation("RepresentativeNotMember", i, f"representative {node.representative} not a member")
-                )
-            for m in node.members:
-                if m not in h.holons:
-                    out.append(Violation("UnknownMember", i, f"member {m} does not exist"))
+                    yield Violation("UnknownRole", i, f"holon {i} claims undeclared role {role}")
+            continue
+        if node.capabilities:
+            yield Violation("CapabilityOnComposite", i, f"composite holon {i} lists capabilities")
+        if not node.members:
+            yield Violation("EmptyComposite", i, f"composite holon {i} has no members")
+        for m in node.members:
+            member = h.holons.get(m)
+            if member is None:
+                yield Violation("UnknownMember", i, f"SoC {i} lists unknown member {m}")
+            elif node.origin is HolonOrigin.PERMANENTIFIED:
+                # promoted SoCs are leaf composites holding existing actors
+                if not member.is_atomic:
+                    yield Violation("NonAtomicOverlayMember", i, f"member {m} is not an existing actor")
+            elif m in parents:
+                yield Violation("MultipleParents", m, f"holon {m} is a member of both {parents[m]} and {i}")
+            else:
+                parents[m] = i
+        if node.representative not in node.members:
+            yield Violation(
+                "RepresentativeNotMember", i, f"representative {node.representative} is not a member of SoC {i}"
+            )
 
-    # primary parent structure, recomputed from raw member lists: only
-    # scenario-original SoCs contribute parental edges
-    primary_parents: dict[HolonId, list[HolonId]] = {i: [] for i in h.holons}
-    for i, node in h.holons.items():
-        if node.is_composite and node.origin is HolonOrigin.SCENARIO:
-            for m in node.members:
-                if m in primary_parents:
-                    primary_parents[m].append(i)
-    roots = [i for i, ps in primary_parents.items() if not ps]
-    for i, ps in primary_parents.items():
-        if len(ps) > 1:
-            out.append(Violation("MultipleParents", i, f"contained by SoCs {sorted(ps)}"))
+    roots = [i for i in h.holons if i not in parents]
     if len(roots) != 1:
-        out.append(Violation("RootCount", h.root, f"expected one root, found {sorted(roots)}"))
+        yield Violation("RootCount", h.root, f"membership must have exactly one root, found {sorted(roots)}")
     else:
-        if roots[0] != h.root:
-            out.append(Violation("RootMismatch", h.root, f"recorded root differs from structural root {roots[0]}"))
+        root = roots[0]
+        if root != h.root:
+            yield Violation("RootMismatch", h.root, f"recorded root differs from structural root {root}")
+        if h.holons[root].is_atomic:
+            yield Violation("AtomicRoot", root, f"root holon {root} must be a composite SoC")
+        # with single parents, every unreachable holon sits on a cycle or
+        # under one; a holon met twice on the walk has two parents already
         seen: set[HolonId] = set()
-        stack = [roots[0]]
-        cyclic = False
-        while stack and not cyclic:
+        stack = [root]
+        while stack:
             current = stack.pop()
-            if current in seen:
-                out.append(Violation("MembershipCycle", current, "holon revisited walking member edges"))
-                cyclic = True
-                break
-            seen.add(current)
             node = h.holons.get(current)
-            if node is not None and node.is_composite and node.origin is HolonOrigin.SCENARIO:
-                stack.extend(m for m in node.members if m in h.holons)
-        if not cyclic:
-            for i, ps in primary_parents.items():
-                if ps and i not in seen:
-                    out.append(Violation("Unreachable", i, "not reachable from the root via primary edges"))
+            if current not in seen and node is not None:
+                seen.add(current)
+                if node.is_composite and node.origin is HolonOrigin.SCENARIO:
+                    stack += node.members
+        missing = h.holons.keys() - seen
+        if missing:
+            yield Violation("Unreachable", root, f"holons {sorted(missing)} are not reachable from root {root}")
 
-    # permanentified SoCs are leaf composites over existing atoms
-    for i, node in h.holons.items():
-        if node.is_composite and node.origin is HolonOrigin.PERMANENTIFIED:
-            for m in node.members:
-                member = h.holons.get(m)
-                if member is None or not member.is_atomic:
-                    out.append(Violation("NonAtomicOverlayMember", i, f"member {m} is not an existing actor"))
-
-    # parent map consistency with member lists
-    for child, p in h.parent.items():
-        pnode = h.holons.get(p)
-        if pnode is None or not pnode.is_composite or child not in pnode.members:
-            out.append(Violation("ParentMapInconsistent", child, f"recorded parent {p} does not list it"))
-
-    out.extend(_validate_registries(h))
-    return out
+    if h.parent != parents:
+        for child in sorted(h.parent.keys() | parents.keys()):
+            recorded, listed = h.parent.get(child), parents.get(child)
+            if recorded != listed:
+                yield Violation("ParentMapInconsistent", child, f"recorded parent {recorded}, member lists say {listed}")
 
 
-def _validate_registries(h: Holarchy) -> list[Violation]:
+def _registry_violations(h: Holarchy) -> list[Violation]:
     out: list[Violation] = []
     for soc, reg in h.registries.items():
         node = h.holons.get(soc)

@@ -14,7 +14,7 @@ from typing import Any
 
 from fso_sim.activation import ActivationState
 from fso_sim.canon import ResponseActivity
-from fso_sim.holarchy import Holarchy, HolonId
+from fso_sim.holarchy import Holarchy, HolarchySpec, HolonId
 
 DATA_GAP = -1
 
@@ -87,6 +87,52 @@ def structural_check(h: Holarchy) -> list[str]:
     over = [i for i, c in parent_count.items() if c > 1]
     if over:
         problems.append(f"multiple parents: {over}")
+    return problems
+
+
+def spec_problems(spec: HolarchySpec) -> list[str]:
+    """Every structural fault of a holarchy spec, from its raw fields alone.
+
+    A spec is sound when its ids are unique and non-negative, actors carry
+    only declared roles and no members or representative, communities carry
+    members but no capabilities, every member is declared, a named
+    representative is a member, every holon sits in at most one member
+    list, and exactly one holon, a community, sits in none and reaches all
+    the others through member lists.
+    """
+    problems = []
+    ids = [hs.id for hs in spec.holons]
+    problems += [f"id {i} declared {ids.count(i)} times" for i in sorted(set(ids)) if ids.count(i) > 1]
+    problems += [f"id {i} is negative" for i in sorted(set(ids)) if i < 0]
+    declared = set(ids)
+    listings = [m for hs in spec.holons if hs.kind.value == "composite" for m in hs.members]
+    for hs in spec.holons:
+        if hs.kind.value == "atomic":
+            if hs.members or hs.representative is not None:
+                problems.append(f"actor {hs.id} has members or a representative")
+            problems += [f"actor {hs.id} claims role {r}" for r in hs.capabilities if r not in spec.roles]
+        else:
+            if hs.capabilities or not hs.members:
+                problems.append(f"community {hs.id} has capabilities or no members")
+            problems += [f"community {hs.id} lists undeclared {m}" for m in hs.members if m not in declared]
+            if hs.representative is not None and hs.representative not in hs.members:
+                problems.append(f"community {hs.id} is represented by outsider {hs.representative}")
+    problems += [f"{i} listed {listings.count(i)} times" for i in sorted(declared) if listings.count(i) > 1]
+    tops = sorted(declared - set(listings))
+    if len(tops) != 1:
+        return problems + [f"tops: {tops}"]
+    by_id = {hs.id: hs for hs in spec.holons}
+    if by_id[tops[0]].kind.value != "composite":
+        problems.append(f"top {tops[0]} is an actor")
+    reached = {tops[0]}
+    frontier = [tops[0]]
+    while frontier:
+        hs = by_id[frontier.pop()]
+        fresh = [m for m in hs.members if m in declared and m not in reached] if hs.kind.value == "composite" else []
+        reached.update(fresh)
+        frontier += fresh
+    if reached != declared:
+        problems.append(f"unreached: {sorted(declared - reached)}")
     return problems
 
 

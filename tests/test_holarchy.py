@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from fso_sim.holarchy import (
     CycleDetectedError,
     DuplicateIdError,
+    Holarchy,
+    HolarchyError,
     HolarchySpec,
     Holon,
     HolonKind,
@@ -14,18 +18,17 @@ from fso_sim.holarchy import (
     HolonSpec,
     MalformedHolonError,
     Registry,
-    NotCompositeError,
     RepresentativeNotMemberError,
     ServiceEntry,
     UnknownHolonError,
     UnknownRoleError,
     build_holarchy,
-    higher_up_of,
     register_initial_services,
     validate,
 )
 
-from oracles import parent_scan, structural_check
+from generators import random_scenario_dict
+from oracles import parent_scan, spec_problems, structural_check
 
 
 def atom(i, *caps):
@@ -76,15 +79,8 @@ def test_chain_to_root(nested):
     assert nested.chain_to_root(4) == (4, 6)
     assert nested.chain_to_root(0) == (0, 4, 6)
     assert nested.chain_to_root(6) == (6,)
-
-
-def test_higher_up(nested):
-    assert higher_up_of(nested, 4) == 6
-    assert higher_up_of(nested, 6) is None
-    with pytest.raises(NotCompositeError):
-        higher_up_of(nested, 0)
     with pytest.raises(UnknownHolonError):
-        higher_up_of(nested, 99)
+        nested.chain_to_root(99)
 
 
 def test_duplicate_id_rejected():
@@ -137,6 +133,112 @@ def test_malformed_holons_rejected():
     # an atomic root is not a community
     with pytest.raises(MalformedHolonError):
         build_holarchy(HolarchySpec(frozenset({0}), (atom(0, 0),)))
+
+
+def test_validate_reports_an_atomic_root_and_a_negative_id():
+    lone = Holarchy({0: Holon(0, HolonKind.ATOMIC, frozenset({0}))}, {}, 0, frozenset({0}), {})
+    assert [v.code for v in validate(lone)] == ["AtomicRoot"]
+    negative = Holarchy(
+        {-1: Holon(-1, HolonKind.ATOMIC, frozenset({0})), 1: Holon(1, HolonKind.COMPOSITE, members=(-1,), representative=-1)},
+        {-1: 1},
+        1,
+        frozenset({0}),
+        {1: Registry(owner=1)},
+    )
+    assert [v.code for v in validate(negative)] == ["NegativeId"]
+    with pytest.raises(MalformedHolonError):
+        build_holarchy(HolarchySpec(frozenset({0}), (atom(0, 0),)))
+    with pytest.raises(MalformedHolonError):
+        build_holarchy(HolarchySpec(frozenset({0}), (atom(-1, 0), soc(1, [-1]))))
+
+
+def test_validate_reports_a_parent_map_the_member_lists_disagree_with(nested):
+    del nested.parent[0]
+    nested.parent[1] = 5
+    assert [(v.code, v.holon) for v in validate(nested)] == [("ParentMapInconsistent", 0), ("ParentMapInconsistent", 1)]
+
+
+def _mutate(holons, n_roles, rng):
+    """Break (or, now and then, harmlessly edit) one thing in a holarchy list."""
+    atoms = [h for h in holons if h["kind"] == "atomic"]
+    socs = [h for h in holons if h["kind"] == "composite"]
+    if not socs:
+        return
+    ids = [h["id"] for h in holons]
+    target = rng.choice(socs)
+    edit = rng.choice(["duplicate member", "unknown member", "empty", "outside representative", "undeclared role",
+                       "duplicate id", "negative id", "atomic root", "cycle", "actor with members",
+                       "actor with representative", "community with capabilities", "inside representative"])
+    if edit == "duplicate member":
+        target["members"].append(rng.choice(ids))
+    elif edit == "unknown member":
+        target["members"].append(max(ids) + rng.randint(1, 3))
+    elif edit == "empty":
+        target["members"] = []
+    elif edit == "outside representative":
+        target["representative"] = rng.choice([i for i in ids + [max(ids) + 1] if i not in target["members"]])
+    elif edit == "undeclared role":
+        rng.choice(atoms)["capabilities"].append(n_roles + rng.randint(0, 2))
+    elif edit == "duplicate id":
+        rng.choice(holons)["id"] = rng.choice(ids)
+    elif edit == "negative id":
+        # renumbered everywhere, so a negative id is the only fault it adds
+        old = rng.choice(ids)
+        for h in holons:
+            h["id"] = -1 - old if h["id"] == old else h["id"]
+            if "members" in h:
+                h["members"] = [-1 - old if m == old else m for m in h["members"]]
+            if h.get("representative") == old:
+                h["representative"] = -1 - old
+    elif edit == "cycle":
+        # the target hangs under itself only, cut off from the root
+        for h in socs:
+            h["members"] = [m for m in h["members"] if m != target["id"]]
+        target["members"].append(target["id"])
+    elif edit == "actor with members":
+        rng.choice(atoms)["members"] = [rng.choice(ids)]
+    elif edit == "actor with representative":
+        rng.choice(atoms)["representative"] = rng.choice(ids)
+    elif edit == "community with capabilities":
+        target["capabilities"] = [0]
+    elif edit == "inside representative":
+        target["representative"] = rng.choice(target["members"] or [0])
+    else:
+        holons[:] = [rng.choice(atoms)]
+
+
+def test_build_raises_exactly_on_the_specs_the_oracle_faults():
+    built = rejected = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        doc = random_scenario_dict(seed)
+        n_roles = len(doc["roles"])
+        holons = doc["holarchy"]
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            _mutate(holons, n_roles, rng)
+        spec = HolarchySpec(
+            roles=frozenset(range(n_roles)),
+            holons=tuple(
+                HolonSpec(
+                    h["id"],
+                    HolonKind(h["kind"]),
+                    tuple(h.get("capabilities", ())),
+                    tuple(h.get("members", ())),
+                    h.get("representative"),
+                )
+                for h in holons
+            ),
+        )
+        problems = spec_problems(spec)
+        if problems:
+            with pytest.raises(HolarchyError):
+                build_holarchy(spec)
+            rejected += 1
+        else:
+            h = build_holarchy(spec)
+            assert validate(h) == [] and structural_check(h) == []
+            built += 1
+    assert built > 50 and rejected > 150
 
 
 def test_validate_clean_after_build(nested):
