@@ -16,20 +16,27 @@ lexicographically least workable assignment.
 
 Escalation only ever widens the view, so a request keeps one candidate pool
 and grows it hop by hop: hop k merges in the registry of the k-th SoC on the
-chain and nothing else. The pool holds only the roles the activity asks
-for, each mapping an idle actor to its best (registered_at, actor) key; a
-key is a minimum over entries, so the merge order does not matter.
+chain and nothing else. An activity with ``s`` role slots never needs more
+than each role's best ``s`` idle candidates (see :func:`_solve`), so that is
+all the pool keeps: per role the activity asks for, a sorted list of at most
+``s`` idle ``(registered_at, actor)`` keys, best first, one per actor at its
+smallest key over the registries merged so far. A key is a minimum over
+entries, so the merge order does not matter.
 
 A registry is read through the holarchy's ranked offer view
 (:meth:`Holarchy.ranked_offers`): per role, every actor it offers, once,
 best key first, with punctualized entries already unfolded. The view is
 built on first use and again only after that registry's service entries
-change. An activity with ``s`` role slots never needs more than each
-role's best ``s`` idle candidates (see :func:`_solve`), so a hop takes the
-first ``s`` idle actors of each view and stops, and matching looks at no
-more than ``s`` candidates per role. Data topics come from each registry's
-maintained topic set, and are not looked at when the activity needs no
-data.
+change. A hop reads each view from the front and stops after ``s`` idle
+actors, or sooner at the first key the full list would not take. Data
+topics come from each registry's maintained topic set, and only the topics
+the activity needs are kept.
+
+Each solve builds one matching of slots to candidates and reads both
+answers from it: which slots cannot be covered, and the least assignment.
+A hop that changes no role's list and adds no needed data topic gives the
+solver the input the previous hop gave it, so it is not solved again: its
+answer is the previous hop's ``Missing``.
 """
 
 from __future__ import annotations
@@ -227,70 +234,58 @@ def publish(
 
 # -- candidate pools --------------------------------------------------------
 
-# role -> {idle actor: (registered_at, actor)}, for the roles one activity needs
-Pool = dict[RoleId, dict[HolonId, tuple[LogicalTime, HolonId]]]
+# role -> its best s idle (registered_at, actor) keys, best first, one per
+# actor, for the roles one activity needs
+Pool = dict[RoleId, list[tuple[LogicalTime, HolonId]]]
 
 
 def _empty_pool(activity: ResponseActivity) -> Pool:
-    return {role: {} for role in activity.required_roles}
+    return {role: [] for role in activity.required_roles}
 
 
-def _grow_pool(pool: Pool, h: Holarchy, soc: HolonId, state: ActivationState, s: int) -> None:
-    """Merge the best ``s`` idle candidates per role of ``soc``'s registry into the pool.
+def _grow_pool(pool: Pool, h: Holarchy, soc: HolonId, state: ActivationState, s: int) -> bool:
+    """Merge ``soc``'s registry into the pool; return whether any role's list changed.
 
-    Each role's ranked offer view is read from the front, skipping busy
-    actors, and left after ``s`` idle ones. An actor the pool already holds
-    keeps the smaller of its keys, so the pool's best ``s`` per role are the
-    best ``s`` of all registries merged so far: an actor among those is
-    among the best ``s`` of the registry that gives it its key.
+    Each role keeps a sorted list of at most ``s`` idle keys, one per
+    actor at the smallest key any merged registry gave it: the best ``s``
+    of all registries merged so far. Cutting a list back to ``s`` loses
+    nothing. An actor that falls off is beaten by ``s`` others whose keys
+    only get smaller, so it can come back only with a smaller key from a
+    later registry, and that key is then its minimum. Each role's ranked
+    offer view is read from the front, skipping busy actors. It is left
+    after ``s`` idle actors, since those ``s`` beat any later one, or at
+    the first key the full list would not take, since later keys are
+    larger.
     """
     idle = state.inactive
-    for role, ranked in pool.items():
+    changed = False
+    for role, best in pool.items():
         left = s
         for key in h.ranked_offers(soc, role):
             a = key[1]
-            if a in idle:
-                best = ranked.get(a)
-                if best is None or key < best:
-                    ranked[a] = key
-                left -= 1
-                if not left:
+            if a not in idle:
+                continue
+            if len(best) == s and key >= best[-1]:
+                break
+            for i, held in enumerate(best):
+                if held[1] == a:
+                    if key < held:
+                        best[i] = key
+                        best.sort()
+                        changed = True
                     break
+            else:
+                best.append(key)
+                best.sort()
+                del best[s:]
+                changed = True
+            left -= 1
+            if not left:
+                break
+    return changed
 
 
 # -- role slot matching ------------------------------------------------------
-
-
-def _candidates_per_slot(slots: tuple[RoleId, ...], pool: Pool) -> list[list[HolonId]]:
-    """Each slot's best ``len(slots)`` candidates for its role, best first."""
-    s = len(slots)
-    ranked = {role: [a for _, a in sorted(pool[role].values())[:s]] for role in pool}
-    return [ranked[role] for role in slots]
-
-
-def _can_complete(
-    per_slot: list[list[HolonId]],
-    pending: list[int],
-    taken: set[HolonId],
-) -> bool:
-    """Is there a perfect matching of the pending slots onto free actors?"""
-    match_of_actor: dict[HolonId, int] = {}
-
-    def augment(i: int, visited: set[HolonId]) -> bool:
-        for a in per_slot[i]:
-            if a in taken or a in visited:
-                continue
-            visited.add(a)
-            j = match_of_actor.get(a)
-            if j is None or augment(j, visited):
-                match_of_actor[a] = i
-                return True
-        return False
-
-    for i in pending:
-        if not augment(i, set()):
-            return False
-    return True
 
 
 def _solve(
@@ -313,38 +308,72 @@ def _solve(
     smaller matching. The same swap shows that every completability test
     finds a matching on the best ``s`` exactly when it finds one on all
     candidates.
+
+    One matching serves every test. ``missing`` comes from a single Kuhn
+    pass: augment from each slot in order, and the slot is missing exactly
+    when its augment fails. The slots kept so far are perfectly matched,
+    so slot ``i`` is the only free vertex on the slot side, and by Berge's
+    theorem the kept slots plus ``i`` have a perfect matching exactly when
+    an augmenting path starts at ``i``. An augment takes a free candidate
+    when it has one, a path of length one, before it looks for longer
+    paths, and a failed augment writes nothing.
+
+    The least assignment then walks the slots in order, holding slots
+    before ``i`` fixed and the rest perfectly matched. Only candidates
+    ranked before slot ``i``'s current actor can improve on it. A free one
+    swaps in and the matching stays perfect. One held by a fixed slot is
+    taken. One held by a later slot ``j`` moves to ``i``, freeing the old
+    actor; then ``j`` is the only free slot among the later ones, so by
+    Berge again they can be completed exactly when an augment from ``j``
+    that avoids the fixed actors and the candidate succeeds. If it fails,
+    the move is undone.
     """
     slots = activity.required_roles
-    per_slot = _candidates_per_slot(slots, pool)
+    per_slot = [pool[role] for role in slots]
+    slot_of: dict[HolonId, int] = {}
+    actor_of: list[HolonId | None] = [None] * len(slots)
 
-    missing_roles: list[int] = []
-    coverable: list[int] = []
-    for i in range(len(slots)):
-        if _can_complete(per_slot, coverable + [i], set()):
-            coverable.append(i)
-        else:
-            missing_roles.append(slots[i])
+    def augment(i: int, visited: set[HolonId]) -> bool:
+        keys = per_slot[i]
+        for _, a in keys:
+            if a not in slot_of and a not in visited:
+                slot_of[a] = i
+                actor_of[i] = a
+                return True
+        for _, a in keys:
+            if a not in visited:
+                visited.add(a)
+                if augment(slot_of[a], visited):
+                    slot_of[a] = i
+                    actor_of[i] = a
+                    return True
+        return False
 
+    missing_roles = [role for i, role in enumerate(slots) if not augment(i, set())]
     missing_data = sorted(activity.required_data - available_data)
 
     if missing_roles or missing_data:
         return Missing(tuple(missing_roles) + (DATA_MISSING,) * len(missing_data))
 
-    assignment: list[tuple[HolonId, RoleId]] = []
     taken: set[HolonId] = set()
-    for i, role in enumerate(slots):
-        rest = list(range(i + 1, len(slots)))
-        chosen = None
-        for a in per_slot[i]:
-            if a in taken:
-                continue
-            if _can_complete(per_slot, rest, taken | {a}):
-                chosen = a
+    for i, keys in enumerate(per_slot):
+        current = actor_of[i]
+        for _, c in keys:
+            if c == current:
                 break
-        assert chosen is not None, "perfect matching vanished mid-assignment"
-        taken.add(chosen)
-        assignment.append((chosen, role))
-    return Enabled(tuple(assignment))
+            if c in taken:
+                continue
+            j = slot_of.get(c)
+            del slot_of[current]
+            slot_of[c] = i
+            actor_of[i] = c
+            if j is None or augment(j, taken | {c}):
+                break
+            slot_of[current] = i
+            slot_of[c] = j
+            actor_of[i] = current
+        taken.add(actor_of[i])
+    return Enabled(tuple(zip(actor_of, slots)))
 
 
 # -- the two canon rules, applied along the chain to the root -----------------
@@ -364,8 +393,9 @@ def resolve_request(
     widens the view: the community at hop k works with the registries of the
     whole visited chain, so information published below stays usable above.
     The pool and the data topics seen so far carry over from hop to hop, and
-    hop k adds only the k-th registry. Escalation hops are recorded for the
-    trace.
+    hop k adds only the k-th registry. A hop after the first that changes
+    neither reuses the previous hop's ``Missing`` instead of solving.
+    Escalation hops are recorded for the trace.
     """
     node = h.holons.get(start_soc)
     if node is None or not node.is_composite:
@@ -378,10 +408,12 @@ def resolve_request(
     s = len(activity.required_roles)
     data: set[str] = set()
     for k, soc in enumerate(full_chain):
-        _grow_pool(pool, h, soc, state, s)
+        changed = _grow_pool(pool, h, soc, state, s)
         if activity.required_data:
-            data |= h.registries[soc].topics
-        result = _solve(activity, pool, data)
+            seen = len(data)
+            data |= activity.required_data & h.registries[soc].topics
+            changed = changed or len(data) > seen
+        result = _solve(activity, pool, data) if changed or outcome is None else outcome
         if isinstance(result, Enabled):
             spanned = {start_soc}
             for a, _ in result.assignment:

@@ -4,7 +4,9 @@ Everything here recomputes results from first principles: parent links are
 re-derived from raw member lists, the activation space is counted by
 explicit enumeration, and request resolution is settled by exhaustive
 search over all injective role assignments. None of it calls the library's
-own search or counting code.
+own search or counting code. The staffing solver is also checked against
+:func:`greedy_solve`, the plain per-slot greedy that builds a fresh
+matching for every completability test.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import itertools
 from typing import Any
 
 from fso_sim.activation import ActivationState
-from fso_sim.canon import ResponseActivity
-from fso_sim.holarchy import Holarchy, HolarchySpec, HolonId
+from fso_sim.canon import DATA_MISSING, Enabled, Missing, ResponseActivity
+from fso_sim.holarchy import Holarchy, HolarchySpec, HolonId, LogicalTime, RoleId
 
 DATA_GAP = -1
 
@@ -266,6 +268,98 @@ def full_pool_resolve(
         "hop_count": len(chain) - 1,
         "missing": last_missing,
     }
+
+
+# -- the per-slot greedy solver ----------------------------------------------
+
+# role -> {idle actor: (registered_at, actor)}: every candidate, nothing cut
+FullPool = dict[RoleId, dict[HolonId, tuple[LogicalTime, HolonId]]]
+
+
+def _candidates_per_slot(slots: tuple[RoleId, ...], pool: FullPool) -> list[list[HolonId]]:
+    """Each slot's best ``len(slots)`` candidates for its role, best first."""
+    s = len(slots)
+    ranked = {role: [a for _, a in sorted(pool[role].values())[:s]] for role in pool}
+    return [ranked[role] for role in slots]
+
+
+def _can_complete(
+    per_slot: list[list[HolonId]],
+    pending: list[int],
+    taken: set[HolonId],
+) -> bool:
+    """Is there a perfect matching of the pending slots onto free actors?"""
+    match_of_actor: dict[HolonId, int] = {}
+
+    def augment(i: int, visited: set[HolonId]) -> bool:
+        for a in per_slot[i]:
+            if a in taken or a in visited:
+                continue
+            visited.add(a)
+            j = match_of_actor.get(a)
+            if j is None or augment(j, visited):
+                match_of_actor[a] = i
+                return True
+        return False
+
+    for i in pending:
+        if not augment(i, set()):
+            return False
+    return True
+
+
+def greedy_solve(
+    activity: ResponseActivity,
+    pool: FullPool,
+    available_data: set[str],
+) -> Enabled | Missing:
+    """Staff the activity's role slots from the pool, or say what is missing.
+
+    Slots are filled in sorted role order with the smallest-ranked actor
+    that still leaves the rest completable, which makes the chosen
+    assignment the lexicographically least perfect matching. When no
+    perfect matching exists the uncoverable slots are reported, greedily:
+    slots kept while a matching still extends over them form a maximum one.
+
+    Each slot sees only its role's best ``s = len(slots)`` candidates, and
+    that changes no answer. Were a slot of the least matching held by an
+    actor ranked below them, one of them would be free, since the other
+    slots hold at most ``s - 1`` actors, and swapping it in would give a
+    smaller matching. The same swap shows that every completability test
+    finds a matching on the best ``s`` exactly when it finds one on all
+    candidates.
+    """
+    slots = activity.required_roles
+    per_slot = _candidates_per_slot(slots, pool)
+
+    missing_roles: list[int] = []
+    coverable: list[int] = []
+    for i in range(len(slots)):
+        if _can_complete(per_slot, coverable + [i], set()):
+            coverable.append(i)
+        else:
+            missing_roles.append(slots[i])
+
+    missing_data = sorted(activity.required_data - available_data)
+
+    if missing_roles or missing_data:
+        return Missing(tuple(missing_roles) + (DATA_MISSING,) * len(missing_data))
+
+    assignment: list[tuple[HolonId, RoleId]] = []
+    taken: set[HolonId] = set()
+    for i, role in enumerate(slots):
+        rest = list(range(i + 1, len(slots)))
+        chosen = None
+        for a in per_slot[i]:
+            if a in taken:
+                continue
+            if _can_complete(per_slot, rest, taken | {a}):
+                chosen = a
+                break
+        assert chosen is not None, "perfect matching vanished mid-assignment"
+        taken.add(chosen)
+        assignment.append((chosen, role))
+    return Enabled(tuple(assignment))
 
 
 # -- trace level checks -------------------------------------------------------

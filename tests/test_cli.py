@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fso_sim import cli, engine
 from fso_sim.canon import CanonError
@@ -342,3 +345,74 @@ def test_closed_stdout_pipe_ends_quietly(lines_read):
     # a reader that closes before anything is written always breaks the
     # pipe; one that reads a line first may race the last write
     assert code == 1 if lines_read == 0 else code in (0, 1)
+
+
+# -- fuzzing: mutated scenarios and traces exit 0 or 1, never a traceback ----
+
+SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
+# values of every JSON type, for a field that expects another
+OTHER_TYPES = [None, True, "x", 1.5, [], {}, [0], {"k": 0}]
+# numbers outside what a field allows, or at the edge of it
+OUT_OF_RANGE = [-1, 0, -(1 << 63), 1 << 64, 10**18, 0.5, 1e300]
+
+
+def _paths(node, at=()):
+    """The path of every value in a JSON document, the document included."""
+    yield at
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, at + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three values deleted, retyped or pushed out of range."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        how = draw(st.sampled_from(["delete", "retype", "out_of_range"]))
+        value = copy.deepcopy(draw(st.sampled_from(OUT_OF_RANGE if how == "out_of_range" else OTHER_TYPES)))
+        if not path:
+            doc = {} if how == "delete" else value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def assert_exits_cleanly(code, capsys):
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), name=st.sampled_from(sorted(SHIPPED)))
+def test_mutated_scenarios_exit_zero_or_one(tmp_path, capsys, data, name):
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(data.draw(mutated(SHIPPED[name]), label="scenario")))
+    assert_exits_cleanly(run_cli("validate", "--scenario", str(path)), capsys)
+    assert_exits_cleanly(run_cli("run", "--scenario", str(path), "--seed", "1", "--horizon", "50"), capsys)
+    assert_exits_cleanly(run_cli("enumerate", "--scenario", str(path)), capsys)
+
+
+@pytest.fixture(scope="module")
+def shipped_trace():
+    trace, _ = engine.run_scenario(engine.load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=7)
+    return [json.loads(line) for line in engine.write_trace(trace).splitlines()]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_traces_exit_zero_or_one(tmp_path, capsys, shipped_trace, data):
+    records = list(shipped_trace)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        i = data.draw(st.integers(0, len(records) - 1), label="line")
+        records[i] = data.draw(mutated(records[i]), label=f"record {i}")
+    path = tmp_path / "mutant.trace"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert_exits_cleanly(run_cli("report", "--trace", str(path)), capsys)
