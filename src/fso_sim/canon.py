@@ -29,14 +29,10 @@ best key first, with punctualized entries already unfolded. The view is
 built on first use and again only after that registry's service entries
 change. A hop reads each view from the front and stops after ``s`` idle
 actors, or sooner at the first key the full list would not take. Data
-topics come from each registry's maintained topic set, and only the topics
-the activity needs are kept.
+topics come from each registry's maintained topic set.
 
 Each solve builds one matching of slots to candidates and reads both
 answers from it: which slots cannot be covered, and the least assignment.
-A hop that changes no role's list and adds no needed data topic gives the
-solver the input the previous hop gave it, so it is not solved again: its
-answer is the previous hop's ``Missing``.
 """
 
 from __future__ import annotations
@@ -243,8 +239,8 @@ def _empty_pool(activity: ResponseActivity) -> Pool:
     return {role: [] for role in activity.required_roles}
 
 
-def _grow_pool(pool: Pool, h: Holarchy, soc: HolonId, state: ActivationState, s: int) -> bool:
-    """Merge ``soc``'s registry into the pool; return whether any role's list changed.
+def _grow_pool(pool: Pool, h: Holarchy, soc: HolonId, state: ActivationState, s: int) -> None:
+    """Merge ``soc``'s registry into the pool.
 
     Each role keeps a sorted list of at most ``s`` idle keys, one per
     actor at the smallest key any merged registry gave it: the best ``s``
@@ -258,7 +254,6 @@ def _grow_pool(pool: Pool, h: Holarchy, soc: HolonId, state: ActivationState, s:
     larger.
     """
     idle = state.inactive
-    changed = False
     for role, best in pool.items():
         left = s
         for key in h.ranked_offers(soc, role):
@@ -272,17 +267,14 @@ def _grow_pool(pool: Pool, h: Holarchy, soc: HolonId, state: ActivationState, s:
                     if key < held:
                         best[i] = key
                         best.sort()
-                        changed = True
                     break
             else:
                 best.append(key)
                 best.sort()
                 del best[s:]
-                changed = True
             left -= 1
             if not left:
                 break
-    return changed
 
 
 # -- role slot matching ------------------------------------------------------
@@ -393,9 +385,8 @@ def resolve_request(
     widens the view: the community at hop k works with the registries of the
     whole visited chain, so information published below stays usable above.
     The pool and the data topics seen so far carry over from hop to hop, and
-    hop k adds only the k-th registry. A hop after the first that changes
-    neither reuses the previous hop's ``Missing`` instead of solving.
-    Escalation hops are recorded for the trace.
+    hop k adds only the k-th registry. Escalation hops are recorded for the
+    trace.
     """
     node = h.holons.get(start_soc)
     if node is None or not node.is_composite:
@@ -408,12 +399,10 @@ def resolve_request(
     s = len(activity.required_roles)
     data: set[str] = set()
     for k, soc in enumerate(full_chain):
-        changed = _grow_pool(pool, h, soc, state, s)
+        _grow_pool(pool, h, soc, state, s)
         if activity.required_data:
-            seen = len(data)
-            data |= activity.required_data & h.registries[soc].topics
-            changed = changed or len(data) > seen
-        result = _solve(activity, pool, data) if changed or outcome is None else outcome
+            data |= h.registries[soc].topics
+        result = _solve(activity, pool, data)
         if isinstance(result, Enabled):
             spanned = {start_soc}
             for a, _ in result.assignment:

@@ -4,9 +4,7 @@ Everything here recomputes results from first principles: parent links are
 re-derived from raw member lists, the activation space is counted by
 explicit enumeration, and request resolution is settled by exhaustive
 search over all injective role assignments. None of it calls the library's
-own search or counting code. The staffing solver is also checked against
-:func:`greedy_solve`, the plain per-slot greedy that builds a fresh
-matching for every completability test.
+own search or counting code.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import itertools
 from typing import Any
 
 from fso_sim.activation import ActivationState
-from fso_sim.canon import DATA_MISSING, Enabled, Missing, ResponseActivity
+from fso_sim.canon import Enabled, Missing, ResponseActivity
 from fso_sim.holarchy import Holarchy, HolarchySpec, HolonId, LogicalTime, RoleId
 
 DATA_GAP = -1
@@ -270,96 +268,33 @@ def full_pool_resolve(
     }
 
 
-# -- the per-slot greedy solver ----------------------------------------------
-
-# role -> {idle actor: (registered_at, actor)}: every candidate, nothing cut
-FullPool = dict[RoleId, dict[HolonId, tuple[LogicalTime, HolonId]]]
+# -- the pool-level solver -----------------------------------------------------
 
 
-def _candidates_per_slot(slots: tuple[RoleId, ...], pool: FullPool) -> list[list[HolonId]]:
-    """Each slot's best ``len(slots)`` candidates for its role, best first."""
-    s = len(slots)
-    ranked = {role: [a for _, a in sorted(pool[role].values())[:s]] for role in pool}
-    return [ranked[role] for role in slots]
-
-
-def _can_complete(
-    per_slot: list[list[HolonId]],
-    pending: list[int],
-    taken: set[HolonId],
-) -> bool:
-    """Is there a perfect matching of the pending slots onto free actors?"""
-    match_of_actor: dict[HolonId, int] = {}
-
-    def augment(i: int, visited: set[HolonId]) -> bool:
-        for a in per_slot[i]:
-            if a in taken or a in visited:
-                continue
-            visited.add(a)
-            j = match_of_actor.get(a)
-            if j is None or augment(j, visited):
-                match_of_actor[a] = i
-                return True
-        return False
-
-    for i in pending:
-        if not augment(i, set()):
-            return False
-    return True
-
-
-def greedy_solve(
+def brute_force_solve(
     activity: ResponseActivity,
-    pool: FullPool,
+    pool: dict[RoleId, list[tuple[LogicalTime, HolonId]]],
     available_data: set[str],
 ) -> Enabled | Missing:
-    """Staff the activity's role slots from the pool, or say what is missing.
+    """Staff the slots from each role's ranked ``(registered_at, actor)`` list.
 
-    Slots are filled in sorted role order with the smallest-ranked actor
-    that still leaves the rest completable, which makes the chosen
-    assignment the lexicographically least perfect matching. When no
-    perfect matching exists the uncoverable slots are reported, greedily:
-    slots kept while a matching still extends over them form a maximum one.
-
-    Each slot sees only its role's best ``s = len(slots)`` candidates, and
-    that changes no answer. Were a slot of the least matching held by an
-    actor ranked below them, one of them would be free, since the other
-    slots hold at most ``s - 1`` actors, and swapping it in would give a
-    smaller matching. The same swap shows that every completability test
-    finds a matching on the best ``s`` exactly when it finds one on all
-    candidates.
+    A slot is missing when the kept slots plus it have no injective
+    assignment; the plan is the first injective tuple of the product of
+    the ranked lists, which is the least by rank, slot by slot.
     """
     slots = activity.required_roles
-    per_slot = _candidates_per_slot(slots, pool)
-
-    missing_roles: list[int] = []
-    coverable: list[int] = []
-    for i in range(len(slots)):
-        if _can_complete(per_slot, coverable + [i], set()):
-            coverable.append(i)
-        else:
-            missing_roles.append(slots[i])
-
-    missing_data = sorted(activity.required_data - available_data)
-
-    if missing_roles or missing_data:
-        return Missing(tuple(missing_roles) + (DATA_MISSING,) * len(missing_data))
-
-    assignment: list[tuple[HolonId, RoleId]] = []
-    taken: set[HolonId] = set()
+    cands = [[a for _, a in pool[role]] for role in slots]
+    covered: list[list[HolonId]] = []
+    missing: list[int] = []
     for i, role in enumerate(slots):
-        rest = list(range(i + 1, len(slots)))
-        chosen = None
-        for a in per_slot[i]:
-            if a in taken:
-                continue
-            if _can_complete(per_slot, rest, taken | {a}):
-                chosen = a
-                break
-        assert chosen is not None, "perfect matching vanished mid-assignment"
-        taken.add(chosen)
-        assignment.append((chosen, role))
-    return Enabled(tuple(assignment))
+        if _has_injective(covered + [cands[i]]):
+            covered.append(cands[i])
+        else:
+            missing.append(role)
+    missing += [DATA_GAP] * len(activity.required_data - available_data)
+    if missing:
+        return Missing(tuple(missing))
+    return Enabled(tuple(zip(next(_injective_assignments(cands)), slots)))
 
 
 # -- trace level checks -------------------------------------------------------

@@ -14,16 +14,12 @@ from fso_sim.canon import (
     DATA_MISSING,
     ActivityTable,
     BindingMismatchError,
-    Enabled,
-    Missing,
     PrematureDissolveError,
     ResponseActivity,
     SonPlan,
     StaleAssignmentError,
     UnknownTopicError,
     Unresolved,
-    _empty_pool,
-    _grow_pool,
     _solve,
     dissolve_son,
     form_son,
@@ -43,7 +39,7 @@ from fso_sim.holarchy import (
     register_initial_services,
 )
 
-from oracles import full_pool_resolve, greedy_solve, oracle_resolve
+from oracles import brute_force_solve, full_pool_resolve, oracle_resolve
 
 
 def atom(i, *caps):
@@ -451,12 +447,12 @@ def test_solver_agrees_with_the_full_pool_under_mixed_registration_times(data):
         assert (got.hop_count, got.missing) == (want["hop_count"], want["missing"])
 
 
-# -- the one-matching solver against the per-slot greedy ---------------------
+# -- the one-matching solver against brute force -----------------------------
 
 
 @st.composite
 def solver_cases(draw):
-    """Slots, every candidate per role, and the data on hand.
+    """Slots, each role's best ``len(slots)`` keys, and the data on hand.
 
     Few actors with tied registration times crowd the slots, so the
     matching has to reroute along deep alternating paths, which the
@@ -465,95 +461,21 @@ def solver_cases(draw):
     n_roles = draw(st.integers(1, 3))
     slots = tuple(sorted(draw(st.integers(0, n_roles - 1)) for _ in range(draw(st.integers(1, 6)))))
     actors = range(draw(st.integers(1, 8)))
-    full = {
-        role: {a: (draw(st.integers(0, 3)), a) for a in actors if draw(st.booleans())}
+    pool = {
+        role: sorted((draw(st.integers(0, 3)), a) for a in actors if draw(st.booleans()))[: len(slots)]
         for role in sorted(set(slots))
     }
     needs = draw(st.frozensets(st.sampled_from("xy")))
     available = draw(st.frozensets(st.sampled_from("xy")))
-    return slots, full, needs, available
+    return slots, pool, needs, available
 
 
 @settings(max_examples=400, deadline=None)
 @given(solver_cases())
 # slot 0 first takes actor 0, which the role-1 slot needs; taking it back
 # must reroute slot 1, and a failed try must be undone
-@example(((0, 0, 1), {0: {0: (0, 0), 1: (0, 1), 2: (0, 2)}, 1: {0: (1, 0)}}, frozenset(), frozenset()))
-def test_solver_agrees_with_the_per_slot_greedy(case):
-    slots, full, needs, available = case
+@example(((0, 0, 1), {0: [(0, 0), (0, 1), (0, 2)], 1: [(1, 0)]}, frozenset(), frozenset()))
+def test_solver_agrees_with_brute_force_on_the_pool(case):
+    slots, pool, needs, available = case
     activity = act(roles=slots, data=needs)
-    pool = {role: sorted(offers.values())[: len(slots)] for role, offers in full.items()}
-    assert _solve(activity, pool, set(available)) == greedy_solve(activity, full, set(available))
-
-
-# -- a hop that changes nothing is not solved again --------------------------
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_a_hop_that_changes_nothing_keeps_the_previous_missing(data):
-    # three floors: start SoC n, its parent n + 1, the root n + 2
-    n_atoms = data.draw(st.integers(1, 7), label="atoms")
-    caps = [data.draw(st.frozensets(st.integers(0, 2), max_size=2), label=f"caps{a}") for a in range(n_atoms)]
-    low = data.draw(st.integers(1, n_atoms), label="low")
-    mid = data.draw(st.integers(low, n_atoms), label="mid")
-    holons = [HolonSpec(a, HolonKind.ATOMIC, capabilities=tuple(sorted(caps[a]))) for a in range(n_atoms)]
-    holons += [
-        soc(n_atoms, range(low)),
-        soc(n_atoms + 1, [n_atoms, *range(low, mid)]),
-        soc(n_atoms + 2, [n_atoms + 1, *range(mid, n_atoms)]),
-    ]
-    h = build(*holons)
-    keys = [(s, e.provider, e.role, e.via) for s, reg in sorted(h.registries.items()) for e in reg.service_entries]
-    stamps = data.draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)), label="stamps")
-    restamp(h, dict(zip(keys, stamps)))
-
-    roles = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4), label="roles")
-    needs = data.draw(st.frozensets(st.sampled_from("xy")), label="needs")
-    activity = act(roles=roles, data=needs)
-    table = ActivityTable(activities=(activity,))
-    for topic in sorted(needs):
-        at = data.draw(st.sampled_from([None, n_atoms, n_atoms + 1, n_atoms + 2]), label=f"published{topic}")
-        if at is not None:
-            publish(h.registries[at], item(topic), table)
-
-    state = initial_state(h)
-    for a in sorted(data.draw(st.frozensets(st.sampled_from(range(n_atoms))), label="busy")):
-        if caps[a]:
-            enroll(state, h, a, min(caps[a]), son_id=99)
-
-    # replay the hops, solving every one of them afresh
-    pool, seen, solved = _empty_pool(activity), set(), []
-    for hop, at in enumerate(h.chain_to_root(n_atoms)):
-        before = {role: list(best) for role, best in pool.items()}
-        changed = _grow_pool(pool, h, at, state, len(activity.required_roles))
-        assert changed == (pool != before)
-        topics = seen | (h.registries[at].topics & needs)
-        result = _solve(activity, pool, topics)
-        if hop and not changed and topics == seen:
-            assert result == solved[-1]
-        seen = topics
-        solved.append(result)
-        if isinstance(result, Enabled):
-            break
-
-    got = resolve_request(activity, n_atoms, h, state)
-    assert [hop.missing for hop in got.hops] == [m.missing for m in solved[:-1]]
-    if isinstance(got, SonPlan):
-        assert solved[-1] == Enabled(got.assignment)
-    else:
-        assert Missing(got.missing) == solved[-1]
-
-
-def test_a_hop_that_adds_only_required_data_is_solved_again(tower):
-    needs = act(roles=(0,), data=("reading",))
-    publish(tower.registries[6], item("reading"), ActivityTable(activities=(needs,)))
-    state = initial_state(tower)
-    pool = _empty_pool(needs)
-    assert _grow_pool(pool, tower, 4, state, 1)
-    assert not _grow_pool(pool, tower, 6, state, 1)
-    # the root offers nobody new, but it holds the reading the start SoC lacks
-    plan = resolve_request(needs, 4, tower, state)
-    assert isinstance(plan, SonPlan)
-    assert (plan.hop_count, plan.resolved_soc, plan.assignment) == (1, 6, ((0, 0),))
-    assert plan.hops[0].missing == (DATA_MISSING,)
+    assert _solve(activity, pool, set(available)) == brute_force_solve(activity, pool, set(available))
