@@ -326,19 +326,38 @@ def _solve(
     actor_of: list[HolonId | None] = [None] * len(slots)
 
     def augment(i: int, visited: set[HolonId]) -> bool:
-        keys = per_slot[i]
-        for _, a in keys:
+        for _, a in per_slot[i]:
             if a not in slot_of and a not in visited:
                 slot_of[a] = i
                 actor_of[i] = a
                 return True
-        for _, a in keys:
-            if a not in visited:
-                visited.add(a)
-                if augment(slot_of[a], visited):
-                    slot_of[a] = i
-                    actor_of[i] = a
+        # depth first with an explicit stack, as a path may pass every slot:
+        # stack[k] is a slot and its scan for a held actor to take over, and
+        # asked[k] the actor it would take from the slot at stack[k + 1]
+        stack = [(i, iter(per_slot[i]))]
+        asked: list[HolonId] = []
+        while stack:
+            for _, a in stack[-1][1]:
+                if a not in visited:
+                    break
+            else:
+                # a dead end: back up, and the slot before it scans on
+                stack.pop()
+                if asked:
+                    asked.pop()
+                continue
+            visited.add(a)
+            asked.append(a)
+            slot = slot_of[a]
+            for _, b in per_slot[slot]:
+                if b not in slot_of and b not in visited:
+                    slot_of[b] = slot
+                    actor_of[slot] = b
+                    for (k, _), c in zip(stack, asked):
+                        slot_of[c] = k
+                        actor_of[k] = c
                     return True
+            stack.append((slot, iter(per_slot[slot])))
         return False
 
     missing_roles = [role for i, role in enumerate(slots) if not augment(i, set())]

@@ -12,7 +12,9 @@ the earlier shape.
 
 Promotion and pruning edit the run's one holarchy in place, through
 :meth:`Holarchy.graft` and :meth:`Holarchy.remove`, and return only their
-events.
+events. Evolution decides only what is due and where it hangs: ``graft``
+allocates the new SoC's id, builds it and registers its offers, and an id
+that ``remove`` frees may be allocated again to a different team.
 
 Both look only at what can have changed since the last tick. The ledger
 keeps the signatures that have reached the promotion threshold but are not
@@ -31,16 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .canon import Son
-from .holarchy import (
-    Holarchy,
-    Holon,
-    HolonId,
-    HolonKind,
-    HolonOrigin,
-    LogicalTime,
-    Registry,
-    ServiceEntry,
-)
+from .holarchy import Holarchy, HolonId, LogicalTime
 
 
 class EvolutionError(Exception):
@@ -183,9 +176,8 @@ def maybe_permanentify(
 ) -> tuple[PromotionEvent, ...]:
     """Promote every signature that has crossed the success threshold.
 
-    Each promotion happens once per signature, creates a fresh SoC id, and
-    grafts the new community under the lowest SoC already containing all
-    its members. The members keep their original communities; the new SoC
+    Each promotion happens once per signature and grafts the new community
+    under the lowest SoC already containing all its members. The members keep their original communities; the new SoC
     references them as a secondary, institutional overlay.
     """
     due = sorted(
@@ -195,30 +187,13 @@ def maybe_permanentify(
     if not due:
         return ()
     events: list[PromotionEvent] = []
-    next_id = max(h.holons) + 1
-
     for sig in due:
         ledger.ready.discard(sig)
         if h.holds_members(sig.members):
             # an earlier promotion in this same pass took the member set
             continue
-        soc_id = next_id
-        next_id += 1
         anchor = _lca(h, [h.parent[m] for m in sig.members])
-        new_soc = Holon(
-            id=soc_id,
-            kind=HolonKind.COMPOSITE,
-            members=sig.members,
-            representative=min(sig.members),
-            origin=HolonOrigin.PERMANENTIFIED,
-        )
-        own = sorted(
-            (ServiceEntry(m, role, registered_at=t) for m in sig.members for role in h.holons[m].capabilities),
-            key=ServiceEntry.sort_key,
-        )
-        caps = sorted({e.role for e in own})
-        proxies = [ServiceEntry(new_soc.representative, role, registered_at=t, via=soc_id) for role in caps]
-        h.graft(new_soc, anchor, Registry(owner=soc_id, service_entries=own), proxies)
+        soc_id = h.graft(sig.members, anchor, t)
         ledger.promoted[sig] = soc_id
         ledger.recheck.add(sig)
         events.append(PromotionEvent(soc_id, anchor, sig.members, sig.activity))

@@ -25,12 +25,12 @@ SoC and role, every actor its registry offers, ranked by registration time
 holarchy costs nothing extra. A grafted SoC's members are actors already
 under its anchor, so neither edit changes the actor set of any other SoC
 and the role-atom cache keeps every other entry. A removed id forgets its
-role atoms, because a later promotion takes ``max(holons) + 1`` as its id
-and so may reuse it for a different team. The offer views follow the
-registries instead: every writer of a registry's service entries
-(:func:`register_initial_services`, :meth:`Holarchy.graft` and
-:meth:`Holarchy.remove`) calls :meth:`Holarchy.offers_changed` for the SoC
-it wrote, and no other view changes, since no other SoC's actors do.
+role atoms, because :meth:`Holarchy.graft` gives each new SoC the next free
+id, ``max(holons) + 1``, and so may reuse it for a different team. The
+offer views follow the registries instead: every writer of a registry's
+service entries (:func:`register_initial_services`, :meth:`Holarchy.graft`
+and :meth:`Holarchy.remove`) calls :meth:`Holarchy.offers_changed` for the
+SoC it wrote, and no other view changes, since no other SoC's actors do.
 """
 
 from __future__ import annotations
@@ -298,27 +298,28 @@ class Holarchy:
         stands for the role atoms of the member it was registered via. The
         first call for a SoC and role reads the registry once.
         """
-        views = self._ranked_offers.get(soc, {})
-        view = views.get(role)
-        if view is None:
-            earliest: dict[HolonId, LogicalTime] = {}
-            for entry in self.registries[soc].service_entries:
-                if entry.role != role:
+        try:
+            return self._ranked_offers[soc][role]
+        except KeyError:
+            pass
+        earliest: dict[HolonId, LogicalTime] = {}
+        for entry in self.registries[soc].service_entries:
+            if entry.role != role:
+                continue
+            if entry.via is None:
+                provider = self.holons.get(entry.provider)
+                if provider is None or not provider.is_atomic or role not in provider.capabilities:
                     continue
-                if entry.via is None:
-                    provider = self.holons.get(entry.provider)
-                    if provider is None or not provider.is_atomic or role not in provider.capabilities:
-                        continue
-                    actors: tuple[HolonId, ...] = (entry.provider,)
-                else:
-                    actors = self.role_atoms(entry.via, role)
-                at = entry.registered_at
-                for a in actors:
-                    best = earliest.get(a)
-                    if best is None or at < best:
-                        earliest[a] = at
-            view = tuple(sorted((at, a) for a, at in earliest.items()))
-            self._ranked_offers.setdefault(soc, {})[role] = view
+                actors: tuple[HolonId, ...] = (entry.provider,)
+            else:
+                actors = self.role_atoms(entry.via, role)
+            at = entry.registered_at
+            for a in actors:
+                best = earliest.get(a)
+                if best is None or at < best:
+                    earliest[a] = at
+        view = tuple(sorted((at, a) for a, at in earliest.items()))
+        self._ranked_offers.setdefault(soc, {})[role] = view
         return view
 
     def offers_changed(self, soc: HolonId) -> None:
@@ -349,24 +350,30 @@ class Holarchy:
 
     # -- in-place evolution ----------------------------------------------
 
-    def graft(self, node: Holon, anchor: HolonId, registry: Registry, proxies: list[ServiceEntry]) -> None:
-        """Add composite ``node`` as the last member of SoC ``anchor``.
+    def graft(self, members: tuple[HolonId, ...], anchor: HolonId, t: LogicalTime) -> HolonId:
+        """Promote ``members`` to a new SoC under ``anchor``; returns its id.
 
-        ``registry`` becomes the new SoC's own; ``proxies`` join the
-        anchor's registry in canonical order.
+        The SoC takes the next free id, perhaps one :meth:`remove` freed,
+        and its lowest member as representative. Its registry gets the
+        members' offers at ``t``, and the anchor's its proxies.
         """
-        self.holons[node.id] = node
-        self.parent[node.id] = anchor
-        self.registries[node.id] = registry
+        soc = max(self.holons) + 1
+        self.holons[soc] = Holon(
+            soc, HolonKind.COMPOSITE, members=members, representative=min(members), origin=HolonOrigin.PERMANENTIFIED
+        )
+        self.parent[soc] = anchor
+        own = sorted((e for m in members for e in self._offers(m, t)), key=ServiceEntry.sort_key)
+        self.registries[soc] = Registry(owner=soc, service_entries=own)
         old = self.holons[anchor]
-        self._set_members(old, old.members + (node.id,))
+        self._set_members(old, old.members + (soc,))
         if self._member_sets is not None:
-            self._member_sets.add(tuple(sorted(node.members)))
+            self._member_sets.add(tuple(sorted(members)))
         entries = self.registries[anchor].service_entries
-        entries.extend(proxies)
+        entries.extend(self._offers(soc, t))
         entries.sort(key=ServiceEntry.sort_key)
         self.offers_changed(anchor)
-        self.offers_changed(node.id)
+        self.offers_changed(soc)
+        return soc
 
     def remove(self, soc: HolonId) -> HolonId:
         """Undo :meth:`graft` for ``soc``; returns the SoC it hung under."""
@@ -392,6 +399,18 @@ class Holarchy:
         if self._member_sets is not None:
             self._member_sets.discard(tuple(sorted(old.members)))
             self._member_sets.add(tuple(sorted(members)))
+
+    def _offers(self, m: HolonId, t: LogicalTime) -> Iterator[ServiceEntry]:
+        """The entries member ``m`` adds to its SoC's registry at ``t``."""
+        member = self.holons[m]
+        if member.is_atomic:
+            for role in member.capabilities:
+                yield ServiceEntry(m, role, registered_at=t)
+        else:
+            rep = member.representative
+            assert rep is not None
+            for role in self.subtree_capabilities(m):
+                yield ServiceEntry(rep, role, registered_at=t, via=m)
 
 
 def build_holarchy(spec: HolarchySpec) -> Holarchy:
@@ -434,20 +453,8 @@ def register_initial_services(h: Holarchy, t: LogicalTime = 0) -> None:
     provider for every role available anywhere in the member's subtree.
     """
     for soc in h.composites():
-        reg = h.registries[soc]
-        entries: list[ServiceEntry] = []
-        for m in h.holons[soc].members:
-            member = h.holons[m]
-            if member.is_atomic:
-                for role in member.capabilities:
-                    entries.append(ServiceEntry(m, role, registered_at=t))
-            else:
-                rep = member.representative
-                assert rep is not None
-                for role in h.subtree_capabilities(m):
-                    entries.append(ServiceEntry(rep, role, registered_at=t, via=m))
-        entries.sort(key=ServiceEntry.sort_key)
-        reg.service_entries.extend(entries)
+        entries = sorted((e for m in h.holons[soc].members for e in h._offers(m, t)), key=ServiceEntry.sort_key)
+        h.registries[soc].service_entries.extend(entries)
         h.offers_changed(soc)
 
 

@@ -28,12 +28,9 @@ from fso_sim.canon import (
 )
 from fso_sim.holarchy import (
     HolarchySpec,
-    Holon,
     HolonKind,
-    HolonOrigin,
     HolonSpec,
     InformationItem,
-    Registry,
     ServiceEntry,
     build_holarchy,
     register_initial_services,
@@ -411,13 +408,8 @@ def test_solver_agrees_with_the_full_pool_under_mixed_registration_times(data):
 
     # a promoted team under the root offers some actors a second time there
     team = tuple(sorted(data.draw(st.frozensets(st.sampled_from(range(n_atoms)), max_size=n_atoms), label="team")))
-    team_caps = sorted(set().union(*(caps[a] for a in team)))
-    if len(team) >= 2 and team_caps:
-        team_id = root + 1
-        node = Holon(team_id, HolonKind.COMPOSITE, members=team, representative=team[0], origin=HolonOrigin.PERMANENTIFIED)
-        own = sorted((ServiceEntry(a, r) for a in team for r in caps[a]), key=ServiceEntry.sort_key)
-        proxies = [ServiceEntry(team[0], r, via=team_id) for r in team_caps]
-        h.graft(node, root, Registry(owner=team_id, service_entries=own), proxies)
+    if len(team) >= 2 and any(caps[a] for a in team):
+        h.graft(team, root, 0)
 
     keys = [(s, e.provider, e.role, e.via) for s, reg in sorted(h.registries.items()) for e in reg.service_entries]
     stamps = data.draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)), label="stamps")

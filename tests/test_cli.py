@@ -303,6 +303,49 @@ def test_run_accepts_a_rate_too_small_to_ever_fire(tmp_path, capsys, rate):
     assert json.loads(captured.out)["events_published"] == 0
 
 
+DEPTH = 1100  # past Python's default recursion limit of 1000
+
+
+def long_augmenting_path():
+    """One SoC whose only perfect matching shifts every slot along a path.
+
+    Actor ``DEPTH - 1 - j`` plays roles ``j - 1`` and ``j``, so each role's
+    first-ranked actor also plays the next role, and the last slot can be
+    filled only by moving every slot before it to its second choice.
+    """
+    actors = [
+        {"id": DEPTH - 1 - j, "kind": "atomic", "capabilities": [r for r in (j - 1, j) if 0 <= r < DEPTH]}
+        for j in range(DEPTH)
+    ]
+    return DEPTH, actors + [{"id": DEPTH, "kind": "composite", "members": list(range(DEPTH))}], list(range(DEPTH))
+
+
+def deep_chain():
+    """SoCs nested DEPTH levels deep; only the deepest actor plays the role."""
+    actors = [{"id": k, "kind": "atomic", "capabilities": [int(k == DEPTH - 1)]} for k in range(DEPTH)]
+    socs = [
+        {"id": DEPTH + k, "kind": "composite", "members": [k] + ([DEPTH + k + 1] if k + 1 < DEPTH else [])}
+        for k in range(DEPTH)
+    ]
+    return 2, actors + socs, [1]
+
+
+@pytest.mark.parametrize("build", [long_augmenting_path, deep_chain])
+def test_run_staffs_inputs_deeper_than_the_recursion_limit(tmp_path, capsys, build):
+    n_roles, holarchy, needed = build()
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    doc["roles"] = [f"r{r}" for r in range(n_roles)]
+    doc["holarchy"] = holarchy
+    doc["activities"][0]["required_roles"] = needed
+    doc["environment"] = [{"topic": "knock", "injection_soc": DEPTH, "process": {"kind": "scripted", "times": [1]}}]
+    doc["horizon"] = 3
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli("run", "--scenario", str(path), "--seed", "0")
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["sons_formed"] == 1
+
+
 # json.dumps writes float("inf") and float("nan") as the bare tokens
 # Infinity and NaN, which the JSON grammar does not have
 NON_STANDARD_NUMBERS = {

@@ -14,7 +14,6 @@ from fso_sim.holarchy import (
     HolarchySpec,
     Holon,
     HolonKind,
-    HolonOrigin,
     HolonSpec,
     MalformedHolonError,
     Registry,
@@ -273,10 +272,6 @@ def test_registration_punctualizes_composites(nested):
     assert {(e.provider, e.role, e.via) for e in ground} == {(0, 0, None), (1, 1, None)}
 
 
-def team(i, members):
-    return Holon(i, HolonKind.COMPOSITE, members=members, representative=members[0], origin=HolonOrigin.PERMANENTIFIED)
-
-
 def test_ranked_offers_follow_every_registry_writer(nested):
     assert nested.ranked_offers(6, 0) == ()
     register_initial_services(nested, t=5)
@@ -284,9 +279,7 @@ def test_ranked_offers_follow_every_registry_writer(nested):
     assert nested.ranked_offers(4, 0) == ((5, 0),)
 
     # a team whose offers are older than the root's own outranks them there
-    own = [ServiceEntry(2, 0, registered_at=1), ServiceEntry(2, 2, registered_at=1), ServiceEntry(3, 2, registered_at=1)]
-    proxies = [ServiceEntry(2, 0, registered_at=1, via=7), ServiceEntry(2, 2, registered_at=1, via=7)]
-    nested.graft(team(7, (2, 3)), 6, Registry(owner=7, service_entries=own), proxies)
+    assert nested.graft((2, 3), 6, 1) == 7
     assert nested.ranked_offers(6, 0) == ((1, 2), (5, 0))
     assert nested.ranked_offers(7, 2) == ((1, 2), (1, 3))
 
@@ -294,9 +287,7 @@ def test_ranked_offers_follow_every_registry_writer(nested):
     assert nested.ranked_offers(6, 0) == ((5, 0), (5, 2))
 
     # the freed id comes back for a different team
-    own = [ServiceEntry(0, 0, registered_at=2), ServiceEntry(1, 1, registered_at=2)]
-    proxies = [ServiceEntry(0, 0, registered_at=2, via=7), ServiceEntry(0, 1, registered_at=2, via=7)]
-    nested.graft(team(7, (0, 1)), 6, Registry(owner=7, service_entries=own), proxies)
+    assert nested.graft((0, 1), 6, 2) == 7
     assert nested.ranked_offers(7, 0) == ((2, 0),)
     assert nested.ranked_offers(7, 2) == ()
     assert nested.ranked_offers(6, 0) == ((2, 0), (5, 2))
