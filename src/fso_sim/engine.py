@@ -658,7 +658,7 @@ class Simulation:
         self._pending = survivors
 
     def _phase_evolution(self, t: int) -> None:
-        promotions = maybe_permanentify(self.ledger, self.holarchy, self.scenario.policy, t)
+        promotions = maybe_permanentify(self.ledger, self.holarchy, t)
         for ev in promotions:
             self._emit(
                 "Permanentified",

@@ -168,17 +168,13 @@ def _lca(h: Holarchy, nodes: list[HolonId]) -> HolonId:
     raise EvolutionError(f"holons {nodes} share no ancestor")
 
 
-def maybe_permanentify(
-    ledger: ExperienceLedger,
-    h: Holarchy,
-    policy: EvolutionPolicy,
-    t: LogicalTime,
-) -> tuple[PromotionEvent, ...]:
+def maybe_permanentify(ledger: ExperienceLedger, h: Holarchy, t: LogicalTime) -> tuple[PromotionEvent, ...]:
     """Promote every signature that has crossed the success threshold.
 
     Each promotion happens once per signature and grafts the new community
-    under the lowest SoC already containing all its members. The members keep their original communities; the new SoC
-    references them as a secondary, institutional overlay.
+    under the lowest SoC already containing all its members. The members
+    keep their original communities; the new SoC references them as a
+    secondary, institutional overlay.
     """
     due = sorted(
         (sig for sig in ledger.ready if not h.holds_members(sig.members)),

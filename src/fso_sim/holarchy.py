@@ -4,7 +4,12 @@ A holarchy is a tree of holons. Atomic holons are actors with role
 capabilities; composite holons are service-oriented communities (SoCs) with
 an ordered member list and a distinguished representative that stands for
 the whole community one level up. Each SoC owns a registry holding the
-service offers and published information visible at that level.
+service offers and published information visible at that level. Offers
+aggregate upward: a composite member's representative offers, in its SoC's
+registry, every role the member's own registry offers. So a member's
+registry is filled before its SoC's: :func:`register_initial_services`
+goes leaves first, and :meth:`Holarchy.graft` fills a promoted SoC's
+registry before it writes the anchor's proxies.
 
 The structural rules (a tree of nested communities under one composite
 root) are stated once, in :func:`validate`. :func:`build_holarchy` raises
@@ -233,18 +238,6 @@ class Holarchy:
     def composites(self) -> tuple[HolonId, ...]:
         return tuple(sorted(i for i, n in self.holons.items() if n.is_composite))
 
-    def depth(self) -> int:
-        """Length in edges of the longest primary parent chain."""
-        best = 0
-        for i in self.holons:
-            d = 0
-            node = i
-            while node in self.parent:
-                node = self.parent[node]
-                d += 1
-            best = max(best, d)
-        return best
-
     def chain_to_root(self, start: HolonId) -> tuple[HolonId, ...]:
         """start, parent(start), ..., root along primary edges."""
         self.holon(start)
@@ -336,18 +329,6 @@ class Holarchy:
             self._member_sets = {tuple(sorted(n.members)) for n in self.holons.values() if n.is_composite}
         return members in self._member_sets
 
-    def subtree_capabilities(self, h: HolonId) -> frozenset[RoleId]:
-        """Union of the capabilities of all actors under ``h``.
-
-        For a composite this is the capability set it exposes through its
-        representative: the community looks like one capable actor from
-        one level up.
-        """
-        caps: set[RoleId] = set()
-        for a in self.subtree_atoms(h):
-            caps |= self.holons[a].capabilities
-        return frozenset(caps)
-
     # -- in-place evolution ----------------------------------------------
 
     def graft(self, members: tuple[HolonId, ...], anchor: HolonId, t: LogicalTime) -> HolonId:
@@ -401,7 +382,10 @@ class Holarchy:
             self._member_sets.add(tuple(sorted(members)))
 
     def _offers(self, m: HolonId, t: LogicalTime) -> Iterator[ServiceEntry]:
-        """The entries member ``m`` adds to its SoC's registry at ``t``."""
+        """The entries member ``m`` adds to its SoC's registry at ``t``.
+
+        A composite ``m`` proxies the roles of its own, already filled, registry.
+        """
         member = self.holons[m]
         if member.is_atomic:
             for role in member.capabilities:
@@ -409,7 +393,7 @@ class Holarchy:
         else:
             rep = member.representative
             assert rep is not None
-            for role in self.subtree_capabilities(m):
+            for role in {e.role for e in self.registries[m].service_entries}:
                 yield ServiceEntry(rep, role, registered_at=t, via=m)
 
 
@@ -450,9 +434,14 @@ def register_initial_services(h: Holarchy, t: LogicalTime = 0) -> None:
 
     Direct atomic members register one offer per capability. Composite
     members are punctualized: their representative appears as a proxy
-    provider for every role available anywhere in the member's subtree.
+    provider for every role the member's own registry offers. Registries
+    are filled leaves first, in reverse breadth-first order from the root,
+    so each member's registry is complete before its SoC's reads it.
     """
-    for soc in h.composites():
+    order = [h.root]
+    for soc in order:
+        order += [m for m in h.holons[soc].members if h.holons[m].is_composite]
+    for soc in reversed(order):
         entries = sorted((e for m in h.holons[soc].members for e in h._offers(m, t)), key=ServiceEntry.sort_key)
         h.registries[soc].service_entries.extend(entries)
         h.offers_changed(soc)
@@ -557,8 +546,25 @@ def _structure_violations(h: Holarchy) -> Iterator[Violation]:
                 yield Violation("ParentMapInconsistent", child, f"recorded parent {recorded}, member lists say {listed}")
 
 
+def _capable_socs(h: Holarchy) -> set[HolonId]:
+    """The SoCs above an actor with a capability, found walking member edges up from the actors."""
+    containers: dict[HolonId, list[HolonId]] = {}
+    for i, node in h.holons.items():
+        for m in node.members if node.is_composite else ():
+            containers.setdefault(m, []).append(i)
+    found: set[HolonId] = set()
+    stack = [i for i, node in h.holons.items() if node.is_atomic and node.capabilities]
+    while stack:
+        for c in containers.get(stack.pop(), ()):
+            if c not in found:
+                found.add(c)
+                stack.append(c)
+    return found
+
+
 def _registry_violations(h: Holarchy) -> list[Violation]:
     out: list[Violation] = []
+    capable = _capable_socs(h)
     for soc, reg in h.registries.items():
         node = h.holons.get(soc)
         if node is None or not node.is_composite:
@@ -587,16 +593,11 @@ def _registry_violations(h: Holarchy) -> list[Violation]:
             out.append(Violation("InfoOrder", soc, "info entries not monotone in published_at"))
 
         # punctualization: once anything is registered, every composite
-        # member with a non-empty subtree capability set must appear
-        # through its representative
+        # member with a capable actor under it must appear through its
+        # representative
         if reg.service_entries:
             for m in node.members:
-                member = h.holons.get(m)
-                if member is None or not member.is_composite:
-                    continue
-                if not h.subtree_capabilities(m):
-                    continue
-                if not any(e.via == m for e in reg.service_entries):
+                if m in capable and not any(e.via == m for e in reg.service_entries):
                     out.append(
                         Violation("RepresentativeNotRegistered", soc, f"composite member {m} has no proxy entries")
                     )

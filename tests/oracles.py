@@ -14,7 +14,7 @@ from typing import Any
 
 from fso_sim.activation import ActivationState
 from fso_sim.canon import Enabled, Missing, ResponseActivity
-from fso_sim.holarchy import Holarchy, HolarchySpec, HolonId, LogicalTime, RoleId
+from fso_sim.holarchy import Holarchy, HolarchySpec, HolonId, LogicalTime, RoleId, ServiceEntry
 
 DATA_GAP = -1
 
@@ -59,6 +59,24 @@ def atoms_under(h: Holarchy, top: HolonId) -> set[HolonId]:
         else:
             frontier.extend(node.members)
     return out
+
+
+def initial_offers(h: Holarchy, soc: HolonId, t: LogicalTime) -> list[ServiceEntry]:
+    """The service entries a registration at ``t`` gives ``soc``, by definition.
+
+    An actor member offers each of its capabilities; a composite member
+    offers, through its representative, every capability of an actor
+    anywhere under it. Entries come in canonical order.
+    """
+    out = []
+    for m in h.holons[soc].members:
+        node = h.holons[m]
+        if node.is_atomic:
+            out += [ServiceEntry(m, r, t) for r in node.capabilities]
+        else:
+            roles = {r for a in atoms_under(h, m) for r in h.holons[a].capabilities}
+            out += [ServiceEntry(node.representative, r, t, via=m) for r in roles]
+    return sorted(out, key=lambda e: (e.registered_at, e.provider, e.role))
 
 
 def count_activation_states(h: Holarchy) -> int:

@@ -20,6 +20,7 @@ from fso_sim.holarchy import InformationItem, build_holarchy, register_initial_s
 
 from generators import random_scenario
 from oracles import (
+    chain_up,
     count_activation_states,
     oracle_resolve,
     replay_partition,
@@ -198,7 +199,8 @@ def test_criterion_6_escalation_is_bounded_and_terminates():
     problems = []
     for seed in range(20):
         scenario = random_scenario(4000 + seed, horizon=300)
-        depth = build_holarchy(scenario.holarchy).depth()
+        h = build_holarchy(scenario.holarchy)
+        depth = max(len(chain_up(h, i)) - 1 for i in h.holons)
         sim = Simulation(scenario, debug=True)
         sim.run()
         problems += [

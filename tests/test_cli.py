@@ -306,38 +306,49 @@ def test_run_accepts_a_rate_too_small_to_ever_fire(tmp_path, capsys, rate):
 DEPTH = 1100  # past Python's default recursion limit of 1000
 
 
-def long_augmenting_path():
+def long_augmenting_path(depth):
     """One SoC whose only perfect matching shifts every slot along a path.
 
-    Actor ``DEPTH - 1 - j`` plays roles ``j - 1`` and ``j``, so each role's
+    Actor ``depth - 1 - j`` plays roles ``j - 1`` and ``j``, so each role's
     first-ranked actor also plays the next role, and the last slot can be
     filled only by moving every slot before it to its second choice.
     """
     actors = [
-        {"id": DEPTH - 1 - j, "kind": "atomic", "capabilities": [r for r in (j - 1, j) if 0 <= r < DEPTH]}
-        for j in range(DEPTH)
+        {"id": depth - 1 - j, "kind": "atomic", "capabilities": [r for r in (j - 1, j) if 0 <= r < depth]}
+        for j in range(depth)
     ]
-    return DEPTH, actors + [{"id": DEPTH, "kind": "composite", "members": list(range(DEPTH))}], list(range(DEPTH))
+    return depth, actors + [{"id": depth, "kind": "composite", "members": list(range(depth))}], list(range(depth))
 
 
-def deep_chain():
-    """SoCs nested DEPTH levels deep; only the deepest actor plays the role."""
-    actors = [{"id": k, "kind": "atomic", "capabilities": [int(k == DEPTH - 1)]} for k in range(DEPTH)]
+def deep_chain(depth):
+    """SoCs nested ``depth`` levels deep; only the deepest actor plays the role.
+
+    The root is SoC ``depth`` and each SoC has a lower id than the one it
+    holds, so registration must not go in id order.
+    """
+    actors = [{"id": k, "kind": "atomic", "capabilities": [int(k == depth - 1)]} for k in range(depth)]
     socs = [
-        {"id": DEPTH + k, "kind": "composite", "members": [k] + ([DEPTH + k + 1] if k + 1 < DEPTH else [])}
-        for k in range(DEPTH)
+        {"id": depth + k, "kind": "composite", "members": [k] + ([depth + k + 1] if k + 1 < depth else [])}
+        for k in range(depth)
     ]
     return 2, actors + socs, [1]
 
 
-@pytest.mark.parametrize("build", [long_augmenting_path, deep_chain])
-def test_run_staffs_inputs_deeper_than_the_recursion_limit(tmp_path, capsys, build):
-    n_roles, holarchy, needed = build()
+@pytest.mark.parametrize(
+    "build,depth",
+    [
+        pytest.param(long_augmenting_path, DEPTH, id="long_augmenting_path"),
+        pytest.param(deep_chain, DEPTH, id="deep_chain"),
+        pytest.param(deep_chain, 10_000, id="deep_chain_10000"),
+    ],
+)
+def test_run_staffs_inputs_deeper_than_the_recursion_limit(tmp_path, capsys, build, depth):
+    n_roles, holarchy, needed = build(depth)
     doc = json.loads((SCENARIOS / "minimal.json").read_text())
     doc["roles"] = [f"r{r}" for r in range(n_roles)]
     doc["holarchy"] = holarchy
     doc["activities"][0]["required_roles"] = needed
-    doc["environment"] = [{"topic": "knock", "injection_soc": DEPTH, "process": {"kind": "scripted", "times": [1]}}]
+    doc["environment"] = [{"topic": "knock", "injection_soc": depth, "process": {"kind": "scripted", "times": [1]}}]
     doc["horizon"] = 3
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(doc))

@@ -87,7 +87,7 @@ def test_promotion_waits_for_threshold(wings):
     ledger = ExperienceLedger()
     son = make_son(0, [(1, 1), (2, 2)])
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
-    events = maybe_permanentify(ledger, wings, POLICY, 1)
+    events = maybe_permanentify(ledger, wings, 1)
     assert events == ()
 
 
@@ -96,7 +96,7 @@ def test_promotion_grafts_under_lowest_common_community(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
     record_outcome(ledger, son, Outcome.SUCCESS, 4, POLICY)
-    events = maybe_permanentify(ledger, wings, POLICY, 4)
+    events = maybe_permanentify(ledger, wings, 4)
     assert len(events) == 1
     ev = events[0]
     assert ev.members == (1, 2)
@@ -120,9 +120,9 @@ def test_promotion_happens_once_per_signature(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2, 3):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    first = maybe_permanentify(ledger, wings, POLICY, 3)
+    first = maybe_permanentify(ledger, wings, 3)
     record_outcome(ledger, son, Outcome.SUCCESS, 9, POLICY)
-    second = maybe_permanentify(ledger, wings, POLICY, 9)
+    second = maybe_permanentify(ledger, wings, 9)
     assert len(first) == 1
     assert second == ()
 
@@ -133,7 +133,7 @@ def test_promotion_skips_existing_member_sets(wings):
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
     record_outcome(ledger, son, Outcome.SUCCESS, 2, POLICY)
     # SoC 4 already holds exactly {0, 1}
-    events = maybe_permanentify(ledger, wings, POLICY, 2)
+    events = maybe_permanentify(ledger, wings, 2)
     assert events == ()
 
 
@@ -142,7 +142,7 @@ def test_prune_needs_windowed_failures(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
     record_outcome(ledger, son, Outcome.SUCCESS, 2, POLICY)
-    events = maybe_permanentify(ledger, wings, POLICY, 2)
+    events = maybe_permanentify(ledger, wings, 2)
     soc_id = events[0].soc
 
     record_outcome(ledger, son, Outcome.FAILURE, 5, POLICY)
@@ -171,7 +171,7 @@ def test_prune_restores_original_shape(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
     record_outcome(ledger, son, Outcome.SUCCESS, 2, POLICY)
-    maybe_permanentify(ledger, wings, POLICY, 2)
+    maybe_permanentify(ledger, wings, 2)
     record_outcome(ledger, son, Outcome.FAILURE, 3, POLICY)
     record_outcome(ledger, son, Outcome.FAILURE, 4, POLICY)
     maybe_prune(ledger, wings, POLICY, 4)
@@ -188,7 +188,7 @@ def test_prune_window_is_half_open(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    maybe_permanentify(ledger, wings, POLICY, 2)
+    maybe_permanentify(ledger, wings, 2)
     # the window at t=13 is (3, 13]: the failure at 3 has just left it
     for t in (3, 13):
         record_outcome(ledger, son, Outcome.FAILURE, t, POLICY)
@@ -203,7 +203,7 @@ def test_teams_pruned_in_one_pass_come_out_in_id_order(wings):
     for t in (1, 2):
         for son in teams:
             record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    promoted = maybe_permanentify(ledger, wings, POLICY, 2)
+    promoted = maybe_permanentify(ledger, wings, 2)
     for t in (3, 4):
         for son in reversed(teams):
             record_outcome(ledger, son, Outcome.FAILURE, t, POLICY)
@@ -217,13 +217,13 @@ def test_pruned_signature_is_not_promoted_again(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    maybe_permanentify(ledger, wings, POLICY, 2)
+    maybe_permanentify(ledger, wings, 2)
     for t in (3, 4):
         record_outcome(ledger, son, Outcome.FAILURE, t, POLICY)
     maybe_prune(ledger, wings, POLICY, 4)
     for t in (5, 6, 7):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    events = maybe_permanentify(ledger, wings, POLICY, 7)
+    events = maybe_permanentify(ledger, wings, 7)
     assert events == ()
 
 
@@ -328,10 +328,10 @@ def run_checking_role_atoms(monkeypatch, scenario):
     seen = {"promotions": 0, "prunings": 0}
 
     def checked(fn, counter):
-        def evolve(ledger, h, policy, t):
+        def evolve(ledger, h, *args):
             warm_role_atoms(h)
             warm_ranked_offers(h)
-            events = fn(ledger, h, policy, t)
+            events = fn(ledger, h, *args)
             if events:
                 seen[counter] += len(events)
                 assert_role_atoms_fresh(h)
@@ -364,7 +364,7 @@ def test_role_atoms_forget_a_pruned_id_that_promotion_reuses(wings):
     first = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2):
         record_outcome(ledger, first, Outcome.SUCCESS, t, POLICY)
-    (promoted,) = maybe_permanentify(ledger, wings, POLICY, 2)
+    (promoted,) = maybe_permanentify(ledger, wings, 2)
     assert promoted.soc == max(wings.holons)
     warm_role_atoms(wings)
     assert wings.role_atoms(promoted.soc, 1) == (1,)
@@ -378,7 +378,7 @@ def test_role_atoms_forget_a_pruned_id_that_promotion_reuses(wings):
     second = make_son(1, [(0, 0), (2, 2)])
     for t in (5, 6):
         record_outcome(ledger, second, Outcome.SUCCESS, t, POLICY)
-    (reused,) = maybe_permanentify(ledger, wings, POLICY, 6)
+    (reused,) = maybe_permanentify(ledger, wings, 6)
     assert reused.soc == promoted.soc and reused.members == (0, 2)
     assert wings.role_atoms(reused.soc, 0) == (0,)
     assert wings.role_atoms(reused.soc, 1) == ()
@@ -399,9 +399,9 @@ def test_an_anchor_stops_blocking_its_member_set_once_it_holds_a_promoted_soc():
         record_outcome(ledger, pair, Outcome.SUCCESS, t, POLICY)
         record_outcome(ledger, trio, Outcome.SUCCESS, t, POLICY)
     # the member sets held when the pass starts decide what it promotes
-    assert [(e.soc, e.members) for e in maybe_permanentify(ledger, h, POLICY, 2)] == [(5, (0, 1))]
+    assert [(e.soc, e.members) for e in maybe_permanentify(ledger, h, 2)] == [(5, (0, 1))]
     assert ledger.ready == {SonSignature.of(trio)}
-    assert [(e.soc, e.parent, e.members) for e in maybe_permanentify(ledger, h, POLICY, 3)] == [(6, 4, (0, 1, 2))]
+    assert [(e.soc, e.parent, e.members) for e in maybe_permanentify(ledger, h, 3)] == [(6, 4, (0, 1, 2))]
     assert ledger.ready == set()
     assert validate(h) == []
 
@@ -420,12 +420,12 @@ def test_blocked_ready_signatures_cost_no_holarchy_wide_scan(wings):
     son = make_son(0, [(0, 0), (1, 1)])
     for t in (1, 2):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    assert maybe_permanentify(ledger, wings, POLICY, 2) == ()
+    assert maybe_permanentify(ledger, wings, 2) == ()
     # SoC 4 holds {0, 1}; the member sets are known now, so later ticks
     # with only the blocked signature ready look nothing up holon by holon
     wings.holons = NoScan(wings.holons)
     for t in (3, 4, 5):
-        assert maybe_permanentify(ledger, wings, POLICY, t) == ()
+        assert maybe_permanentify(ledger, wings, t) == ()
     assert ledger.ready == {SonSignature.of(son)}
 
 
@@ -434,7 +434,7 @@ def test_a_quiet_tick_prunes_without_looking_at_any_soc(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    (promoted,) = maybe_permanentify(ledger, wings, POLICY, 2)
+    (promoted,) = maybe_permanentify(ledger, wings, 2)
     record_outcome(ledger, son, Outcome.FAILURE, 3, POLICY)
     assert maybe_prune(ledger, wings, POLICY, 3) == ()
     # neither a failure nor a promotion since: nothing to count, no SoC to read
@@ -466,8 +466,8 @@ def run_checking_prunes(monkeypatch, scenario):
             failures.setdefault(SonSignature.of(son), []).append(t)
         return record_outcome(ledger, son, outcome, t, policy)
 
-    def promoting(ledger, h, policy, t):
-        events = maybe_permanentify(ledger, h, policy, t)
+    def promoting(ledger, h, t):
+        events = maybe_permanentify(ledger, h, t)
         for ev in events:
             live[ev.soc] = SonSignature(ev.activity, ev.members)
             promoted_at[ev.soc] = t

@@ -4,8 +4,9 @@ The trace is the simulator's whole observable behaviour, so a change meant
 only to make things faster or simpler must leave every hash here as it is.
 The pairs are every shipped scenario at its own seed and at 4242, plus 40
 generated scenarios over 300 ticks, half of which promote at least one team
-and some of which prune one again. A change that alters behaviour on purpose
-re-records the hashes and says why.
+and some of which prune one again. One wider sweep pins a single sha256
+over 300 generated scenarios and every shipped scenario at three seeds. A
+change that alters behaviour on purpose re-records the hashes and says why.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ FIXTURES = {
     ("pruning.json", 1): "f7ce6a236c792037d4107c62aeb7a02156d55ddd9164636d522ddb92c12b3ff0",
     ("pruning.json", 4242): "f7ce6a236c792037d4107c62aeb7a02156d55ddd9164636d522ddb92c12b3ff0",
 }
+# one sha256 over the traces of generator seeds 0-299 at GENERATED_HORIZON,
+# then of each shipped scenario, by name, at its own seed, at 1 and at 4242
+SWEEP = "d3f86b88f0659b3cf559b9ecb0eba7eb7bd76bea0580a33c4dcc535e91ce60d9"
 # generator seed -> (promotions, prunings, trace sha256)
 GENERATED = {
     5000: (3, 0, "4db5ec975ed383286a571ad4e5a91b27768d0e68256f143f6ce700c8eab625ce"),
@@ -106,3 +110,16 @@ def test_generated_trace_is_unchanged(seed):
     trace, metrics = run_scenario(random_scenario(seed, horizon=GENERATED_HORIZON))
     assert (metrics.permanentifications, metrics.prunings) == (promotions, prunings)
     assert _sha256(trace) == digest
+
+
+def test_generator_and_scenario_sweep_is_unchanged():
+    digest = hashlib.sha256()
+    for seed in range(300):
+        trace, _ = run_scenario(random_scenario(seed, horizon=GENERATED_HORIZON))
+        digest.update(write_trace(trace).encode("utf-8"))
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = load_scenario_file(str(path))
+        for seed in (scenario.seed, 1, 4242):
+            trace, _ = run_scenario(scenario, seed=seed)
+            digest.update(write_trace(trace).encode("utf-8"))
+    assert digest.hexdigest() == SWEEP

@@ -27,7 +27,7 @@ from fso_sim.holarchy import (
 )
 
 from generators import random_scenario_dict
-from oracles import parent_scan, spec_problems, structural_check
+from oracles import initial_offers, parent_scan, spec_problems, structural_check
 
 
 def atom(i, *caps):
@@ -38,46 +38,62 @@ def soc(i, members, rep=None):
     return HolonSpec(id=i, kind=HolonKind.COMPOSITE, members=tuple(members), representative=rep)
 
 
+def _spec_of(holons, n_roles):
+    return HolarchySpec(
+        roles=frozenset(range(n_roles)),
+        holons=tuple(
+            HolonSpec(
+                h["id"],
+                HolonKind(h["kind"]),
+                tuple(h.get("capabilities", ())),
+                tuple(h.get("members", ())),
+                h.get("representative"),
+            )
+            for h in holons
+        ),
+    )
+
+
 @pytest.fixture
 def nested():
+    # every SoC has a lower id than its members, so id order is not an
+    # order in which registries can be filled leaves first
     spec = HolarchySpec(
         roles=frozenset({0, 1, 2}),
         holons=(
-            atom(0, 0),
-            atom(1, 1),
-            atom(2, 0, 2),
-            atom(3, 2),
-            soc(4, [0, 1], rep=1),
-            soc(5, [2, 3]),
-            soc(6, [4, 5]),
+            soc(0, [1, 2]),
+            soc(1, [3, 4], rep=4),
+            soc(2, [5, 6]),
+            atom(3, 0),
+            atom(4, 1),
+            atom(5, 0, 2),
+            atom(6, 2),
         ),
     )
     return build_holarchy(spec)
 
 
 def test_build_assigns_parents_and_root(nested):
-    assert nested.root == 6
-    assert nested.parent == {0: 4, 1: 4, 2: 5, 3: 5, 4: 6, 5: 6}
+    assert nested.root == 0
+    assert nested.parent == {3: 1, 4: 1, 5: 2, 6: 2, 1: 0, 2: 0}
     assert parent_scan(nested) == nested.parent
 
 
 def test_representative_defaults_to_lowest_member(nested):
-    assert nested.holons[5].representative == 2
-    assert nested.holons[4].representative == 1
+    assert nested.holons[2].representative == 5
+    assert nested.holons[1].representative == 4
 
 
 def test_subtree_and_capabilities(nested):
-    assert nested.subtree_atoms(6) == frozenset({0, 1, 2, 3})
-    assert nested.subtree_atoms(5) == frozenset({2, 3})
-    assert nested.subtree_atoms(0) == frozenset({0})
-    assert nested.subtree_capabilities(5) == frozenset({0, 2})
-    assert nested.depth() == 2
+    assert nested.subtree_atoms(0) == frozenset({3, 4, 5, 6})
+    assert nested.subtree_atoms(2) == frozenset({5, 6})
+    assert nested.subtree_atoms(3) == frozenset({3})
 
 
 def test_chain_to_root(nested):
-    assert nested.chain_to_root(4) == (4, 6)
-    assert nested.chain_to_root(0) == (0, 4, 6)
-    assert nested.chain_to_root(6) == (6,)
+    assert nested.chain_to_root(1) == (1, 0)
+    assert nested.chain_to_root(3) == (3, 1, 0)
+    assert nested.chain_to_root(0) == (0,)
     with pytest.raises(UnknownHolonError):
         nested.chain_to_root(99)
 
@@ -152,9 +168,9 @@ def test_validate_reports_an_atomic_root_and_a_negative_id():
 
 
 def test_validate_reports_a_parent_map_the_member_lists_disagree_with(nested):
-    del nested.parent[0]
-    nested.parent[1] = 5
-    assert [(v.code, v.holon) for v in validate(nested)] == [("ParentMapInconsistent", 0), ("ParentMapInconsistent", 1)]
+    del nested.parent[3]
+    nested.parent[4] = 2
+    assert [(v.code, v.holon) for v in validate(nested)] == [("ParentMapInconsistent", 3), ("ParentMapInconsistent", 4)]
 
 
 def _mutate(holons, n_roles, rng):
@@ -215,19 +231,7 @@ def test_build_raises_exactly_on_the_specs_the_oracle_faults():
         holons = doc["holarchy"]
         for _ in range(rng.choice([0, 1, 1, 2])):
             _mutate(holons, n_roles, rng)
-        spec = HolarchySpec(
-            roles=frozenset(range(n_roles)),
-            holons=tuple(
-                HolonSpec(
-                    h["id"],
-                    HolonKind(h["kind"]),
-                    tuple(h.get("capabilities", ())),
-                    tuple(h.get("members", ())),
-                    h.get("representative"),
-                )
-                for h in holons
-            ),
-        )
+        spec = _spec_of(holons, n_roles)
         problems = spec_problems(spec)
         if problems:
             with pytest.raises(HolarchyError):
@@ -249,9 +253,9 @@ def test_validate_clean_after_build(nested):
 def test_validate_reports_corruption(nested):
     register_initial_services(nested)
     # smuggle in an out of order registry and a foreign provider
-    reg = nested.registries[4]
+    reg = nested.registries[1]
     reg.service_entries = list(reversed(reg.service_entries))
-    reg.service_entries.append(ServiceEntry(provider=3, role=0, registered_at=0))
+    reg.service_entries.append(ServiceEntry(provider=6, role=0, registered_at=0))
     codes = {v.code for v in validate(nested)}
     assert "RegistryOrder" in codes
     assert "ProviderNotMember" in codes
@@ -259,43 +263,97 @@ def test_validate_reports_corruption(nested):
 
 def test_registration_punctualizes_composites(nested):
     register_initial_services(nested)
-    top = nested.registries[6].service_entries
-    # SoC 4 appears through representative 1 for roles 0 and 1,
-    # SoC 5 through representative 2 for roles 0 and 2
+    top = nested.registries[0].service_entries
+    # SoC 1 appears through representative 4 for roles 0 and 1,
+    # SoC 2 through representative 5 for roles 0 and 2
     assert {(e.provider, e.role, e.via) for e in top} == {
-        (1, 0, 4),
-        (1, 1, 4),
-        (2, 0, 5),
-        (2, 2, 5),
+        (4, 0, 1),
+        (4, 1, 1),
+        (5, 0, 2),
+        (5, 2, 2),
     }
-    ground = nested.registries[4].service_entries
-    assert {(e.provider, e.role, e.via) for e in ground} == {(0, 0, None), (1, 1, None)}
+    ground = nested.registries[1].service_entries
+    assert {(e.provider, e.role, e.via) for e in ground} == {(3, 0, None), (4, 1, None)}
+    for s in nested.composites():
+        assert nested.registries[s].service_entries == initial_offers(nested, s, 0)
+
+
+def _top_down(holons):
+    """The same holarchy renumbered so that every SoC has a lower id than its members."""
+    last = max(h["id"] for h in holons)
+    out = []
+    for h in holons:
+        h = dict(h, id=last - h["id"])
+        if "members" in h:
+            h["members"] = [last - m for m in h["members"]]
+        if h.get("representative") is not None:
+            h["representative"] = last - h["representative"]
+        out.append(h)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_registration_does_not_depend_on_id_order(seed):
+    doc = random_scenario_dict(seed)
+    for holons in (doc["holarchy"], _top_down(doc["holarchy"])):
+        h = build_holarchy(_spec_of(holons, len(doc["roles"])))
+        register_initial_services(h, t=3)
+        for s in h.composites():
+            assert h.registries[s].service_entries == initial_offers(h, s, 3), (seed, s)
+    # the renumbered holarchy really is numbered top-down
+    assert all(m > s for s in h.composites() for m in h.holons[s].members)
+
+
+def test_validate_reports_a_composite_member_missing_from_its_registry():
+    # SoC 1 holds a capable actor two levels down; SoC 2 holds only an
+    # actor with no capability, so it has nothing to offer the root
+    h = build_holarchy(
+        HolarchySpec(
+            frozenset({0, 1}),
+            (soc(0, [1, 2, 8]), soc(1, [3]), soc(2, [5]), soc(3, [6]), soc(5, [7]), atom(6, 0), atom(7), atom(8, 1)),
+        )
+    )
+    register_initial_services(h)
+    assert validate(h) == []
+    assert {e.via for e in h.registries[0].service_entries} == {None, 1}
+    reg = h.registries[0]
+    reg.service_entries = [e for e in reg.service_entries if e.via != 1]
+    assert [(v.code, v.holon) for v in validate(h)] == [("RepresentativeNotRegistered", 0)]
+
+
+def test_validate_reports_a_promoted_team_missing_from_its_anchor(nested):
+    register_initial_services(nested)
+    team = nested.graft((5, 6), 0, 1)
+    assert validate(nested) == []
+    reg = nested.registries[0]
+    reg.service_entries = [e for e in reg.service_entries if e.via != team]
+    assert [(v.code, v.holon) for v in validate(nested)] == [("RepresentativeNotRegistered", 0)]
 
 
 def test_ranked_offers_follow_every_registry_writer(nested):
-    assert nested.ranked_offers(6, 0) == ()
+    assert nested.ranked_offers(0, 0) == ()
     register_initial_services(nested, t=5)
-    assert nested.ranked_offers(6, 0) == ((5, 0), (5, 2))
-    assert nested.ranked_offers(4, 0) == ((5, 0),)
+    assert nested.ranked_offers(0, 0) == ((5, 3), (5, 5))
+    assert nested.ranked_offers(1, 0) == ((5, 3),)
 
     # a team whose offers are older than the root's own outranks them there
-    assert nested.graft((2, 3), 6, 1) == 7
-    assert nested.ranked_offers(6, 0) == ((1, 2), (5, 0))
-    assert nested.ranked_offers(7, 2) == ((1, 2), (1, 3))
+    assert nested.graft((5, 6), 0, 1) == 7
+    assert nested.ranked_offers(0, 0) == ((1, 5), (5, 3))
+    assert nested.ranked_offers(7, 2) == ((1, 5), (1, 6))
 
-    assert nested.remove(7) == 6
-    assert nested.ranked_offers(6, 0) == ((5, 0), (5, 2))
+    assert nested.remove(7) == 0
+    assert nested.ranked_offers(0, 0) == ((5, 3), (5, 5))
 
     # the freed id comes back for a different team
-    assert nested.graft((0, 1), 6, 2) == 7
-    assert nested.ranked_offers(7, 0) == ((2, 0),)
+    assert nested.graft((3, 4), 0, 2) == 7
+    assert nested.ranked_offers(7, 0) == ((2, 3),)
     assert nested.ranked_offers(7, 2) == ()
-    assert nested.ranked_offers(6, 0) == ((2, 0), (5, 2))
+    assert nested.ranked_offers(0, 0) == ((2, 3), (5, 5))
 
 
 def test_ranked_offers_skip_providers_that_cannot_play_the_role(nested):
     register_initial_services(nested)
-    nested.registries[4].service_entries.append(ServiceEntry(1, 0, registered_at=1))
-    nested.registries[4].service_entries.append(ServiceEntry(9, 0, registered_at=1))
-    nested.offers_changed(4)
-    assert nested.ranked_offers(4, 0) == ((0, 0),)
+    nested.registries[1].service_entries.append(ServiceEntry(4, 0, registered_at=1))
+    nested.registries[1].service_entries.append(ServiceEntry(9, 0, registered_at=1))
+    nested.offers_changed(1)
+    assert nested.ranked_offers(1, 0) == ((0, 3),)
