@@ -60,7 +60,6 @@ from .holarchy import (
     HolarchySpec,
     Holon,
     HolonKind,
-    HolonSpec,
     build_holarchy,
     register_initial_services,
     validate,
@@ -80,7 +79,6 @@ __all__ = [
     "HolarchySpec",
     "Holon",
     "HolonKind",
-    "HolonSpec",
     "Metrics",
     "Outcome",
     "PeriodicProcess",

@@ -27,7 +27,7 @@ from .engine import (
     write_trace,
 )
 from .evolution import EvolutionError
-from .holarchy import HolarchyError, HolonKind, build_holarchy
+from .holarchy import HolarchyError, build_holarchy
 
 
 def _u64(text: str) -> int:
@@ -128,7 +128,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     # loading already enforced every structural rule of the holarchy
     scenario = _load(args.scenario)
     holons = scenario.holarchy.holons
-    atoms = sum(1 for spec in holons if spec.kind is HolonKind.ATOMIC)
+    atoms = sum(1 for node in holons if node.is_atomic)
     print(
         f"scenario ok: {len(holons)} holons ({atoms} actors), "
         f"{len(scenario.role_names)} roles, {len(scenario.activities.activities)} activities"

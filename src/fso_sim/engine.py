@@ -19,7 +19,9 @@ arrivals are published, triggered activities resolve in activity id order
 (earlier resolutions see the actors consumed by previous ones), parked
 requests retry if a dissolution freed actors this tick, and evolution
 promotes or prunes. Overlays still open at the horizon are drained past it
-so every formation has its dissolution on record.
+so every formation has its dissolution on record. Events arrive only
+before the horizon, but drain ticks are full ticks: parked requests retry
+on them, so a SON can form at or after the horizon, and is drained in turn.
 """
 
 from __future__ import annotations
@@ -64,11 +66,11 @@ from .evolution import (
     record_outcome,
 )
 from .holarchy import (
-    HolarchyError,
     HolarchySpec,
     Holarchy,
+    Holon,
     HolonKind,
-    HolonSpec,
+    ViolationError,
     build_holarchy,
     register_initial_services,
     validate,
@@ -295,22 +297,16 @@ def scenario_from_dict(doc: Any) -> Scenario:
         _fail("".join(reversed(path)).lstrip(".") or "scenario", msg)
 
     role_names = tuple(doc["roles"])
-    spec = HolarchySpec(
-        roles=frozenset(range(len(role_names))),
-        holons=tuple(
-            HolonSpec(
-                id=h["id"],
-                kind=HolonKind(h["kind"]),
-                capabilities=tuple(h.get("capabilities", ())),
-                members=tuple(h.get("members", ())),
-                representative=h.get("representative"),
-            )
-            for h in doc["holarchy"]
-        ),
-    )
+    holons = []
+    for h in doc["holarchy"]:
+        members = tuple(h.get("members", ()))
+        # a community's representative defaults to its lowest member
+        rep = h.get("representative", min(members, default=None))
+        holons.append(Holon(h["id"], HolonKind(h["kind"]), frozenset(h.get("capabilities", ())), members, rep))
+    spec = HolarchySpec(roles=frozenset(range(len(role_names))), holons=tuple(holons))
     try:
         holarchy = build_holarchy(spec)
-    except HolarchyError as exc:
+    except ViolationError as exc:
         _fail("holarchy", str(exc))
 
     activities = []
@@ -379,16 +375,26 @@ def _reject_constant(token: str) -> float:
     raise ParseError(f"{token} is not a JSON number")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """Build a JSON object, refusing one that repeats a key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
     Raises ParseError for broken JSON, including nesting too deep for the
-    decoder, integer literals too long to convert and the non-standard
-    tokens NaN, Infinity and -Infinity, and ValidationError, with the path
-    of the offending element, for format violations.
+    decoder, integer literals too long to convert, the non-standard tokens
+    NaN, Infinity and -Infinity and an object that repeats a key, and
+    ValidationError, with the path of the offending element, for format
+    violations.
     """
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:
@@ -410,7 +416,7 @@ def parse_trace(text: str) -> list[TraceRecord]:
         if not line.strip():
             continue
         try:
-            doc = json.loads(line)
+            doc = json.loads(line, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise MalformedTraceError(f"line {lineno}: {exc.msg}") from None
         except (ValueError, RecursionError) as exc:
@@ -696,7 +702,11 @@ class Simulation:
             self._check_invariants()
 
     def run(self) -> Metrics:
-        """Run to the horizon, drain open overlays, close parked requests."""
+        """Run to the horizon, drain open overlays, close parked requests.
+
+        Each drain tick is a full :meth:`step`, so parked requests retry on
+        it and may form SONs at or after the horizon; those are drained too.
+        """
         while self.clock < self.horizon:
             self.step()
         # every arrival is before the horizon, so these ticks publish nothing

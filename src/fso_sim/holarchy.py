@@ -12,8 +12,10 @@ goes leaves first, and :meth:`Holarchy.graft` fills a promoted SoC's
 registry before it writes the anchor's proxies.
 
 The structural rules (a tree of nested communities under one composite
-root) are stated once, in :func:`validate`. :func:`build_holarchy` raises
-the first of them a spec breaks; a debug run audits them after every tick.
+root) are stated once, in :func:`validate`, as :class:`Violation` data.
+:func:`build_holarchy` raises the first of them a spec breaks as a
+:class:`ViolationError` carrying it; a debug run audits them after every
+tick.
 
 A run has exactly one holarchy, built by :func:`build_holarchy` and only
 ever touched by the engine's single logical event loop. Registries are its
@@ -22,27 +24,25 @@ everyday mutable surface. Its structure changes in place, through
 promotes a recurring overlay into a permanent SoC or prunes one again (see
 :mod:`fso_sim.evolution`).
 
-A holarchy memoises three things its structure already knows: the actors
-under each SoC, bucketed by role (:meth:`Holarchy.role_atoms`); the set of
-every SoC's sorted member list (:meth:`Holarchy.holds_members`); and, per
-SoC and role, every actor its registry offers, ranked by registration time
-(:meth:`Holarchy.ranked_offers`). All three fill lazily, so building a
-holarchy costs nothing extra. A grafted SoC's members are actors already
-under its anchor, so neither edit changes the actor set of any other SoC
-and the role-atom cache keeps every other entry. A removed id forgets its
-role atoms, because :meth:`Holarchy.graft` gives each new SoC the next free
-id, ``max(holons) + 1``, and so may reuse it for a different team. The
-offer views follow the registries instead: every writer of a registry's
-service entries (:func:`register_initial_services`, :meth:`Holarchy.graft`
-and :meth:`Holarchy.remove`) calls :meth:`Holarchy.offers_changed` for the
-SoC it wrote, and no other view changes, since no other SoC's actors do.
+A holarchy memoises two things its structure already knows: the actors
+under each SoC, bucketed by role (:meth:`Holarchy.role_atoms`), and the set
+of every SoC's sorted member list (:meth:`Holarchy.holds_members`). Both
+fill lazily, so building a holarchy costs nothing extra. A grafted SoC's
+members are actors already under its anchor, so neither edit changes the
+actor set of any other SoC and the role-atom cache keeps every other entry.
+A removed id forgets its role atoms, because :meth:`Holarchy.graft` gives
+each new SoC the next free id, ``max(holons) + 1``, and so may reuse it for
+a different team. Each registry keeps its own ranked offer views
+(:meth:`Holarchy.ranked_offers`), and its only writers,
+:meth:`Registry.offer` and :meth:`Registry.retract`, drop them. A promoted
+SoC starts with a fresh registry and a removed one takes its views with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 HolonId = int
 RoleId = int
@@ -53,28 +53,16 @@ class HolarchyError(Exception):
     """Base class for structural errors."""
 
 
-class DuplicateIdError(HolarchyError):
-    pass
-
-
-class CycleDetectedError(HolarchyError):
-    """Membership is not a tree (cycle, shared member, or unreachable node)."""
-
-
-class RepresentativeNotMemberError(HolarchyError):
-    pass
-
-
-class UnknownRoleError(HolarchyError):
-    pass
-
-
 class UnknownHolonError(HolarchyError):
     pass
 
 
-class MalformedHolonError(HolarchyError):
-    """A holon's fields are inconsistent with its kind."""
+class ViolationError(HolarchyError):
+    """A holarchy breaks one of the structural rules of :func:`validate`."""
+
+    def __init__(self, violation: Violation) -> None:
+        super().__init__(violation.detail)
+        self.violation = violation
 
 
 class HolonKind(Enum):
@@ -143,40 +131,45 @@ class Registry:
     """Per-SoC store of service offers and published information.
 
     Entries stay totally ordered by (registered_at, provider, role); this
-    order is the canonical tie-break order everywhere. ``topics`` is the set
-    of topics among ``info_entries``; :func:`fso_sim.canon.publish` keeps it
+    order is the canonical tie-break order everywhere. Only :meth:`offer`
+    and :meth:`retract` write them, and both drop the ranked ``views``
+    :meth:`Holarchy.ranked_offers` keeps here. ``topics`` is the set of
+    topics among ``info_entries``; :func:`fso_sim.canon.publish` keeps it
     up to date, so staffing never rescans the information list.
     """
 
     owner: HolonId
-    service_entries: list[ServiceEntry] = field(default_factory=list)
+    service_entries: list[ServiceEntry] = field(default_factory=list, init=False)
     info_entries: list[InformationItem] = field(default_factory=list)
     topics: set[str] = field(init=False, repr=False, compare=False)
+    # role -> (registered_at, actor) per actor offered for it, at its earliest entry, ascending
+    views: dict[RoleId, tuple[tuple[LogicalTime, HolonId], ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.topics = {item.topic for item in self.info_entries}
+        self.views = {}
 
     def topics_present(self) -> set[str]:
         return set(self.topics)
 
+    def offer(self, entries: Iterable[ServiceEntry]) -> None:
+        """Merge ``entries`` into the service entries, in canonical order."""
+        self.service_entries.extend(entries)
+        self.service_entries.sort(key=ServiceEntry.sort_key)
+        self.views.clear()
 
-@dataclass(frozen=True)
-class HolonSpec:
-    """Declarative description of one holon, as read from a scenario."""
-
-    id: HolonId
-    kind: HolonKind
-    capabilities: tuple[RoleId, ...] = ()
-    members: tuple[HolonId, ...] = ()
-    representative: HolonId | None = None
+    def retract(self, via: HolonId) -> None:
+        """Drop every entry registered via the composite member ``via``."""
+        self.service_entries = [e for e in self.service_entries if e.via != via]
+        self.views.clear()
 
 
 @dataclass(frozen=True)
 class HolarchySpec:
-    """Declarative description of a whole holarchy plus the role table."""
+    """Declarative description of a whole holarchy, holons used as given, plus the role table."""
 
     roles: frozenset[RoleId]
-    holons: tuple[HolonSpec, ...]
+    holons: tuple[Holon, ...]
 
 
 @dataclass(frozen=True)
@@ -193,9 +186,6 @@ class Violation:
 
 # SoC -> role -> the actors under the SoC that can play the role, in id order
 RoleAtoms = dict[HolonId, dict[RoleId, tuple[HolonId, ...]]]
-# SoC -> role -> (registered_at, actor) for every actor the SoC's registry
-# offers for the role, at its earliest entry, in ascending order
-RankedOffers = dict[HolonId, dict[RoleId, tuple[tuple[LogicalTime, HolonId], ...]]]
 
 
 class Holarchy:
@@ -221,7 +211,6 @@ class Holarchy:
         self.roles = roles
         self.registries = registries
         self._role_atoms: RoleAtoms = {}
-        self._ranked_offers: RankedOffers = {}
         self._member_sets: set[tuple[HolonId, ...]] | None = None
 
     # -- basic queries -------------------------------------------------
@@ -289,14 +278,16 @@ class Holarchy:
         minimum over the entries naming it. A direct entry counts when its
         provider is an existing actor holding the role; a punctualized entry
         stands for the role atoms of the member it was registered via. The
-        first call for a SoC and role reads the registry once.
+        first call for a SoC and role reads the registry once, and the view
+        lives in the registry until its next write.
         """
+        reg = self.registries[soc]
         try:
-            return self._ranked_offers[soc][role]
+            return reg.views[role]
         except KeyError:
             pass
         earliest: dict[HolonId, LogicalTime] = {}
-        for entry in self.registries[soc].service_entries:
+        for entry in reg.service_entries:
             if entry.role != role:
                 continue
             if entry.via is None:
@@ -311,17 +302,8 @@ class Holarchy:
                 best = earliest.get(a)
                 if best is None or at < best:
                     earliest[a] = at
-        view = tuple(sorted((at, a) for a, at in earliest.items()))
-        self._ranked_offers.setdefault(soc, {})[role] = view
+        view = reg.views[role] = tuple(sorted((at, a) for a, at in earliest.items()))
         return view
-
-    def offers_changed(self, soc: HolonId) -> None:
-        """Forget ``soc``'s ranked offer views.
-
-        Whatever edits a registry's service entries calls this for the
-        SoC it edited; the views are rebuilt on their next use.
-        """
-        self._ranked_offers.pop(soc, None)
 
     def holds_members(self, members: tuple[HolonId, ...]) -> bool:
         """Whether some SoC's member list, sorted, is exactly ``members``."""
@@ -343,17 +325,13 @@ class Holarchy:
             soc, HolonKind.COMPOSITE, members=members, representative=min(members), origin=HolonOrigin.PERMANENTIFIED
         )
         self.parent[soc] = anchor
-        own = sorted((e for m in members for e in self._offers(m, t)), key=ServiceEntry.sort_key)
-        self.registries[soc] = Registry(owner=soc, service_entries=own)
+        self.registries[soc] = Registry(owner=soc)
+        self.registries[soc].offer(e for m in members for e in self._offers(m, t))
         old = self.holons[anchor]
         self._set_members(old, old.members + (soc,))
         if self._member_sets is not None:
             self._member_sets.add(tuple(sorted(members)))
-        entries = self.registries[anchor].service_entries
-        entries.extend(self._offers(soc, t))
-        entries.sort(key=ServiceEntry.sort_key)
-        self.offers_changed(anchor)
-        self.offers_changed(soc)
+        self.registries[anchor].offer(self._offers(soc, t))
         return soc
 
     def remove(self, soc: HolonId) -> HolonId:
@@ -363,14 +341,11 @@ class Holarchy:
         del self.registries[soc]
         # the next promotion may reuse the id for a different team
         self._role_atoms.pop(soc, None)
-        self.offers_changed(soc)
-        self.offers_changed(anchor)
         old = self.holons[anchor]
         self._set_members(old, tuple(m for m in old.members if m != soc))
         if self._member_sets is not None:
             self._member_sets.discard(tuple(sorted(node.members)))
-        reg = self.registries[anchor]
-        reg.service_entries = [e for e in reg.service_entries if e.via != soc]
+        self.registries[anchor].retract(soc)
         return anchor
 
     def _set_members(self, old: Holon, members: tuple[HolonId, ...]) -> None:
@@ -400,32 +375,28 @@ class Holarchy:
 def build_holarchy(spec: HolarchySpec) -> Holarchy:
     """Materialize a holarchy from its declarative spec, or raise its first fault.
 
-    Representatives default to the lowest member. Every composite receives
-    an empty registry; initial service offers are registered separately
-    with :func:`register_initial_services`. The first violation of the
-    structural rules of :func:`validate` is raised as its
-    :class:`HolarchyError` subclass; duplicate ids, which a holarchy keyed
-    by id cannot hold, are the one fault checked here.
+    The spec's holons are used as given. Every composite receives an empty
+    registry; initial service offers are registered separately with
+    :func:`register_initial_services`. The first violation of the structural
+    rules of :func:`validate`, or a ``DuplicateId``, which a holarchy keyed by
+    id cannot hold, is raised as a :class:`ViolationError`.
     """
     holons: dict[HolonId, Holon] = {}
     parent: dict[HolonId, HolonId] = {}
     registries: dict[HolonId, Registry] = {}
-    for hs in spec.holons:
-        if hs.id in holons:
-            raise DuplicateIdError(f"holon id {hs.id} declared twice")
-        rep = hs.representative
-        if hs.kind is HolonKind.COMPOSITE:
-            if rep is None and hs.members:
-                rep = min(hs.members)
-            parent.update(dict.fromkeys(hs.members, hs.id))
-            registries[hs.id] = Registry(owner=hs.id)
-        holons[hs.id] = Holon(hs.id, hs.kind, frozenset(hs.capabilities), hs.members, rep)
+    for node in spec.holons:
+        if node.id in holons:
+            raise ViolationError(Violation("DuplicateId", node.id, f"holon id {node.id} declared twice"))
+        if node.is_composite:
+            parent.update(dict.fromkeys(node.members, node.id))
+            registries[node.id] = Registry(owner=node.id)
+        holons[node.id] = node
     # -1 when every holon is listed somewhere, which the rules reject
     root = next((i for i in holons if i not in parent), -1)
     h = Holarchy(holons, parent, root, spec.roles, registries)
     # a fresh holarchy's registries are empty, so only the structure can fail
     for v in _structure_violations(h):
-        raise _RAISED_AS[v.code](v.detail)
+        raise ViolationError(v)
     return h
 
 
@@ -442,9 +413,7 @@ def register_initial_services(h: Holarchy, t: LogicalTime = 0) -> None:
     for soc in order:
         order += [m for m in h.holons[soc].members if h.holons[m].is_composite]
     for soc in reversed(order):
-        entries = sorted((e for m in h.holons[soc].members for e in h._offers(m, t)), key=ServiceEntry.sort_key)
-        h.registries[soc].service_entries.extend(entries)
-        h.offers_changed(soc)
+        h.registries[soc].offer(e for m in h.holons[soc].members for e in h._offers(m, t))
 
 
 def validate(h: Holarchy) -> list[Violation]:
@@ -456,24 +425,6 @@ def validate(h: Holarchy) -> list[Violation]:
     means the holarchy is sound.
     """
     return [*_structure_violations(h), *_registry_violations(h)]
-
-
-# how build_holarchy raises each violation a spec can commit; the other
-# codes only a holarchy edited after building can show
-_RAISED_AS: dict[str, type[HolarchyError]] = {
-    "NegativeId": MalformedHolonError,
-    "AtomicWithMembers": MalformedHolonError,
-    "AtomicWithRepresentative": MalformedHolonError,
-    "CapabilityOnComposite": MalformedHolonError,
-    "EmptyComposite": MalformedHolonError,
-    "AtomicRoot": MalformedHolonError,
-    "UnknownRole": UnknownRoleError,
-    "RepresentativeNotMember": RepresentativeNotMemberError,
-    "UnknownMember": UnknownHolonError,
-    "MultipleParents": CycleDetectedError,
-    "RootCount": CycleDetectedError,
-    "Unreachable": CycleDetectedError,
-}
 
 
 def _structure_violations(h: Holarchy) -> Iterator[Violation]:

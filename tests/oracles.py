@@ -113,8 +113,8 @@ def spec_problems(spec: HolarchySpec) -> list[str]:
 
     A spec is sound when its ids are unique and non-negative, actors carry
     only declared roles and no members or representative, communities carry
-    members but no capabilities, every member is declared, a named
-    representative is a member, every holon sits in at most one member
+    members but no capabilities, every member is declared, each community's
+    representative is one of its members, every holon sits in at most one member
     list, and exactly one holon, a community, sits in none and reaches all
     the others through member lists.
     """
@@ -133,7 +133,7 @@ def spec_problems(spec: HolarchySpec) -> list[str]:
             if hs.capabilities or not hs.members:
                 problems.append(f"community {hs.id} has capabilities or no members")
             problems += [f"community {hs.id} lists undeclared {m}" for m in hs.members if m not in declared]
-            if hs.representative is not None and hs.representative not in hs.members:
+            if hs.representative not in hs.members:
                 problems.append(f"community {hs.id} is represented by outsider {hs.representative}")
     problems += [f"{i} listed {listings.count(i)} times" for i in sorted(declared) if listings.count(i) > 1]
     tops = sorted(declared - set(listings))

@@ -20,8 +20,8 @@ from fso_sim.activation import (
 )
 from fso_sim.holarchy import (
     HolarchySpec,
+    Holon,
     HolonKind,
-    HolonSpec,
     UnknownHolonError,
     build_holarchy,
 )
@@ -30,11 +30,12 @@ from oracles import count_activation_states
 
 
 def atom(i, *caps):
-    return HolonSpec(id=i, kind=HolonKind.ATOMIC, capabilities=tuple(caps))
+    return Holon(id=i, kind=HolonKind.ATOMIC, capabilities=frozenset(caps))
 
 
 def soc(i, members):
-    return HolonSpec(id=i, kind=HolonKind.COMPOSITE, members=tuple(members))
+    members = tuple(members)
+    return Holon(id=i, kind=HolonKind.COMPOSITE, members=members, representative=min(members))
 
 
 def build(*holons, roles=frozenset({0, 1, 2})):

@@ -28,10 +28,9 @@ from fso_sim.canon import (
 )
 from fso_sim.holarchy import (
     HolarchySpec,
+    Holon,
     HolonKind,
-    HolonSpec,
     InformationItem,
-    ServiceEntry,
     build_holarchy,
     register_initial_services,
 )
@@ -40,11 +39,12 @@ from oracles import brute_force_solve, full_pool_resolve, oracle_resolve
 
 
 def atom(i, *caps):
-    return HolonSpec(id=i, kind=HolonKind.ATOMIC, capabilities=tuple(caps))
+    return Holon(id=i, kind=HolonKind.ATOMIC, capabilities=frozenset(caps))
 
 
 def soc(i, members):
-    return HolonSpec(id=i, kind=HolonKind.COMPOSITE, members=tuple(members))
+    members = tuple(members)
+    return Holon(id=i, kind=HolonKind.COMPOSITE, members=members, representative=min(members))
 
 
 def build(*holons, roles=frozenset({0, 1, 2, 3})):
@@ -304,7 +304,7 @@ def test_solver_agrees_with_brute_force(data):
         data.draw(st.frozensets(st.integers(0, 3), max_size=3), label=f"caps{a}")
         for a in range(n_atoms)
     ]
-    holons = [HolonSpec(a, HolonKind.ATOMIC, capabilities=tuple(sorted(caps[a]))) for a in range(n_atoms)]
+    holons = [atom(a, *caps[a]) for a in range(n_atoms)]
     split = data.draw(st.integers(1, n_atoms), label="split")
     left, right = list(range(split)), list(range(split, n_atoms))
     tops = []
@@ -350,14 +350,12 @@ def restamp(h, times):
     does not name keep theirs.
     """
     for soc, reg in h.registries.items():
-        reg.service_entries = sorted(
-            (
-                dataclasses.replace(e, registered_at=times.get((soc, e.provider, e.role, e.via), e.registered_at))
-                for e in reg.service_entries
-            ),
-            key=ServiceEntry.sort_key,
-        )
-        h.offers_changed(soc)
+        stamped = [
+            dataclasses.replace(e, registered_at=times.get((soc, e.provider, e.role, e.via), e.registered_at))
+            for e in reg.service_entries
+        ]
+        reg.service_entries.clear()
+        reg.offer(stamped)
 
 
 def test_an_earlier_registration_above_outranks_a_later_one_below():
@@ -400,7 +398,7 @@ def test_solver_agrees_with_the_full_pool_under_mixed_registration_times(data):
         data.draw(st.frozensets(st.integers(0, 2), max_size=3), label=f"caps{a}")
         for a in range(n_atoms)
     ]
-    holons = [HolonSpec(a, HolonKind.ATOMIC, capabilities=tuple(sorted(caps[a]))) for a in range(n_atoms)]
+    holons = [atom(a, *caps[a]) for a in range(n_atoms)]
     split = data.draw(st.integers(1, n_atoms - 1), label="split")
     holons += [soc(n_atoms, range(split)), soc(n_atoms + 1, range(split, n_atoms)), soc(n_atoms + 2, [n_atoms, n_atoms + 1])]
     h = build(*holons)

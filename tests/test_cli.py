@@ -382,6 +382,16 @@ def test_non_standard_json_numbers_exit_one(tmp_path, capsys, command, case):
     assert_clean_failure(code, capsys, "is not a JSON number")
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_repeated_key_exits_one(tmp_path, capsys, command):
+    text = (SCENARIOS / "minimal.json").read_text()
+    scenario = tmp_path / "repeated.json"
+    scenario.write_text(text.replace('"horizon"', '"horizon": 3, "horizon"', 1))
+    seed = ["--seed", "0"] if command == "run" else []
+    code = run_cli(command, "--scenario", str(scenario), *seed)
+    assert_clean_failure(code, capsys, "duplicate key 'horizon'")
+
+
 @pytest.mark.parametrize("lines_read", [0, 1])
 def test_closed_stdout_pipe_ends_quietly(lines_read):
     env = dict(os.environ)

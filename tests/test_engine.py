@@ -30,7 +30,7 @@ from fso_sim.engine import (
 )
 from fso_sim.environment import EnvironmentSpec, EventSource, PeriodicProcess, PoissonProcess, ScriptedProcess
 from fso_sim.evolution import EvolutionPolicy
-from fso_sim.holarchy import HolarchySpec, HolonKind, HolonSpec
+from fso_sim.holarchy import HolarchySpec, Holon, HolonKind
 
 from generators import random_scenario
 from oracles import fold_metrics, replay_partition, son_lifecycle_check
@@ -78,11 +78,11 @@ def test_load_happy_path():
     assert s.holarchy == HolarchySpec(
         roles=frozenset({0, 1}),
         holons=(
-            HolonSpec(id=0, kind=atomic, capabilities=(0,)),
-            HolonSpec(id=1, kind=atomic, capabilities=(1,)),
-            HolonSpec(id=2, kind=composite, members=(0,), representative=0),
-            HolonSpec(id=3, kind=composite, members=(1,), representative=1),
-            HolonSpec(id=4, kind=composite, members=(2, 3), representative=2),
+            Holon(id=0, kind=atomic, capabilities=frozenset({0})),
+            Holon(id=1, kind=atomic, capabilities=frozenset({1})),
+            Holon(id=2, kind=composite, members=(0,), representative=0),
+            Holon(id=3, kind=composite, members=(1,), representative=1),
+            Holon(id=4, kind=composite, members=(2, 3), representative=2),
         ),
     )
     assert s.activities.activities == (
@@ -102,8 +102,9 @@ def test_load_happy_path():
         {"topic": "knock", "injection_soc": 4, "process": {"kind": "poisson", "rate": 2}},
     ]
     s = scenario_from_dict(doc)
-    assert s.holarchy.holons[0] == HolonSpec(id=0, kind=atomic, capabilities=())
-    assert s.holarchy.holons[4].representative is None
+    assert s.holarchy.holons[0] == Holon(id=0, kind=atomic)
+    # the lowest member stands in for a representative left out
+    assert s.holarchy.holons[4].representative == 2
     (activity,) = s.activities.activities
     assert activity.duration == 1 and activity.required_data == frozenset()
     assert s.policy.failure_injections == ()
@@ -159,6 +160,18 @@ def test_load_rejects_bad_documents(mutate, needle):
     with pytest.raises(ValidationError) as err:
         scenario_from_dict(doc)
     assert needle in str(err.value)
+
+
+def test_load_rejects_an_object_that_repeats_a_key():
+    text = json.dumps(minimal_doc())
+    for old, new, key in [
+        ('"horizon": 10', '"horizon": 3, "horizon": 10', "horizon"),
+        ('"kind": "atomic"', '"kind": "atomic", "kind": "atomic"', "kind"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            load_scenario(text.replace(old, new, 1))
+        assert str(err.value) == f"duplicate key {key!r}"
+    load_scenario(text)
 
 
 def test_load_rejects_structural_breakage():
@@ -316,6 +329,30 @@ def test_overlays_drain_past_the_horizon():
     assert dissolved and dissolved[0].tick == 3  # one past the horizon
 
 
+def test_parked_requests_can_form_overlays_on_drain_ticks():
+    s = load_scenario_file(str(SCENARIOS / "nine_actors.json"))
+    assert (s.seed, s.horizon) == (7, 60)
+    trace, _ = run_scenario(s, debug=True)
+    late = [(r.tick, r.kind, r.payload.get("son")) for r in trace if r.tick >= s.horizon]
+    # SON 8 frees the actors request 9 was parked for, on the horizon tick
+    assert late == [
+        (60, "SonDissolved", 8),
+        (60, "ExceptionRaised", None),
+        (60, "SonFormed", 9),
+        (63, "SonDissolved", 9),
+    ]
+    assert son_lifecycle_check(trace) == []
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_nothing_arrives_at_or_after_the_horizon_and_every_overlay_dissolves(path):
+    s = load_scenario_file(str(path))
+    for seed in (s.seed, 1, 4242):
+        trace, _ = run_scenario(s, seed=seed)
+        assert not [r for r in trace if r.tick >= s.horizon and r.kind in ("EventPublished", "ActivityTriggered")]
+        assert son_lifecycle_check(trace) == [], seed
+
+
 def test_unresolvable_parked_requests_get_a_final_record():
     doc = minimal_doc()
     doc["activities"][0]["required_roles"] = [1]
@@ -411,6 +448,18 @@ def test_parse_trace_rejects_garbage():
         parse_trace('{"tick": -1, "kind": "SonFormed", "payload": {}}\n')
     with pytest.raises(MalformedTraceError):
         parse_trace('{"tick": 1, "kind": "SonFormed"}\n')
+
+
+def test_parse_trace_rejects_an_object_that_repeats_a_key():
+    good = '{"kind":"Pruned","payload":{"members":[0],"parent":1,"soc":2},"tick":3}\n'
+    assert parse_trace(good) == [TraceRecord(3, "Pruned", {"members": [0], "parent": 1, "soc": 2})]
+    for bad, key in [
+        (good.replace('"tick":3', '"tick":3,"tick":4'), "tick"),
+        (good.replace('"soc":2', '"soc":2,"soc":5'), "soc"),
+    ]:
+        with pytest.raises(MalformedTraceError) as err:
+            parse_trace(good + bad)
+        assert str(err.value) == f"line 2: duplicate key {key!r}"
 
 
 def test_report_folds_match_independent_fold():

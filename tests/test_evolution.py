@@ -20,9 +20,9 @@ from fso_sim.evolution import (
 )
 from fso_sim.holarchy import (
     HolarchySpec,
+    Holon,
     HolonKind,
     HolonOrigin,
-    HolonSpec,
     build_holarchy,
     register_initial_services,
     validate,
@@ -34,11 +34,12 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def atom(i, *caps):
-    return HolonSpec(id=i, kind=HolonKind.ATOMIC, capabilities=tuple(caps))
+    return Holon(id=i, kind=HolonKind.ATOMIC, capabilities=frozenset(caps))
 
 
 def soc(i, members):
-    return HolonSpec(id=i, kind=HolonKind.COMPOSITE, members=tuple(members))
+    members = tuple(members)
+    return Holon(id=i, kind=HolonKind.COMPOSITE, members=members, representative=min(members))
 
 
 def build(*holons, roles=frozenset({0, 1, 2})):

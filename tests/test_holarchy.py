@@ -6,21 +6,16 @@ import random
 
 import pytest
 
+from fso_sim.engine import scenario_from_dict
 from fso_sim.holarchy import (
-    CycleDetectedError,
-    DuplicateIdError,
     Holarchy,
-    HolarchyError,
     HolarchySpec,
     Holon,
     HolonKind,
-    HolonSpec,
-    MalformedHolonError,
     Registry,
-    RepresentativeNotMemberError,
     ServiceEntry,
     UnknownHolonError,
-    UnknownRoleError,
+    ViolationError,
     build_holarchy,
     register_initial_services,
     validate,
@@ -31,27 +26,37 @@ from oracles import initial_offers, parent_scan, spec_problems, structural_check
 
 
 def atom(i, *caps):
-    return HolonSpec(id=i, kind=HolonKind.ATOMIC, capabilities=tuple(caps))
+    return Holon(id=i, kind=HolonKind.ATOMIC, capabilities=frozenset(caps))
 
 
 def soc(i, members, rep=None):
-    return HolonSpec(id=i, kind=HolonKind.COMPOSITE, members=tuple(members), representative=rep)
+    members = tuple(members)
+    return Holon(id=i, kind=HolonKind.COMPOSITE, members=members, representative=min(members) if rep is None else rep)
 
 
 def _spec_of(holons, n_roles):
+    """The spec the scenario loader makes of these holarchy entries."""
     return HolarchySpec(
         roles=frozenset(range(n_roles)),
         holons=tuple(
-            HolonSpec(
+            Holon(
                 h["id"],
                 HolonKind(h["kind"]),
-                tuple(h.get("capabilities", ())),
+                frozenset(h.get("capabilities", ())),
                 tuple(h.get("members", ())),
-                h.get("representative"),
+                h.get("representative", min(h.get("members", ()), default=None)),
             )
             for h in holons
         ),
     )
+
+
+def rejection(spec):
+    """The code of the violation ``build_holarchy`` raises for ``spec``."""
+    with pytest.raises(ViolationError) as err:
+        build_holarchy(spec)
+    assert str(err.value) == err.value.violation.detail
+    return err.value.violation.code
 
 
 @pytest.fixture
@@ -79,9 +84,13 @@ def test_build_assigns_parents_and_root(nested):
     assert parent_scan(nested) == nested.parent
 
 
-def test_representative_defaults_to_lowest_member(nested):
-    assert nested.holons[2].representative == 5
-    assert nested.holons[1].representative == 4
+def test_representative_defaults_to_lowest_member():
+    # the scenario format leaves it optional; build_holarchy takes holons as given
+    doc = random_scenario_dict(3)
+    for h in doc["holarchy"]:
+        h.pop("representative", None)
+    socs = [n for n in scenario_from_dict(doc).holarchy.holons if n.is_composite]
+    assert socs and all(n.representative == min(n.members) for n in socs)
 
 
 def test_subtree_and_capabilities(nested):
@@ -100,54 +109,44 @@ def test_chain_to_root(nested):
 
 def test_duplicate_id_rejected():
     spec = HolarchySpec(frozenset({0}), (atom(0, 0), atom(0, 0), soc(1, [0])))
-    with pytest.raises(DuplicateIdError):
-        build_holarchy(spec)
+    assert rejection(spec) == "DuplicateId"
 
 
 def test_shared_member_rejected():
     spec = HolarchySpec(frozenset({0}), (atom(0, 0), soc(1, [0]), soc(2, [0, 1])))
-    with pytest.raises(CycleDetectedError):
-        build_holarchy(spec)
+    assert rejection(spec) == "MultipleParents"
 
 
 def test_membership_cycle_rejected():
     spec = HolarchySpec(frozenset(), (soc(0, [1]), soc(1, [0])))
-    with pytest.raises(CycleDetectedError):
-        build_holarchy(spec)
+    assert rejection(spec) == "RootCount"
 
 
 def test_two_roots_rejected():
     spec = HolarchySpec(frozenset({0}), (atom(0, 0), atom(1, 0), soc(2, [0]), soc(3, [1])))
-    with pytest.raises(CycleDetectedError):
-        build_holarchy(spec)
+    assert rejection(spec) == "RootCount"
 
 
 def test_unknown_member_rejected():
     spec = HolarchySpec(frozenset({0}), (atom(0, 0), soc(1, [0, 7])))
-    with pytest.raises(UnknownHolonError):
-        build_holarchy(spec)
+    assert rejection(spec) == "UnknownMember"
 
 
 def test_outside_representative_rejected():
     spec = HolarchySpec(frozenset({0}), (atom(0, 0), atom(1, 0), soc(2, [0, 1], rep=1), soc(3, [2], rep=1)))
-    with pytest.raises(RepresentativeNotMemberError):
-        build_holarchy(spec)
+    assert rejection(spec) == "RepresentativeNotMember"
 
 
 def test_undeclared_role_rejected():
     spec = HolarchySpec(frozenset({0}), (atom(0, 5), soc(1, [0])))
-    with pytest.raises(UnknownRoleError):
-        build_holarchy(spec)
+    assert rejection(spec) == "UnknownRole"
 
 
 def test_malformed_holons_rejected():
-    with pytest.raises(MalformedHolonError):
-        build_holarchy(HolarchySpec(frozenset(), (HolonSpec(0, HolonKind.ATOMIC, members=(1,)),)))
-    with pytest.raises(MalformedHolonError):
-        build_holarchy(HolarchySpec(frozenset({0}), (atom(0, 0), HolonSpec(1, HolonKind.COMPOSITE, members=()))))
+    assert rejection(HolarchySpec(frozenset(), (Holon(0, HolonKind.ATOMIC, members=(1,)),))) == "AtomicWithMembers"
+    assert rejection(HolarchySpec(frozenset({0}), (atom(0, 0), Holon(1, HolonKind.COMPOSITE)))) == "EmptyComposite"
     # an atomic root is not a community
-    with pytest.raises(MalformedHolonError):
-        build_holarchy(HolarchySpec(frozenset({0}), (atom(0, 0),)))
+    assert rejection(HolarchySpec(frozenset({0}), (atom(0, 0),))) == "AtomicRoot"
 
 
 def test_validate_reports_an_atomic_root_and_a_negative_id():
@@ -161,10 +160,8 @@ def test_validate_reports_an_atomic_root_and_a_negative_id():
         {1: Registry(owner=1)},
     )
     assert [v.code for v in validate(negative)] == ["NegativeId"]
-    with pytest.raises(MalformedHolonError):
-        build_holarchy(HolarchySpec(frozenset({0}), (atom(0, 0),)))
-    with pytest.raises(MalformedHolonError):
-        build_holarchy(HolarchySpec(frozenset({0}), (atom(-1, 0), soc(1, [-1]))))
+    assert rejection(HolarchySpec(frozenset({0}), (atom(0, 0),))) == "AtomicRoot"
+    assert rejection(HolarchySpec(frozenset({0}), (atom(-1, 0), soc(1, [-1])))) == "NegativeId"
 
 
 def test_validate_reports_a_parent_map_the_member_lists_disagree_with(nested):
@@ -234,7 +231,7 @@ def test_build_raises_exactly_on_the_specs_the_oracle_faults():
         spec = _spec_of(holons, n_roles)
         problems = spec_problems(spec)
         if problems:
-            with pytest.raises(HolarchyError):
+            with pytest.raises(ViolationError):
                 build_holarchy(spec)
             rejected += 1
         else:
@@ -353,7 +350,6 @@ def test_ranked_offers_follow_every_registry_writer(nested):
 
 def test_ranked_offers_skip_providers_that_cannot_play_the_role(nested):
     register_initial_services(nested)
-    nested.registries[1].service_entries.append(ServiceEntry(4, 0, registered_at=1))
-    nested.registries[1].service_entries.append(ServiceEntry(9, 0, registered_at=1))
-    nested.offers_changed(1)
+    assert nested.ranked_offers(1, 0) == ((0, 3),)
+    nested.registries[1].offer([ServiceEntry(4, 0, registered_at=1), ServiceEntry(9, 0, registered_at=1)])
     assert nested.ranked_offers(1, 0) == ((0, 3),)
