@@ -18,10 +18,16 @@ Within a tick the order is fixed: due overlays dissolve, environment
 arrivals are published, triggered activities resolve in activity id order
 (earlier resolutions see the actors consumed by previous ones), parked
 requests retry if a dissolution freed actors this tick, and evolution
-promotes or prunes. Overlays still open at the horizon are drained past it
-so every formation has its dissolution on record. Events arrive only
-before the horizon, but drain ticks are full ticks: parked requests retry
-on them, so a SON can form at or after the horizon, and is drained in turn.
+promotes or prunes. Each phase runs only when it has work: a tick with no
+dissolve, no arrival and nothing ready to promote or to re-check for
+pruning costs a few comparisons. :meth:`Simulation.step` is still exactly
+one tick; :meth:`Simulation.run` visits only the ticks where something can
+happen, which are the arrival and dissolve ticks and the tick after a
+prune that freed a ready signature for promotion, and jumps the clock over
+the rest. Overlays still open at the horizon are drained past it so every
+formation has its dissolution on record. Events arrive only before the
+horizon, but drain ticks are full ticks: parked requests retry on them, so
+a SON can form at or after the horizon, and is drained in turn.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from .evolution import (
     Outcome,
     maybe_permanentify,
     maybe_prune,
+    promotion_due,
     record_outcome,
 )
 from .holarchy import (
@@ -553,9 +560,8 @@ class Simulation:
 
     # -- tick phases ----------------------------------------------------
 
-    def _phase_dissolve(self, t: int) -> bool:
-        sons = self._dissolve_at.pop(t, [])
-        for son in sons:
+    def _phase_dissolve(self, t: int) -> None:
+        for son in self._dissolve_at.pop(t):
             outcome = self.scenario.policy.outcome_of(son.activity, t)
             dissolve_son(son, t, self.state)
             record_outcome(self.ledger, son, outcome, t, self.scenario.policy)
@@ -569,7 +575,6 @@ class Simulation:
                 l_size=l_size,
                 r_size=r_size,
             )
-        return bool(sons)
 
     def _phase_arrivals(self, t: int) -> list[tuple[int, int, int, str]]:
         triggers: list[tuple[int, int, int, str]] = []
@@ -682,21 +687,35 @@ class Simulation:
             check_partition(self.state, self.holarchy)
         except Exception as exc:
             raise InvariantViolationError(f"tick {self.clock}: {exc}") from exc
-        violations = validate(self.holarchy)
-        if violations:
-            raise InvariantViolationError(f"tick {self.clock}: " + "; ".join(str(v) for v in violations))
+        problems = [str(v) for v in validate(self.holarchy)]
+        # nothing is due behind the clock: a passed-over arrival would stall
+        # the arrivals phase, and every later arrival with it
+        if self._cursor < len(self._arrivals) and self._arrivals[self._cursor].time < self.clock:
+            problems.append(f"the arrival due at tick {self._arrivals[self._cursor].time} was never published")
+        problems.extend(f"the overlays due at tick {t} never dissolved" for t in sorted(self._dissolve_at) if t < self.clock)
+        if problems:
+            raise InvariantViolationError(f"tick {self.clock}: " + "; ".join(problems))
 
     # -- driving --------------------------------------------------------
 
     def step(self) -> None:
-        """Process one tick: dissolve, publish, resolve, retry, evolve."""
+        """Process exactly one tick: dissolve, publish, resolve, retry, evolve.
+
+        Each phase runs only when it has work: dissolve on a tick some
+        overlay dissolves at, publish and resolve on an arrival tick, retry
+        when a dissolution freed actors and a request is parked, evolution
+        while a signature is ready to promote or to re-check for pruning.
+        """
         t = self.clock
-        freed = self._phase_dissolve(t)
-        triggers = self._phase_arrivals(t)
-        self._phase_resolve(t, triggers)
+        freed = t in self._dissolve_at
         if freed:
+            self._phase_dissolve(t)
+        if self._cursor < len(self._arrivals) and self._arrivals[self._cursor].time == t:
+            self._phase_resolve(t, self._phase_arrivals(t))
+        if freed and self._pending:
             self._phase_retry(t)
-        self._phase_evolution(t)
+        if self.ledger.ready or self.ledger.recheck:
+            self._phase_evolution(t)
         self.clock = t + 1
         if self.debug:
             self._check_invariants()
@@ -704,15 +723,28 @@ class Simulation:
     def run(self) -> Metrics:
         """Run to the horizon, drain open overlays, close parked requests.
 
-        Each drain tick is a full :meth:`step`, so parked requests retry on
-        it and may form SONs at or after the horizon; those are drained too.
+        Before the horizon, each :meth:`step` is followed by a jump of the
+        clock to the next arrival or dissolve tick, or to the horizon,
+        unless a prune has just freed a ready signature, which the next
+        tick promotes. The ticks jumped over would do nothing, so the trace
+        is that of stepping every tick. Each drain tick is a full step, so
+        parked requests retry on it and may form SONs at or after the
+        horizon; those are drained too.
         """
         while self.clock < self.horizon:
             self.step()
+            if not promotion_due(self.ledger, self.holarchy):
+                due = [self.horizon, *self._dissolve_at]
+                if self._cursor < len(self._arrivals):
+                    due.append(self._arrivals[self._cursor].time)
+                self.clock = min(due)
         # every arrival is before the horizon, so these ticks publish nothing
         while self._dissolve_at:
             self.clock = min(self._dissolve_at)
             self.step()
+        if self.debug:
+            # a last jump to the horizon has no step of its own to check it
+            self._check_invariants()
         for p in self._pending:
             self._emit_unresolved(p, final=True)
         self._pending = []

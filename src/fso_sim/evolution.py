@@ -23,7 +23,10 @@ holds stays there and is promoted if that SoC is pruned later. A windowed
 failure count can only rise when a failure is booked, so ``recheck`` holds
 just the promoted signatures that failed, or were promoted, since the last
 :func:`maybe_prune`, and a tick with neither prunes without looking at any
-SoC.
+SoC. With both sets empty, neither function does anything, so the engine
+skips evolution on such ticks; and since ``maybe_prune`` empties
+``recheck``, a tick can leave work due on the next one only by pruning a
+SoC that blocked a ready signature, which :func:`promotion_due` tells.
 """
 
 from __future__ import annotations
@@ -166,6 +169,16 @@ def _lca(h: Holarchy, nodes: list[HolonId]) -> HolonId:
         if all(node in o for o in others):
             return node
     raise EvolutionError(f"holons {nodes} share no ancestor")
+
+
+def promotion_due(ledger: ExperienceLedger, h: Holarchy) -> bool:
+    """Whether :func:`maybe_permanentify` would promote anything now.
+
+    A ready signature waits only while some SoC holds its member set, and a
+    promotion pass takes every other one, so after a pass this turns true
+    only when a prune frees a member set.
+    """
+    return any(not h.holds_members(sig.members) for sig in ledger.ready)
 
 
 def maybe_permanentify(ledger: ExperienceLedger, h: Holarchy, t: LogicalTime) -> tuple[PromotionEvent, ...]:
