@@ -28,6 +28,15 @@ the rest. Overlays still open at the horizon are drained past it so every
 formation has its dissolution on record. Events arrive only before the
 horizon, but drain ticks are full ticks: parked requests retry on them, so
 a SON can form at or after the horizon, and is drained in turn.
+
+A staffing request is one record from its trigger to its close, and
+:meth:`Simulation._attempt` is the one place an attempt at it is settled,
+in the resolve phase and the retry phase alike. Attempt 0 comes on the
+trigger tick. Retries come only on later ticks on which an overlay
+dissolved, at most ``retry_bound`` of them. Each failed attempt writes a
+``RequestUnresolved`` record with its ``attempt`` number and whether it
+was ``final``, and a request still parked when the run ends gets one more
+record with ``final`` true.
 """
 
 from __future__ import annotations
@@ -45,7 +54,6 @@ from .canon import (
     ActivityTable,
     ResponseActivity,
     Son,
-    SonPlan,
     Unresolved,
     form_son,
     dissolve_son,
@@ -492,14 +500,18 @@ def report(records: Iterable[TraceRecord]) -> Metrics:
 
 
 @dataclass
-class _Pending:
+class _Request:
+    """A staffing request, open from its trigger tick until an attempt forms
+    a SON, an attempt spends the last retry, or the run ends; an attempt
+    that leaves it open parks it with what that attempt found missing.
+    """
+
     request_id: int
     activity_id: int
     origin_soc: int
     triggered_at: int
     retries_left: int
-    last_attempt: int
-    last_missing: tuple[int, ...]
+    last_missing: tuple[int, ...] = ()
 
 
 def _debug_default() -> bool:
@@ -534,7 +546,7 @@ class Simulation:
         self._arrivals: list[Arrival] = sample_arrivals(scenario.environment, (0, self.horizon), self.seed)
         self._cursor = 0
         self._dissolve_at: dict[int, list[Son]] = {}
-        self._pending: list[_Pending] = []
+        self._pending: list[_Request] = []
         self._son_seq = 0
         self._request_seq = 0
 
@@ -546,16 +558,16 @@ class Simulation:
     def _sizes(self) -> tuple[int, int]:
         return len(self.state.inactive), len(self.state.active)
 
-    def _emit_unresolved(self, p: _Pending, final: bool) -> None:
+    def _emit_unresolved(self, r: _Request, final: bool) -> None:
         self._emit(
             "RequestUnresolved",
-            activity=p.activity_id,
-            request=p.request_id,
-            origin_soc=p.origin_soc,
-            attempt=self.scenario.retry_bound - p.retries_left,
+            activity=r.activity_id,
+            request=r.request_id,
+            origin_soc=r.origin_soc,
+            attempt=self.scenario.retry_bound - r.retries_left,
             final=final,
-            missing=list(p.last_missing),
-            triggered_at=p.triggered_at,
+            missing=list(r.last_missing),
+            triggered_at=r.triggered_at,
         )
 
     # -- tick phases ----------------------------------------------------
@@ -576,9 +588,8 @@ class Simulation:
                 r_size=r_size,
             )
 
-    def _phase_arrivals(self, t: int) -> list[tuple[int, int, int, str]]:
-        triggers: list[tuple[int, int, int, str]] = []
-        order = 0
+    def _phase_arrivals(self, t: int) -> list[tuple[int, int, str]]:
+        triggers: list[tuple[int, int, str]] = []
         while self._cursor < len(self._arrivals) and self._arrivals[self._cursor].time == t:
             arrival = self._arrivals[self._cursor]
             self._cursor += 1
@@ -591,82 +602,66 @@ class Simulation:
                 topic=arrival.item.topic,
             )
             for activity in triggered:
-                triggers.append((activity.id, order, arrival.item.source, arrival.item.topic))
-                order += 1
+                triggers.append((activity.id, arrival.item.source, arrival.item.topic))
         return triggers
 
-    def _attempt(self, activity_id: int, origin_soc: int, request_id: int, triggered_at: int) -> SonPlan | Unresolved:
-        activity = self.scenario.activities.by_id(activity_id)
-        result = resolve_request(activity, origin_soc, self.holarchy, self.state)
+    def _attempt(self, r: _Request) -> bool:
+        """Settle one attempt at ``r``; returns whether it stays parked."""
+        result = resolve_request(self.scenario.activities.by_id(r.activity_id), r.origin_soc, self.holarchy, self.state)
         for hop in result.hops:
             self._emit(
                 "ExceptionRaised",
-                activity=activity_id,
-                request=request_id,
+                activity=r.activity_id,
+                request=r.request_id,
                 from_soc=hop.from_soc,
                 to_soc=hop.to_soc,
                 hop=hop.hop,
                 missing=list(hop.missing),
             )
-        if isinstance(result, SonPlan):
-            son_id = self._son_seq
-            self._son_seq += 1
-            son = form_son(result, son_id, self.clock, self.state, self.holarchy)
-            self._dissolve_at.setdefault(son.dissolves_at, []).append(son)
-            l_size, r_size = self._sizes()
-            self._emit(
-                "SonFormed",
-                son=son.id,
-                request=request_id,
-                activity=activity_id,
-                origin_soc=result.origin_soc,
-                resolved_soc=result.resolved_soc,
-                members=[[a, r] for a, r in son.members],
-                spanned_socs=sorted(result.spanned_socs),
-                hop_count=result.hop_count,
-                triggered_at=triggered_at,
-                dissolves_at=son.dissolves_at,
-                l_size=l_size,
-                r_size=r_size,
-            )
-        return result
+        if isinstance(result, Unresolved):
+            r.last_missing = result.missing
+            self._emit_unresolved(r, final=r.retries_left == 0)
+            return r.retries_left > 0
+        son = form_son(result, self._son_seq, self.clock, self.state, self.holarchy)
+        self._son_seq += 1
+        self._dissolve_at.setdefault(son.dissolves_at, []).append(son)
+        l_size, r_size = self._sizes()
+        self._emit(
+            "SonFormed",
+            son=son.id,
+            request=r.request_id,
+            activity=r.activity_id,
+            origin_soc=result.origin_soc,
+            resolved_soc=result.resolved_soc,
+            members=[[a, role] for a, role in son.members],
+            spanned_socs=sorted(result.spanned_socs),
+            hop_count=result.hop_count,
+            triggered_at=r.triggered_at,
+            dissolves_at=son.dissolves_at,
+            l_size=l_size,
+            r_size=r_size,
+        )
+        return False
 
-    def _phase_resolve(self, t: int, triggers: list[tuple[int, int, int, str]]) -> None:
-        for activity_id, _, soc, topic in sorted(triggers):
-            request_id = self._request_seq
+    def _phase_resolve(self, t: int, triggers: list[tuple[int, int, str]]) -> None:
+        # a stable sort: one activity's triggers keep their publication order
+        for activity_id, soc, topic in sorted(triggers, key=operator.itemgetter(0)):
+            r = _Request(self._request_seq, activity_id, soc, t, self.scenario.retry_bound)
             self._request_seq += 1
-            self._emit("ActivityTriggered", activity=activity_id, request=request_id, soc=soc, topic=topic)
-            result = self._attempt(activity_id, soc, request_id, t)
-            if isinstance(result, Unresolved):
-                p = _Pending(
-                    request_id=request_id,
-                    activity_id=activity_id,
-                    origin_soc=soc,
-                    triggered_at=t,
-                    retries_left=self.scenario.retry_bound,
-                    last_attempt=t,
-                    last_missing=result.missing,
-                )
-                self._emit_unresolved(p, final=p.retries_left == 0)
-                if p.retries_left:
-                    self._pending.append(p)
+            self._emit("ActivityTriggered", activity=activity_id, request=r.request_id, soc=soc, topic=topic)
+            if self._attempt(r):
+                self._pending.append(r)
 
     def _phase_retry(self, t: int) -> None:
-        survivors: list[_Pending] = []
-        for p in list(self._pending):
-            if p.last_attempt >= t:
-                survivors.append(p)
-                continue
-            result = self._attempt(p.activity_id, p.origin_soc, p.request_id, p.triggered_at)
-            if isinstance(result, SonPlan):
-                continue
-            p.retries_left -= 1
-            p.last_attempt = t
-            p.last_missing = result.missing
-            self._emit_unresolved(p, final=p.retries_left == 0)
-            if p.retries_left:
-                survivors.append(p)
-        self._pending = survivors
+        parked: list[_Request] = []
+        for r in self._pending:
+            # a request opened on this tick has had its attempt for it
+            if r.triggered_at < t:
+                r.retries_left -= 1
+                if not self._attempt(r):
+                    continue
+            parked.append(r)
+        self._pending = parked
 
     def _phase_evolution(self, t: int) -> None:
         promotions = maybe_permanentify(self.ledger, self.holarchy, t)
@@ -745,8 +740,8 @@ class Simulation:
         if self.debug:
             # a last jump to the horizon has no step of its own to check it
             self._check_invariants()
-        for p in self._pending:
-            self._emit_unresolved(p, final=True)
+        for r in self._pending:
+            self._emit_unresolved(r, final=True)
         self._pending = []
         return report(self.trace)
 

@@ -197,10 +197,11 @@ def maybe_permanentify(ledger: ExperienceLedger, h: Holarchy, t: LogicalTime) ->
         return ()
     events: list[PromotionEvent] = []
     for sig in due:
-        ledger.ready.discard(sig)
         if h.holds_members(sig.members):
-            # an earlier promotion in this same pass took the member set
+            # an earlier promotion in this same pass took the member set; the
+            # signature stays ready until that SoC is pruned
             continue
+        ledger.ready.discard(sig)
         anchor = _lca(h, [h.parent[m] for m in sig.members])
         soc_id = h.graft(sig.members, anchor, t)
         ledger.promoted[sig] = soc_id

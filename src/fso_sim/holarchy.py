@@ -138,7 +138,6 @@ class Registry:
     up to date, so staffing never rescans the information list.
     """
 
-    owner: HolonId
     service_entries: list[ServiceEntry] = field(default_factory=list, init=False)
     info_entries: list[InformationItem] = field(default_factory=list)
     topics: set[str] = field(init=False, repr=False, compare=False)
@@ -325,7 +324,7 @@ class Holarchy:
             soc, HolonKind.COMPOSITE, members=members, representative=min(members), origin=HolonOrigin.PERMANENTIFIED
         )
         self.parent[soc] = anchor
-        self.registries[soc] = Registry(owner=soc)
+        self.registries[soc] = Registry()
         self.registries[soc].offer(e for m in members for e in self._offers(m, t))
         old = self.holons[anchor]
         self._set_members(old, old.members + (soc,))
@@ -389,7 +388,7 @@ def build_holarchy(spec: HolarchySpec) -> Holarchy:
             raise ViolationError(Violation("DuplicateId", node.id, f"holon id {node.id} declared twice"))
         if node.is_composite:
             parent.update(dict.fromkeys(node.members, node.id))
-            registries[node.id] = Registry(owner=node.id)
+            registries[node.id] = Registry()
         holons[node.id] = node
     # -1 when every holon is listed somewhere, which the rules reject
     root = next((i for i in holons if i not in parent), -1)

@@ -420,6 +420,41 @@ def request_outcome_check(records: list[Any], retry_bound: int, depth: int) -> l
     return problems
 
 
+def request_attempt_check(records: list[Any], retry_bound: int) -> list[str]:
+    """Each request is attempted on its trigger tick, then at most once a tick.
+
+    A request's attempts are its ``RequestUnresolved`` records, which must
+    number them 0, 1, 2, ..., then its ``SonFormed`` if one comes. The first
+    falls on the trigger tick and each later one on a later tick than the
+    one before. A request still parked when the run ends gets one more
+    ``final`` record below the retry bound; it repeats the last attempt's
+    number, comes after it, and is not an attempt.
+    """
+    problems = []
+    triggered_at: dict[int, int] = {}
+    attempts: dict[int, list[int]] = {}  # request -> the tick of each attempt
+    for r in records:
+        p = r.payload
+        if r.kind == "ActivityTriggered":
+            triggered_at[p["request"]] = r.tick
+            attempts[p["request"]] = []
+        elif r.kind in ("RequestUnresolved", "SonFormed"):
+            req = p["request"]
+            ticks = attempts[req]
+            if r.kind == "RequestUnresolved" and p["final"] and p["attempt"] < retry_bound:
+                if p["attempt"] != len(ticks) - 1 or r.tick <= ticks[-1]:
+                    problems.append(f"request {req} closed as attempt {p['attempt']} on tick {r.tick} after {ticks}")
+                continue
+            if r.kind == "RequestUnresolved" and p["attempt"] != len(ticks):
+                problems.append(f"request {req} numbered its attempt {len(ticks)} as {p['attempt']}")
+            if not ticks and r.tick != triggered_at[req]:
+                problems.append(f"request {req} triggered on tick {triggered_at[req]} first attempted on {r.tick}")
+            if ticks and r.tick <= ticks[-1]:
+                problems.append(f"request {req} attempted on tick {r.tick} after an attempt on tick {ticks[-1]}")
+            ticks.append(r.tick)
+    return problems
+
+
 def fold_metrics(records: list[Any]) -> dict[str, Any]:
     """Independent metrics fold over parsed trace records."""
     events = sons = unresolved = promoted = pruned = 0

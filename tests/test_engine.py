@@ -33,7 +33,7 @@ from fso_sim.evolution import EvolutionPolicy
 from fso_sim.holarchy import HolarchySpec, Holon, HolonKind
 
 from generators import random_scenario
-from oracles import fold_metrics, replay_partition, son_lifecycle_check
+from oracles import fold_metrics, replay_partition, request_attempt_check, son_lifecycle_check
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SCHEMA = json.loads((Path(engine.__file__).parent / "schema" / "scenario.schema.json").read_text())
@@ -351,6 +351,18 @@ def test_nothing_arrives_at_or_after_the_horizon_and_every_overlay_dissolves(pat
         trace, _ = run_scenario(s, seed=seed)
         assert not [r for r in trace if r.tick >= s.horizon and r.kind in ("EventPublished", "ActivityTriggered")]
         assert son_lifecycle_check(trace) == [], seed
+
+
+def test_a_request_is_attempted_on_its_trigger_tick_then_at_most_once_a_tick():
+    shipped = [load_scenario_file(str(path)) for path in sorted(SCENARIOS.glob("*.json"))]
+    runs = [(s, seed) for s in shipped for seed in (s.seed, 1, 4242)]
+    runs += [(random_scenario(seed, horizon=300), None) for seed in range(40)]
+    retried = 0
+    for scenario, seed in runs:
+        trace, _ = run_scenario(scenario, seed=seed)
+        assert request_attempt_check(trace, scenario.retry_bound) == [], (scenario.seed, seed)
+        retried += sum(1 for r in trace if r.kind == "RequestUnresolved" and r.payload["attempt"] > 0)
+    assert retried > 100
 
 
 def test_unresolvable_parked_requests_get_a_final_record():

@@ -16,6 +16,7 @@ from fso_sim.evolution import (
     SonSignature,
     maybe_permanentify,
     maybe_prune,
+    promotion_due,
     record_outcome,
 )
 from fso_sim.holarchy import (
@@ -210,6 +211,26 @@ def test_teams_pruned_in_one_pass_come_out_in_id_order(wings):
             record_outcome(ledger, son, Outcome.FAILURE, t, POLICY)
     pruned = maybe_prune(ledger, wings, POLICY, 4)
     assert [ev.soc for ev in pruned] == sorted(ev.soc for ev in promoted) == [7, 8]
+    assert validate(wings) == []
+
+
+def test_a_team_blocked_within_one_pass_is_promoted_once_the_blocker_is_pruned(wings):
+    # two activities answered by the same pair reach the threshold together
+    ledger = ExperienceLedger()
+    first, second = make_son(0, [(1, 1), (2, 2)], activity=0), make_son(1, [(1, 1), (2, 2)], activity=1)
+    for t in (1, 2):
+        record_outcome(ledger, first, Outcome.SUCCESS, t, POLICY)
+        record_outcome(ledger, second, Outcome.SUCCESS, t, POLICY)
+    assert [(e.soc, e.activity) for e in maybe_permanentify(ledger, wings, 2)] == [(7, 0)]
+    # the first team's SoC holds the pair, so the second waits in ready
+    assert ledger.ready == {SonSignature.of(second)}
+    assert not promotion_due(ledger, wings)
+    for t in (3, 4):
+        record_outcome(ledger, first, Outcome.FAILURE, t, POLICY)
+    assert [e.soc for e in maybe_prune(ledger, wings, POLICY, 4)] == [7]
+    assert promotion_due(ledger, wings)
+    assert [(e.soc, e.activity, e.members) for e in maybe_permanentify(ledger, wings, 5)] == [(7, 1, (1, 2))]
+    assert ledger.ready == set()
     assert validate(wings) == []
 
 

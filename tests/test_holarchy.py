@@ -157,7 +157,7 @@ def test_validate_reports_an_atomic_root_and_a_negative_id():
         {-1: 1},
         1,
         frozenset({0}),
-        {1: Registry(owner=1)},
+        {1: Registry()},
     )
     assert [v.code for v in validate(negative)] == ["NegativeId"]
     assert rejection(HolarchySpec(frozenset({0}), (atom(0, 0),))) == "AtomicRoot"

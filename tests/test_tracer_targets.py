@@ -5,13 +5,16 @@ their callers look them up, and charges each span to the tick phase of the
 nearest engine function on the stack, found by its name. Drop an
 engine-level import and only a traced bench run fails; rename a
 ``_phase_*`` method and nothing fails at all, its time is just counted as
-``other``. These tests catch both in the ordinary test run.
+``other``. These tests catch both in the ordinary test run, and check on
+one small run that every staffing attempt is charged to the resolve or the
+retry phase.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,14 @@ def test_every_phase_frame_names_a_function_of_the_engine(tracer):
     tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert sorted(set(tracer.PHASE_OF_FRAME) - defined) == []
+
+
+def test_every_resolve_is_charged_to_the_resolve_or_the_retry_phase(tracer):
+    # minimal.json's second knock finds the helper busy, parks, and is
+    # retried when the first overlay dissolves
+    scenario = engine.load_scenario_file(str(ROOT / "scenarios" / "minimal.json"))
+    with tracer.patched(tracer.Tracer()) as spans:
+        engine.run_scenario(scenario)
+    resolve = spans.names.index("canon.resolve")
+    phases = Counter(tracer.PHASES[spans.phase[i]] for i in range(len(spans)) if spans.name[i] == resolve)
+    assert phases == {"resolve": 2, "retry": 1}
