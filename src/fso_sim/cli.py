@@ -37,10 +37,11 @@ def _u64(text: str) -> int:
     return value
 
 
-def _non_negative(text: str) -> int:
+def _horizon(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must not be negative")
+    # the scenario schema's bound: the largest integer a double holds exactly
+    if not 0 <= value <= 1 << 53:
+        raise argparse.ArgumentTypeError(f"must be between 0 and {1 << 53}")
     return value
 
 
@@ -62,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a scenario and report metrics")
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
     p_run.add_argument("--seed", required=True, type=_u64, help="seed, overrides the scenario's")
-    p_run.add_argument("--horizon", type=_non_negative, help="tick count, overrides the scenario's")
+    p_run.add_argument("--horizon", type=_horizon, help="tick count, overrides the scenario's")
     p_run.add_argument("--trace", help="write the event trace here, one JSON record per line")
     p_run.add_argument("--metrics", help="write metrics JSON here instead of stdout")
 

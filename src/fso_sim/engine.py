@@ -21,13 +21,14 @@ requests retry if a dissolution freed actors this tick, and evolution
 promotes or prunes. Each phase runs only when it has work: a tick with no
 dissolve, no arrival and nothing ready to promote or to re-check for
 pruning costs a few comparisons. :meth:`Simulation.step` is still exactly
-one tick; :meth:`Simulation.run` visits only the ticks where something can
-happen, which are the arrival and dissolve ticks and the tick after a
-prune that freed a ready signature for promotion, and jumps the clock over
-the rest. Overlays still open at the horizon are drained past it so every
-formation has its dissolution on record. Events arrive only before the
-horizon, but drain ticks are full ticks: parked requests retry on them, so
-a SON can form at or after the horizon, and is drained in turn.
+one tick; :meth:`Simulation.run` is one loop over due ticks, which are the
+arrival and dissolve ticks and the tick after a prune that freed a ready
+signature for promotion, and it jumps the clock over the rest. The same
+loop drains past the horizon, so every formation has its dissolution on
+record. Events arrive only before the horizon, but drain ticks are full
+ticks: parked requests retry on them, so a SON can form at or after the
+horizon and is drained in turn, and a prune on them frees a signature for
+promotion on the next tick.
 
 A staffing request is one record from its trigger to its close, and
 :meth:`Simulation._attempt` is the one place an attempt at it is settled,
@@ -243,7 +244,7 @@ def _typed(node: dict[str, Any], defs: dict[str, Any]) -> Callable[[Any], None]:
             raise _Invalid(f"expected {name}, got {reprlib.repr(value)}")
         for bound, test, wording in bounds:
             if not test(value, bound):
-                raise _Invalid(f"must be {wording} {bound}, got {value}")
+                raise _Invalid(f"must be {wording} {bound}, got {reprlib.repr(value)}")
         if is_object:
             if not props.keys() >= value.keys():
                 raise _Invalid(f"unknown keys {sorted(value.keys() - props.keys())}")
@@ -488,9 +489,12 @@ def report(records: Iterable[TraceRecord]) -> Metrics:
                 m.prunings += 1
         except KeyError as exc:
             raise MalformedTraceError(f"{r.kind} record lacks key {exc}") from None
-    if m.sons_formed:
-        m.mean_hop_count = hop_sum / m.sons_formed
-        m.mean_response_latency = latency_sum / m.sons_formed
+    try:
+        if m.sons_formed:
+            m.mean_hop_count = hop_sum / m.sons_formed
+            m.mean_response_latency = latency_sum / m.sons_formed
+    except OverflowError:
+        raise MalformedTraceError("a mean hop count or latency does not fit a float") from None
     if last_sizes is not None:
         m.final_partition_sizes = last_sizes
     return m
@@ -543,8 +547,8 @@ class Simulation:
         self.ledger = ExperienceLedger()
         self.clock = 0
         self.trace: list[TraceRecord] = []
-        self._arrivals: list[Arrival] = sample_arrivals(scenario.environment, (0, self.horizon), self.seed)
-        self._cursor = 0
+        # latest first, so the next arrival is popped off the end
+        self._arrivals: list[Arrival] = sample_arrivals(scenario.environment, (0, self.horizon), self.seed)[::-1]
         self._dissolve_at: dict[int, list[Son]] = {}
         self._pending: list[_Request] = []
         self._son_seq = 0
@@ -590,9 +594,8 @@ class Simulation:
 
     def _phase_arrivals(self, t: int) -> list[tuple[int, int, str]]:
         triggers: list[tuple[int, int, str]] = []
-        while self._cursor < len(self._arrivals) and self._arrivals[self._cursor].time == t:
-            arrival = self._arrivals[self._cursor]
-            self._cursor += 1
+        while self._arrivals and self._arrivals[-1].time == t:
+            arrival = self._arrivals.pop()
             reg = self.holarchy.registries[arrival.item.source]
             triggered = publish(reg, arrival.item, self.scenario.activities)
             self._emit(
@@ -685,8 +688,8 @@ class Simulation:
         problems = [str(v) for v in validate(self.holarchy)]
         # nothing is due behind the clock: a passed-over arrival would stall
         # the arrivals phase, and every later arrival with it
-        if self._cursor < len(self._arrivals) and self._arrivals[self._cursor].time < self.clock:
-            problems.append(f"the arrival due at tick {self._arrivals[self._cursor].time} was never published")
+        if self._arrivals and self._arrivals[-1].time < self.clock:
+            problems.append(f"the arrival due at tick {self._arrivals[-1].time} was never published")
         problems.extend(f"the overlays due at tick {t} never dissolved" for t in sorted(self._dissolve_at) if t < self.clock)
         if problems:
             raise InvariantViolationError(f"tick {self.clock}: " + "; ".join(problems))
@@ -700,12 +703,13 @@ class Simulation:
         overlay dissolves at, publish and resolve on an arrival tick, retry
         when a dissolution freed actors and a request is parked, evolution
         while a signature is ready to promote or to re-check for pruning.
+        :meth:`run` is one loop over due ticks that steps each of them.
         """
         t = self.clock
         freed = t in self._dissolve_at
         if freed:
             self._phase_dissolve(t)
-        if self._cursor < len(self._arrivals) and self._arrivals[self._cursor].time == t:
+        if self._arrivals and self._arrivals[-1].time == t:
             self._phase_resolve(t, self._phase_arrivals(t))
         if freed and self._pending:
             self._phase_retry(t)
@@ -716,30 +720,26 @@ class Simulation:
             self._check_invariants()
 
     def run(self) -> Metrics:
-        """Run to the horizon, drain open overlays, close parked requests.
+        """Run to the end in one loop over due ticks, then close parked requests.
 
-        Before the horizon, each :meth:`step` is followed by a jump of the
-        clock to the next arrival or dissolve tick, or to the horizon,
-        unless a prune has just freed a ready signature, which the next
-        tick promotes. The ticks jumped over would do nothing, so the trace
-        is that of stepping every tick. Each drain tick is a full step, so
-        parked requests retry on it and may form SONs at or after the
-        horizon; those are drained too.
+        A tick is due when an arrival or an open overlay's dissolve falls on
+        it, and the clock's own tick is due when a prune has freed a ready
+        signature for promotion. The loop steps the least due tick until none
+        is left. The ticks it jumps over would do nothing, so the trace is
+        that of stepping every tick. Arrivals come only before the horizon,
+        so past it the loop drains: parked requests retry on dissolve ticks
+        and may form SONs, which are drained in turn, and freed signatures
+        are promoted. Requests still parked are closed at the horizon, or
+        after the last step if that is later.
         """
-        while self.clock < self.horizon:
-            self.step()
+        while True:
             if not promotion_due(self.ledger, self.holarchy):
-                due = [self.horizon, *self._dissolve_at]
-                if self._cursor < len(self._arrivals):
-                    due.append(self._arrivals[self._cursor].time)
+                due = [*self._dissolve_at, *(a.time for a in self._arrivals[-1:])]
+                if not due:
+                    break
                 self.clock = min(due)
-        # every arrival is before the horizon, so these ticks publish nothing
-        while self._dissolve_at:
-            self.clock = min(self._dissolve_at)
             self.step()
-        if self.debug:
-            # a last jump to the horizon has no step of its own to check it
-            self._check_invariants()
+        self.clock = max(self.clock, self.horizon)
         for r in self._pending:
             self._emit_unresolved(r, final=True)
         self._pending = []

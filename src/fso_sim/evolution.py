@@ -19,7 +19,10 @@ that ``remove`` frees may be allocated again to a different team.
 Both look only at what can have changed since the last tick. The ledger
 keeps the signatures that have reached the promotion threshold but are not
 promoted yet in ``ready``; a signature whose member set some SoC already
-holds stays there and is promoted if that SoC is pruned later. A windowed
+holds stays there and is promoted once no SoC holds it. Whether one does is
+read from the holarchy's counted index of member lists, not from a scan of
+its SoCs; an anchor that lists the members again blocks the signature as
+much as the promoted SoC that listed them before. A windowed
 failure count can only rise when a failure is booked, so ``recheck`` holds
 just the promoted signatures that failed, or were promoted, since the last
 :func:`maybe_prune`, and a tick with neither prunes without looking at any

@@ -24,12 +24,16 @@ everyday mutable surface. Its structure changes in place, through
 promotes a recurring overlay into a permanent SoC or prunes one again (see
 :mod:`fso_sim.evolution`).
 
-A holarchy memoises two things its structure already knows: the actors
-under each SoC, bucketed by role (:meth:`Holarchy.role_atoms`), and the set
-of every SoC's sorted member list (:meth:`Holarchy.holds_members`). Both
-fill lazily, so building a holarchy costs nothing extra. A grafted SoC's
-members are actors already under its anchor, so neither edit changes the
-actor set of any other SoC and the role-atom cache keeps every other entry.
+A holarchy memoises two things its structure already knows. The actors
+under each SoC, bucketed by role (:meth:`Holarchy.role_atoms`), fill
+lazily. The member lists are a counted index: how many SoCs list each
+sorted member list (:meth:`Holarchy.holds_members`). It is built with the
+holarchy, and the one helper that adds, relists or deletes a SoC keeps it.
+It counts because two SoCs can list the same members: an anchor that
+loses its last promoted SoC lists its own members again, and a promoted
+team may list them too. A grafted SoC's members are actors already under
+its anchor, so neither edit changes the actor set of any other SoC and the
+role-atom cache keeps every other entry.
 A removed id forgets its role atoms, because :meth:`Holarchy.graft` gives
 each new SoC the next free id, ``max(holons) + 1``, and so may reuse it for
 a different team. Each registry keeps its own ranked offer views
@@ -40,6 +44,7 @@ SoC starts with a fresh registry and a removed one takes its views with it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator
@@ -210,7 +215,8 @@ class Holarchy:
         self.roles = roles
         self.registries = registries
         self._role_atoms: RoleAtoms = {}
-        self._member_sets: set[tuple[HolonId, ...]] | None = None
+        # sorted member list -> how many SoCs list exactly it; only _set_soc writes it
+        self._member_lists = Counter(tuple(sorted(n.members)) for n in holons.values() if n.is_composite)
 
     # -- basic queries -------------------------------------------------
 
@@ -306,9 +312,7 @@ class Holarchy:
 
     def holds_members(self, members: tuple[HolonId, ...]) -> bool:
         """Whether some SoC's member list, sorted, is exactly ``members``."""
-        if self._member_sets is None:
-            self._member_sets = {tuple(sorted(n.members)) for n in self.holons.values() if n.is_composite}
-        return members in self._member_sets
+        return self._member_lists[members] > 0
 
     # -- in-place evolution ----------------------------------------------
 
@@ -320,40 +324,43 @@ class Holarchy:
         members' offers at ``t``, and the anchor's its proxies.
         """
         soc = max(self.holons) + 1
-        self.holons[soc] = Holon(
+        promoted = Holon(
             soc, HolonKind.COMPOSITE, members=members, representative=min(members), origin=HolonOrigin.PERMANENTIFIED
         )
+        self._set_soc(soc, promoted)
         self.parent[soc] = anchor
         self.registries[soc] = Registry()
         self.registries[soc].offer(e for m in members for e in self._offers(m, t))
         old = self.holons[anchor]
-        self._set_members(old, old.members + (soc,))
-        if self._member_sets is not None:
-            self._member_sets.add(tuple(sorted(members)))
+        self._set_soc(anchor, replace(old, members=old.members + (soc,)))
         self.registries[anchor].offer(self._offers(soc, t))
         return soc
 
     def remove(self, soc: HolonId) -> HolonId:
         """Undo :meth:`graft` for ``soc``; returns the SoC it hung under."""
         anchor = self.parent.pop(soc)
-        node = self.holons.pop(soc)
+        self._set_soc(soc, None)
         del self.registries[soc]
         # the next promotion may reuse the id for a different team
         self._role_atoms.pop(soc, None)
         old = self.holons[anchor]
-        self._set_members(old, tuple(m for m in old.members if m != soc))
-        if self._member_sets is not None:
-            self._member_sets.discard(tuple(sorted(node.members)))
+        self._set_soc(anchor, replace(old, members=tuple(m for m in old.members if m != soc)))
         self.registries[anchor].retract(soc)
         return anchor
 
-    def _set_members(self, old: Holon, members: tuple[HolonId, ...]) -> None:
-        self.holons[old.id] = replace(old, members=members)
-        # no two SoCs share a member list (a promoted team's anchor lists
-        # the team itself), so dropping a list forgets only this SoC's
-        if self._member_sets is not None:
-            self._member_sets.discard(tuple(sorted(old.members)))
-            self._member_sets.add(tuple(sorted(members)))
+    def _set_soc(self, soc: HolonId, node: Holon | None) -> None:
+        """Add, relist or, given None, delete the SoC ``soc``, and count its member list."""
+        old = self.holons.get(soc)
+        if old is not None:
+            key = tuple(sorted(old.members))
+            self._member_lists[key] -= 1
+            if not self._member_lists[key]:
+                del self._member_lists[key]
+        if node is None:
+            del self.holons[soc]
+        else:
+            self.holons[soc] = node
+            self._member_lists[tuple(sorted(node.members))] += 1
 
     def _offers(self, m: HolonId, t: LogicalTime) -> Iterator[ServiceEntry]:
         """The entries member ``m`` adds to its SoC's registry at ``t``.

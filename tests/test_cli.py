@@ -227,6 +227,7 @@ def assert_clean_failure(code, capsys, needle):
     assert needle in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    return err
 
 
 def test_validate_rejects_non_utf8_scenario(tmp_path, capsys):
@@ -392,6 +393,65 @@ def test_a_repeated_key_exits_one(tmp_path, capsys, command):
     assert_clean_failure(code, capsys, "duplicate key 'horizon'")
 
 
+# an integer literal any JSON reader parses, far beyond the range of a double
+BEYOND_FLOAT = 10**400
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "enumerate"])
+def test_a_rate_beyond_float_range_exits_one(tmp_path, capsys, command):
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    doc["environment"][0]["process"] = {"kind": "poisson", "rate": BEYOND_FLOAT}
+    scenario = tmp_path / "huge_rate.json"
+    scenario.write_text(json.dumps(doc))
+    seed = ["--seed", "0"] if command == "run" else []
+    code = run_cli(command, "--scenario", str(scenario), *seed)
+    err = assert_clean_failure(code, capsys, "rate: must be at most 1.7976931348623157e+308")
+    assert "..." in err and len(err) < 200  # the value is shortened
+
+
+def test_a_duration_beyond_exact_doubles_exits_one(tmp_path, capsys):
+    # were it accepted, the parked knock would retry when the first overlay dissolves,
+    # 10**400 ticks on, and the run's mean latency would not fit a float
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    doc["activities"][0]["duration"] = BEYOND_FLOAT
+    scenario = tmp_path / "huge_duration.json"
+    scenario.write_text(json.dumps(doc))
+    code = run_cli("run", "--scenario", str(scenario), "--seed", "0")
+    err = assert_clean_failure(code, capsys, "duration: must be at most 9007199254740992")
+    assert "..." in err and len(err) < 200
+
+
+def test_a_horizon_beyond_exact_doubles_exits_one(tmp_path, capsys):
+    minimal = str(SCENARIOS / "minimal.json")
+    assert run_cli("run", "--scenario", minimal, "--seed", "0", "--horizon", str(1 << 53)) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--scenario", minimal, "--seed", "0", "--horizon", str((1 << 53) + 1))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "--horizon: must be between 0 and 9007199254740992" in err and "Traceback" not in err
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    doc["horizon"] = (1 << 53) + 1
+    scenario = tmp_path / "huge_horizon.json"
+    scenario.write_text(json.dumps(doc))
+    assert_clean_failure(run_cli("validate", "--scenario", str(scenario)), capsys, "horizon: must be at most")
+
+
+def test_report_rejects_a_mean_beyond_float_range(tmp_path, capsys):
+    trace_path = tmp_path / "out.trace"
+    assert run_cli("run", "--scenario", str(SCENARIOS / "minimal.json"), "--seed", "0", "--trace", str(trace_path)) == 0
+    capsys.readouterr()
+    lines = []
+    for line in trace_path.read_text().splitlines():
+        doc = json.loads(line)
+        if doc["kind"] == "SonFormed":
+            doc["tick"] = BEYOND_FLOAT
+        lines.append(json.dumps(doc))
+    trace_path.write_text("\n".join(lines) + "\n")
+    code = run_cli("report", "--trace", str(trace_path))
+    assert_clean_failure(code, capsys, "does not fit a float")
+
+
 @pytest.mark.parametrize("lines_read", [0, 1])
 def test_closed_stdout_pipe_ends_quietly(lines_read):
     env = dict(os.environ)
@@ -417,7 +477,7 @@ SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.j
 # values of every JSON type, for a field that expects another
 OTHER_TYPES = [None, True, "x", 1.5, [], {}, [0], {"k": 0}]
 # numbers outside what a field allows, or at the edge of it
-OUT_OF_RANGE = [-1, 0, -(1 << 63), 1 << 64, 10**18, 0.5, 1e300]
+OUT_OF_RANGE = [-1, 0, -(1 << 63), 1 << 64, 10**18, 10**400, 0.5, 1e300]
 
 
 def _paths(node, at=()):

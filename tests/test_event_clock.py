@@ -1,14 +1,17 @@
 """The next-event clock: ``run`` visits only the ticks where something can happen.
 
-``Simulation.run`` jumps the clock over ticks with no arrival, no dissolve
-and no promotion due, while ``Simulation.step`` is always one tick. The
-referee is the trace: a run must write exactly what stepping every tick to
-the horizon writes. The benchmark drives the simulator the second way and
-the CLI the first, so the two must never part.
+``Simulation.run`` is one loop over due ticks: it jumps the clock over
+ticks with no arrival, no dissolve and no promotion due, before the horizon
+and after it alike, while ``Simulation.step`` is always one tick. The
+referee is the trace: a run must write exactly what stepping every tick
+writes, up to the horizon and then for as long as an overlay is open or a
+promotion is due. The benchmark steps to the horizon and then calls
+``run``, and the CLI only calls ``run``, so the ways must never part.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from fso_sim.engine import (
     scenario_from_dict,
     write_trace,
 )
+from fso_sim.evolution import promotion_due
 
 from generators import random_scenario
 
@@ -34,10 +38,11 @@ def jumping(scenario, **kwargs) -> str:
 
 
 def per_tick(scenario, **kwargs) -> str:
+    """Step every tick, past the horizon while anything is left to drain or promote."""
     sim = Simulation(scenario, **kwargs)
-    while sim.clock < sim.horizon:
+    while sim.clock < sim.horizon or sim._dissolve_at or promotion_due(sim.ledger, sim.holarchy):
         sim.step()
-    sim.run()
+    sim.run()  # nothing is due: it only closes the parked requests
     return write_trace(sim.trace)
 
 
@@ -59,8 +64,8 @@ def test_run_writes_the_trace_of_stepping_every_tick_on_generated_scenarios():
     assert prunings >= 4
 
 
-def test_an_idle_stretch_costs_no_steps():
-    sim = Simulation(load_scenario_file(str(SCENARIOS / "minimal.json")), horizon=10**6)
+def stepped_ticks(sim) -> list[int]:
+    """Run ``sim``, returning the tick of each step it took."""
     step = sim.step
     ticks = []
 
@@ -72,9 +77,24 @@ def test_an_idle_stretch_costs_no_steps():
 
     sim.step = counted
     sim.run()
-    # the first tick, two knocks, two dissolves, and nothing in between
-    assert ticks == [0, 1, 2, 3, 5]
+    return ticks
+
+
+def test_an_idle_stretch_costs_no_steps():
+    sim = Simulation(load_scenario_file(str(SCENARIOS / "minimal.json")), horizon=10**6)
+    ticks = stepped_ticks(sim)
+    # two knocks, two dissolves, and nothing in between: tick 0 has nothing due
+    assert ticks == [1, 2, 3, 5]
     assert sim.trace[-1].tick == 5
+
+
+def test_an_idle_drain_costs_one_step():
+    # horizon 2 keeps only the knock at tick 1; its overlay dissolves 10**6 ticks after the horizon
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    doc["activities"][0]["duration"] = 10**6 + 1
+    sim = Simulation(scenario_from_dict(doc), horizon=2)
+    assert stepped_ticks(sim) == [1, 10**6 + 2]
+    assert [(r.tick, r.kind) for r in sim.trace][-1] == (10**6 + 2, "SonDissolved")
 
 
 # -- a prune that frees a ready signature --------------------------------------
@@ -118,10 +138,20 @@ def blocked_then_pruned_doc():
     }
 
 
-@pytest.mark.parametrize("drive", [jumping, per_tick])
-def test_a_signature_freed_by_a_prune_is_promoted_on_the_next_tick(drive):
-    scenario = scenario_from_dict(blocked_then_pruned_doc())
-    trace = parse_trace(drive(scenario))
+@pytest.mark.parametrize(
+    "drive,horizon",
+    [
+        pytest.param(jumping, None, id="jumping"),
+        pytest.param(per_tick, None, id="per_tick"),
+        # the prune falls on a drain tick at horizon 10, and on the last tick before it at 11
+        pytest.param(jumping, 10, id="jumping-10"),
+        pytest.param(per_tick, 10, id="per_tick-10"),
+        pytest.param(jumping, 11, id="jumping-11"),
+        pytest.param(per_tick, 11, id="per_tick-11"),
+    ],
+)
+def test_a_signature_freed_by_a_prune_is_promoted_on_the_next_tick(drive, horizon):
+    trace = parse_trace(drive(scenario_from_dict(blocked_then_pruned_doc()), horizon=horizon))
     evolution = [
         (r.tick, r.kind, r.payload["members"], r.payload.get("activity"))
         for r in trace

@@ -20,6 +20,7 @@ from fso_sim.evolution import (
     record_outcome,
 )
 from fso_sim.holarchy import (
+    Holarchy,
     HolarchySpec,
     Holon,
     HolonKind,
@@ -405,6 +406,121 @@ def test_role_atoms_forget_a_pruned_id_that_promotion_reuses(wings):
     assert wings.role_atoms(reused.soc, 0) == (0,)
     assert wings.role_atoms(reused.soc, 1) == ()
     assert_role_atoms_fresh(wings)
+
+
+# -- the member-list count stays true through evolution ------------------------
+
+
+def assert_member_lists_counted(h, teams):
+    """``holds_members`` against a scan of every SoC's sorted member list."""
+    listed = {tuple(sorted(h.holons[s].members)) for s in h.composites()}
+    for team in teams | listed:
+        assert h.holds_members(team) == (team in listed), team
+
+
+def audit_member_lists(monkeypatch):
+    """Audit the count after every graft and remove of later runs, for every
+    team in the run's ledger and every listed SoC; returns the edit counts."""
+    edits = {"graft": 0, "remove": 0}
+    ledgers = []
+
+    def recorded():
+        ledgers.append(ExperienceLedger())
+        return ledgers[-1]
+
+    def audited(name):
+        edit = getattr(Holarchy, name)
+
+        def wrapper(h, *args):
+            out = edit(h, *args)
+            edits[name] += 1
+            assert_member_lists_counted(h, {sig.members for sig in ledgers[-1].son_outcomes})
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(engine, "ExperienceLedger", recorded)
+    for name in ("graft", "remove"):
+        monkeypatch.setattr(Holarchy, name, audited(name))
+    return edits
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_member_list_count_stays_true_through_shipped_evolution(monkeypatch, path):
+    edits = audit_member_lists(monkeypatch)
+    engine.run_scenario(engine.load_scenario_file(str(path)))
+    assert edits["graft"] >= (path.stem in ("promotion", "pruning"))
+    assert edits["remove"] >= (path.stem == "pruning")
+
+
+def test_member_list_count_stays_true_through_generated_evolution(monkeypatch):
+    edits = audit_member_lists(monkeypatch)
+    for seed in (*range(30, 70), 5001):
+        engine.run_scenario(random_scenario(seed, horizon=300))
+    # seeds 32, 40, 49, 54 and 5001 prune
+    assert edits == {"graft": 24, "remove": 8}
+
+
+def shared_member_list_doc():
+    """SoC 4 holds actors 1, 2 and 3, which play roles 0, 1 and 2.
+
+    Team (1, 2) is promoted as SoC 5 at tick 3, so SoC 4 lists 5 as well
+    and team (1, 2, 3) is promoted as SoC 6 at tick 6. Activity 2's team is
+    the same (1, 2, 3) and waits behind SoC 6. Pruning SoC 5 at 12 and SoC
+    6 at 15 gives SoC 4 back its list (1, 2, 3), which blocks activity 2's
+    team again.
+    """
+    return {
+        "roles": ["r0", "r1", "r2"],
+        "holarchy": [
+            {"id": 0, "kind": "composite", "members": [4]},
+            {"id": 1, "kind": "atomic", "capabilities": [0]},
+            {"id": 2, "kind": "atomic", "capabilities": [1]},
+            {"id": 3, "kind": "atomic", "capabilities": [2]},
+            {"id": 4, "kind": "composite", "members": [1, 2, 3]},
+        ],
+        "activities": [
+            {"id": 0, "trigger_topics": ["a"], "required_roles": [0, 1], "duration": 1},
+            {"id": 1, "trigger_topics": ["b"], "required_roles": [0, 1, 2], "duration": 1},
+            {"id": 2, "trigger_topics": ["c"], "required_roles": [0, 1, 2], "duration": 1},
+        ],
+        "environment": [
+            {"topic": "a", "injection_soc": 4, "process": {"kind": "scripted", "times": [1, 2, 10, 11]}},
+            {"topic": "b", "injection_soc": 4, "process": {"kind": "scripted", "times": [4, 5, 13, 14]}},
+            {"topic": "c", "injection_soc": 4, "process": {"kind": "scripted", "times": [7, 8]}},
+        ],
+        "policy": {
+            "permanentify_threshold": 2,
+            "prune_failure_threshold": 2,
+            "prune_window": 10,
+            "failure_injections": [
+                {"activity": 0, "start": 10, "stop": 13},
+                {"activity": 1, "start": 14, "stop": 17},
+            ],
+        },
+        "horizon": 30,
+        "seed": 1,
+        "retry_bound": 0,
+    }
+
+
+def test_a_team_stays_blocked_while_its_anchor_lists_it_again(monkeypatch):
+    edits = audit_member_lists(monkeypatch)
+    trace, _ = engine.run_scenario(engine.scenario_from_dict(shared_member_list_doc()))
+    # two SoCs list the same members here, which no shipped or generated run has
+    assert edits == {"graft": 2, "remove": 2}
+    evolution = [
+        (r.tick, r.kind, r.payload["soc"], r.payload["members"])
+        for r in trace
+        if r.kind in ("Permanentified", "Pruned")
+    ]
+    # activity 2's team (1, 2, 3) is never promoted: SoC 6, then SoC 4, holds it
+    assert evolution == [
+        (3, "Permanentified", 5, [1, 2]),
+        (6, "Permanentified", 6, [1, 2, 3]),
+        (12, "Pruned", 5, [1, 2]),
+        (15, "Pruned", 6, [1, 2, 3]),
+    ]
 
 
 # -- promotion re-checks only what changed -----------------------------------
