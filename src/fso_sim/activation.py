@@ -15,30 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .holarchy import Holarchy, HolonId, RoleId, UnknownHolonError
+from .holarchy import Holarchy, HolarchyError, HolonId, RoleId
 
 
 class ActivationError(Exception):
     pass
-
-
-class AlreadyActiveError(ActivationError):
-    pass
-
-
-class NotActiveError(ActivationError):
-    pass
-
-
-class IncapableRoleError(ActivationError):
-    pass
-
-
-class TooLargeError(ActivationError):
-    """The activation space is too big to enumerate explicitly."""
-
-
-ENUMERATION_ATOM_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -71,19 +52,18 @@ def enroll(
 ) -> None:
     """Move actor ``a`` from the latent reserve into overlay ``son_id``.
 
-    Raises AlreadyActiveError when a is already enrolled somewhere,
-    IncapableRoleError when a cannot play ``role``, and UnknownHolonError
-    when a is not an actor of this holarchy.
+    Raises ActivationError when a is already enrolled somewhere or cannot
+    play ``role``, and HolarchyError when a is not an actor of this holarchy.
     """
     node = h.holon(a)
     if not node.is_atomic:
-        raise UnknownHolonError(f"holon {a} is composite; only actors enroll")
+        raise HolarchyError(f"holon {a} is composite; only actors enroll")
     if a in state.active:
-        raise AlreadyActiveError(f"actor {a} is already enrolled")
+        raise ActivationError(f"actor {a} is already enrolled")
     if a not in state.inactive:
-        raise UnknownHolonError(f"actor {a} is not part of this activation state")
+        raise HolarchyError(f"actor {a} is not part of this activation state")
     if role not in node.capabilities:
-        raise IncapableRoleError(f"actor {a} cannot play role {role}")
+        raise ActivationError(f"actor {a} cannot play role {role}")
     state.inactive.remove(a)
     state.active[a] = Binding(role, son_id)
 
@@ -91,7 +71,7 @@ def enroll(
 def release(state: ActivationState, a: HolonId) -> None:
     """Return actor ``a`` from its overlay to the latent reserve."""
     if a not in state.active:
-        raise NotActiveError(f"actor {a} is not enrolled anywhere")
+        raise ActivationError(f"actor {a} is not enrolled anywhere")
     del state.active[a]
     state.inactive.add(a)
 
@@ -119,12 +99,9 @@ def enumerate_activation_space(h: Holarchy) -> int:
 
     Each actor is either idle or plays one of its capable roles, and actors
     choose independently, so the count is the product of (1 + |capabilities|)
-    over all actors. Raises TooLargeError beyond the enumeration limit.
+    over all actors, exact for any number of actors.
     """
-    atoms = h.atoms()
-    if len(atoms) > ENUMERATION_ATOM_LIMIT:
-        raise TooLargeError(f"{len(atoms)} actors exceed the limit of {ENUMERATION_ATOM_LIMIT}")
     total = 1
-    for a in atoms:
+    for a in h.atoms():
         total *= 1 + len(h.holons[a].capabilities)
     return total

@@ -58,30 +58,6 @@ class CanonError(Exception):
     pass
 
 
-class UnknownTopicError(CanonError):
-    pass
-
-
-class PublishOrderError(CanonError):
-    """Information must be published with monotone timestamps."""
-
-
-class UnknownSocError(CanonError):
-    pass
-
-
-class StaleAssignmentError(CanonError):
-    """A planned participant was no longer idle at formation time."""
-
-
-class PrematureDissolveError(CanonError):
-    pass
-
-
-class BindingMismatchError(CanonError):
-    """A member's recorded binding does not match the dissolving SON."""
-
-
 @dataclass(frozen=True)
 class ResponseActivity:
     """A guarded reaction: trigger topics, role slots to staff, data needs.
@@ -214,13 +190,13 @@ def publish(
 ) -> tuple[ResponseActivity, ...]:
     """Append ``item`` to the registry and return the activities it triggers.
 
-    Raises UnknownTopicError for a topic no activity or scenario declares,
-    and PublishOrderError when timestamps would run backwards.
+    Raises CanonError for a topic no activity or scenario declares, and
+    when timestamps would run backwards.
     """
     if item.topic not in table.known_topics:
-        raise UnknownTopicError(f"topic {item.topic!r} is not declared anywhere")
+        raise CanonError(f"topic {item.topic!r} is not declared anywhere")
     if reg.info_entries and item.published_at < reg.info_entries[-1].published_at:
-        raise PublishOrderError(
+        raise CanonError(
             f"publish at t={item.published_at} after t={reg.info_entries[-1].published_at}"
         )
     reg.info_entries.append(item)
@@ -409,7 +385,7 @@ def resolve_request(
     """
     node = h.holons.get(start_soc)
     if node is None or not node.is_composite:
-        raise UnknownSocError(f"cannot resolve from {start_soc}, which is not a SoC")
+        raise CanonError(f"cannot resolve from {start_soc}, which is not a SoC")
 
     full_chain = h.chain_to_root(start_soc)
     hops: list[HopRecord] = []
@@ -462,12 +438,12 @@ def form_son(
 ) -> Son:
     """Enroll the planned members and open the overlay community.
 
-    Raises StaleAssignmentError, enrolling nobody, when some planned actor
+    Raises CanonError, enrolling nobody, when some planned actor
     is busy by now; the caller should re-resolve instead of forcing the plan.
     """
     for a, _ in plan.assignment:
         if a in state.active:
-            raise StaleAssignmentError(f"actor {a} became busy before SON {son_id} formed")
+            raise CanonError(f"actor {a} became busy before SON {son_id} formed")
     for a, role in plan.assignment:
         enroll(state, h, a, role, son_id)
     return Son(
@@ -481,14 +457,15 @@ def form_son(
 def dissolve_son(son: Son, t: LogicalTime, state: ActivationState) -> None:
     """Close the overlay on schedule, returning every member to the reserve.
 
-    Raises BindingMismatchError, releasing nobody, when some member is not
-    bound to this overlay in the role it was enrolled for.
+    Raises CanonError when called before the overlay's dissolve tick and,
+    releasing nobody, when some member is not bound to this overlay in the
+    role it was enrolled for.
     """
     if t != son.dissolves_at:
-        raise PrematureDissolveError(f"SON {son.id} dissolves at {son.dissolves_at}, not {t}")
+        raise CanonError(f"SON {son.id} dissolves at {son.dissolves_at}, not {t}")
     for a, role in son.members:
         binding = state.active.get(a)
         if binding is None or binding.son_id != son.id or binding.role != role:
-            raise BindingMismatchError(f"actor {a} is not bound to SON {son.id} as role {role}")
+            raise CanonError(f"actor {a} is not bound to SON {son.id} as role {role}")
     for a, _ in son.members:
         release(state, a)

@@ -11,8 +11,10 @@ ids, that each source's topic is used by some activity and its injection
 SoC is an existing composite, that scripted times ascend, and that failure
 windows stop no earlier than they start and name existing activities. The
 simulator turns a scenario into a
-stream of trace records, one JSON object per line, with integer payloads
-only, so that a (scenario, seed) pair reproduces the same trace byte for byte.
+stream of trace records, one JSON object per line, so that a (scenario,
+seed) pair reproduces the same trace byte for byte. Payload values are
+integers, the strings ``topic`` and ``outcome``, the boolean ``final`` of
+``RequestUnresolved``, and lists of integers or of ``[actor, role]`` pairs.
 
 Within a tick the order is fixed: due overlays dissolve, environment
 arrivals are published, triggered activities resolve in activity id order

@@ -42,10 +42,6 @@ from .canon import Son
 from .holarchy import Holarchy, HolonId, LogicalTime
 
 
-class EvolutionError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class FailureWindow:
     """Injected fault: overlays of ``activity`` dissolving in [start, stop) fail."""
@@ -168,10 +164,8 @@ class PruneEvent:
 def _lca(h: Holarchy, nodes: list[HolonId]) -> HolonId:
     chains = [h.chain_to_root(n) for n in nodes]
     others = [set(c) for c in chains[1:]]
-    for node in chains[0]:
-        if all(node in o for o in others):
-            return node
-    raise EvolutionError(f"holons {nodes} share no ancestor")
+    # every chain ends at the one root, so some node is common to all
+    return next(node for node in chains[0] if all(node in o for o in others))
 
 
 def promotion_due(ledger: ExperienceLedger, h: Holarchy) -> bool:

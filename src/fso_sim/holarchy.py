@@ -55,11 +55,7 @@ LogicalTime = int
 
 
 class HolarchyError(Exception):
-    """Base class for structural errors."""
-
-
-class UnknownHolonError(HolarchyError):
-    pass
+    """A holon that does not exist or cannot do what was asked of it; the base of :class:`ViolationError`."""
 
 
 class ViolationError(HolarchyError):
@@ -135,9 +131,13 @@ class InformationItem:
 class Registry:
     """Per-SoC store of service offers and published information.
 
-    Entries stay totally ordered by (registered_at, provider, role); this
-    order is the canonical tie-break order everywhere. Only :meth:`offer`
-    and :meth:`retract` write them, and both drop the ranked ``views``
+    Entries are stored in (registered_at, provider, role) order, which
+    :func:`validate`'s ``RegistryOrder`` rule audits. Staffing does not read
+    that order: it ranks actors by (registered_at, actor) through
+    :meth:`Holarchy.ranked_offers`, which unfolds each ``via`` entry to the
+    role atoms of its member, so a proxy's provider (the member's
+    representative) never decides a tie. Only :meth:`offer`
+    and :meth:`retract` write the entries, and both drop the ranked ``views``
     :meth:`Holarchy.ranked_offers` keeps here. ``topics`` is the set of
     topics among ``info_entries``; :func:`fso_sim.canon.publish` keeps it
     up to date, so staffing never rescans the information list.
@@ -224,7 +224,7 @@ class Holarchy:
         try:
             return self.holons[h]
         except KeyError:
-            raise UnknownHolonError(f"holon {h} does not exist") from None
+            raise HolarchyError(f"holon {h} does not exist") from None
 
     def atoms(self) -> tuple[HolonId, ...]:
         return tuple(sorted(i for i, n in self.holons.items() if n.is_atomic))

@@ -160,3 +160,65 @@ def random_scenario(
     return scenario_from_dict(
         random_scenario_dict(seed, horizon=horizon, force_poisson=force_poisson, quiet_evolution=quiet_evolution)
     )
+
+
+def shared_member_list_scenario_dict(seed: int) -> dict[str, Any]:
+    """One SoC's team, a sub-team of it, and failures that may prune both.
+
+    A seeded variant of the hand-written shape in ``tests/test_evolution.py``.
+    The anchor SoC holds 3-6 actors, each playing a role of its own, so every
+    activity has exactly one team. Activity 0 needs a random sub-team, and
+    activities 1 and 2 need the whole team, which the anchor's own member
+    list blocks until the sub-team is promoted. Arrivals come in phases: the
+    sub-team twice, the whole team twice, activity 2 twice, then the sub-team
+    and the whole team twice more inside failure windows that may prune
+    both promoted SoCs and so give the anchor its list back. The gaps, the
+    durations, the windows and the retry bound vary with the seed, so some
+    seeds never promote or never prune.
+    """
+    rng = random.Random(seed)
+    n_atoms = rng.randint(3, 6)
+    anchor = n_atoms + 1
+    team = list(range(n_atoms))
+    holons: list[dict[str, Any]] = [{"id": 0, "kind": "composite", "members": [anchor]}]
+    holons += [{"id": a + 1, "kind": "atomic", "capabilities": [a]} for a in team]
+    holons.append({"id": anchor, "kind": "composite", "members": [a + 1 for a in team]})
+    duration = rng.randint(1, 2)
+    sub = sorted(rng.sample(team, rng.randint(2, n_atoms - 1)))
+    activities = [
+        {"id": i, "trigger_topics": [topic], "required_roles": roles, "duration": duration}
+        for i, (topic, roles) in enumerate((("sub", sub), ("team", team), ("again", team)))
+    ]
+
+    times: dict[str, list[int]] = {"sub": [], "team": [], "again": []}
+    windows = []
+    t = rng.randint(1, 3)
+    for phase, topic in enumerate(("sub", "team", "again", "sub", "team")):
+        start = t
+        for _ in range(2):
+            times[topic].append(t)
+            t += duration + rng.randint(0, 2)
+        if phase >= 3:
+            # covers this phase's dissolves, give or take a tick at each end
+            lo = start + duration + rng.randint(-1, 1)
+            windows.append({"activity": phase - 3, "start": lo, "stop": max(lo + 1, t + rng.randint(-1, 1))})
+        t += rng.randint(0, 3)
+
+    return {
+        "roles": [f"role_{i}" for i in team],
+        "holarchy": holons,
+        "activities": activities,
+        "environment": [
+            {"topic": topic, "injection_soc": anchor, "process": {"kind": "scripted", "times": ticks}}
+            for topic, ticks in times.items()
+        ],
+        "policy": {
+            "permanentify_threshold": 2,
+            "prune_failure_threshold": 2,
+            "prune_window": rng.randint(4, 12),
+            "failure_injections": windows,
+        },
+        "horizon": t + 10,
+        "seed": rng.getrandbits(64),
+        "retry_bound": rng.randint(0, 2),
+    }

@@ -88,21 +88,46 @@ def test_validate_rejects_missing_file(capsys):
     assert "cannot read scenario" in capsys.readouterr().err
 
 
-def test_run_reports_an_internal_error_without_a_traceback(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "fault,line",
+    [
+        pytest.param(CanonError("staffing broke"), "internal error: staffing broke", id="module_error"),
+        pytest.param(KeyError("x"), "internal error: 'x'", id="key_error"),
+    ],
+)
+def test_run_reports_an_internal_error_without_a_traceback(monkeypatch, capsys, fault, line):
     def broken(*args, **kwargs):
-        raise CanonError("staffing broke")
+        raise fault
 
     monkeypatch.setattr(engine, "resolve_request", broken)
     code = run_cli("run", "--scenario", str(SCENARIOS / "minimal.json"), "--seed", "0")
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "internal error: staffing broke\n"
+    assert err == line + "\n"
 
 
 def test_enumerate_prints_the_state_count(capsys):
     code = run_cli("enumerate", "--scenario", str(SCENARIOS / "nine_actors.json"))
     assert code == 0
     assert capsys.readouterr().out.strip() == "512"
+
+
+def test_enumerate_refuses_a_count_past_the_digit_limit(tmp_path, capsys):
+    # each actor plays any of 10 roles, so it multiplies the count by 11 and
+    # adds more than one decimal digit
+    actors = sys.get_int_max_str_digits() + 1
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    doc["roles"] = [f"r{k}" for k in range(10)]
+    doc["holarchy"] = [{"id": a, "kind": "atomic", "capabilities": list(range(10))} for a in range(actors)]
+    doc["holarchy"].append({"id": actors, "kind": "composite", "members": list(range(actors))})
+    doc["environment"][0]["injection_soc"] = actors
+    path = tmp_path / "crowd.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli("enumerate", "--scenario", str(path))
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"cannot enumerate: the count for {actors} actors has too many digits to print\n"
 
 
 def test_run_prints_metrics(capsys):

@@ -30,7 +30,7 @@ from fso_sim.holarchy import (
     validate,
 )
 
-from generators import random_scenario
+from generators import random_scenario, shared_member_list_scenario_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -507,7 +507,7 @@ def shared_member_list_doc():
 def test_a_team_stays_blocked_while_its_anchor_lists_it_again(monkeypatch):
     edits = audit_member_lists(monkeypatch)
     trace, _ = engine.run_scenario(engine.scenario_from_dict(shared_member_list_doc()))
-    # two SoCs list the same members here, which no shipped or generated run has
+    # two SoCs list the same members here, as on ten seeds of the generated family below
     assert edits == {"graft": 2, "remove": 2}
     evolution = [
         (r.tick, r.kind, r.payload["soc"], r.payload["members"])
@@ -521,6 +521,31 @@ def test_a_team_stays_blocked_while_its_anchor_lists_it_again(monkeypatch):
         (12, "Pruned", 5, [1, 2]),
         (15, "Pruned", 6, [1, 2, 3]),
     ]
+
+
+def test_generated_anchors_that_list_a_pruned_team_again_keep_the_count_true(monkeypatch):
+    edits = audit_member_lists(monkeypatch)
+    # sorted member list -> every SoC seen listing it before some remove of this run
+    listed_by: dict[tuple[int, ...], set[int]] = {}
+    relisted = set()
+    remove = Holarchy.remove
+
+    def noted_remove(h, soc):
+        for s in h.composites():
+            listed_by.setdefault(tuple(sorted(h.holons[s].members)), set()).add(s)
+        anchor = remove(h, soc)
+        if listed_by.get(tuple(sorted(h.holons[anchor].members)), set()) - {anchor}:
+            relisted.add(seed)
+        return anchor
+
+    monkeypatch.setattr(Holarchy, "remove", noted_remove)
+    for seed in range(40):
+        listed_by.clear()
+        engine.run_scenario(engine.scenario_from_dict(shared_member_list_scenario_dict(seed)))
+    assert edits == {"graft": 86, "remove": 40}
+    # on these seeds a prune gives the anchor back a member list that a
+    # promoted SoC listed, as in the hand-written shape above
+    assert sorted(relisted) == [5, 7, 12, 21, 23, 32, 34, 35, 38, 39]
 
 
 # -- promotion re-checks only what changed -----------------------------------

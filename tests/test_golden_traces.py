@@ -5,7 +5,9 @@ only to make things faster or simpler must leave every hash here as it is.
 The pairs are every shipped scenario at its own seed and at 4242, plus 40
 generated scenarios over 300 ticks, half of which promote at least one team
 and some of which prune one again. One wider sweep pins a single sha256
-over 300 generated scenarios and every shipped scenario at three seeds. A
+over 300 generated scenarios and every shipped scenario at three seeds, and
+another over 40 scenarios of the shared-member-list family, in which one
+SoC's sub-team and then its whole team are promoted and may be pruned. A
 change that alters behaviour on purpose re-records the hashes and says why.
 """
 
@@ -16,9 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from fso_sim.engine import load_scenario_file, run_scenario, write_trace
+from fso_sim.engine import load_scenario_file, run_scenario, scenario_from_dict, write_trace
 
-from generators import random_scenario
+from generators import random_scenario, shared_member_list_scenario_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GENERATED_HORIZON = 300
@@ -39,6 +41,8 @@ FIXTURES = {
 # one sha256 over the traces of generator seeds 0-299 at GENERATED_HORIZON,
 # then of each shipped scenario, by name, at its own seed, at 1 and at 4242
 SWEEP = "d3f86b88f0659b3cf559b9ecb0eba7eb7bd76bea0580a33c4dcc535e91ce60d9"
+# one sha256 over the traces of shared_member_list_scenario_dict seeds 0-39
+SHARED_MEMBER_LISTS = "26c34c36ba0490e740a3cb2c3f58b3850574b20b1c060032483127c8754e62f0"
 # generator seed -> (promotions, prunings, trace sha256)
 GENERATED = {
     5000: (3, 0, "4db5ec975ed383286a571ad4e5a91b27768d0e68256f143f6ce700c8eab625ce"),
@@ -123,3 +127,11 @@ def test_generator_and_scenario_sweep_is_unchanged():
             trace, _ = run_scenario(scenario, seed=seed)
             digest.update(write_trace(trace).encode("utf-8"))
     assert digest.hexdigest() == SWEEP
+
+
+def test_shared_member_list_family_is_unchanged():
+    digest = hashlib.sha256()
+    for seed in range(40):
+        trace, _ = run_scenario(scenario_from_dict(shared_member_list_scenario_dict(seed)))
+        digest.update(write_trace(trace).encode("utf-8"))
+    assert digest.hexdigest() == SHARED_MEMBER_LISTS

@@ -11,10 +11,10 @@ from fso_sim.holarchy import (
     Holarchy,
     HolarchySpec,
     Holon,
+    HolarchyError,
     HolonKind,
     Registry,
     ServiceEntry,
-    UnknownHolonError,
     ViolationError,
     build_holarchy,
     register_initial_services,
@@ -103,7 +103,7 @@ def test_chain_to_root(nested):
     assert nested.chain_to_root(1) == (1, 0)
     assert nested.chain_to_root(3) == (3, 1, 0)
     assert nested.chain_to_root(0) == (0,)
-    with pytest.raises(UnknownHolonError):
+    with pytest.raises(HolarchyError, match="holon 99 does not exist"):
         nested.chain_to_root(99)
 
 
