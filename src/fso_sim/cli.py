@@ -96,8 +96,8 @@ def _load(path: str):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
-    sim = Simulation(scenario, seed=args.seed, horizon=args.horizon)
     try:
+        sim = Simulation(scenario, seed=args.seed, horizon=args.horizon)
         metrics = sim.run()
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

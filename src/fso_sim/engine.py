@@ -551,6 +551,10 @@ class Simulation:
         self.trace: list[TraceRecord] = []
         # latest first, so the next arrival is popped off the end
         self._arrivals: list[Arrival] = sample_arrivals(scenario.environment, (0, self.horizon), self.seed)[::-1]
+        # the tick of the next arrival, -1 when none is left. step() reads it
+        # on every tick, and an int attribute reads faster than a field of
+        # the Arrival tuple
+        self._next_arrival = self._arrivals[-1].time if self._arrivals else -1
         self._dissolve_at: dict[int, list[Son]] = {}
         self._pending: list[_Request] = []
         self._son_seq = 0
@@ -596,8 +600,9 @@ class Simulation:
 
     def _phase_arrivals(self, t: int) -> list[tuple[int, int, str]]:
         triggers: list[tuple[int, int, str]] = []
-        while self._arrivals and self._arrivals[-1].time == t:
+        while self._next_arrival == t:
             arrival = self._arrivals.pop()
+            self._next_arrival = self._arrivals[-1].time if self._arrivals else -1
             reg = self.holarchy.registries[arrival.item.source]
             triggered = publish(reg, arrival.item, self.scenario.activities)
             self._emit(
@@ -690,8 +695,8 @@ class Simulation:
         problems = [str(v) for v in validate(self.holarchy)]
         # nothing is due behind the clock: a passed-over arrival would stall
         # the arrivals phase, and every later arrival with it
-        if self._arrivals and self._arrivals[-1].time < self.clock:
-            problems.append(f"the arrival due at tick {self._arrivals[-1].time} was never published")
+        if 0 <= self._next_arrival < self.clock:
+            problems.append(f"the arrival due at tick {self._next_arrival} was never published")
         problems.extend(f"the overlays due at tick {t} never dissolved" for t in sorted(self._dissolve_at) if t < self.clock)
         if problems:
             raise InvariantViolationError(f"tick {self.clock}: " + "; ".join(problems))
@@ -711,7 +716,7 @@ class Simulation:
         freed = t in self._dissolve_at
         if freed:
             self._phase_dissolve(t)
-        if self._arrivals and self._arrivals[-1].time == t:
+        if self._next_arrival == t:
             self._phase_resolve(t, self._phase_arrivals(t))
         if freed and self._pending:
             self._phase_retry(t)

@@ -13,9 +13,9 @@ arrival pattern of one source stable when another is added or removed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator
+from math import floor, inf, log1p
+from typing import Iterator, NamedTuple
 
 from .holarchy import HolonId, InformationItem, LogicalTime
 
@@ -46,9 +46,6 @@ class Rng:
         # 53 bit mantissa, uniform in [0, 1)
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def exponential(self, rate: float) -> float:
-        return -math.log1p(-self.random()) / rate
-
     def child(self, index: int) -> "Rng":
         """An independent stream derived from this rng's seed, not its state."""
         return Rng(_mix((self.seed + (index + 1) * _GOLDEN) & _MASK))
@@ -69,12 +66,22 @@ class PoissonProcess:
             raise ValueError("poisson rate must be positive")
 
     def arrivals(self, rng: Rng) -> Iterator[LogicalTime]:
+        # each gap is -log1p(-rng.random()) / rate, with the splitmix64 step
+        # unrolled here because the calls cost more than the arithmetic; rng
+        # advances exactly as those calls would advance it
+        rate = self.rate
+        state = rng._state
         t = 0
         while True:
-            gap = rng.exponential(self.rate)
-            if not math.isfinite(gap):
+            state = (state + _GOLDEN) & _MASK
+            rng._state = state
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            # rate > 0, so a gap is never NaN and only an overflow ends the stream
+            gap = -log1p(-(((z ^ (z >> 31)) >> 11) * 2.0**-53)) / rate
+            if gap == inf:
                 return
-            t += max(1, math.floor(gap + 0.5))
+            t += floor(gap + 0.5) or 1
             yield t
 
 
@@ -129,8 +136,13 @@ class EnvironmentSpec:
     sources: tuple[EventSource, ...]
 
 
-@dataclass(frozen=True)
-class Arrival:
+class Arrival(NamedTuple):
+    """An item due at ``time`` from the source declared at ``source_index``.
+
+    A tuple, so arrivals order by (time, source index) with no sort key. Two
+    arrivals that tie on both carry equal items, so the item never decides.
+    """
+
     time: LogicalTime
     source_index: int
     item: InformationItem
@@ -154,22 +166,12 @@ def sample_arrivals(
     t0, t1 = window
     out: list[Arrival] = []
     for index, source in enumerate(spec.sources):
-        rng = source_stream(seed, index)
-        for t in source.process.arrivals(rng):
+        topic, soc = source.topic, source.injection_soc
+        for t in source.process.arrivals(source_stream(seed, index)):
             if t >= t1:
                 break
             if t >= t0:
-                out.append(
-                    Arrival(
-                        time=t,
-                        source_index=index,
-                        item=InformationItem(
-                            topic=source.topic,
-                            source=source.injection_soc,
-                            published_at=t,
-                        ),
-                    )
-                )
-    out.sort(key=lambda a: (a.time, a.source_index))
+                out.append(Arrival(t, index, InformationItem(topic, soc, t)))
+    out.sort()
     return out
 

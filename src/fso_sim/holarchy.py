@@ -118,7 +118,7 @@ class ServiceEntry:
         return (self.registered_at, self.provider, self.role)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InformationItem:
     """A published piece of information, matched against activity guards."""
 

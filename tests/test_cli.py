@@ -89,17 +89,19 @@ def test_validate_rejects_missing_file(capsys):
 
 
 @pytest.mark.parametrize(
-    "fault,line",
+    "target,fault,line",
     [
-        pytest.param(CanonError("staffing broke"), "internal error: staffing broke", id="module_error"),
-        pytest.param(KeyError("x"), "internal error: 'x'", id="key_error"),
+        pytest.param("resolve_request", CanonError("staffing broke"), "internal error: staffing broke", id="module_error"),
+        pytest.param("resolve_request", KeyError("x"), "internal error: 'x'", id="key_error"),
+        # a fault while the simulation is still being set up
+        pytest.param("sample_arrivals", KeyError("y"), "internal error: 'y'", id="setup_error"),
     ],
 )
-def test_run_reports_an_internal_error_without_a_traceback(monkeypatch, capsys, fault, line):
+def test_run_reports_an_internal_error_without_a_traceback(monkeypatch, capsys, target, fault, line):
     def broken(*args, **kwargs):
         raise fault
 
-    monkeypatch.setattr(engine, "resolve_request", broken)
+    monkeypatch.setattr(engine, target, broken)
     code = run_cli("run", "--scenario", str(SCENARIOS / "minimal.json"), "--seed", "0")
     err = capsys.readouterr().err
     assert code == 2

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import math
 
 import pytest
@@ -56,6 +59,28 @@ def test_poisson_gaps_are_positive_integers():
     gaps = [b - a for a, b in zip([0] + times, times)]
     assert all(isinstance(t, int) for t in times)
     assert all(g >= 1 for g in gaps)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.2, 7.0, 1e-310])
+def test_poisson_gaps_match_the_rng_reference(rate):
+    # the reference draws each gap through Rng.random; a gap that overflows
+    # to infinity ends both streams
+    ref = source_stream(seed=1, index=0)
+    expected = []
+    t = 0
+    while len(expected) < 10_000:
+        gap = -math.log1p(-ref.random()) / rate
+        if not math.isfinite(gap):
+            break
+        t += max(1, math.floor(gap + 0.5))
+        expected.append(t)
+    rng = source_stream(seed=1, index=0)
+    times = list(itertools.islice(PoissonProcess(rate=rate).arrivals(rng), 10_000))
+    assert times == expected
+    # and the process leaves its rng where the reference left it
+    assert rng.next_u64() == ref.next_u64()
+    if rate == 1e-310:
+        assert len(times) < 10_000
 
 
 def test_poisson_rejects_bad_rate():
@@ -133,3 +158,30 @@ def test_poisson_mean_gap_matches_nearest_tick_rounding():
     mean = sum(gaps) / len(gaps)
     assert expected == pytest.approx(5.0868, abs=2e-4)
     assert mean == pytest.approx(expected, rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "seed,digest",
+    [
+        (1, "93ae3d509fdcb25070ba7d104c956813983fd7493f715320093e95214e0ffa7e"),
+        (4242, "3123a1a0141fe5ba242743bb64bf406cf1bd8bcb32409682d5937bcf325a67c4"),
+    ],
+    ids=["seed_1", "seed_4242"],
+)
+def test_sample_arrivals_output_is_pinned(seed, digest):
+    # two Poisson sources that tie on some ticks, a periodic one, a scripted
+    # one with a repeated tick and one whose first gap overflows
+    spec = EnvironmentSpec(
+        sources=(
+            EventSource("a", 10, PoissonProcess(rate=0.5)),
+            EventSource("b", 11, PoissonProcess(rate=0.7)),
+            EventSource("c", 12, PeriodicProcess(period=7, offset=3)),
+            EventSource("d", 13, ScriptedProcess(times=(2, 5, 5, 9))),
+            EventSource("e", 14, PoissonProcess(rate=5e-324)),
+        )
+    )
+    rows = [
+        (a.time, a.source_index, a.item.topic, a.item.source, a.item.published_at)
+        for a in sample_arrivals(spec, (0, 2000), seed)
+    ]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
