@@ -7,18 +7,17 @@ empirical mean gap of a long Poisson draw.
 
 from __future__ import annotations
 
-from fso_sim import EnvironmentSpec, EventSource, PeriodicProcess, PoissonProcess, ScriptedProcess
-from fso_sim.environment import sample_arrivals
+from fso_sim import EventSource, PeriodicProcess, PoissonProcess, ScriptedProcess, sample_arrivals
 
 
-def times(spec: EnvironmentSpec, seed: int, until: int = 40) -> list[int]:
-    return [a.time for a in sample_arrivals(spec, (0, until), seed)]
+def times(source: EventSource, seed: int, until: int = 40) -> list[int]:
+    return [a.time for a in sample_arrivals((source,), (0, until), seed)]
 
 
 def main() -> None:
-    poisson = EnvironmentSpec((EventSource("p", 1, PoissonProcess(rate=0.2)),))
-    periodic = EnvironmentSpec((EventSource("q", 1, PeriodicProcess(period=6, offset=2)),))
-    scripted = EnvironmentSpec((EventSource("s", 1, ScriptedProcess(times=(3, 9, 27))),))
+    poisson = EventSource("p", 1, PoissonProcess(rate=0.2))
+    periodic = EventSource("q", 1, PeriodicProcess(period=6, offset=2))
+    scripted = EventSource("s", 1, ScriptedProcess(times=(3, 9, 27)))
 
     print("poisson, seed 1: ", times(poisson, 1))
     print("poisson, seed 2: ", times(poisson, 2))

@@ -22,7 +22,7 @@ SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "nine_actors.j
 
 def main() -> None:
     scenario = load_scenario(SCENARIO.read_text())
-    h = build_holarchy(scenario.holarchy)
+    h = build_holarchy(scenario.holons, scenario.roles)
     register_initial_services(h)
 
     print(f"roles: {', '.join(f'{i}={name}' for i, name in enumerate(scenario.role_names))}")
@@ -52,7 +52,7 @@ def main() -> None:
 
     assert validate(h) == []
     print("structure validates cleanly")
-    print(f"activation states: {enumerate_activation_space(h)}")
+    print(f"activation states: {enumerate_activation_space(scenario.holons)}")
 
 
 if __name__ == "__main__":

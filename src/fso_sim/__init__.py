@@ -38,11 +38,9 @@ from .engine import (
     write_trace,
 )
 from .environment import (
-    EnvironmentSpec,
     EventSource,
     PeriodicProcess,
     PoissonProcess,
-    Rng,
     ScriptedProcess,
     sample_arrivals,
 )
@@ -57,7 +55,6 @@ from .evolution import (
 )
 from .holarchy import (
     Holarchy,
-    HolarchySpec,
     Holon,
     HolonKind,
     build_holarchy,
@@ -70,13 +67,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ActivationState",
     "ActivityTable",
-    "EnvironmentSpec",
     "EventSource",
     "EvolutionPolicy",
     "ExperienceLedger",
     "FailureWindow",
     "Holarchy",
-    "HolarchySpec",
     "Holon",
     "HolonKind",
     "Metrics",
@@ -84,7 +79,6 @@ __all__ = [
     "PeriodicProcess",
     "PoissonProcess",
     "ResponseActivity",
-    "Rng",
     "Scenario",
     "ScriptedProcess",
     "Simulation",

@@ -14,8 +14,9 @@ raises leaves the state untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .holarchy import Holarchy, HolarchyError, HolonId, RoleId
+from .holarchy import Holarchy, HolarchyError, Holon, HolonId, RoleId
 
 
 class ActivationError(Exception):
@@ -94,14 +95,15 @@ def check_partition(state: ActivationState, h: Holarchy) -> None:
         raise ActivationError(f"partition broken: missing={missing} strangers={strangers}")
 
 
-def enumerate_activation_space(h: Holarchy) -> int:
-    """Count all role-assignment states of the actor population.
+def enumerate_activation_space(holons: Iterable[Holon]) -> int:
+    """Count all role-assignment states of the actors among ``holons``.
 
     Each actor is either idle or plays one of its capable roles, and actors
     choose independently, so the count is the product of (1 + |capabilities|)
     over all actors, exact for any number of actors.
     """
     total = 1
-    for a in h.atoms():
-        total *= 1 + len(h.holons[a].capabilities)
+    for node in holons:
+        if node.is_atomic:
+            total *= 1 + len(node.capabilities)
     return total

@@ -125,20 +125,6 @@ class ActivityTable:
 
 
 @dataclass(frozen=True)
-class Enabled:
-    """Guard satisfied; assignment pairs each role slot with an actor."""
-
-    assignment: tuple[tuple[HolonId, RoleId], ...]
-
-
-@dataclass(frozen=True)
-class Missing:
-    """Guard failed; which role slots (or data gaps) stay uncovered."""
-
-    missing: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class HopRecord:
     """One escalation step, kept for the trace."""
 
@@ -260,8 +246,13 @@ def _solve(
     activity: ResponseActivity,
     pool: Pool,
     available_data: set[str],
-) -> Enabled | Missing:
+) -> tuple[tuple[int, ...], tuple[tuple[HolonId, RoleId], ...]]:
     """Staff the activity's role slots from the pool, or say what is missing.
+
+    Returns ``(missing, assignment)``. ``missing`` lists the role of each
+    uncoverable slot, then one ``DATA_MISSING`` per absent data topic, and
+    is empty exactly when ``assignment`` pairs every slot with an actor;
+    otherwise ``assignment`` is empty.
 
     Slots are filled in sorted role order with the smallest-ranked actor
     that still leaves the rest completable, which makes the chosen
@@ -340,7 +331,7 @@ def _solve(
     missing_data = sorted(activity.required_data - available_data)
 
     if missing_roles or missing_data:
-        return Missing(tuple(missing_roles) + (DATA_MISSING,) * len(missing_data))
+        return tuple(missing_roles) + (DATA_MISSING,) * len(missing_data), ()
 
     taken: set[HolonId] = set()
     for i, keys in enumerate(per_slot):
@@ -360,7 +351,7 @@ def _solve(
             slot_of[c] = j
             actor_of[i] = current
         taken.add(actor_of[i])
-    return Enabled(tuple(zip(actor_of, slots)))
+    return (), tuple(zip(actor_of, slots))
 
 
 # -- the two canon rules, applied along the chain to the root -----------------
@@ -389,7 +380,6 @@ def resolve_request(
 
     full_chain = h.chain_to_root(start_soc)
     hops: list[HopRecord] = []
-    outcome: Missing | None = None
     pool = _empty_pool(activity)
     s = len(activity.required_roles)
     data: set[str] = set()
@@ -397,14 +387,14 @@ def resolve_request(
         _grow_pool(pool, h, soc, state, s)
         if activity.required_data:
             data |= h.registries[soc].topics
-        result = _solve(activity, pool, data)
-        if isinstance(result, Enabled):
+        missing, assignment = _solve(activity, pool, data)
+        if not missing:
             spanned = {start_soc}
-            for a, _ in result.assignment:
+            for a, _ in assignment:
                 spanned.add(h.parent[a])
             return SonPlan(
                 activity_id=activity.id,
-                assignment=result.assignment,
+                assignment=assignment,
                 spanned_socs=frozenset(spanned),
                 origin_soc=start_soc,
                 resolved_soc=soc,
@@ -412,16 +402,15 @@ def resolve_request(
                 duration=activity.duration,
                 hops=tuple(hops),
             )
-        outcome = result
         if k + 1 < len(full_chain):
-            hops.append(HopRecord(soc, full_chain[k + 1], k + 1, result.missing))
+            hops.append(HopRecord(soc, full_chain[k + 1], k + 1, missing))
 
-    assert outcome is not None
+    # the chain always holds start_soc, so the loop set missing
     return Unresolved(
         activity_id=activity.id,
         origin_soc=start_soc,
         hop_count=len(full_chain) - 1,
-        missing=outcome.missing,
+        missing=missing,
         hops=tuple(hops),
     )
 

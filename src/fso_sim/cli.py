@@ -25,7 +25,6 @@ from .engine import (
     report,
     write_trace,
 )
-from .holarchy import build_holarchy
 
 
 def _u64(text: str) -> int:
@@ -103,7 +102,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     if args.trace:
         _write(args.trace, "trace", write_trace(sim.trace))
@@ -126,7 +125,7 @@ def _write(path: str, what: str, text: str) -> None:
 def _cmd_validate(args: argparse.Namespace) -> int:
     # loading already enforced every structural rule of the holarchy
     scenario = _load(args.scenario)
-    holons = scenario.holarchy.holons
+    holons = scenario.holons
     atoms = sum(1 for node in holons if node.is_atomic)
     print(
         f"scenario ok: {len(holons)} holons ({atoms} actors), "
@@ -136,15 +135,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
-    h = build_holarchy(scenario.holarchy)
-    count = enumerate_activation_space(h)
+    holons = _load(args.scenario).holons
+    count = enumerate_activation_space(holons)
     try:
         text = str(count)
     except ValueError:
         # the count is exact, but Python converts no integer past its digit
         # limit to text; raising the limit would change it for the process
-        print(f"cannot enumerate: the count for {len(h.atoms())} actors has too many digits to print", file=sys.stderr)
+        actors = sum(1 for node in holons if node.is_atomic)
+        print(f"cannot enumerate: the count for {actors} actors has too many digits to print", file=sys.stderr)
         return 1
     print(text)
     return 0

@@ -65,7 +65,6 @@ from .canon import (
 )
 from .environment import (
     Arrival,
-    EnvironmentSpec,
     EventSource,
     PeriodicProcess,
     PoissonProcess,
@@ -84,10 +83,10 @@ from .evolution import (
     record_outcome,
 )
 from .holarchy import (
-    HolarchySpec,
     Holarchy,
     Holon,
     HolonKind,
+    RoleId,
     ViolationError,
     build_holarchy,
     register_initial_services,
@@ -127,13 +126,18 @@ class InvariantViolationError(Exception):
 @dataclass(frozen=True)
 class Scenario:
     role_names: tuple[str, ...]
-    holarchy: HolarchySpec
+    holons: tuple[Holon, ...]
     activities: ActivityTable
-    environment: EnvironmentSpec
+    sources: tuple[EventSource, ...]
     policy: EvolutionPolicy
     horizon: int
     seed: int
     retry_bound: int
+
+    @property
+    def roles(self) -> frozenset[RoleId]:
+        """The role ids, one per role name."""
+        return frozenset(range(len(self.role_names)))
 
 
 @dataclass(frozen=True)
@@ -321,9 +325,8 @@ def scenario_from_dict(doc: Any) -> Scenario:
         # a community's representative defaults to its lowest member
         rep = h.get("representative", min(members, default=None))
         holons.append(Holon(h["id"], HolonKind(h["kind"]), frozenset(h.get("capabilities", ())), members, rep))
-    spec = HolarchySpec(roles=frozenset(range(len(role_names))), holons=tuple(holons))
     try:
-        holarchy = build_holarchy(spec)
+        holarchy = build_holarchy(holons, frozenset(range(len(role_names))))
     except ViolationError as exc:
         _fail("holarchy", str(exc))
 
@@ -374,9 +377,9 @@ def scenario_from_dict(doc: Any) -> Scenario:
 
     return Scenario(
         role_names=role_names,
-        holarchy=spec,
+        holons=tuple(holons),
         activities=table,
-        environment=EnvironmentSpec(sources=tuple(sources)),
+        sources=tuple(sources),
         policy=EvolutionPolicy(
             permanentify_threshold=policy["permanentify_threshold"],
             prune_failure_threshold=policy["prune_failure_threshold"],
@@ -543,14 +546,14 @@ class Simulation:
         self.seed = scenario.seed if seed is None else seed
         self.horizon = scenario.horizon if horizon is None else horizon
         self.debug = _debug_default() if debug is None else debug
-        self.holarchy: Holarchy = build_holarchy(scenario.holarchy)
+        self.holarchy: Holarchy = build_holarchy(scenario.holons, scenario.roles)
         register_initial_services(self.holarchy, 0)
         self.state = initial_state(self.holarchy)
         self.ledger = ExperienceLedger()
         self.clock = 0
         self.trace: list[TraceRecord] = []
         # latest first, so the next arrival is popped off the end
-        self._arrivals: list[Arrival] = sample_arrivals(scenario.environment, (0, self.horizon), self.seed)[::-1]
+        self._arrivals: list[Arrival] = sample_arrivals(scenario.sources, (0, self.horizon), self.seed)[::-1]
         # the tick of the next arrival, -1 when none is left. step() reads it
         # on every tick, and an int attribute reads faster than a field of
         # the Arrival tuple

@@ -5,10 +5,12 @@ one SoC's registry, driven by a point process on the integer tick line.
 Poisson sources draw exponential gaps and snap them to the nearest tick
 (never below one); periodic and scripted sources are exact.
 
-Randomness comes from an explicit splitmix64 generator so that runs are
-reproducible bit for bit across platforms and Python versions. Every source
-derives its own independent stream from the scenario seed, which keeps the
-arrival pattern of one source stable when another is added or removed.
+Randomness comes from splitmix64, written out in integer arithmetic, so
+that runs are reproducible bit for bit across platforms and Python versions.
+Each source draws from its own stream: :func:`source_state` mixes the
+scenario seed with the source's index into the stream's starting state, and
+the process's ``arrivals`` steps it. A source's arrival pattern therefore
+stays the same when another source is added or removed.
 """
 
 from __future__ import annotations
@@ -29,28 +31,6 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class Rng:
-    """splitmix64 stream; remembers its seed so it can be treated as a value."""
-
-    __slots__ = ("seed", "_state")
-
-    def __init__(self, seed: int) -> None:
-        self.seed = seed & _MASK
-        self._state = self.seed
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        return _mix(self._state)
-
-    def random(self) -> float:
-        # 53 bit mantissa, uniform in [0, 1)
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def child(self, index: int) -> "Rng":
-        """An independent stream derived from this rng's seed, not its state."""
-        return Rng(_mix((self.seed + (index + 1) * _GOLDEN) & _MASK))
-
-
 @dataclass(frozen=True)
 class PoissonProcess:
     """Exponential gaps at the given rate, snapped to whole ticks (min 1).
@@ -65,16 +45,14 @@ class PoissonProcess:
         if not self.rate > 0:
             raise ValueError("poisson rate must be positive")
 
-    def arrivals(self, rng: Rng) -> Iterator[LogicalTime]:
-        # each gap is -log1p(-rng.random()) / rate, with the splitmix64 step
-        # unrolled here because the calls cost more than the arithmetic; rng
-        # advances exactly as those calls would advance it
+    def arrivals(self, state: int) -> Iterator[LogicalTime]:
+        # each gap is -log1p(-u) / rate, u the next output of the splitmix64
+        # stream at ``state`` cut to 53 bits, uniform in [0, 1); the step is
+        # unrolled here because a call to _mix costs more than its arithmetic
         rate = self.rate
-        state = rng._state
         t = 0
         while True:
             state = (state + _GOLDEN) & _MASK
-            rng._state = state
             z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
             # rate > 0, so a gap is never NaN and only an overflow ends the stream
@@ -96,7 +74,7 @@ class PeriodicProcess:
         if self.offset < 0:
             raise ValueError("offset must not be negative")
 
-    def arrivals(self, rng: Rng) -> Iterator[LogicalTime]:
+    def arrivals(self, state: int) -> Iterator[LogicalTime]:
         t = self.offset
         while True:
             yield t
@@ -115,7 +93,7 @@ class ScriptedProcess:
         if list(self.times) != sorted(self.times):
             raise ValueError("scripted times must be ascending")
 
-    def arrivals(self, rng: Rng) -> Iterator[LogicalTime]:
+    def arrivals(self, state: int) -> Iterator[LogicalTime]:
         yield from self.times
 
 
@@ -131,11 +109,6 @@ class EventSource:
     process: Process
 
 
-@dataclass(frozen=True)
-class EnvironmentSpec:
-    sources: tuple[EventSource, ...]
-
-
 class Arrival(NamedTuple):
     """An item due at ``time`` from the source declared at ``source_index``.
 
@@ -148,13 +121,13 @@ class Arrival(NamedTuple):
     item: InformationItem
 
 
-def source_stream(seed: int, index: int) -> Rng:
-    """The rng governing source ``index`` under scenario ``seed``."""
-    return Rng(seed).child(index)
+def source_state(seed: int, index: int) -> int:
+    """The splitmix64 state source ``index`` starts from under scenario ``seed``."""
+    return _mix(((seed & _MASK) + (index + 1) * _GOLDEN) & _MASK)
 
 
 def sample_arrivals(
-    spec: EnvironmentSpec,
+    sources: tuple[EventSource, ...],
     window: tuple[LogicalTime, LogicalTime],
     seed: int,
 ) -> list[Arrival]:
@@ -165,9 +138,9 @@ def sample_arrivals(
     """
     t0, t1 = window
     out: list[Arrival] = []
-    for index, source in enumerate(spec.sources):
+    for index, source in enumerate(sources):
         topic, soc = source.topic, source.injection_soc
-        for t in source.process.arrivals(source_stream(seed, index)):
+        for t in source.process.arrivals(source_state(seed, index)):
             if t >= t1:
                 break
             if t >= t0:

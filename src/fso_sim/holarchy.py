@@ -13,9 +13,9 @@ registry before it writes the anchor's proxies.
 
 The structural rules (a tree of nested communities under one composite
 root) are stated once, in :func:`validate`, as :class:`Violation` data.
-:func:`build_holarchy` raises the first of them a spec breaks as a
-:class:`ViolationError` carrying it; a debug run audits them after every
-tick.
+:func:`build_holarchy` raises the first of them that the holons it is given
+break as a :class:`ViolationError` carrying it; a debug run audits them
+after every tick.
 
 A run has exactly one holarchy, built by :func:`build_holarchy` and only
 ever touched by the engine's single logical event loop. Registries are its
@@ -144,14 +144,12 @@ class Registry:
     """
 
     service_entries: list[ServiceEntry] = field(default_factory=list, init=False)
-    info_entries: list[InformationItem] = field(default_factory=list)
-    topics: set[str] = field(init=False, repr=False, compare=False)
+    info_entries: list[InformationItem] = field(default_factory=list, init=False)
+    topics: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
     # role -> (registered_at, actor) per actor offered for it, at its earliest entry, ascending
-    views: dict[RoleId, tuple[tuple[LogicalTime, HolonId], ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.topics = {item.topic for item in self.info_entries}
-        self.views = {}
+    views: dict[RoleId, tuple[tuple[LogicalTime, HolonId], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def topics_present(self) -> set[str]:
         return set(self.topics)
@@ -166,14 +164,6 @@ class Registry:
         """Drop every entry registered via the composite member ``via``."""
         self.service_entries = [e for e in self.service_entries if e.via != via]
         self.views.clear()
-
-
-@dataclass(frozen=True)
-class HolarchySpec:
-    """Declarative description of a whole holarchy, holons used as given, plus the role table."""
-
-    roles: frozenset[RoleId]
-    holons: tuple[Holon, ...]
 
 
 @dataclass(frozen=True)
@@ -378,28 +368,28 @@ class Holarchy:
                 yield ServiceEntry(rep, role, registered_at=t, via=m)
 
 
-def build_holarchy(spec: HolarchySpec) -> Holarchy:
-    """Materialize a holarchy from its declarative spec, or raise its first fault.
+def build_holarchy(holons: Iterable[Holon], roles: frozenset[RoleId]) -> Holarchy:
+    """Materialize a holarchy of ``holons`` over the role table ``roles``, or raise its first fault.
 
-    The spec's holons are used as given. Every composite receives an empty
+    The holons are used as given. Every composite receives an empty
     registry; initial service offers are registered separately with
     :func:`register_initial_services`. The first violation of the structural
     rules of :func:`validate`, or a ``DuplicateId``, which a holarchy keyed by
     id cannot hold, is raised as a :class:`ViolationError`.
     """
-    holons: dict[HolonId, Holon] = {}
+    by_id: dict[HolonId, Holon] = {}
     parent: dict[HolonId, HolonId] = {}
     registries: dict[HolonId, Registry] = {}
-    for node in spec.holons:
-        if node.id in holons:
+    for node in holons:
+        if node.id in by_id:
             raise ViolationError(Violation("DuplicateId", node.id, f"holon id {node.id} declared twice"))
         if node.is_composite:
             parent.update(dict.fromkeys(node.members, node.id))
             registries[node.id] = Registry()
-        holons[node.id] = node
+        by_id[node.id] = node
     # -1 when every holon is listed somewhere, which the rules reject
-    root = next((i for i in holons if i not in parent), -1)
-    h = Holarchy(holons, parent, root, spec.roles, registries)
+    root = next((i for i in by_id if i not in parent), -1)
+    h = Holarchy(by_id, parent, root, roles, registries)
     # a fresh holarchy's registries are empty, so only the structure can fail
     for v in _structure_violations(h):
         raise ViolationError(v)

@@ -13,10 +13,42 @@ import itertools
 from typing import Any
 
 from fso_sim.activation import ActivationState
-from fso_sim.canon import Enabled, Missing, ResponseActivity
-from fso_sim.holarchy import Holarchy, HolarchySpec, HolonId, LogicalTime, RoleId, ServiceEntry
+from fso_sim.canon import ResponseActivity
+from fso_sim.holarchy import Holarchy, Holon, HolonId, LogicalTime, RoleId, ServiceEntry
 
 DATA_GAP = -1
+
+
+# -- random streams, one call per step ---------------------------------------
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+class Rng:
+    """A splitmix64 stream with a method per step, the reference for the simulator's inlined draws."""
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed & _MASK
+        self._state = self.seed
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK
+        return _mix(self._state)
+
+    def random(self) -> float:
+        # 53 bit mantissa, uniform in [0, 1)
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def child(self, index: int) -> "Rng":
+        """An independent stream derived from this rng's seed, not its state."""
+        return Rng(_mix((self.seed + (index + 1) * _GOLDEN) & _MASK))
 
 
 # -- structure, recomputed from member lists --------------------------------
@@ -108,10 +140,10 @@ def structural_check(h: Holarchy) -> list[str]:
     return problems
 
 
-def spec_problems(spec: HolarchySpec) -> list[str]:
-    """Every structural fault of a holarchy spec, from its raw fields alone.
+def spec_problems(holons: tuple[Holon, ...], roles: frozenset[RoleId]) -> list[str]:
+    """Every structural fault of a holon list over a role table, from their raw fields alone.
 
-    A spec is sound when its ids are unique and non-negative, actors carry
+    A holon list is sound when its ids are unique and non-negative, actors carry
     only declared roles and no members or representative, communities carry
     members but no capabilities, every member is declared, each community's
     representative is one of its members, every holon sits in at most one member
@@ -119,16 +151,16 @@ def spec_problems(spec: HolarchySpec) -> list[str]:
     the others through member lists.
     """
     problems = []
-    ids = [hs.id for hs in spec.holons]
+    ids = [hs.id for hs in holons]
     problems += [f"id {i} declared {ids.count(i)} times" for i in sorted(set(ids)) if ids.count(i) > 1]
     problems += [f"id {i} is negative" for i in sorted(set(ids)) if i < 0]
     declared = set(ids)
-    listings = [m for hs in spec.holons if hs.kind.value == "composite" for m in hs.members]
-    for hs in spec.holons:
+    listings = [m for hs in holons if hs.kind.value == "composite" for m in hs.members]
+    for hs in holons:
         if hs.kind.value == "atomic":
             if hs.members or hs.representative is not None:
                 problems.append(f"actor {hs.id} has members or a representative")
-            problems += [f"actor {hs.id} claims role {r}" for r in hs.capabilities if r not in spec.roles]
+            problems += [f"actor {hs.id} claims role {r}" for r in hs.capabilities if r not in roles]
         else:
             if hs.capabilities or not hs.members:
                 problems.append(f"community {hs.id} has capabilities or no members")
@@ -139,7 +171,7 @@ def spec_problems(spec: HolarchySpec) -> list[str]:
     tops = sorted(declared - set(listings))
     if len(tops) != 1:
         return problems + [f"tops: {tops}"]
-    by_id = {hs.id: hs for hs in spec.holons}
+    by_id = {hs.id: hs for hs in holons}
     if by_id[tops[0]].kind.value != "composite":
         problems.append(f"top {tops[0]} is an actor")
     reached = {tops[0]}
@@ -293,12 +325,13 @@ def brute_force_solve(
     activity: ResponseActivity,
     pool: dict[RoleId, list[tuple[LogicalTime, HolonId]]],
     available_data: set[str],
-) -> Enabled | Missing:
+) -> tuple[tuple[int, ...], tuple[tuple[HolonId, RoleId], ...]]:
     """Staff the slots from each role's ranked ``(registered_at, actor)`` list.
 
-    A slot is missing when the kept slots plus it have no injective
-    assignment; the plan is the first injective tuple of the product of
-    the ranked lists, which is the least by rank, slot by slot.
+    Returns ``(missing, assignment)``, one of them empty. A slot is missing
+    when the kept slots plus it have no injective assignment; the plan is
+    the first injective tuple of the product of the ranked lists, which is
+    the least by rank, slot by slot.
     """
     slots = activity.required_roles
     cands = [[a for _, a in pool[role]] for role in slots]
@@ -311,8 +344,8 @@ def brute_force_solve(
             missing.append(role)
     missing += [DATA_GAP] * len(activity.required_data - available_data)
     if missing:
-        return Missing(tuple(missing))
-    return Enabled(tuple(zip(next(_injective_assignments(cands)), slots)))
+        return tuple(missing), ()
+    return (), tuple(zip(next(_injective_assignments(cands)), slots))
 
 
 # -- trace level checks -------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 from fso_sim.activation import enroll, enumerate_activation_space, initial_state
 from fso_sim.canon import SonPlan, Unresolved, publish, resolve_request
 from fso_sim.engine import Simulation, load_scenario_file, run_scenario, write_trace
-from fso_sim.environment import EnvironmentSpec, EventSource, PoissonProcess, sample_arrivals
+from fso_sim.environment import EventSource, PoissonProcess, sample_arrivals
 from fso_sim.holarchy import InformationItem, build_holarchy, register_initial_services, validate
 
 from generators import random_scenario
@@ -42,7 +42,7 @@ def conclude(number: int, text: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_nine_actor_fixture():
     started = time.perf_counter()
     scenario = load_scenario_file(str(SCENARIOS / "nine_actors.json"))
-    h = build_holarchy(scenario.holarchy)
+    h = build_holarchy(scenario.holons, scenario.roles)
     register_initial_services(h)
 
     atoms = h.atoms()
@@ -57,7 +57,7 @@ def test_criterion_1_nine_actor_fixture():
     violations = validate(h)
     if violations:
         problems.append(f"violations {violations}")
-    count = enumerate_activation_space(h)
+    count = enumerate_activation_space(scenario.holons)
     brute = count_activation_states(h)
     if count != 512 or brute != 512:
         problems.append(f"counted {count}, brute force {brute}")
@@ -78,7 +78,7 @@ def test_criterion_2_resolution_matches_exhaustive_search():
     mismatches = []
     for seed in range(200):
         scenario = random_scenario(seed, horizon=50, quiet_evolution=True)
-        h = build_holarchy(scenario.holarchy)
+        h = build_holarchy(scenario.holons, scenario.roles)
         register_initial_services(h)
         rng = random.Random(seed * 7919 + 13)
 
@@ -181,7 +181,7 @@ def test_criterion_5_overlay_lifecycle_is_balanced():
         sim.run()
         runs += 1
         problems += [(seed, p) for p in son_lifecycle_check(sim.trace)]
-        atoms = len(build_holarchy(scenario.holarchy).atoms())
+        atoms = len(build_holarchy(scenario.holons, scenario.roles).atoms())
         problems += [(seed, p) for p in replay_partition(sim.trace, atoms)]
     for name in ("minimal", "nine_actors", "little_sister", "promotion", "pruning"):
         scenario = load_scenario_file(str(SCENARIOS / f"{name}.json"))
@@ -199,7 +199,7 @@ def test_criterion_6_escalation_is_bounded_and_terminates():
     problems = []
     for seed in range(20):
         scenario = random_scenario(4000 + seed, horizon=300)
-        h = build_holarchy(scenario.holarchy)
+        h = build_holarchy(scenario.holons, scenario.roles)
         depth = max(len(chain_up(h, i)) - 1 for i in h.holons)
         sim = Simulation(scenario, debug=True)
         sim.run()
@@ -237,7 +237,7 @@ def test_criterion_7_promotion_and_pruning_fixtures():
     promoted = [r for r in sim.trace if r.kind == "Permanentified"]
     if len(promoted) != 1 or len(pruned) != 1:
         problems.append(f"pruning fixture: {len(promoted)} promotions, {len(pruned)} prunes")
-    original = build_holarchy(scenario.holarchy)
+    original = build_holarchy(scenario.holons, scenario.roles)
     register_initial_services(original)
     if sim.holarchy.holons != original.holons or sim.holarchy.parent != original.parent:
         problems.append("pruning did not restore the original structure")
@@ -254,8 +254,7 @@ def test_criterion_7_promotion_and_pruning_fixtures():
 
 
 def test_criterion_8_poisson_mean_interarrival():
-    spec = EnvironmentSpec(sources=(EventSource("tick", 0, PoissonProcess(rate=0.2)),))
-    arrivals = sample_arrivals(spec, (0, 50_000), seed=20260815)
+    arrivals = sample_arrivals((EventSource("tick", 0, PoissonProcess(rate=0.2)),), (0, 50_000), seed=20260815)
     times = [a.time for a in arrivals]
     gaps = [b - a for a, b in zip([0] + times, times)]
     mean = sum(gaps) / len(gaps)

@@ -17,7 +17,6 @@ from fso_sim.activation import (
 )
 from fso_sim.holarchy import (
     HolarchyError,
-    HolarchySpec,
     Holon,
     HolonKind,
     build_holarchy,
@@ -36,7 +35,7 @@ def soc(i, members):
 
 
 def build(*holons, roles=frozenset({0, 1, 2})):
-    return build_holarchy(HolarchySpec(roles=roles, holons=tuple(holons)))
+    return build_holarchy(holons, roles)
 
 
 @pytest.fixture
@@ -97,14 +96,14 @@ def test_check_partition_catches_strangers(trio):
 
 def test_enumerate_counts_by_capability_product(trio):
     # actor 0 has two roles, actors 1 and 2 one each: 3 * 2 * 2
-    assert enumerate_activation_space(trio) == 12
+    assert enumerate_activation_space(trio.holons.values()) == 12
     assert count_activation_states(trio) == 12
 
 
 def test_enumerate_counts_populations_of_any_size():
     atoms = [atom(i, 0) for i in range(21)]
     h = build(*atoms, soc(100, range(21)), roles=frozenset({0}))
-    assert enumerate_activation_space(h) == 2**21
+    assert enumerate_activation_space(h.holons.values()) == 2**21
 
 
 @settings(max_examples=60)

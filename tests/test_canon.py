@@ -24,7 +24,6 @@ from fso_sim.canon import (
     resolve_request,
 )
 from fso_sim.holarchy import (
-    HolarchySpec,
     Holon,
     HolonKind,
     InformationItem,
@@ -45,7 +44,7 @@ def soc(i, members):
 
 
 def build(*holons, roles=frozenset({0, 1, 2, 3})):
-    h = build_holarchy(HolarchySpec(roles=roles, holons=tuple(holons)))
+    h = build_holarchy(holons, roles)
     register_initial_services(h)
     return h
 

@@ -91,10 +91,12 @@ def test_validate_rejects_missing_file(capsys):
 @pytest.mark.parametrize(
     "target,fault,line",
     [
-        pytest.param("resolve_request", CanonError("staffing broke"), "internal error: staffing broke", id="module_error"),
-        pytest.param("resolve_request", KeyError("x"), "internal error: 'x'", id="key_error"),
+        pytest.param(
+            "resolve_request", CanonError("staffing broke"), "internal error: CanonError: staffing broke", id="module_error"
+        ),
+        pytest.param("resolve_request", KeyError("x"), "internal error: KeyError: 'x'", id="key_error"),
         # a fault while the simulation is still being set up
-        pytest.param("sample_arrivals", KeyError("y"), "internal error: 'y'", id="setup_error"),
+        pytest.param("sample_arrivals", KeyError("y"), "internal error: KeyError: 'y'", id="setup_error"),
     ],
 )
 def test_run_reports_an_internal_error_without_a_traceback(monkeypatch, capsys, target, fault, line):
@@ -112,6 +114,22 @@ def test_enumerate_prints_the_state_count(capsys):
     code = run_cli("enumerate", "--scenario", str(SCENARIOS / "nine_actors.json"))
     assert code == 0
     assert capsys.readouterr().out.strip() == "512"
+
+
+def test_enumerate_builds_the_holarchy_once(monkeypatch, capsys):
+    # loading builds it to check the structure; the count reads the holons
+    calls = []
+    for module in (engine, cli):
+        if hasattr(module, "build_holarchy"):
+
+            def counted(*args, _real=module.build_holarchy, **kwargs):
+                calls.append(args)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "build_holarchy", counted)
+    assert run_cli("enumerate", "--scenario", str(SCENARIOS / "nine_actors.json")) == 0
+    assert capsys.readouterr().out.strip() == "512"
+    assert len(calls) == 1
 
 
 def test_enumerate_refuses_a_count_past_the_digit_limit(tmp_path, capsys):

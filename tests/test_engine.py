@@ -28,9 +28,9 @@ from fso_sim.engine import (
     scenario_from_dict,
     write_trace,
 )
-from fso_sim.environment import EnvironmentSpec, EventSource, PeriodicProcess, PoissonProcess, ScriptedProcess
+from fso_sim.environment import EventSource, PeriodicProcess, PoissonProcess, ScriptedProcess
 from fso_sim.evolution import EvolutionPolicy
-from fso_sim.holarchy import HolarchySpec, Holon, HolonKind
+from fso_sim.holarchy import Holon, HolonKind
 
 from generators import random_scenario
 from oracles import fold_metrics, replay_partition, request_attempt_check, son_lifecycle_check
@@ -75,20 +75,18 @@ def test_load_happy_path():
     s = scenario_from_dict(minimal_doc())
     assert s.role_names == ("helper", "fixer")
     atomic, composite = HolonKind.ATOMIC, HolonKind.COMPOSITE
-    assert s.holarchy == HolarchySpec(
-        roles=frozenset({0, 1}),
-        holons=(
-            Holon(id=0, kind=atomic, capabilities=frozenset({0})),
-            Holon(id=1, kind=atomic, capabilities=frozenset({1})),
-            Holon(id=2, kind=composite, members=(0,), representative=0),
-            Holon(id=3, kind=composite, members=(1,), representative=1),
-            Holon(id=4, kind=composite, members=(2, 3), representative=2),
-        ),
+    assert s.roles == frozenset({0, 1})
+    assert s.holons == (
+        Holon(id=0, kind=atomic, capabilities=frozenset({0})),
+        Holon(id=1, kind=atomic, capabilities=frozenset({1})),
+        Holon(id=2, kind=composite, members=(0,), representative=0),
+        Holon(id=3, kind=composite, members=(1,), representative=1),
+        Holon(id=4, kind=composite, members=(2, 3), representative=2),
     )
     assert s.activities.activities == (
         ResponseActivity(id=0, trigger_topics=frozenset({"knock"}), required_roles=(0,), duration=2),
     )
-    assert s.environment == EnvironmentSpec(sources=(EventSource("knock", 2, ScriptedProcess(times=(1, 2))),))
+    assert s.sources == (EventSource("knock", 2, ScriptedProcess(times=(1, 2))),)
     assert s.policy == EvolutionPolicy(100, 100, 100, failure_injections=())
     assert (s.horizon, s.seed, s.retry_bound) == (10, 0, 3)
 
@@ -102,13 +100,13 @@ def test_load_happy_path():
         {"topic": "knock", "injection_soc": 4, "process": {"kind": "poisson", "rate": 2}},
     ]
     s = scenario_from_dict(doc)
-    assert s.holarchy.holons[0] == Holon(id=0, kind=atomic)
+    assert s.holons[0] == Holon(id=0, kind=atomic)
     # the lowest member stands in for a representative left out
-    assert s.holarchy.holons[4].representative == 2
+    assert s.holons[4].representative == 2
     (activity,) = s.activities.activities
     assert activity.duration == 1 and activity.required_data == frozenset()
     assert s.policy.failure_injections == ()
-    periodic, poisson = s.environment.sources[1].process, s.environment.sources[2].process
+    periodic, poisson = s.sources[1].process, s.sources[2].process
     assert periodic == PeriodicProcess(period=4, offset=0)
     assert poisson == PoissonProcess(rate=2.0) and type(poisson.rate) is float
 

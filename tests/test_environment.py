@@ -12,15 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fso_sim.environment import (
-    EnvironmentSpec,
     EventSource,
     PeriodicProcess,
     PoissonProcess,
-    Rng,
     ScriptedProcess,
     sample_arrivals,
-    source_stream,
+    source_state,
 )
+
+from oracles import Rng
 
 
 def test_rng_streams_are_reproducible():
@@ -50,10 +50,15 @@ def test_rng_uniform_range(seed):
         assert 0.0 <= u < 1.0
 
 
+@given(st.integers(-(2**70), 2**70), st.integers(0, 1000))
+@settings(max_examples=200)
+def test_source_state_is_where_the_reference_child_stream_starts(seed, index):
+    assert source_state(seed, index) == Rng(seed).child(index)._state
+
+
 def test_poisson_gaps_are_positive_integers():
-    rng = Rng(1)
     times = []
-    gen = PoissonProcess(rate=0.3).arrivals(rng)
+    gen = PoissonProcess(rate=0.3).arrivals(1)
     for _ in range(200):
         times.append(next(gen))
     gaps = [b - a for a, b in zip([0] + times, times)]
@@ -65,7 +70,7 @@ def test_poisson_gaps_are_positive_integers():
 def test_poisson_gaps_match_the_rng_reference(rate):
     # the reference draws each gap through Rng.random; a gap that overflows
     # to infinity ends both streams
-    ref = source_stream(seed=1, index=0)
+    ref = Rng(1).child(0)
     expected = []
     t = 0
     while len(expected) < 10_000:
@@ -74,11 +79,8 @@ def test_poisson_gaps_match_the_rng_reference(rate):
             break
         t += max(1, math.floor(gap + 0.5))
         expected.append(t)
-    rng = source_stream(seed=1, index=0)
-    times = list(itertools.islice(PoissonProcess(rate=rate).arrivals(rng), 10_000))
+    times = list(itertools.islice(PoissonProcess(rate=rate).arrivals(source_state(seed=1, index=0)), 10_000))
     assert times == expected
-    # and the process leaves its rng where the reference left it
-    assert rng.next_u64() == ref.next_u64()
     if rate == 1e-310:
         assert len(times) < 10_000
 
@@ -93,16 +95,14 @@ def test_poisson_gap_overflowing_to_infinity_ends_the_stream(rate):
     # the rate passes the positivity check, but Exp(rate) overflows, so no
     # arrival can come before any finite horizon
     process = PoissonProcess(rate=rate)
-    assert list(process.arrivals(source_stream(seed=1, index=0))) == []
-    spec = EnvironmentSpec(sources=(EventSource("a", 1, process),))
-    assert sample_arrivals(spec, (0, 10_000), seed=1) == []
+    assert list(process.arrivals(source_state(seed=1, index=0))) == []
+    assert sample_arrivals((EventSource("a", 1, process),), (0, 10_000), seed=1) == []
 
 
 def test_periodic_and_scripted_are_exact():
-    rng = Rng(0)
-    gen = PeriodicProcess(period=4, offset=3).arrivals(rng)
+    gen = PeriodicProcess(period=4, offset=3).arrivals(0)
     assert [next(gen) for _ in range(4)] == [3, 7, 11, 15]
-    assert list(ScriptedProcess(times=(2, 5, 5, 9)).arrivals(rng)) == [2, 5, 5, 9]
+    assert list(ScriptedProcess(times=(2, 5, 5, 9)).arrivals(0)) == [2, 5, 5, 9]
     with pytest.raises(ValueError):
         ScriptedProcess(times=(5, 2))
     with pytest.raises(ValueError):
@@ -110,13 +110,11 @@ def test_periodic_and_scripted_are_exact():
 
 
 def test_sample_arrivals_merges_by_time_then_source():
-    spec = EnvironmentSpec(
-        sources=(
-            EventSource("a", 10, ScriptedProcess(times=(2, 6))),
-            EventSource("b", 11, ScriptedProcess(times=(2, 4))),
-        )
+    sources = (
+        EventSource("a", 10, ScriptedProcess(times=(2, 6))),
+        EventSource("b", 11, ScriptedProcess(times=(2, 4))),
     )
-    arrivals = sample_arrivals(spec, (0, 10), seed=0)
+    arrivals = sample_arrivals(sources, (0, 10), seed=0)
     assert [(a.time, a.source_index, a.item.topic) for a in arrivals] == [
         (2, 0, "a"),
         (2, 1, "b"),
@@ -127,20 +125,18 @@ def test_sample_arrivals_merges_by_time_then_source():
 
 
 def test_sample_window_is_half_open():
-    spec = EnvironmentSpec(sources=(EventSource("a", 1, ScriptedProcess(times=(0, 5, 9, 10))),))
-    times = [a.time for a in sample_arrivals(spec, (0, 10), seed=3)]
+    sources = (EventSource("a", 1, ScriptedProcess(times=(0, 5, 9, 10))),)
+    times = [a.time for a in sample_arrivals(sources, (0, 10), seed=3)]
     assert times == [0, 5, 9]
-    times = [a.time for a in sample_arrivals(spec, (5, 10), seed=3)]
+    times = [a.time for a in sample_arrivals(sources, (5, 10), seed=3)]
     assert times == [5, 9]
 
 
 def test_adding_a_source_does_not_shift_others():
-    one = EnvironmentSpec(sources=(EventSource("a", 1, PoissonProcess(rate=0.2)),))
-    two = EnvironmentSpec(
-        sources=(
-            EventSource("a", 1, PoissonProcess(rate=0.2)),
-            EventSource("b", 1, PoissonProcess(rate=0.4)),
-        )
+    one = (EventSource("a", 1, PoissonProcess(rate=0.2)),)
+    two = (
+        EventSource("a", 1, PoissonProcess(rate=0.2)),
+        EventSource("b", 1, PoissonProcess(rate=0.4)),
     )
     first = [a.time for a in sample_arrivals(one, (0, 500), seed=11)]
     both = [a.time for a in sample_arrivals(two, (0, 500), seed=11) if a.source_index == 0]
@@ -152,8 +148,8 @@ def test_poisson_mean_gap_matches_nearest_tick_rounding():
     # mean exp(-rate/2)/(1-exp(-rate)) + (1-exp(-rate/2)); spot check at 0.2
     rate = 0.2
     expected = math.exp(-rate / 2) / (1 - math.exp(-rate)) + (1 - math.exp(-rate / 2))
-    spec = EnvironmentSpec(sources=(EventSource("a", 1, PoissonProcess(rate=rate)),))
-    times = [a.time for a in sample_arrivals(spec, (0, 200_000), seed=123)]
+    sources = (EventSource("a", 1, PoissonProcess(rate=rate)),)
+    times = [a.time for a in sample_arrivals(sources, (0, 200_000), seed=123)]
     gaps = [b - a for a, b in zip([0] + times, times)]
     mean = sum(gaps) / len(gaps)
     assert expected == pytest.approx(5.0868, abs=2e-4)
@@ -171,17 +167,15 @@ def test_poisson_mean_gap_matches_nearest_tick_rounding():
 def test_sample_arrivals_output_is_pinned(seed, digest):
     # two Poisson sources that tie on some ticks, a periodic one, a scripted
     # one with a repeated tick and one whose first gap overflows
-    spec = EnvironmentSpec(
-        sources=(
-            EventSource("a", 10, PoissonProcess(rate=0.5)),
-            EventSource("b", 11, PoissonProcess(rate=0.7)),
-            EventSource("c", 12, PeriodicProcess(period=7, offset=3)),
-            EventSource("d", 13, ScriptedProcess(times=(2, 5, 5, 9))),
-            EventSource("e", 14, PoissonProcess(rate=5e-324)),
-        )
+    sources = (
+        EventSource("a", 10, PoissonProcess(rate=0.5)),
+        EventSource("b", 11, PoissonProcess(rate=0.7)),
+        EventSource("c", 12, PeriodicProcess(period=7, offset=3)),
+        EventSource("d", 13, ScriptedProcess(times=(2, 5, 5, 9))),
+        EventSource("e", 14, PoissonProcess(rate=5e-324)),
     )
     rows = [
         (a.time, a.source_index, a.item.topic, a.item.source, a.item.published_at)
-        for a in sample_arrivals(spec, (0, 2000), seed)
+        for a in sample_arrivals(sources, (0, 2000), seed)
     ]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest

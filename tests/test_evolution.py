@@ -21,7 +21,6 @@ from fso_sim.evolution import (
 )
 from fso_sim.holarchy import (
     Holarchy,
-    HolarchySpec,
     Holon,
     HolonKind,
     HolonOrigin,
@@ -45,7 +44,7 @@ def soc(i, members):
 
 
 def build(*holons, roles=frozenset({0, 1, 2})):
-    h = build_holarchy(HolarchySpec(roles=roles, holons=tuple(holons)))
+    h = build_holarchy(holons, roles)
     register_initial_services(h)
     return h
 

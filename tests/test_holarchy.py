@@ -9,7 +9,6 @@ import pytest
 from fso_sim.engine import scenario_from_dict
 from fso_sim.holarchy import (
     Holarchy,
-    HolarchySpec,
     Holon,
     HolarchyError,
     HolonKind,
@@ -34,27 +33,28 @@ def soc(i, members, rep=None):
     return Holon(id=i, kind=HolonKind.COMPOSITE, members=members, representative=min(members) if rep is None else rep)
 
 
-def _spec_of(holons, n_roles):
-    """The spec the scenario loader makes of these holarchy entries."""
-    return HolarchySpec(
-        roles=frozenset(range(n_roles)),
-        holons=tuple(
-            Holon(
-                h["id"],
-                HolonKind(h["kind"]),
-                frozenset(h.get("capabilities", ())),
-                tuple(h.get("members", ())),
-                h.get("representative", min(h.get("members", ()), default=None)),
-            )
-            for h in holons
-        ),
+def _holons_of(holons):
+    """The holons the scenario loader makes of these holarchy entries."""
+    return tuple(
+        Holon(
+            h["id"],
+            HolonKind(h["kind"]),
+            frozenset(h.get("capabilities", ())),
+            tuple(h.get("members", ())),
+            h.get("representative", min(h.get("members", ()), default=None)),
+        )
+        for h in holons
     )
 
 
-def rejection(spec):
-    """The code of the violation ``build_holarchy`` raises for ``spec``."""
+def roles(n):
+    return frozenset(range(n))
+
+
+def rejection(holons, roles):
+    """The code of the violation ``build_holarchy`` raises for ``holons`` over ``roles``."""
     with pytest.raises(ViolationError) as err:
-        build_holarchy(spec)
+        build_holarchy(holons, roles)
     assert str(err.value) == err.value.violation.detail
     return err.value.violation.code
 
@@ -63,19 +63,16 @@ def rejection(spec):
 def nested():
     # every SoC has a lower id than its members, so id order is not an
     # order in which registries can be filled leaves first
-    spec = HolarchySpec(
-        roles=frozenset({0, 1, 2}),
-        holons=(
-            soc(0, [1, 2]),
-            soc(1, [3, 4], rep=4),
-            soc(2, [5, 6]),
-            atom(3, 0),
-            atom(4, 1),
-            atom(5, 0, 2),
-            atom(6, 2),
-        ),
+    holons = (
+        soc(0, [1, 2]),
+        soc(1, [3, 4], rep=4),
+        soc(2, [5, 6]),
+        atom(3, 0),
+        atom(4, 1),
+        atom(5, 0, 2),
+        atom(6, 2),
     )
-    return build_holarchy(spec)
+    return build_holarchy(holons, roles(3))
 
 
 def test_build_assigns_parents_and_root(nested):
@@ -89,7 +86,7 @@ def test_representative_defaults_to_lowest_member():
     doc = random_scenario_dict(3)
     for h in doc["holarchy"]:
         h.pop("representative", None)
-    socs = [n for n in scenario_from_dict(doc).holarchy.holons if n.is_composite]
+    socs = [n for n in scenario_from_dict(doc).holons if n.is_composite]
     assert socs and all(n.representative == min(n.members) for n in socs)
 
 
@@ -108,45 +105,39 @@ def test_chain_to_root(nested):
 
 
 def test_duplicate_id_rejected():
-    spec = HolarchySpec(frozenset({0}), (atom(0, 0), atom(0, 0), soc(1, [0])))
-    assert rejection(spec) == "DuplicateId"
+    assert rejection((atom(0, 0), atom(0, 0), soc(1, [0])), frozenset({0})) == "DuplicateId"
 
 
 def test_shared_member_rejected():
-    spec = HolarchySpec(frozenset({0}), (atom(0, 0), soc(1, [0]), soc(2, [0, 1])))
-    assert rejection(spec) == "MultipleParents"
+    assert rejection((atom(0, 0), soc(1, [0]), soc(2, [0, 1])), frozenset({0})) == "MultipleParents"
 
 
 def test_membership_cycle_rejected():
-    spec = HolarchySpec(frozenset(), (soc(0, [1]), soc(1, [0])))
-    assert rejection(spec) == "RootCount"
+    assert rejection((soc(0, [1]), soc(1, [0])), frozenset()) == "RootCount"
 
 
 def test_two_roots_rejected():
-    spec = HolarchySpec(frozenset({0}), (atom(0, 0), atom(1, 0), soc(2, [0]), soc(3, [1])))
-    assert rejection(spec) == "RootCount"
+    assert rejection((atom(0, 0), atom(1, 0), soc(2, [0]), soc(3, [1])), frozenset({0})) == "RootCount"
 
 
 def test_unknown_member_rejected():
-    spec = HolarchySpec(frozenset({0}), (atom(0, 0), soc(1, [0, 7])))
-    assert rejection(spec) == "UnknownMember"
+    assert rejection((atom(0, 0), soc(1, [0, 7])), frozenset({0})) == "UnknownMember"
 
 
 def test_outside_representative_rejected():
-    spec = HolarchySpec(frozenset({0}), (atom(0, 0), atom(1, 0), soc(2, [0, 1], rep=1), soc(3, [2], rep=1)))
-    assert rejection(spec) == "RepresentativeNotMember"
+    holons = (atom(0, 0), atom(1, 0), soc(2, [0, 1], rep=1), soc(3, [2], rep=1))
+    assert rejection(holons, frozenset({0})) == "RepresentativeNotMember"
 
 
 def test_undeclared_role_rejected():
-    spec = HolarchySpec(frozenset({0}), (atom(0, 5), soc(1, [0])))
-    assert rejection(spec) == "UnknownRole"
+    assert rejection((atom(0, 5), soc(1, [0])), frozenset({0})) == "UnknownRole"
 
 
 def test_malformed_holons_rejected():
-    assert rejection(HolarchySpec(frozenset(), (Holon(0, HolonKind.ATOMIC, members=(1,)),))) == "AtomicWithMembers"
-    assert rejection(HolarchySpec(frozenset({0}), (atom(0, 0), Holon(1, HolonKind.COMPOSITE)))) == "EmptyComposite"
+    assert rejection((Holon(0, HolonKind.ATOMIC, members=(1,)),), frozenset()) == "AtomicWithMembers"
+    assert rejection((atom(0, 0), Holon(1, HolonKind.COMPOSITE)), frozenset({0})) == "EmptyComposite"
     # an atomic root is not a community
-    assert rejection(HolarchySpec(frozenset({0}), (atom(0, 0),))) == "AtomicRoot"
+    assert rejection((atom(0, 0),), frozenset({0})) == "AtomicRoot"
 
 
 def test_validate_reports_an_atomic_root_and_a_negative_id():
@@ -160,8 +151,8 @@ def test_validate_reports_an_atomic_root_and_a_negative_id():
         {1: Registry()},
     )
     assert [v.code for v in validate(negative)] == ["NegativeId"]
-    assert rejection(HolarchySpec(frozenset({0}), (atom(0, 0),))) == "AtomicRoot"
-    assert rejection(HolarchySpec(frozenset({0}), (atom(-1, 0), soc(1, [-1])))) == "NegativeId"
+    assert rejection((atom(0, 0),), frozenset({0})) == "AtomicRoot"
+    assert rejection((atom(-1, 0), soc(1, [-1])), frozenset({0})) == "NegativeId"
 
 
 def test_validate_reports_a_parent_map_the_member_lists_disagree_with(nested):
@@ -228,14 +219,14 @@ def test_build_raises_exactly_on_the_specs_the_oracle_faults():
         holons = doc["holarchy"]
         for _ in range(rng.choice([0, 1, 1, 2])):
             _mutate(holons, n_roles, rng)
-        spec = _spec_of(holons, n_roles)
-        problems = spec_problems(spec)
+        nodes = _holons_of(holons)
+        problems = spec_problems(nodes, roles(n_roles))
         if problems:
             with pytest.raises(ViolationError):
-                build_holarchy(spec)
+                build_holarchy(nodes, roles(n_roles))
             rejected += 1
         else:
-            h = build_holarchy(spec)
+            h = build_holarchy(nodes, roles(n_roles))
             assert validate(h) == [] and structural_check(h) == []
             built += 1
     assert built > 50 and rejected > 150
@@ -293,7 +284,7 @@ def _top_down(holons):
 def test_registration_does_not_depend_on_id_order(seed):
     doc = random_scenario_dict(seed)
     for holons in (doc["holarchy"], _top_down(doc["holarchy"])):
-        h = build_holarchy(_spec_of(holons, len(doc["roles"])))
+        h = build_holarchy(_holons_of(holons), roles(len(doc["roles"])))
         register_initial_services(h, t=3)
         for s in h.composites():
             assert h.registries[s].service_entries == initial_offers(h, s, 3), (seed, s)
@@ -305,10 +296,8 @@ def test_validate_reports_a_composite_member_missing_from_its_registry():
     # SoC 1 holds a capable actor two levels down; SoC 2 holds only an
     # actor with no capability, so it has nothing to offer the root
     h = build_holarchy(
-        HolarchySpec(
-            frozenset({0, 1}),
-            (soc(0, [1, 2, 8]), soc(1, [3]), soc(2, [5]), soc(3, [6]), soc(5, [7]), atom(6, 0), atom(7), atom(8, 1)),
-        )
+        (soc(0, [1, 2, 8]), soc(1, [3]), soc(2, [5]), soc(3, [6]), soc(5, [7]), atom(6, 0), atom(7), atom(8, 1)),
+        roles(2),
     )
     register_initial_services(h)
     assert validate(h) == []
