@@ -17,8 +17,7 @@ from .canon import (
     ActivityTable,
     ResponseActivity,
     Son,
-    SonPlan,
-    Unresolved,
+    Staffing,
     dissolve_son,
     form_son,
     publish,
@@ -83,9 +82,8 @@ __all__ = [
     "ScriptedProcess",
     "Simulation",
     "Son",
-    "SonPlan",
+    "Staffing",
     "TraceRecord",
-    "Unresolved",
     "build_holarchy",
     "dissolve_son",
     "enroll",

@@ -8,8 +8,11 @@ community, which retries with its wider view; at the root the request is
 unresolvable. :func:`resolve_request` applies both rules by walking the
 chain from the start SoC to the root, one hop at a time.
 
-A successful resolution yields a plan for a temporary overlay community
-(a SON) that enrolls the chosen actors for the activity's duration and may
+A request is staffed at some hop or escalates past the root unresolved, and
+either way resolution answers with one :class:`Staffing` record: the
+escalation hops taken, what the last SoC reached still missed, and, when
+nothing is missing, the assignment for a temporary overlay community (a
+SON) that enrolls the chosen actors for the activity's duration and may
 span several SoCs. Everything here is deterministic: candidates are ranked
 by registration order then id, and role slots are filled with the
 lexicographically least workable assignment.
@@ -89,10 +92,10 @@ class ResponseActivity:
 class ActivityTable:
     """All response activities of a scenario.
 
-    ``known_topics`` (every trigger and data topic) and the lookups behind
-    :meth:`by_id` and :meth:`triggered_by` are built once, at construction.
-    They are plain attributes, not dataclass fields, so they take no part
-    in comparison or repr.
+    ``known_topics`` (every trigger and data topic) and the lookup behind
+    :meth:`triggered_by` are built once, at construction. They are plain
+    attributes, not dataclass fields, so they take no part in comparison
+    or repr.
     """
 
     activities: tuple[ResponseActivity, ...]
@@ -111,14 +114,7 @@ class ActivityTable:
             for topic in a.trigger_topics:
                 by_topic.setdefault(topic, []).append(a)
         object.__setattr__(self, "known_topics", frozenset(topics))
-        object.__setattr__(self, "_by_id", {a.id: a for a in self.activities})
         object.__setattr__(self, "_by_topic", {topic: tuple(acts) for topic, acts in by_topic.items()})
-
-    def by_id(self, activity_id: int) -> ResponseActivity:
-        try:
-            return self._by_id[activity_id]
-        except KeyError:
-            raise CanonError(f"no activity with id {activity_id}") from None
 
     def triggered_by(self, topic: str) -> tuple[ResponseActivity, ...]:
         return self._by_topic.get(topic, ())
@@ -135,28 +131,21 @@ class HopRecord:
 
 
 @dataclass(frozen=True)
-class SonPlan:
-    """A workable response: who plays what, and which SoC finally managed."""
+class Staffing:
+    """How one request ended: staffed at some hop, or unresolved at the root.
 
-    activity_id: int
-    assignment: tuple[tuple[HolonId, RoleId], ...]
-    spanned_socs: frozenset[HolonId]
-    origin_soc: HolonId
-    resolved_soc: HolonId
-    hop_count: int
-    duration: int
-    hops: tuple[HopRecord, ...] = ()
+    ``hops`` are the escalations taken, so ``len(hops)`` is the hop count
+    and ``resolved_soc`` the last SoC reached. ``missing`` is what that SoC
+    could not cover, in the form :func:`_solve` reports it; it is empty
+    exactly when ``assignment`` pairs every role slot with an actor, and
+    ``spanned_socs`` then holds the start SoC and each member's home SoC.
+    """
 
-
-@dataclass(frozen=True)
-class Unresolved:
-    """No chain prefix could staff the request, root included."""
-
-    activity_id: int
-    origin_soc: HolonId
-    hop_count: int
+    hops: tuple[HopRecord, ...]
     missing: tuple[int, ...]
-    hops: tuple[HopRecord, ...] = ()
+    assignment: tuple[tuple[HolonId, RoleId], ...]
+    resolved_soc: HolonId
+    spanned_socs: frozenset[HolonId]
 
 
 @dataclass(frozen=True)
@@ -362,7 +351,7 @@ def resolve_request(
     start_soc: HolonId,
     h: Holarchy,
     state: ActivationState,
-) -> SonPlan | Unresolved:
+) -> Staffing:
     """Run the canon from ``start_soc`` upward until staffed or exhausted.
 
     Hop k applies the representative rule at the k-th SoC of the chain to
@@ -372,7 +361,8 @@ def resolve_request(
     whole visited chain, so information published below stays usable above.
     The pool and the data topics seen so far carry over from hop to hop, and
     hop k adds only the k-th registry. Escalation hops are recorded for the
-    trace.
+    trace. A staffed request spans the start SoC and its members' home
+    SoCs; an unresolved one ends at the root and spans none.
     """
     node = h.holons.get(start_soc)
     if node is None or not node.is_composite:
@@ -392,55 +382,35 @@ def resolve_request(
             spanned = {start_soc}
             for a, _ in assignment:
                 spanned.add(h.parent[a])
-            return SonPlan(
-                activity_id=activity.id,
-                assignment=assignment,
-                spanned_socs=frozenset(spanned),
-                origin_soc=start_soc,
-                resolved_soc=soc,
-                hop_count=k,
-                duration=activity.duration,
-                hops=tuple(hops),
-            )
+            return Staffing(tuple(hops), missing, assignment, soc, frozenset(spanned))
         if k + 1 < len(full_chain):
             hops.append(HopRecord(soc, full_chain[k + 1], k + 1, missing))
-
-    # the chain always holds start_soc, so the loop set missing
-    return Unresolved(
-        activity_id=activity.id,
-        origin_soc=start_soc,
-        hop_count=len(full_chain) - 1,
-        missing=missing,
-        hops=tuple(hops),
-    )
+    # the chain always holds start_soc, so the loop set missing and soc
+    return Staffing(tuple(hops), missing, (), soc, frozenset())
 
 
 # -- overlay lifecycle -------------------------------------------------------
 
 
 def form_son(
-    plan: SonPlan,
+    activity: ResponseActivity,
+    assignment: tuple[tuple[HolonId, RoleId], ...],
     son_id: int,
     t: LogicalTime,
     state: ActivationState,
     h: Holarchy,
 ) -> Son:
-    """Enroll the planned members and open the overlay community.
+    """Enroll the assigned members and open the overlay for ``activity``.
 
-    Raises CanonError, enrolling nobody, when some planned actor
-    is busy by now; the caller should re-resolve instead of forcing the plan.
+    Raises CanonError, enrolling nobody, when some assigned actor is busy
+    by now; the caller should re-resolve instead of forcing the assignment.
     """
-    for a, _ in plan.assignment:
+    for a, _ in assignment:
         if a in state.active:
             raise CanonError(f"actor {a} became busy before SON {son_id} formed")
-    for a, role in plan.assignment:
+    for a, role in assignment:
         enroll(state, h, a, role, son_id)
-    return Son(
-        id=son_id,
-        activity=plan.activity_id,
-        members=plan.assignment,
-        dissolves_at=t + plan.duration,
-    )
+    return Son(son_id, activity.id, assignment, t + activity.duration)
 
 
 def dissolve_son(son: Son, t: LogicalTime, state: ActivationState) -> None:

@@ -57,7 +57,6 @@ from .canon import (
     ActivityTable,
     ResponseActivity,
     Son,
-    Unresolved,
     form_son,
     dissolve_son,
     publish,
@@ -76,7 +75,6 @@ from .evolution import (
     EvolutionPolicy,
     ExperienceLedger,
     FailureWindow,
-    Outcome,
     maybe_permanentify,
     maybe_prune,
     promotion_due,
@@ -432,8 +430,14 @@ def load_scenario_file(path: str) -> Scenario:
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
+    """Parse one record per line, skipping blank lines.
+
+    Only a line feed ends a line. A string may hold any other line break,
+    such as U+2028, and the carriage return of a CRLF ending is JSON
+    whitespace.
+    """
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -516,7 +520,7 @@ class _Request:
     """
 
     request_id: int
-    activity_id: int
+    activity: ResponseActivity
     origin_soc: int
     triggered_at: int
     retries_left: int
@@ -574,7 +578,7 @@ class Simulation:
     def _emit_unresolved(self, r: _Request, final: bool) -> None:
         self._emit(
             "RequestUnresolved",
-            activity=r.activity_id,
+            activity=r.activity.id,
             request=r.request_id,
             origin_soc=r.origin_soc,
             attempt=self.scenario.retry_bound - r.retries_left,
@@ -601,8 +605,8 @@ class Simulation:
                 r_size=r_size,
             )
 
-    def _phase_arrivals(self, t: int) -> list[tuple[int, int, str]]:
-        triggers: list[tuple[int, int, str]] = []
+    def _phase_arrivals(self, t: int) -> list[tuple[ResponseActivity, int, str]]:
+        triggers: list[tuple[ResponseActivity, int, str]] = []
         while self._next_arrival == t:
             arrival = self._arrivals.pop()
             self._next_arrival = self._arrivals[-1].time if self._arrivals else -1
@@ -615,27 +619,27 @@ class Simulation:
                 topic=arrival.item.topic,
             )
             for activity in triggered:
-                triggers.append((activity.id, arrival.item.source, arrival.item.topic))
+                triggers.append((activity, arrival.item.source, arrival.item.topic))
         return triggers
 
     def _attempt(self, r: _Request) -> bool:
         """Settle one attempt at ``r``; returns whether it stays parked."""
-        result = resolve_request(self.scenario.activities.by_id(r.activity_id), r.origin_soc, self.holarchy, self.state)
+        result = resolve_request(r.activity, r.origin_soc, self.holarchy, self.state)
         for hop in result.hops:
             self._emit(
                 "ExceptionRaised",
-                activity=r.activity_id,
+                activity=r.activity.id,
                 request=r.request_id,
                 from_soc=hop.from_soc,
                 to_soc=hop.to_soc,
                 hop=hop.hop,
                 missing=list(hop.missing),
             )
-        if isinstance(result, Unresolved):
+        if result.missing:
             r.last_missing = result.missing
             self._emit_unresolved(r, final=r.retries_left == 0)
             return r.retries_left > 0
-        son = form_son(result, self._son_seq, self.clock, self.state, self.holarchy)
+        son = form_son(r.activity, result.assignment, self._son_seq, self.clock, self.state, self.holarchy)
         self._son_seq += 1
         self._dissolve_at.setdefault(son.dissolves_at, []).append(son)
         l_size, r_size = self._sizes()
@@ -643,12 +647,12 @@ class Simulation:
             "SonFormed",
             son=son.id,
             request=r.request_id,
-            activity=r.activity_id,
-            origin_soc=result.origin_soc,
+            activity=son.activity,
+            origin_soc=r.origin_soc,
             resolved_soc=result.resolved_soc,
             members=[[a, role] for a, role in son.members],
             spanned_socs=sorted(result.spanned_socs),
-            hop_count=result.hop_count,
+            hop_count=len(result.hops),
             triggered_at=r.triggered_at,
             dissolves_at=son.dissolves_at,
             l_size=l_size,
@@ -656,12 +660,12 @@ class Simulation:
         )
         return False
 
-    def _phase_resolve(self, t: int, triggers: list[tuple[int, int, str]]) -> None:
+    def _phase_resolve(self, t: int, triggers: list[tuple[ResponseActivity, int, str]]) -> None:
         # a stable sort: one activity's triggers keep their publication order
-        for activity_id, soc, topic in sorted(triggers, key=operator.itemgetter(0)):
-            r = _Request(self._request_seq, activity_id, soc, t, self.scenario.retry_bound)
+        for activity, soc, topic in sorted(triggers, key=lambda trigger: trigger[0].id):
+            r = _Request(self._request_seq, activity, soc, t, self.scenario.retry_bound)
             self._request_seq += 1
-            self._emit("ActivityTriggered", activity=activity_id, request=r.request_id, soc=soc, topic=topic)
+            self._emit("ActivityTriggered", activity=activity.id, request=r.request_id, soc=soc, topic=topic)
             if self._attempt(r):
                 self._pending.append(r)
 

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from fso_sim.activation import enroll, enumerate_activation_space, initial_state
-from fso_sim.canon import SonPlan, Unresolved, publish, resolve_request
+from fso_sim.canon import publish, resolve_request
 from fso_sim.engine import Simulation, load_scenario_file, run_scenario, write_trace
 from fso_sim.environment import EventSource, PoissonProcess, sample_arrivals
 from fso_sim.holarchy import InformationItem, build_holarchy, register_initial_services, validate
@@ -110,15 +110,15 @@ def test_criterion_2_resolution_matches_exhaustive_search():
                 checked += 1
                 if want["kind"] == "plan":
                     agree = (
-                        isinstance(got, SonPlan)
-                        and got.hop_count == want["hop_count"]
+                        got.missing == ()
+                        and len(got.hops) == want["hop_count"]
                         and got.assignment == want["assignment"]
                         and got.resolved_soc == want["resolved_soc"]
                     )
                 else:
                     agree = (
-                        isinstance(got, Unresolved)
-                        and got.hop_count == want["hop_count"]
+                        got.assignment == ()
+                        and len(got.hops) == want["hop_count"]
                         and tuple(sorted(got.missing)) == tuple(sorted(want["missing"]))
                     )
                 if not agree:

@@ -15,8 +15,7 @@ from fso_sim.canon import (
     ActivityTable,
     CanonError,
     ResponseActivity,
-    SonPlan,
-    Unresolved,
+    Staffing,
     _solve,
     dissolve_son,
     form_son,
@@ -31,6 +30,7 @@ from fso_sim.holarchy import (
     register_initial_services,
 )
 
+from generators import random_scenario
 from oracles import brute_force_solve, full_pool_resolve, oracle_resolve
 
 
@@ -103,20 +103,12 @@ def test_data_topics_are_publishable_without_triggering():
 
 def staffed(soc, assignment):
     """What resolution from root SoC ``soc`` returns when it staffs at hop 0."""
-    return SonPlan(
-        activity_id=0,
-        assignment=assignment,
-        spanned_socs=frozenset({soc}),
-        origin_soc=soc,
-        resolved_soc=soc,
-        hop_count=0,
-        duration=1,
-    )
+    return Staffing(hops=(), missing=(), assignment=assignment, resolved_soc=soc, spanned_socs=frozenset({soc}))
 
 
 def unstaffed(soc, missing):
     """What resolution from root SoC ``soc`` returns when hop 0 fails."""
-    return Unresolved(activity_id=0, origin_soc=soc, hop_count=0, missing=missing)
+    return Staffing(hops=(), missing=missing, assignment=(), resolved_soc=soc, spanned_socs=frozenset())
 
 
 def test_guard_enabled_with_local_providers():
@@ -134,7 +126,7 @@ def test_guard_reports_missing_roles():
 def test_guard_counts_role_multiplicity():
     h = build(atom(0, 0), atom(1, 0), soc(2, [0, 1]))
     state = initial_state(h)
-    assert isinstance(resolve_request(act(roles=(0, 0)), 2, h, state), SonPlan)
+    assert resolve_request(act(roles=(0, 0)), 2, h, state).missing == ()
     result = resolve_request(act(roles=(0, 0, 0)), 2, h, state)
     assert result == unstaffed(2, (0,))
 
@@ -153,7 +145,7 @@ def test_guard_requires_published_data():
     missing = resolve_request(act(data=("reading",)), 1, h, initial_state(h))
     assert missing == unstaffed(1, (DATA_MISSING,))
     publish(h.registries[1], item("reading"), table)
-    assert isinstance(resolve_request(act(data=("reading",)), 1, h, initial_state(h)), SonPlan)
+    assert resolve_request(act(data=("reading",)), 1, h, initial_state(h)).missing == ()
 
 
 def test_guard_prefers_greedy_breaking_assignment():
@@ -189,8 +181,7 @@ def tower():
 
 def test_resolve_locally_when_possible(tower):
     plan = resolve_request(act(roles=(0, 1)), 4, tower, initial_state(tower))
-    assert isinstance(plan, SonPlan)
-    assert plan.hop_count == 0
+    assert plan.missing == ()
     assert plan.resolved_soc == 4
     assert plan.hops == ()
     assert plan.spanned_socs == frozenset({4})
@@ -198,8 +189,8 @@ def test_resolve_locally_when_possible(tower):
 
 def test_resolve_escalates_and_spans_communities(tower):
     plan = resolve_request(act(roles=(1, 2)), 4, tower, initial_state(tower))
-    assert isinstance(plan, SonPlan)
-    assert plan.hop_count == 1
+    assert plan.missing == ()
+    assert len(plan.hops) == 1
     assert plan.resolved_soc == 6
     assert plan.assignment == ((1, 1), (2, 2))
     assert plan.spanned_socs == frozenset({4, 5})
@@ -209,8 +200,9 @@ def test_resolve_escalates_and_spans_communities(tower):
 
 def test_resolve_fails_at_root_with_chain(tower):
     out = resolve_request(act(roles=(3,)), 4, tower, initial_state(tower))
-    assert isinstance(out, Unresolved)
-    assert out.hop_count == 1
+    assert out.assignment == ()
+    assert len(out.hops) == 1
+    assert out.resolved_soc == 6
     assert out.missing == (3,)
     assert [(hop.from_soc, hop.to_soc) for hop in out.hops] == [(4, 6)]
 
@@ -221,8 +213,8 @@ def test_resolve_sees_data_published_below(tower):
     plan = resolve_request(act(roles=(2,), data=("reading",)), 4, tower, initial_state(tower))
     # the data lives at SoC 4, the actor on the sibling floor; only the
     # escalated view that keeps the visited chain can satisfy both
-    assert isinstance(plan, SonPlan)
-    assert plan.hop_count == 1
+    assert plan.missing == ()
+    assert len(plan.hops) == 1
     assert plan.assignment == ((2, 2),)
 
 
@@ -230,8 +222,45 @@ def test_resolve_does_not_see_sibling_data(tower):
     table = ActivityTable(activities=(act(roles=(0,), data=("reading",)),))
     publish(tower.registries[5], item("reading"), table)
     out = resolve_request(act(roles=(0,), data=("reading",)), 4, tower, initial_state(tower))
-    assert isinstance(out, Unresolved)
+    assert out.assignment == ()
     assert out.missing == (DATA_MISSING,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_staffing_climbs_the_chain_it_records(seed, data):
+    scenario = random_scenario(seed, horizon=20, quiet_evolution=True)
+    h = build_holarchy(scenario.holons, scenario.roles)
+    register_initial_services(h)
+    for topic in sorted({t for a in scenario.activities.activities for t in a.required_data}):
+        if data.draw(st.booleans(), label=f"publish {topic}"):
+            soc = data.draw(st.sampled_from(h.composites()), label=f"{topic} at")
+            publish(h.registries[soc], item(topic, source=soc), scenario.activities)
+    state = initial_state(h)
+    for a in h.atoms():
+        caps = sorted(h.holons[a].capabilities)
+        if caps and data.draw(st.booleans(), label=f"{a} busy"):
+            enroll(state, h, a, caps[0], son_id=99)
+
+    for activity in scenario.activities.activities:
+        for start in h.composites():
+            got = resolve_request(activity, start, h, state)
+            chain = h.chain_to_root(start)
+            n = len(got.hops)
+            assert [(hop.from_soc, hop.to_soc, hop.hop) for hop in got.hops] == [
+                (chain[i], chain[i + 1], i + 1) for i in range(n)
+            ]
+            assert got.resolved_soc == chain[n]
+            actors = [a for a, _ in got.assignment]
+            fills_every_slot = (
+                tuple(role for _, role in got.assignment) == activity.required_roles
+                and len(set(actors)) == len(actors)
+                and all(a in state.inactive and role in h.holons[a].capabilities for a, role in got.assignment)
+            )
+            assert (got.missing == ()) == fills_every_slot
+            if got.missing:
+                # unresolved means escalated past the root
+                assert (got.assignment, got.resolved_soc, got.spanned_socs) == ((), chain[-1], frozenset())
 
 
 # -- overlay lifecycle -------------------------------------------------------
@@ -239,8 +268,10 @@ def test_resolve_does_not_see_sibling_data(tower):
 
 def test_form_and_dissolve_round_trip(tower):
     state = initial_state(tower)
-    plan = resolve_request(act(roles=(1, 2), duration=4), 4, tower, state)
-    son = form_son(plan, son_id=0, t=10, state=state, h=tower)
+    activity = act(roles=(1, 2), duration=4)
+    plan = resolve_request(activity, 4, tower, state)
+    son = form_son(activity, plan.assignment, son_id=0, t=10, state=state, h=tower)
+    assert son.activity == activity.id
     assert son.dissolves_at == 14
     assert state.active == {1: Binding(role=1, son_id=0), 2: Binding(role=2, son_id=0)}
     assert state.inactive == {0}
@@ -253,29 +284,32 @@ def test_form_and_dissolve_round_trip(tower):
 
 def test_form_rejects_stale_plans(tower):
     state = initial_state(tower)
-    plan = resolve_request(act(roles=(1,)), 4, tower, state)
+    activity = act(roles=(1,))
+    plan = resolve_request(activity, 4, tower, state)
     enroll(state, tower, 1, 1, son_id=3)
     with pytest.raises(CanonError, match="actor 1 became busy before SON 4 formed"):
-        form_son(plan, son_id=4, t=0, state=state, h=tower)
+        form_son(activity, plan.assignment, son_id=4, t=0, state=state, h=tower)
 
 
 def test_form_enrolls_nobody_when_a_member_is_busy(tower):
     state = initial_state(tower)
-    plan = resolve_request(act(roles=(0, 1, 2)), 4, tower, state)
+    activity = act(roles=(0, 1, 2))
+    plan = resolve_request(activity, 4, tower, state)
     assert plan.assignment == ((0, 0), (1, 1), (2, 2))
     # the last planned member is taken, so enrolling as we go would have
     # enrolled 0 and 1 before noticing
     enroll(state, tower, 2, 2, son_id=3)
     with pytest.raises(CanonError, match="actor 2 became busy before SON 4 formed"):
-        form_son(plan, son_id=4, t=0, state=state, h=tower)
+        form_son(activity, plan.assignment, son_id=4, t=0, state=state, h=tower)
     assert state.active == {2: Binding(role=2, son_id=3)}
     assert state.inactive == {0, 1}
 
 
 def test_dissolve_releases_nobody_on_a_mismatched_binding(tower):
     state = initial_state(tower)
-    plan = resolve_request(act(roles=(0, 1, 2), duration=2), 4, tower, state)
-    son = form_son(plan, son_id=0, t=0, state=state, h=tower)
+    activity = act(roles=(0, 1, 2), duration=2)
+    plan = resolve_request(activity, 4, tower, state)
+    son = form_son(activity, plan.assignment, son_id=0, t=0, state=state, h=tower)
     # the last member is rebound to another overlay behind the SON's back
     release(state, 2)
     enroll(state, tower, 2, 2, son_id=1)
@@ -325,14 +359,13 @@ def test_solver_agrees_with_brute_force(data):
 
     got = resolve_request(activity, start, h, state)
     want = oracle_resolve(activity, start, h, state)
+    assert len(got.hops) == want["hop_count"]
     if want["kind"] == "plan":
-        assert isinstance(got, SonPlan)
-        assert got.hop_count == want["hop_count"]
+        assert got.missing == ()
         assert got.resolved_soc == want["resolved_soc"]
         assert got.assignment == want["assignment"]
     else:
-        assert isinstance(got, Unresolved)
-        assert got.hop_count == want["hop_count"]
+        assert got.assignment == ()
         assert tuple(sorted(got.missing)) == tuple(sorted(want["missing"]))
 
 
@@ -361,7 +394,7 @@ def test_an_earlier_registration_above_outranks_a_later_one_below():
     enroll(state, h, 1, 0, son_id=99)
     plan = resolve_request(act(roles=(0, 0)), 4, h, state)
     # actor 0 keeps its key 5 from floor 4; 2 and 3 come in at 1 from the root
-    assert plan.hop_count == 1
+    assert len(plan.hops) == 1
     assert plan.assignment == ((2, 0), (3, 0))
 
 
@@ -373,7 +406,7 @@ def test_an_actor_keeps_its_earliest_key_across_hops():
     enroll(state, h, 3, 0, son_id=99)
     plan = resolve_request(act(roles=(0, 0)), 4, h, state)
     # the root offers 2 at 7 and 0 at 9, but 0 keeps its key 5 from floor 4
-    assert plan.hop_count == 1
+    assert len(plan.hops) == 1
     assert plan.assignment == ((0, 0), (2, 0))
 
 
@@ -422,15 +455,14 @@ def test_solver_agrees_with_the_full_pool_under_mixed_registration_times(data):
     got = resolve_request(activity, start, h, state)
     want = full_pool_resolve(activity, start, h, state)
     if want["kind"] == "plan":
-        assert isinstance(got, SonPlan)
-        assert (got.hop_count, got.resolved_soc, got.assignment) == (
+        assert (got.missing, len(got.hops), got.resolved_soc, got.assignment) == (
+            (),
             want["hop_count"],
             want["resolved_soc"],
             want["assignment"],
         )
     else:
-        assert isinstance(got, Unresolved)
-        assert (got.hop_count, got.missing) == (want["hop_count"], want["missing"])
+        assert (got.assignment, len(got.hops), got.missing) == ((), want["hop_count"], want["missing"])
 
 
 # -- the one-matching solver against brute force -----------------------------

@@ -222,6 +222,15 @@ def test_report_recomputes_metrics(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == direct
 
 
+def test_report_accepts_a_line_separator_inside_a_topic(tmp_path, capsys):
+    # a raw U+2028 is legal inside a JSON string; only a line feed ends a record
+    record = {"kind": "EventPublished", "payload": {"soc": 1, "source": 0, "topic": "fall\u2028alarm"}, "tick": 0}
+    trace_path = tmp_path / "sep.trace"
+    trace_path.write_bytes((json.dumps(record, ensure_ascii=False) + "\r\n\r\n").encode("utf-8"))
+    assert run_cli("report", "--trace", str(trace_path)) == 0
+    assert json.loads(capsys.readouterr().out)["events_published"] == 1
+
+
 def test_report_rejects_malformed_traces(tmp_path, capsys):
     bad = tmp_path / "bad.trace"
     bad.write_text('{"tick": 0, "kind": "Wat", "payload": {}}\n')

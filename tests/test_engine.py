@@ -460,6 +460,15 @@ def test_parse_trace_rejects_garbage():
         parse_trace('{"tick": 1, "kind": "SonFormed"}\n')
 
 
+def test_parse_trace_ends_records_at_line_feeds_only():
+    # U+2028 and NEL are line breaks to str.splitlines, not to JSON text
+    rec = '{"kind":"EventPublished","payload":{"soc":1,"source":0,"topic":"a\u2028b\x85c"},"tick":0}'
+    records = parse_trace(rec + "\r\n\r\n" + rec + "\n")
+    assert [r.payload["topic"] for r in records] == ["a\u2028b\x85c"] * 2
+    with pytest.raises(MalformedTraceError, match="^line 3: "):
+        parse_trace(rec + "\n\n{broken\n")
+
+
 def test_parse_trace_rejects_an_object_that_repeats_a_key():
     good = '{"kind":"Pruned","payload":{"members":[0],"parent":1,"soc":2},"tick":3}\n'
     assert parse_trace(good) == [TraceRecord(3, "Pruned", {"members": [0], "parent": 1, "soc": 2})]
