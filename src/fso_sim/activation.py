@@ -23,9 +23,14 @@ class ActivationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Binding:
-    """What an active actor is doing: which role, inside which overlay."""
+    """What an active actor is doing: which role, inside which overlay.
+
+    Built once per enrollment and then only read, never hashed: slotted
+    rather than frozen, since a frozen field costs a call on every
+    construction.
+    """
 
     role: RoleId
     son_id: int

@@ -31,11 +31,16 @@ A registry is read through the holarchy's ranked offer view
 best key first, with punctualized entries already unfolded. The view is
 built on first use and again only after that registry's service entries
 change. A hop reads each view from the front and stops after ``s`` idle
-actors, or sooner at the first key the full list would not take. Data
-topics come from each registry's maintained topic set.
+actors, or sooner at the first key the list, if already full, would not
+take, and merges what it read into the list in one step. Data topics come
+from each registry's maintained topic set.
 
 Each solve builds one matching of slots to candidates and reads both
 answers from it: which slots cannot be covered, and the least assignment.
+Most slots are filled by taking their first candidate no other slot holds,
+and a solve that never had to reroute a slot is already the least
+assignment, so it skips the pass that looks for a smaller one (see
+:func:`_solve`).
 """
 
 from __future__ import annotations
@@ -120,9 +125,13 @@ class ActivityTable:
         return self._by_topic.get(topic, ())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HopRecord:
-    """One escalation step, kept for the trace."""
+    """One escalation step, kept for the trace.
+
+    Built once per hop and then only read, never hashed: slotted rather
+    than frozen, since a frozen field costs a call on every construction.
+    """
 
     from_soc: HolonId
     to_soc: HolonId
@@ -130,7 +139,7 @@ class HopRecord:
     missing: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Staffing:
     """How one request ended: staffed at some hop, or unresolved at the root.
 
@@ -139,6 +148,9 @@ class Staffing:
     could not cover, in the form :func:`_solve` reports it; it is empty
     exactly when ``assignment`` pairs every role slot with an actor, and
     ``spanned_socs`` then holds the start SoC and each member's home SoC.
+
+    Built once per attempt and then only read, never hashed: slotted rather
+    than frozen, since a frozen field costs a call on every construction.
     """
 
     hops: tuple[HopRecord, ...]
@@ -148,9 +160,14 @@ class Staffing:
     spanned_socs: frozenset[HolonId]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Son:
-    """A live temporary overlay community answering one activity instance."""
+    """A live temporary overlay community answering one activity instance.
+
+    Built once per formation and then only read, never hashed (the ledger
+    keys on its :class:`~fso_sim.evolution.SonSignature`): slotted rather
+    than frozen, since a frozen field costs a call on every construction.
+    """
 
     id: int
     activity: int
@@ -191,7 +208,7 @@ def _empty_pool(activity: ResponseActivity) -> Pool:
 
 
 def _grow_pool(pool: Pool, h: Holarchy, soc: HolonId, state: ActivationState, s: int) -> None:
-    """Merge ``soc``'s registry into the pool.
+    """Merge ``soc``'s registry into the pool, in one pass per role.
 
     Each role keeps a sorted list of at most ``s`` idle keys, one per
     actor at the smallest key any merged registry gave it: the best ``s``
@@ -200,32 +217,40 @@ def _grow_pool(pool: Pool, h: Holarchy, soc: HolonId, state: ActivationState, s:
     only get smaller, so it can come back only with a smaller key from a
     later registry, and that key is then its minimum. Each role's ranked
     offer view is read from the front, skipping busy actors. It is left
-    after ``s`` idle actors, since those ``s`` beat any later one, or at
-    the first key the full list would not take, since later keys are
-    larger.
+    after ``s`` idle actors, since those ``s`` beat any later one, or, when
+    the list was full before this merge, at the first key not below its
+    last, since later keys are larger and the list's keys only get smaller.
+
+    The keys read join the list in one merge: an empty list becomes them,
+    and otherwise the two are sorted together, each actor keeps its first
+    (smallest) key and the result is cut to ``s``.
     """
     idle = state.inactive
     for role, best in pool.items():
-        left = s
+        cutoff = best[-1] if len(best) == s else None
+        fresh = []
         for key in h.ranked_offers(soc, role):
-            a = key[1]
-            if a not in idle:
+            if key[1] not in idle:
                 continue
-            if len(best) == s and key >= best[-1]:
+            if cutoff is not None and key >= cutoff:
                 break
-            for i, held in enumerate(best):
-                if held[1] == a:
-                    if key < held:
-                        best[i] = key
-                        best.sort()
+            fresh.append(key)
+            if len(fresh) == s:
+                break
+        if not fresh:
+            continue
+        if not best:
+            best.extend(fresh)
+            continue
+        seen: set[HolonId] = set()
+        merged = []
+        for key in sorted(best + fresh):
+            if key[1] not in seen:
+                seen.add(key[1])
+                merged.append(key)
+                if len(merged) == s:
                     break
-            else:
-                best.append(key)
-                best.sort()
-                del best[s:]
-            left -= 1
-            if not left:
-                break
+        best[:] = merged
 
 
 # -- role slot matching ------------------------------------------------------
@@ -264,7 +289,10 @@ def _solve(
     theorem the kept slots plus ``i`` have a perfect matching exactly when
     an augmenting path starts at ``i``. An augment takes a free candidate
     when it has one, a path of length one, before it looks for longer
-    paths, and a failed augment writes nothing.
+    paths, and a failed augment writes nothing. The pass does that first
+    step inline, giving each slot the first candidate no slot holds yet,
+    and calls the augment only for a slot whose candidates are all held;
+    a slot with no candidates is missing at once.
 
     The least assignment then walks the slots in order, holding slots
     before ``i`` fixed and the rest perfectly matched. Only candidates
@@ -274,7 +302,10 @@ def _solve(
     actor; then ``j`` is the only free slot among the later ones, so by
     Berge again they can be completed exactly when an augment from ``j``
     that avoids the fixed actors and the candidate succeeds. If it fails,
-    the move is undone.
+    the move is undone. The walk runs only when some augment rerouted:
+    otherwise every candidate ranked before a slot's actor was held, when
+    that slot took it, by an earlier slot that the walk holds fixed, so
+    the walk meets only taken actors and changes nothing.
     """
     slots = activity.required_roles
     per_slot = [pool[role] for role in slots]
@@ -316,30 +347,43 @@ def _solve(
             stack.append((slot, iter(per_slot[slot])))
         return False
 
-    missing_roles = [role for i, role in enumerate(slots) if not augment(i, set())]
-    missing_data = sorted(activity.required_data - available_data)
-
-    if missing_roles or missing_data:
-        return tuple(missing_roles) + (DATA_MISSING,) * len(missing_data), ()
-
-    taken: set[HolonId] = set()
+    missing: list[int] = []
+    rerouted = False
     for i, keys in enumerate(per_slot):
-        current = actor_of[i]
-        for _, c in keys:
-            if c == current:
+        for _, a in keys:
+            if a not in slot_of:
+                slot_of[a] = i
+                actor_of[i] = a
                 break
-            if c in taken:
-                continue
-            j = slot_of.get(c)
-            del slot_of[current]
-            slot_of[c] = i
-            actor_of[i] = c
-            if j is None or augment(j, taken | {c}):
-                break
-            slot_of[current] = i
-            slot_of[c] = j
-            actor_of[i] = current
-        taken.add(actor_of[i])
+        else:
+            if keys and augment(i, set()):
+                rerouted = True
+            else:
+                missing.append(slots[i])
+    if activity.required_data:
+        missing += [DATA_MISSING] * len(activity.required_data - available_data)
+    if missing:
+        return tuple(missing), ()
+
+    if rerouted:
+        taken: set[HolonId] = set()
+        for i, keys in enumerate(per_slot):
+            current = actor_of[i]
+            for _, c in keys:
+                if c == current:
+                    break
+                if c in taken:
+                    continue
+                j = slot_of.get(c)
+                del slot_of[current]
+                slot_of[c] = i
+                actor_of[i] = c
+                if j is None or augment(j, taken | {c}):
+                    break
+                slot_of[current] = i
+                slot_of[c] = j
+                actor_of[i] = current
+            taken.add(actor_of[i])
     return (), tuple(zip(actor_of, slots))
 
 
@@ -362,18 +406,21 @@ def resolve_request(
     The pool and the data topics seen so far carry over from hop to hop, and
     hop k adds only the k-th registry. Escalation hops are recorded for the
     trace. A staffed request spans the start SoC and its members' home
-    SoCs; an unresolved one ends at the root and spans none.
+    SoCs; an unresolved one ends at the root and spans none. The chain is
+    walked through ``h.parent`` one hop at a time, never built whole: a
+    request staffed at its start SoC, the usual case, looks no higher.
     """
     node = h.holons.get(start_soc)
     if node is None or not node.is_composite:
         raise CanonError(f"cannot resolve from {start_soc}, which is not a SoC")
 
-    full_chain = h.chain_to_root(start_soc)
+    parent = h.parent
     hops: list[HopRecord] = []
     pool = _empty_pool(activity)
     s = len(activity.required_roles)
     data: set[str] = set()
-    for k, soc in enumerate(full_chain):
+    soc = start_soc
+    while True:
         _grow_pool(pool, h, soc, state, s)
         if activity.required_data:
             data |= h.registries[soc].topics
@@ -381,12 +428,13 @@ def resolve_request(
         if not missing:
             spanned = {start_soc}
             for a, _ in assignment:
-                spanned.add(h.parent[a])
+                spanned.add(parent[a])
             return Staffing(tuple(hops), missing, assignment, soc, frozenset(spanned))
-        if k + 1 < len(full_chain):
-            hops.append(HopRecord(soc, full_chain[k + 1], k + 1, missing))
-    # the chain always holds start_soc, so the loop set missing and soc
-    return Staffing(tuple(hops), missing, (), soc, frozenset())
+        up = parent.get(soc)
+        if up is None:
+            return Staffing(tuple(hops), missing, (), soc, frozenset())
+        hops.append(HopRecord(soc, up, len(hops) + 1, missing))
+        soc = up
 
 
 # -- overlay lifecycle -------------------------------------------------------

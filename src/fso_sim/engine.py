@@ -138,8 +138,15 @@ class Scenario:
         return frozenset(range(len(self.role_names)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
+    """One line of a trace.
+
+    Built once per event and then only read, never hashed (its payload is
+    a dict, so it could not be): slotted rather than frozen, since a frozen
+    field costs a call on every construction.
+    """
+
     tick: int
     kind: str
     payload: dict[str, Any]

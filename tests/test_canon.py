@@ -493,6 +493,12 @@ def solver_cases(draw):
 # slot 0 first takes actor 0, which the role-1 slot needs; taking it back
 # must reroute slot 1, and a failed try must be undone
 @example(((0, 0, 1), {0: [(0, 0), (0, 1), (0, 2)], 1: [(1, 0)]}, frozenset(), frozenset()))
+# every slot fills with its first candidate no slot holds, skipping held
+# ones, so nothing reroutes and the least-assignment walk is skipped
+@example(((0, 1), {0: [(0, 0), (0, 1)], 1: [(0, 0), (0, 2)]}, frozenset(), frozenset()))
+# an empty role list, a slot whose only candidate is held and cannot be
+# rerouted, and an absent data topic: missing is (1, 2, DATA_MISSING)
+@example(((0, 1, 2), {0: [(0, 0)], 1: [(0, 0)], 2: []}, frozenset({"x"}), frozenset()))
 def test_solver_agrees_with_brute_force_on_the_pool(case):
     slots, pool, needs, available = case
     activity = act(roles=slots, data=needs)

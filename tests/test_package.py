@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import pytest
 
 import fso_sim
 from fso_sim import activation, canon, cli, engine, environment, evolution, holarchy
@@ -43,3 +46,20 @@ def test_every_module_level_import_is_used():
                     if bound not in read
                 ]
     assert unused == []
+
+
+def test_per_event_records_are_slotted_and_the_ledger_key_stays_frozen():
+    # the records built on every event carry no per-instance dict; the
+    # ledger keys on SonSignature, so it must stay hashable and immutable
+    records = (
+        engine.TraceRecord(0, "Pruned", {}),
+        canon.HopRecord(1, 0, 1, (2,)),
+        canon.Staffing((), (), ((3, 0),), 1, frozenset({1})),
+        canon.Son(0, 0, ((3, 0),), 2),
+        activation.Binding(0, 0),
+    )
+    assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
+    sig = evolution.SonSignature(0, (3,))
+    assert hash(sig) == hash(evolution.SonSignature(0, (3,)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sig.activity = 1
