@@ -30,10 +30,10 @@ A registry is read through the holarchy's ranked offer view
 (:meth:`Holarchy.ranked_offers`): per role, every actor it offers, once,
 best key first, with punctualized entries already unfolded. The view is
 built on first use and again only after that registry's service entries
-change. A hop reads each view from the front and stops after ``s`` idle
-actors, or sooner at the first key the list, if already full, would not
-take, and merges what it read into the list in one step. Data topics come
-from each registry's maintained topic set.
+change. A hop reads each view from the front, stops after ``s`` idle
+actors and merges what it read into the list in one step, or takes it
+as the list when the list is empty. Data topics come from each
+registry's maintained topic set.
 
 Each solve builds one matching of slots to candidates and reads both
 answers from it: which slots cannot be covered, and the least assignment.
@@ -203,56 +203,6 @@ def publish(
 Pool = dict[RoleId, list[tuple[LogicalTime, HolonId]]]
 
 
-def _empty_pool(activity: ResponseActivity) -> Pool:
-    return {role: [] for role in activity.required_roles}
-
-
-def _grow_pool(pool: Pool, h: Holarchy, soc: HolonId, state: ActivationState, s: int) -> None:
-    """Merge ``soc``'s registry into the pool, in one pass per role.
-
-    Each role keeps a sorted list of at most ``s`` idle keys, one per
-    actor at the smallest key any merged registry gave it: the best ``s``
-    of all registries merged so far. Cutting a list back to ``s`` loses
-    nothing. An actor that falls off is beaten by ``s`` others whose keys
-    only get smaller, so it can come back only with a smaller key from a
-    later registry, and that key is then its minimum. Each role's ranked
-    offer view is read from the front, skipping busy actors. It is left
-    after ``s`` idle actors, since those ``s`` beat any later one, or, when
-    the list was full before this merge, at the first key not below its
-    last, since later keys are larger and the list's keys only get smaller.
-
-    The keys read join the list in one merge: an empty list becomes them,
-    and otherwise the two are sorted together, each actor keeps its first
-    (smallest) key and the result is cut to ``s``.
-    """
-    idle = state.inactive
-    for role, best in pool.items():
-        cutoff = best[-1] if len(best) == s else None
-        fresh = []
-        for key in h.ranked_offers(soc, role):
-            if key[1] not in idle:
-                continue
-            if cutoff is not None and key >= cutoff:
-                break
-            fresh.append(key)
-            if len(fresh) == s:
-                break
-        if not fresh:
-            continue
-        if not best:
-            best.extend(fresh)
-            continue
-        seen: set[HolonId] = set()
-        merged = []
-        for key in sorted(best + fresh):
-            if key[1] not in seen:
-                seen.add(key[1])
-                merged.append(key)
-                if len(merged) == s:
-                    break
-        best[:] = merged
-
-
 # -- role slot matching ------------------------------------------------------
 
 
@@ -409,19 +359,51 @@ def resolve_request(
     SoCs; an unresolved one ends at the root and spans none. The chain is
     walked through ``h.parent`` one hop at a time, never built whole: a
     request staffed at its start SoC, the usual case, looks no higher.
+
+    Each hop takes one pass over the activity's distinct roles. A role's
+    ranked offer view is read from the front, skipping busy actors, and
+    left after ``s`` idle ones, since those beat any later one. What was
+    read joins the role's list: an empty list becomes it, and otherwise,
+    unless the two are equal, both are sorted together, each actor keeps
+    its first (smallest) key and the result is cut to ``s``. The cut loses
+    nothing. An actor that falls off is beaten by ``s`` others whose keys
+    only get smaller, so it can come back only with a smaller key from a
+    later registry, and that key is then its minimum.
     """
     node = h.holons.get(start_soc)
     if node is None or not node.is_composite:
         raise CanonError(f"cannot resolve from {start_soc}, which is not a SoC")
 
     parent = h.parent
-    hops: list[HopRecord] = []
-    pool = _empty_pool(activity)
+    ranked_offers = h.ranked_offers
+    idle = state.inactive
+    roles = dict.fromkeys(activity.required_roles)
     s = len(activity.required_roles)
+    hops: list[HopRecord] = []
+    pool: Pool = {}
     data: set[str] = set()
     soc = start_soc
     while True:
-        _grow_pool(pool, h, soc, state, s)
+        for role in roles:
+            fresh = []
+            for key in ranked_offers(soc, role):
+                if key[1] in idle:
+                    fresh.append(key)
+                    if len(fresh) == s:
+                        break
+            best = pool.get(role)
+            if not best:
+                pool[role] = fresh
+            elif fresh and fresh != best:
+                seen: set[HolonId] = set()
+                merged = []
+                for key in sorted(best + fresh):
+                    if key[1] not in seen:
+                        seen.add(key[1])
+                        merged.append(key)
+                        if len(merged) == s:
+                            break
+                pool[role] = merged
         if activity.required_data:
             data |= h.registries[soc].topics
         missing, assignment = _solve(activity, pool, data)

@@ -135,7 +135,9 @@ def record_outcome(
     which no later window can count.
     """
     sig = SonSignature.of(son)
-    rec = ledger.son_outcomes.setdefault(sig, SignatureRecord())
+    rec = ledger.son_outcomes.get(sig)
+    if rec is None:
+        rec = ledger.son_outcomes[sig] = SignatureRecord()
     if outcome is Outcome.SUCCESS:
         rec.successes += 1
         if rec.successes == policy.permanentify_threshold:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import hashlib
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fso_sim import engine
-from fso_sim.canon import ResponseActivity
+from fso_sim.canon import DATA_MISSING, ResponseActivity
 from fso_sim.engine import (
+    InvariantViolationError,
     MalformedTraceError,
     Metrics,
     ParseError,
@@ -34,6 +38,7 @@ from fso_sim.holarchy import Holon, HolonKind
 
 from generators import random_scenario
 from oracles import fold_metrics, replay_partition, request_attempt_check, son_lifecycle_check
+from test_golden_traces import FIXTURES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SCHEMA = json.loads((Path(engine.__file__).parent / "schema" / "scenario.schema.json").read_text())
@@ -400,6 +405,97 @@ def test_earlier_resolution_consumes_actors_first():
     unresolved = [r.payload["activity"] for r in trace if r.kind == "RequestUnresolved"]
     assert formed == [0]
     assert unresolved == [1]
+
+
+def count_staffing(monkeypatch):
+    """Count attempts and the resolves they make, from the next run on."""
+    counts = Counter()
+    resolve, attempt = engine.resolve_request, Simulation._attempt
+
+    def counted_resolve(*args):
+        counts["resolves"] += 1
+        return resolve(*args)
+
+    def counted_attempt(self, r):
+        counts["attempts"] += 1
+        return attempt(self, r)
+
+    monkeypatch.setattr(engine, "resolve_request", counted_resolve)
+    monkeypatch.setattr(Simulation, "_attempt", counted_attempt)
+    return counts
+
+
+def test_a_repeated_failed_attempt_is_answered_from_memory(monkeypatch):
+    counts = count_staffing(monkeypatch)
+    trace, _ = run_scenario(load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=4242, debug=False)
+    assert counts["resolves"] < counts["attempts"]
+    assert hashlib.sha256(write_trace(trace).encode()).hexdigest() == FIXTURES[("nine_actors.json", 4242)]
+
+
+def data_gated_doc(ctx_times):
+    """Activity 0 needs the helper and the data topic ``ctx``, published at
+    its start SoC at ``ctx_times``. Activity 1 keeps the fixer busy from
+    tick 1 to tick 3, so request 0, short of ``ctx`` on tick 1, is retried
+    on tick 3 with the same helper idle."""
+    doc = minimal_doc()
+    doc["activities"][0].update(required_data=["ctx"], duration=1)
+    doc["activities"].append(
+        {"id": 1, "trigger_topics": ["fix"], "required_roles": [1], "required_data": [], "duration": 2}
+    )
+    doc["environment"] = [
+        {"topic": "knock", "injection_soc": 2, "process": {"kind": "scripted", "times": [1]}},
+        {"topic": "fix", "injection_soc": 3, "process": {"kind": "scripted", "times": [1]}},
+        {"topic": "ctx", "injection_soc": 2, "process": {"kind": "scripted", "times": ctx_times}},
+    ]
+    return doc
+
+
+def test_a_data_topic_new_to_the_chain_empties_the_memory(monkeypatch):
+    counts = count_staffing(monkeypatch)
+    trace, _ = run_scenario(scenario_from_dict(data_gated_doc([])), debug=False)
+    retry = [r for r in trace if r.tick == 3 and r.payload.get("request") == 0]
+    assert [r.kind for r in retry] == ["ExceptionRaised", "RequestUnresolved"]
+    assert retry[-1].payload["missing"] == [DATA_MISSING]
+    # the retry saw the same idle helper and no new topic: answered from memory
+    assert counts == {"attempts": 3, "resolves": 2}
+
+    # ctx reaches the start SoC on the dissolve tick, before the retry phase
+    trace, _ = run_scenario(scenario_from_dict(data_gated_doc([3])), debug=False)
+    retry = [r for r in trace if r.tick == 3 and r.payload.get("request") == 0]
+    assert [r.kind for r in retry] == ["SonFormed"]
+    assert retry[0].payload["members"] == [[0, 0]]
+
+
+@pytest.mark.parametrize("held", [0, 1])
+def test_an_actor_freed_alone_is_seen_by_the_retry(held):
+    # activity 1 holds the only actor of role ``held`` over ticks 0-2, so
+    # activity 0, which needs both actors, fails on tick 1; on tick 2 that
+    # actor alone comes free, and the retry must not replay the failure
+    doc = minimal_doc()
+    doc["activities"] = [
+        {"id": 0, "trigger_topics": ["knock"], "required_roles": [0, 1], "required_data": [], "duration": 1},
+        {"id": 1, "trigger_topics": ["hold"], "required_roles": [held], "required_data": [], "duration": 2},
+    ]
+    doc["environment"] = [
+        {"topic": "hold", "injection_soc": 4, "process": {"kind": "scripted", "times": [0]}},
+        {"topic": "knock", "injection_soc": 4, "process": {"kind": "scripted", "times": [1]}},
+    ]
+    trace, _ = run_scenario(scenario_from_dict(doc), debug=False)
+    assert [(r.tick, r.kind) for r in trace if r.payload.get("request") == 1] == [
+        (1, "ActivityTriggered"),
+        (1, "RequestUnresolved"),
+        (2, "SonFormed"),
+    ]
+
+
+def test_debug_mode_resolves_every_answer_from_memory_again():
+    sim = Simulation(load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=4242, debug=True)
+    while not sim._failed:
+        sim.step()
+    for pair, (idle, staffing) in sim._failed.items():
+        sim._failed[pair] = (idle, dataclasses.replace(staffing, missing=staffing.missing + (DATA_MISSING,)))
+    with pytest.raises(InvariantViolationError, match="answered from memory"):
+        sim.run()
 
 
 def test_debug_mode_reads_environment_variable(monkeypatch):
