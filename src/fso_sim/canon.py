@@ -33,7 +33,9 @@ built on first use and again only after that registry's service entries
 change. A hop reads each view from the front, stops after ``s`` idle
 actors and merges what it read into the list in one step, or takes it
 as the list when the list is empty. Data topics come from each
-registry's maintained topic set.
+registry's maintained topic set. So while the views, the chain and the
+topics stay put, which of the actors its scans read were idle fixes a
+request's answer, and :func:`resolve_request` can replay it from a memo.
 
 Each solve builds one matching of slots to candidates and reads both
 answers from it: which slots cannot be covered, and the least assignment.
@@ -46,6 +48,7 @@ assignment, so it skips the pass that looks for a smaller one (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .activation import ActivationState, enroll, release
 from .holarchy import (
@@ -340,11 +343,16 @@ def _solve(
 # -- the two canon rules, applied along the chain to the root -----------------
 
 
+# (activity id, start SoC) -> {staffed: (last answer, keys read idle, actors read busy)}
+Memo = dict[tuple[int, HolonId], dict[bool, tuple[Staffing, list[tuple[LogicalTime, HolonId]], list[HolonId]]]]
+
+
 def resolve_request(
     activity: ResponseActivity,
     start_soc: HolonId,
     h: Holarchy,
     state: ActivationState,
+    memo: Memo | None = None,
 ) -> Staffing:
     """Run the canon from ``start_soc`` upward until staffed or exhausted.
 
@@ -369,19 +377,32 @@ def resolve_request(
     nothing. An actor that falls off is beaten by ``s`` others whose keys
     only get smaller, so it can come back only with a smaller key from a
     later registry, and that key is then its minimum.
+
+    The answer depends on ``state`` only through which actors the scans
+    read were idle, so a ``memo`` keeps, per activity id and start SoC, the
+    last staffed and the last failed answer with the actors read idle and
+    busy, and replays one while the first are all idle and the second all
+    busy. The caller empties it on a new topic, a graft and a remove.
     """
     node = h.holons.get(start_soc)
     if node is None or not node.is_composite:
         raise CanonError(f"cannot resolve from {start_soc}, which is not a SoC")
 
+    idle = state.inactive
+    if memo is not None:
+        pair = (activity.id, start_soc)
+        for answer, were_idle, were_busy in memo.get(pair, {}).values():
+            if idle.isdisjoint(were_busy) and idle.issuperset(map(itemgetter(1), were_idle)):
+                return answer
     parent = h.parent
     ranked_offers = h.ranked_offers
-    idle = state.inactive
     roles = dict.fromkeys(activity.required_roles)
     s = len(activity.required_roles)
     hops: list[HopRecord] = []
     pool: Pool = {}
     data: set[str] = set()
+    read: list[tuple[LogicalTime, HolonId]] = []  # the keys the scans read idle
+    busy: list[HolonId] = []  # the actors they read busy
     soc = start_soc
     while True:
         for role in roles:
@@ -391,6 +412,9 @@ def resolve_request(
                     fresh.append(key)
                     if len(fresh) == s:
                         break
+                else:
+                    busy.append(key[1])
+            read += fresh
             best = pool.get(role)
             if not best:
                 pool[role] = fresh
@@ -407,16 +431,18 @@ def resolve_request(
         if activity.required_data:
             data |= h.registries[soc].topics
         missing, assignment = _solve(activity, pool, data)
-        if not missing:
-            spanned = {start_soc}
-            for a, _ in assignment:
-                spanned.add(parent[a])
-            return Staffing(tuple(hops), missing, assignment, soc, frozenset(spanned))
         up = parent.get(soc)
-        if up is None:
-            return Staffing(tuple(hops), missing, (), soc, frozenset())
+        if not missing or up is None:
+            break
         hops.append(HopRecord(soc, up, len(hops) + 1, missing))
         soc = up
+    spanned = {start_soc} if assignment else set()
+    for a, _ in assignment:
+        spanned.add(parent[a])
+    answer = Staffing(tuple(hops), missing, assignment, soc, frozenset(spanned))
+    if memo is not None:
+        memo.setdefault(pair, {})[not missing] = (answer, read, busy)
+    return answer
 
 
 # -- overlay lifecycle -------------------------------------------------------

@@ -41,18 +41,14 @@ dissolved, at most ``retry_bound`` of them. Each failed attempt writes a
 was ``final``, and a request still parked when the run ends gets one more
 record with ``final`` true.
 
-Staffing reads only the activity, its start SoC, the idle actors and the
-registries' offers and topics, so a failed attempt can be answered from
-memory. The simulation keeps, per (activity, origin SoC) pair, the answer
-of that pair's last failed attempt and the idle actors that could then
-play one of the activity's roles. A later attempt of the pair that finds
-exactly those actors idle replays the stored answer, with the same
-``ExceptionRaised`` and ``RequestUnresolved`` records, instead of
-resolving, and still spends a retry. The memo is emptied when evolution
-grafts or removes a SoC, which rewrites registries' offers, and when a
-publish brings a registry a topic it did not hold. With debug enabled each
-replay is also resolved afresh, and a different answer raises
-InvariantViolationError.
+Staffing reads only the activity, its start SoC, the registries and which
+actors its scans read are idle, so each attempt makes one call to
+:func:`~fso_sim.canon.resolve_request` with the simulation's memo, which
+answers a repeat from memory (see there). A replay writes the same records
+and, when it fails, spends a retry. The memo is emptied when evolution
+grafts or removes a SoC and when a publish brings a registry a topic it did
+not hold. With debug enabled every attempt is also resolved afresh without
+the memo, and a different answer raises InvariantViolationError.
 """
 
 from __future__ import annotations
@@ -65,12 +61,13 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Callable, Iterable, NoReturn
 
+from . import canon
 from .activation import check_partition, initial_state
 from .canon import (
     ActivityTable,
+    Memo,
     ResponseActivity,
     Son,
-    Staffing,
     form_son,
     dissolve_son,
     publish,
@@ -557,8 +554,8 @@ class Simulation:
 
     With debug enabled (FSO_SIM_DEBUG=1 or debug=True) the latent/responding
     partition and every rule of :func:`fso_sim.holarchy.validate` are
-    re-checked after every step, every attempt answered from memory is
-    resolved again, and violations raise InvariantViolationError.
+    re-checked after every step, every attempt is resolved again without
+    the staffing memo ``_memo``, and violations raise InvariantViolationError.
     """
 
     def __init__(
@@ -586,11 +583,7 @@ class Simulation:
         self._next_arrival = self._arrivals[-1].time if self._arrivals else -1
         self._dissolve_at: dict[int, list[Son]] = {}
         self._pending: list[_Request] = []
-        # (activity id, origin SoC) -> the idle actors that could play one of
-        # the activity's roles at that pair's last failed attempt, and its answer
-        self._failed: dict[tuple[int, int], tuple[frozenset[int], Staffing]] = {}
-        # activity id -> the actors that can play one of its roles
-        self._capable: dict[int, frozenset[int]] = {}
+        self._memo: Memo = {}
         self._son_seq = 0
         self._request_seq = 0
 
@@ -639,8 +632,8 @@ class Simulation:
             self._next_arrival = self._arrivals[-1].time if self._arrivals else -1
             reg = self.holarchy.registries[arrival.item.source]
             if arrival.item.topic not in reg.topics:
-                # a data topic new to this registry can staff a failed pair
-                self._failed.clear()
+                # a data topic new to this registry can change a pair's answer
+                self._memo.clear()
             triggered = publish(reg, arrival.item, self.scenario.activities)
             self._emit(
                 "EventPublished",
@@ -652,35 +645,18 @@ class Simulation:
                 triggers.append((activity, arrival.item.source, arrival.item.topic))
         return triggers
 
-    def _capable_idle(self, activity: ResponseActivity) -> frozenset[int]:
-        """The idle actors that can play one of ``activity``'s roles."""
-        capable = self._capable.get(activity.id)
-        if capable is None:
-            h = self.holarchy
-            capable = frozenset().union(*(h.role_atoms(h.root, role) for role in activity.required_roles))
-            self._capable[activity.id] = capable
-        return capable & self.state.inactive
-
     def _attempt(self, r: _Request) -> bool:
         """Settle one attempt at ``r``; returns whether it stays parked."""
-        activity, pair = r.activity, (r.activity.id, r.origin_soc)
-        stored = self._failed.get(pair)
-        idle = replay = None
-        if stored is not None:
-            idle = self._capable_idle(activity)
-            if idle == stored[0]:
-                replay = stored[1]
-        if replay is None:
-            result = resolve_request(activity, r.origin_soc, self.holarchy, self.state)
-        else:
-            result = replay
-            if self.debug:
-                fresh = resolve_request(activity, r.origin_soc, self.holarchy, self.state)
-                if fresh != result:
-                    raise InvariantViolationError(
-                        f"tick {self.clock}: activity {activity.id} at SoC {r.origin_soc} was answered from"
-                        f" memory with {result}, but resolves to {fresh}"
-                    )
+        activity = r.activity
+        result = resolve_request(activity, r.origin_soc, self.holarchy, self.state, self._memo)
+        if self.debug:
+            # by canon's name: a wrapper on the engine's sees one per attempt
+            fresh = canon.resolve_request(activity, r.origin_soc, self.holarchy, self.state)
+            if fresh != result:
+                raise InvariantViolationError(
+                    f"tick {self.clock}: activity {activity.id} at SoC {r.origin_soc} was answered from"
+                    f" memory with {result}, but resolves to {fresh}"
+                )
         for hop in result.hops:
             self._emit(
                 "ExceptionRaised",
@@ -692,8 +668,6 @@ class Simulation:
                 missing=list(hop.missing),
             )
         if result.missing:
-            if replay is None:
-                self._failed[pair] = (self._capable_idle(activity) if idle is None else idle, result)
             r.last_missing = result.missing
             self._emit_unresolved(r, final=r.retries_left == 0)
             return r.retries_left > 0
@@ -752,8 +726,8 @@ class Simulation:
         for ev in prunes:
             self._emit("Pruned", soc=ev.soc, parent=ev.parent, members=list(ev.members))
         if promotions or prunes:
-            # a graft or a removal rewrites the registries staffing reads
-            self._failed.clear()
+            # a graft or a removal rewrites the registries and the chain staffing reads
+            self._memo.clear()
 
     def _check_invariants(self) -> None:
         try:

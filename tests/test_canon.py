@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fso_sim import canon
 from fso_sim.activation import Binding, enroll, initial_state, release
 from fso_sim.canon import (
     DATA_MISSING,
@@ -261,6 +262,89 @@ def test_staffing_climbs_the_chain_it_records(seed, data):
             if got.missing:
                 # unresolved means escalated past the root
                 assert (got.assignment, got.resolved_soc, got.spanned_socs) == ((), chain[-1], frozenset())
+
+
+# -- answers from memory ------------------------------------------------------
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = canon._solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(canon, "_solve", counted)
+    return calls
+
+
+def test_an_actor_read_busy_that_comes_free_changes_the_answer(monkeypatch):
+    h = build(atom(0, 0), atom(1, 0), soc(2, [0, 1]))
+    state, memo = initial_state(h), {}
+    enroll(state, h, 0, 0, son_id=9)
+    assert resolve_request(act(), 2, h, state, memo) == staffed(2, ((1, 0),))
+    # actor 1 is still idle, but 0, which the scan passed over, now ranks first
+    release(state, 0)
+    solves = count_solves(monkeypatch)
+    assert resolve_request(act(), 2, h, state, memo) == staffed(2, ((0, 0),))
+    assert len(solves) == 1
+
+
+def test_an_actor_read_idle_that_turns_busy_is_not_replayed(monkeypatch):
+    h = build(atom(0, 0), atom(1, 0), soc(2, [0, 1]))
+    state, memo = initial_state(h), {}
+    assert resolve_request(act(), 2, h, state, memo) == staffed(2, ((0, 0),))
+    enroll(state, h, 0, 0, son_id=9)
+    solves = count_solves(monkeypatch)
+    assert resolve_request(act(), 2, h, state, memo) == staffed(2, ((1, 0),))
+    assert len(solves) == 1
+
+
+def test_an_actor_the_scan_never_read_changes_no_answer(monkeypatch):
+    # one slot: the scan stops at actor 0 and never reads 1, nor 2 (role 1)
+    h = build(atom(0, 0), atom(1, 0), atom(2, 1), soc(3, [0, 1, 2]))
+    state, memo = initial_state(h), {}
+    first = resolve_request(act(), 3, h, state, memo)
+    enroll(state, h, 1, 0, son_id=8)
+    enroll(state, h, 2, 1, son_id=9)
+    solves = count_solves(monkeypatch)
+    assert resolve_request(act(), 3, h, state, memo) is first
+    assert solves == []
+
+
+def test_the_last_staffed_and_the_last_failed_answer_are_both_kept(monkeypatch):
+    h = build(atom(0, 0), soc(1, [0]))
+    state, memo = initial_state(h), {}
+    staffed_answer = resolve_request(act(), 1, h, state, memo)
+    enroll(state, h, 0, 0, son_id=9)
+    failed_answer = resolve_request(act(), 1, h, state, memo)
+    assert failed_answer == unstaffed(1, (0,))
+    solves = count_solves(monkeypatch)
+    release(state, 0)
+    assert resolve_request(act(), 1, h, state, memo) is staffed_answer
+    enroll(state, h, 0, 0, son_id=10)
+    assert resolve_request(act(), 1, h, state, memo) is failed_answer
+    assert solves == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_an_answer_from_memory_is_the_answer_resolved_afresh(seed, data):
+    scenario = random_scenario(seed, horizon=20, quiet_evolution=True)
+    h = build_holarchy(scenario.holons, scenario.roles)
+    register_initial_services(h)
+    state, memo = initial_state(h), {}
+    capable = [a for a in h.atoms() if h.holons[a].capabilities]
+    for step in range(data.draw(st.integers(1, 6), label="steps")):
+        for a in data.draw(st.lists(st.sampled_from(capable), max_size=4), label=f"flips {step}") if capable else ():
+            if a in state.inactive:
+                enroll(state, h, a, min(h.holons[a].capabilities), son_id=99)
+            else:
+                release(state, a)
+        for activity in scenario.activities.activities:
+            for start in h.composites():
+                assert resolve_request(activity, start, h, state, memo) == resolve_request(activity, start, h, state)
 
 
 # -- overlay lifecycle -------------------------------------------------------

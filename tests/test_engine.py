@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fso_sim import engine
+from fso_sim import canon, engine
 from fso_sim.canon import DATA_MISSING, ResponseActivity
 from fso_sim.engine import (
     InvariantViolationError,
@@ -408,27 +408,33 @@ def test_earlier_resolution_consumes_actors_first():
 
 
 def count_staffing(monkeypatch):
-    """Count attempts and the resolves they make, from the next run on."""
-    counts = Counter()
-    resolve, attempt = engine.resolve_request, Simulation._attempt
+    """From the next run on, record each attempt as (solves it made, whether
+    it formed a SON). A resolve solves at least once, so an attempt that made
+    no solve was answered from memory."""
+    attempts = []
+    solve, attempt = canon._solve, Simulation._attempt
 
-    def counted_resolve(*args):
-        counts["resolves"] += 1
-        return resolve(*args)
+    def counted_solve(*args):
+        attempts[-1][0] += 1
+        return solve(*args)
 
     def counted_attempt(self, r):
-        counts["attempts"] += 1
-        return attempt(self, r)
+        attempts.append([0, False])
+        sons = self._son_seq
+        parked = attempt(self, r)
+        attempts[-1][1] = self._son_seq > sons
+        return parked
 
-    monkeypatch.setattr(engine, "resolve_request", counted_resolve)
+    monkeypatch.setattr(canon, "_solve", counted_solve)
     monkeypatch.setattr(Simulation, "_attempt", counted_attempt)
-    return counts
+    return attempts
 
 
-def test_a_repeated_failed_attempt_is_answered_from_memory(monkeypatch):
-    counts = count_staffing(monkeypatch)
+def test_a_repeated_attempt_is_answered_from_memory_staffed_or_failed(monkeypatch):
+    attempts = count_staffing(monkeypatch)
     trace, _ = run_scenario(load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=4242, debug=False)
-    assert counts["resolves"] < counts["attempts"]
+    from_memory = Counter(staffed for solves, staffed in attempts if solves == 0)
+    assert from_memory[True] > 0 and from_memory[False] > 0
     assert hashlib.sha256(write_trace(trace).encode()).hexdigest() == FIXTURES[("nine_actors.json", 4242)]
 
 
@@ -451,13 +457,13 @@ def data_gated_doc(ctx_times):
 
 
 def test_a_data_topic_new_to_the_chain_empties_the_memory(monkeypatch):
-    counts = count_staffing(monkeypatch)
+    attempts = count_staffing(monkeypatch)
     trace, _ = run_scenario(scenario_from_dict(data_gated_doc([])), debug=False)
     retry = [r for r in trace if r.tick == 3 and r.payload.get("request") == 0]
     assert [r.kind for r in retry] == ["ExceptionRaised", "RequestUnresolved"]
     assert retry[-1].payload["missing"] == [DATA_MISSING]
     # the retry saw the same idle helper and no new topic: answered from memory
-    assert counts == {"attempts": 3, "resolves": 2}
+    assert [solves > 0 for solves, _ in attempts] == [True, True, False]
 
     # ctx reaches the start SoC on the dissolve tick, before the retry phase
     trace, _ = run_scenario(scenario_from_dict(data_gated_doc([3])), debug=False)
@@ -489,13 +495,17 @@ def test_an_actor_freed_alone_is_seen_by_the_retry(held):
 
 
 def test_debug_mode_resolves_every_answer_from_memory_again():
-    sim = Simulation(load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=4242, debug=True)
-    while not sim._failed:
-        sim.step()
-    for pair, (idle, staffing) in sim._failed.items():
-        sim._failed[pair] = (idle, dataclasses.replace(staffing, missing=staffing.missing + (DATA_MISSING,)))
-    with pytest.raises(InvariantViolationError, match="answered from memory"):
-        sim.run()
+    # once with the staffed answers in memory corrupted, once with the failed
+    for staffed in (True, False):
+        sim = Simulation(load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=4242, debug=True)
+        while not any(staffed in known for known in sim._memo.values()):
+            sim.step()
+        for known in sim._memo.values():
+            if staffed in known:
+                answer, *reads = known[staffed]
+                known[staffed] = (dataclasses.replace(answer, resolved_soc=-1), *reads)
+        with pytest.raises(InvariantViolationError, match="answered from memory"):
+            sim.run()
 
 
 def test_debug_mode_reads_environment_variable(monkeypatch):

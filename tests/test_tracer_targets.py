@@ -54,3 +54,24 @@ def test_every_resolve_is_charged_to_the_resolve_or_the_retry_phase(tracer):
     resolve = spans.names.index("canon.resolve")
     phases = Counter(tracer.PHASES[spans.phase[i]] for i in range(len(spans)) if spans.name[i] == resolve)
     assert phases == {"resolve": 2, "retry": 1}
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_every_staffing_attempt_is_one_resolve_span(tracer, monkeypatch, debug):
+    # answered from memory or not, and with the debug referee resolving
+    # each attempt again, an attempt is exactly one canon.resolve span
+    attempts = 0
+    attempt = engine.Simulation._attempt
+
+    def counted(self, r):
+        nonlocal attempts
+        attempts += 1
+        return attempt(self, r)
+
+    monkeypatch.setattr(engine.Simulation, "_attempt", counted)
+    scenario = engine.load_scenario_file(str(ROOT / "scenarios" / "nine_actors.json"))
+    with tracer.patched(tracer.Tracer()) as spans:
+        engine.run_scenario(scenario, seed=4242, debug=debug)
+    resolve = spans.names.index("canon.resolve")
+    assert attempts > 0
+    assert sum(name == resolve for name in spans.name) == attempts
