@@ -14,21 +14,20 @@ escalation hops taken, what the last SoC reached still missed, and, when
 nothing is missing, the assignment for a temporary overlay community (a
 SON) that enrolls the chosen actors for the activity's duration and may
 span several SoCs. Everything here is deterministic: candidates are ranked
-by registration order then id, and role slots are filled with the
-lexicographically least workable assignment.
+by actor id, and role slots are filled with the lexicographically least
+workable assignment.
 
 Escalation only ever widens the view, so a request keeps one candidate pool
 and grows it hop by hop: hop k merges in the registry of the k-th SoC on the
 chain and nothing else. An activity with ``s`` role slots never needs more
 than each role's best ``s`` idle candidates (see :func:`_solve`), so that is
-all the pool keeps: per role the activity asks for, a sorted list of at most
-``s`` idle ``(registered_at, actor)`` keys, best first, one per actor at its
-smallest key over the registries merged so far. A key is a minimum over
-entries, so the merge order does not matter.
+all the pool keeps: per role the activity asks for, the at most ``s``
+lowest ids among the idle actors the registries merged so far offer, in
+ascending order. The merge order does not matter.
 
 A registry is read through the holarchy's ranked offer view
 (:meth:`Holarchy.ranked_offers`): per role, every actor it offers, once,
-best key first, with punctualized entries already unfolded. The view is
+in id order, with punctualized entries already unfolded. The view is
 built on first use and again only after that registry's service entries
 change. A hop reads each view from the front, stops after ``s`` idle
 actors and merges what it read into the list in one step, or takes it
@@ -48,7 +47,6 @@ assignment, so it skips the pass that looks for a smaller one (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .activation import ActivationState, enroll, release
 from .holarchy import (
@@ -201,9 +199,8 @@ def publish(
 
 # -- candidate pools --------------------------------------------------------
 
-# role -> its best s idle (registered_at, actor) keys, best first, one per
-# actor, for the roles one activity needs
-Pool = dict[RoleId, list[tuple[LogicalTime, HolonId]]]
+# role -> its best s idle actors, in id order, for the roles one activity needs
+Pool = dict[RoleId, list[HolonId]]
 
 
 # -- role slot matching ------------------------------------------------------
@@ -266,7 +263,7 @@ def _solve(
     actor_of: list[HolonId | None] = [None] * len(slots)
 
     def augment(i: int, visited: set[HolonId]) -> bool:
-        for _, a in per_slot[i]:
+        for a in per_slot[i]:
             if a not in slot_of and a not in visited:
                 slot_of[a] = i
                 actor_of[i] = a
@@ -277,7 +274,7 @@ def _solve(
         stack = [(i, iter(per_slot[i]))]
         asked: list[HolonId] = []
         while stack:
-            for _, a in stack[-1][1]:
+            for a in stack[-1][1]:
                 if a not in visited:
                     break
             else:
@@ -289,7 +286,7 @@ def _solve(
             visited.add(a)
             asked.append(a)
             slot = slot_of[a]
-            for _, b in per_slot[slot]:
+            for b in per_slot[slot]:
                 if b not in slot_of and b not in visited:
                     slot_of[b] = slot
                     actor_of[slot] = b
@@ -302,14 +299,14 @@ def _solve(
 
     missing: list[int] = []
     rerouted = False
-    for i, keys in enumerate(per_slot):
-        for _, a in keys:
+    for i, candidates in enumerate(per_slot):
+        for a in candidates:
             if a not in slot_of:
                 slot_of[a] = i
                 actor_of[i] = a
                 break
         else:
-            if keys and augment(i, set()):
+            if candidates and augment(i, set()):
                 rerouted = True
             else:
                 missing.append(slots[i])
@@ -320,9 +317,9 @@ def _solve(
 
     if rerouted:
         taken: set[HolonId] = set()
-        for i, keys in enumerate(per_slot):
+        for i, candidates in enumerate(per_slot):
             current = actor_of[i]
-            for _, c in keys:
+            for c in candidates:
                 if c == current:
                     break
                 if c in taken:
@@ -343,8 +340,8 @@ def _solve(
 # -- the two canon rules, applied along the chain to the root -----------------
 
 
-# (activity id, start SoC) -> {staffed: (last answer, keys read idle, actors read busy)}
-Memo = dict[tuple[int, HolonId], dict[bool, tuple[Staffing, list[tuple[LogicalTime, HolonId]], list[HolonId]]]]
+# (activity id, start SoC) -> {staffed: (last answer, actors read idle, actors read busy)}
+Memo = dict[tuple[int, HolonId], dict[bool, tuple[Staffing, list[HolonId], list[HolonId]]]]
 
 
 def resolve_request(
@@ -372,11 +369,9 @@ def resolve_request(
     ranked offer view is read from the front, skipping busy actors, and
     left after ``s`` idle ones, since those beat any later one. What was
     read joins the role's list: an empty list becomes it, and otherwise,
-    unless the two are equal, both are sorted together, each actor keeps
-    its first (smallest) key and the result is cut to ``s``. The cut loses
-    nothing. An actor that falls off is beaten by ``s`` others whose keys
-    only get smaller, so it can come back only with a smaller key from a
-    later registry, and that key is then its minimum.
+    unless the two are equal, their union is sorted and cut to ``s``. The
+    cut loses nothing: an actor that falls off is beaten by ``s`` lower
+    ids, which stay in the pool at every later hop.
 
     The answer depends on ``state`` only through which actors the scans
     read were idle, so a ``memo`` keeps, per activity id and start SoC, the
@@ -392,7 +387,7 @@ def resolve_request(
     if memo is not None:
         pair = (activity.id, start_soc)
         for answer, were_idle, were_busy in memo.get(pair, {}).values():
-            if idle.isdisjoint(were_busy) and idle.issuperset(map(itemgetter(1), were_idle)):
+            if idle.isdisjoint(were_busy) and idle.issuperset(were_idle):
                 return answer
     parent = h.parent
     ranked_offers = h.ranked_offers
@@ -401,33 +396,25 @@ def resolve_request(
     hops: list[HopRecord] = []
     pool: Pool = {}
     data: set[str] = set()
-    read: list[tuple[LogicalTime, HolonId]] = []  # the keys the scans read idle
+    read: list[HolonId] = []  # the actors the scans read idle
     busy: list[HolonId] = []  # the actors they read busy
     soc = start_soc
     while True:
         for role in roles:
             fresh = []
-            for key in ranked_offers(soc, role):
-                if key[1] in idle:
-                    fresh.append(key)
+            for a in ranked_offers(soc, role):
+                if a in idle:
+                    fresh.append(a)
                     if len(fresh) == s:
                         break
                 else:
-                    busy.append(key[1])
+                    busy.append(a)
             read += fresh
             best = pool.get(role)
             if not best:
                 pool[role] = fresh
             elif fresh and fresh != best:
-                seen: set[HolonId] = set()
-                merged = []
-                for key in sorted(best + fresh):
-                    if key[1] not in seen:
-                        seen.add(key[1])
-                        merged.append(key)
-                        if len(merged) == s:
-                            break
-                pool[role] = merged
+                pool[role] = sorted({*best, *fresh})[:s]
         if activity.required_data:
             data |= h.registries[soc].topics
         missing, assignment = _solve(activity, pool, data)

@@ -570,7 +570,7 @@ class Simulation:
         self.horizon = scenario.horizon if horizon is None else horizon
         self.debug = _debug_default() if debug is None else debug
         self.holarchy: Holarchy = build_holarchy(scenario.holons, scenario.roles)
-        register_initial_services(self.holarchy, 0)
+        register_initial_services(self.holarchy)
         self.state = initial_state(self.holarchy)
         self.ledger = ExperienceLedger()
         self.clock = 0
@@ -713,7 +713,7 @@ class Simulation:
         self._pending = parked
 
     def _phase_evolution(self, t: int) -> None:
-        promotions = maybe_permanentify(self.ledger, self.holarchy, t)
+        promotions = maybe_permanentify(self.ledger, self.holarchy)
         for ev in promotions:
             self._emit(
                 "Permanentified",

@@ -5,10 +5,11 @@ Every dissolved overlay community leaves a record keyed by its signature
 succeeding get promoted: the recurring overlay becomes a permanent SoC
 grafted under the lowest community that contains all its members.
 Promotion does not yet let a later request be answered without climbing:
-that ancestor already sees the same actors, and the promoted SoC's registry
-entries rank after the ones registered at t=0, so no staffing decision
-changes. Promoted SoCs that then keep failing are pruned again, restoring
-the earlier shape.
+that ancestor already offers every member, so its ranked offers stay the
+same, and a promoted SoC is never a request's start SoC nor any holon's
+parent, so it is never on a staffing chain. No staffing decision changes.
+Promoted SoCs that then keep failing are pruned again, restoring the
+earlier shape.
 
 Promotion and pruning edit the run's one holarchy in place, through
 :meth:`Holarchy.graft` and :meth:`Holarchy.remove`, and return only their
@@ -181,7 +182,7 @@ def promotion_due(ledger: ExperienceLedger, h: Holarchy) -> bool:
     return any(not h.holds_members(sig.members) for sig in ledger.ready)
 
 
-def maybe_permanentify(ledger: ExperienceLedger, h: Holarchy, t: LogicalTime) -> tuple[PromotionEvent, ...]:
+def maybe_permanentify(ledger: ExperienceLedger, h: Holarchy) -> tuple[PromotionEvent, ...]:
     """Promote every signature that has crossed the success threshold.
 
     Each promotion happens once per signature and grafts the new community
@@ -203,7 +204,7 @@ def maybe_permanentify(ledger: ExperienceLedger, h: Holarchy, t: LogicalTime) ->
             continue
         ledger.ready.discard(sig)
         anchor = _lca(h, [h.parent[m] for m in sig.members])
-        soc_id = h.graft(sig.members, anchor, t)
+        soc_id = h.graft(sig.members, anchor)
         ledger.promoted[sig] = soc_id
         ledger.recheck.add(sig)
         events.append(PromotionEvent(soc_id, anchor, sig.members, sig.activity))

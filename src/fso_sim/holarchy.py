@@ -111,11 +111,10 @@ class ServiceEntry:
 
     provider: HolonId
     role: RoleId
-    registered_at: LogicalTime = 0
     via: HolonId | None = None
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.registered_at, self.provider, self.role)
+    def sort_key(self) -> tuple[int, int]:
+        return (self.provider, self.role)
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,12 +130,11 @@ class InformationItem:
 class Registry:
     """Per-SoC store of service offers and published information.
 
-    Entries are stored in (registered_at, provider, role) order, which
-    :func:`validate`'s ``RegistryOrder`` rule audits. Staffing does not read
-    that order: it ranks actors by (registered_at, actor) through
-    :meth:`Holarchy.ranked_offers`, which unfolds each ``via`` entry to the
-    role atoms of its member, so a proxy's provider (the member's
-    representative) never decides a tie. Only :meth:`offer`
+    Entries are stored in (provider, role) order, which :func:`validate`'s
+    ``RegistryOrder`` rule audits. Staffing does not read that order: it
+    ranks actors by id through :meth:`Holarchy.ranked_offers`, which unfolds
+    each ``via`` entry to the role atoms of its member, so a proxy's
+    provider (the member's representative) is never ranked. Only :meth:`offer`
     and :meth:`retract` write the entries, and both drop the ranked ``views``
     :meth:`Holarchy.ranked_offers` keeps here. ``topics`` is the set of
     topics among ``info_entries``; :func:`fso_sim.canon.publish` keeps it
@@ -146,8 +144,8 @@ class Registry:
     service_entries: list[ServiceEntry] = field(default_factory=list, init=False)
     info_entries: list[InformationItem] = field(default_factory=list, init=False)
     topics: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
-    # role -> (registered_at, actor) per actor offered for it, at its earliest entry, ascending
-    views: dict[RoleId, tuple[tuple[LogicalTime, HolonId], ...]] = field(
+    # role -> every actor offered for it, ascending
+    views: dict[RoleId, tuple[HolonId, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -266,38 +264,31 @@ class Holarchy:
             self._role_atoms[soc] = by_role
         return by_role.get(role, ())
 
-    def ranked_offers(self, soc: HolonId, role: RoleId) -> tuple[tuple[LogicalTime, HolonId], ...]:
-        """Every actor ``soc``'s registry offers for ``role``, best first.
+    def ranked_offers(self, soc: HolonId, role: RoleId) -> tuple[HolonId, ...]:
+        """Every actor ``soc``'s registry offers for ``role``, once each, in id order.
 
-        Each actor appears once, keyed ``(registered_at, actor)`` at the
-        minimum over the entries naming it. A direct entry counts when its
-        provider is an existing actor holding the role; a punctualized entry
-        stands for the role atoms of the member it was registered via. The
-        first call for a SoC and role reads the registry once, and the view
-        lives in the registry until its next write.
+        A direct entry counts when its provider is an existing actor holding
+        the role; a punctualized entry stands for the role atoms of the
+        member it was registered via. The first call for a SoC and role
+        reads the registry once, and the view lives in the registry until
+        its next write.
         """
         reg = self.registries[soc]
         try:
             return reg.views[role]
         except KeyError:
             pass
-        earliest: dict[HolonId, LogicalTime] = {}
+        actors: set[HolonId] = set()
         for entry in reg.service_entries:
             if entry.role != role:
                 continue
             if entry.via is None:
                 provider = self.holons.get(entry.provider)
-                if provider is None or not provider.is_atomic or role not in provider.capabilities:
-                    continue
-                actors: tuple[HolonId, ...] = (entry.provider,)
+                if provider is not None and provider.is_atomic and role in provider.capabilities:
+                    actors.add(entry.provider)
             else:
-                actors = self.role_atoms(entry.via, role)
-            at = entry.registered_at
-            for a in actors:
-                best = earliest.get(a)
-                if best is None or at < best:
-                    earliest[a] = at
-        view = reg.views[role] = tuple(sorted((at, a) for a, at in earliest.items()))
+                actors.update(self.role_atoms(entry.via, role))
+        view = reg.views[role] = tuple(sorted(actors))
         return view
 
     def holds_members(self, members: tuple[HolonId, ...]) -> bool:
@@ -306,12 +297,12 @@ class Holarchy:
 
     # -- in-place evolution ----------------------------------------------
 
-    def graft(self, members: tuple[HolonId, ...], anchor: HolonId, t: LogicalTime) -> HolonId:
+    def graft(self, members: tuple[HolonId, ...], anchor: HolonId) -> HolonId:
         """Promote ``members`` to a new SoC under ``anchor``; returns its id.
 
         The SoC takes the next free id, perhaps one :meth:`remove` freed,
         and its lowest member as representative. Its registry gets the
-        members' offers at ``t``, and the anchor's its proxies.
+        members' offers, and the anchor's its proxies.
         """
         soc = max(self.holons) + 1
         promoted = Holon(
@@ -320,10 +311,10 @@ class Holarchy:
         self._set_soc(soc, promoted)
         self.parent[soc] = anchor
         self.registries[soc] = Registry()
-        self.registries[soc].offer(e for m in members for e in self._offers(m, t))
+        self.registries[soc].offer(e for m in members for e in self._offers(m))
         old = self.holons[anchor]
         self._set_soc(anchor, replace(old, members=old.members + (soc,)))
-        self.registries[anchor].offer(self._offers(soc, t))
+        self.registries[anchor].offer(self._offers(soc))
         return soc
 
     def remove(self, soc: HolonId) -> HolonId:
@@ -352,20 +343,20 @@ class Holarchy:
             self.holons[soc] = node
             self._member_lists[tuple(sorted(node.members))] += 1
 
-    def _offers(self, m: HolonId, t: LogicalTime) -> Iterator[ServiceEntry]:
-        """The entries member ``m`` adds to its SoC's registry at ``t``.
+    def _offers(self, m: HolonId) -> Iterator[ServiceEntry]:
+        """The entries member ``m`` adds to its SoC's registry.
 
         A composite ``m`` proxies the roles of its own, already filled, registry.
         """
         member = self.holons[m]
         if member.is_atomic:
             for role in member.capabilities:
-                yield ServiceEntry(m, role, registered_at=t)
+                yield ServiceEntry(m, role)
         else:
             rep = member.representative
             assert rep is not None
             for role in {e.role for e in self.registries[m].service_entries}:
-                yield ServiceEntry(rep, role, registered_at=t, via=m)
+                yield ServiceEntry(rep, role, via=m)
 
 
 def build_holarchy(holons: Iterable[Holon], roles: frozenset[RoleId]) -> Holarchy:
@@ -396,7 +387,7 @@ def build_holarchy(holons: Iterable[Holon], roles: frozenset[RoleId]) -> Holarch
     return h
 
 
-def register_initial_services(h: Holarchy, t: LogicalTime = 0) -> None:
+def register_initial_services(h: Holarchy) -> None:
     """Fill every SoC registry with its members' service offers.
 
     Direct atomic members register one offer per capability. Composite
@@ -409,7 +400,7 @@ def register_initial_services(h: Holarchy, t: LogicalTime = 0) -> None:
     for soc in order:
         order += [m for m in h.holons[soc].members if h.holons[m].is_composite]
     for soc in reversed(order):
-        h.registries[soc].offer(e for m in h.holons[soc].members for e in h._offers(m, t))
+        h.registries[soc].offer(e for m in h.holons[soc].members for e in h._offers(m))
 
 
 def validate(h: Holarchy) -> list[Violation]:

@@ -14,7 +14,7 @@ from typing import Any
 
 from fso_sim.activation import ActivationState
 from fso_sim.canon import ResponseActivity
-from fso_sim.holarchy import Holarchy, Holon, HolonId, LogicalTime, RoleId, ServiceEntry
+from fso_sim.holarchy import Holarchy, Holon, HolonId, RoleId, ServiceEntry
 
 DATA_GAP = -1
 
@@ -93,8 +93,8 @@ def atoms_under(h: Holarchy, top: HolonId) -> set[HolonId]:
     return out
 
 
-def initial_offers(h: Holarchy, soc: HolonId, t: LogicalTime) -> list[ServiceEntry]:
-    """The service entries a registration at ``t`` gives ``soc``, by definition.
+def initial_offers(h: Holarchy, soc: HolonId) -> list[ServiceEntry]:
+    """The service entries initial registration gives ``soc``, by definition.
 
     An actor member offers each of its capabilities; a composite member
     offers, through its representative, every capability of an actor
@@ -104,11 +104,11 @@ def initial_offers(h: Holarchy, soc: HolonId, t: LogicalTime) -> list[ServiceEnt
     for m in h.holons[soc].members:
         node = h.holons[m]
         if node.is_atomic:
-            out += [ServiceEntry(m, r, t) for r in node.capabilities]
+            out += [ServiceEntry(m, r) for r in node.capabilities]
         else:
             roles = {r for a in atoms_under(h, m) for r in h.holons[a].capabilities}
-            out += [ServiceEntry(node.representative, r, t, via=m) for r in roles]
-    return sorted(out, key=lambda e: (e.registered_at, e.provider, e.role))
+            out += [ServiceEntry(node.representative, r, via=m) for r in roles]
+    return sorted(out, key=lambda e: (e.provider, e.role))
 
 
 def count_activation_states(h: Holarchy) -> int:
@@ -210,9 +210,7 @@ def oracle_resolve(
     Walks the ancestor chain; at hop k the pool is every idle actor under
     the k-th ancestor that can play the role, and data published anywhere
     on the visited chain counts. Among all injective assignments the
-    smallest tuple of actor ids (slot by slot, roles sorted) wins, matching
-    the candidate precedence of a freshly registered holarchy where all
-    registration times are equal.
+    smallest tuple of actor ids (slot by slot, roles sorted) wins.
     """
     chain = chain_up(h, start_soc)
     slots = tuple(sorted(activity.required_roles))
@@ -257,19 +255,19 @@ def full_pool_resolve(
 ) -> dict[str, Any]:
     """Settle a staffing request from every registry entry on the chain.
 
-    Unlike :func:`oracle_resolve` this honours registration times: at hop k
-    the pool holds every idle actor that some entry of the first k + 1
-    registries offers for a slot's role, ranked by (earliest registered_at,
-    actor), with nothing cut off. A direct entry counts when its provider is
-    an actor holding the role; a punctualized entry stands for the capable
-    actors under the member it was registered via. Missing slots come from
-    the greedy rule (keep a slot while the kept ones still have an injective
+    Unlike :func:`oracle_resolve` this reads the registries rather than the
+    subtrees: at hop k the pool holds every idle actor that some entry of
+    the first k + 1 registries offers for a slot's role, in id order, with
+    nothing cut off. A direct entry counts when its provider is an actor
+    holding the role; a punctualized entry stands for the capable actors
+    under the member it was registered via. Missing slots come from the
+    greedy rule (keep a slot while the kept ones still have an injective
     assignment), and the assignment is the first injective tuple of the
     product of the full ranked lists.
     """
     chain = chain_up(h, start_soc)
     slots = tuple(sorted(activity.required_roles))
-    earliest: dict[tuple[int, HolonId], int] = {}
+    offered: set[tuple[RoleId, HolonId]] = set()
     last_missing: tuple[int, ...] = ()
     for k, soc in enumerate(chain):
         for entry in h.registries[soc].service_entries:
@@ -282,13 +280,8 @@ def full_pool_resolve(
                 actors = {entry.provider}
             else:
                 actors = {a for a in atoms_under(h, entry.via) if entry.role in h.holons[a].capabilities}
-            for a in actors:
-                key = (entry.role, a)
-                earliest[key] = min(earliest.get(key, entry.registered_at), entry.registered_at)
-        cands = [
-            [a for _, a in sorted((at, a) for (r, a), at in earliest.items() if r == role and a in state.inactive)]
-            for role in slots
-        ]
+            offered.update((entry.role, a) for a in actors)
+        cands = [sorted(a for r, a in offered if r == role and a in state.inactive) for role in slots]
         topics: set[str] = set()
         for visited in chain[: k + 1]:
             topics |= {item.topic for item in h.registries[visited].info_entries}
@@ -323,10 +316,10 @@ def full_pool_resolve(
 
 def brute_force_solve(
     activity: ResponseActivity,
-    pool: dict[RoleId, list[tuple[LogicalTime, HolonId]]],
+    pool: dict[RoleId, list[HolonId]],
     available_data: set[str],
 ) -> tuple[tuple[int, ...], tuple[tuple[HolonId, RoleId], ...]]:
-    """Staff the slots from each role's ranked ``(registered_at, actor)`` list.
+    """Staff the slots from each role's ranked list of actors.
 
     Returns ``(missing, assignment)``, one of them empty. A slot is missing
     when the kept slots plus it have no injective assignment; the plan is
@@ -334,7 +327,7 @@ def brute_force_solve(
     the least by rank, slot by slot.
     """
     slots = activity.required_roles
-    cands = [[a for _, a in pool[role]] for role in slots]
+    cands = [pool[role] for role in slots]
     covered: list[list[HolonId]] = []
     missing: list[int] = []
     for i, role in enumerate(slots):
@@ -349,6 +342,18 @@ def brute_force_solve(
 
 
 # -- trace level checks -------------------------------------------------------
+
+
+def first_difference(a: list[str], b: list[str]) -> tuple[int, str | None, str | None] | None:
+    """The first record where two traces differ: its index and both lines.
+
+    A trace that ends first gives None for its line. Equal traces give None.
+    """
+    for i, (x, y) in enumerate(itertools.zip_longest(a, b)):
+        if x != y:
+            return i, x, y
+    return None
+
 
 
 def replay_partition(records: list[Any], atom_count: int) -> list[str]:

@@ -89,7 +89,7 @@ def test_promotion_waits_for_threshold(wings):
     ledger = ExperienceLedger()
     son = make_son(0, [(1, 1), (2, 2)])
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
-    events = maybe_permanentify(ledger, wings, 1)
+    events = maybe_permanentify(ledger, wings)
     assert events == ()
 
 
@@ -98,7 +98,7 @@ def test_promotion_grafts_under_lowest_common_community(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
     record_outcome(ledger, son, Outcome.SUCCESS, 4, POLICY)
-    events = maybe_permanentify(ledger, wings, 4)
+    events = maybe_permanentify(ledger, wings)
     assert len(events) == 1
     ev = events[0]
     assert ev.members == (1, 2)
@@ -122,9 +122,9 @@ def test_promotion_happens_once_per_signature(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2, 3):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    first = maybe_permanentify(ledger, wings, 3)
+    first = maybe_permanentify(ledger, wings)
     record_outcome(ledger, son, Outcome.SUCCESS, 9, POLICY)
-    second = maybe_permanentify(ledger, wings, 9)
+    second = maybe_permanentify(ledger, wings)
     assert len(first) == 1
     assert second == ()
 
@@ -135,7 +135,7 @@ def test_promotion_skips_existing_member_sets(wings):
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
     record_outcome(ledger, son, Outcome.SUCCESS, 2, POLICY)
     # SoC 4 already holds exactly {0, 1}
-    events = maybe_permanentify(ledger, wings, 2)
+    events = maybe_permanentify(ledger, wings)
     assert events == ()
 
 
@@ -144,7 +144,7 @@ def test_prune_needs_windowed_failures(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
     record_outcome(ledger, son, Outcome.SUCCESS, 2, POLICY)
-    events = maybe_permanentify(ledger, wings, 2)
+    events = maybe_permanentify(ledger, wings)
     soc_id = events[0].soc
 
     record_outcome(ledger, son, Outcome.FAILURE, 5, POLICY)
@@ -173,7 +173,7 @@ def test_prune_restores_original_shape(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     record_outcome(ledger, son, Outcome.SUCCESS, 1, POLICY)
     record_outcome(ledger, son, Outcome.SUCCESS, 2, POLICY)
-    maybe_permanentify(ledger, wings, 2)
+    maybe_permanentify(ledger, wings)
     record_outcome(ledger, son, Outcome.FAILURE, 3, POLICY)
     record_outcome(ledger, son, Outcome.FAILURE, 4, POLICY)
     maybe_prune(ledger, wings, POLICY, 4)
@@ -190,7 +190,7 @@ def test_prune_window_is_half_open(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    maybe_permanentify(ledger, wings, 2)
+    maybe_permanentify(ledger, wings)
     # the window at t=13 is (3, 13]: the failure at 3 has just left it
     for t in (3, 13):
         record_outcome(ledger, son, Outcome.FAILURE, t, POLICY)
@@ -205,7 +205,7 @@ def test_teams_pruned_in_one_pass_come_out_in_id_order(wings):
     for t in (1, 2):
         for son in teams:
             record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    promoted = maybe_permanentify(ledger, wings, 2)
+    promoted = maybe_permanentify(ledger, wings)
     for t in (3, 4):
         for son in reversed(teams):
             record_outcome(ledger, son, Outcome.FAILURE, t, POLICY)
@@ -221,7 +221,7 @@ def test_a_team_blocked_within_one_pass_is_promoted_once_the_blocker_is_pruned(w
     for t in (1, 2):
         record_outcome(ledger, first, Outcome.SUCCESS, t, POLICY)
         record_outcome(ledger, second, Outcome.SUCCESS, t, POLICY)
-    assert [(e.soc, e.activity) for e in maybe_permanentify(ledger, wings, 2)] == [(7, 0)]
+    assert [(e.soc, e.activity) for e in maybe_permanentify(ledger, wings)] == [(7, 0)]
     # the first team's SoC holds the pair, so the second waits in ready
     assert ledger.ready == {SonSignature.of(second)}
     assert not promotion_due(ledger, wings)
@@ -229,7 +229,7 @@ def test_a_team_blocked_within_one_pass_is_promoted_once_the_blocker_is_pruned(w
         record_outcome(ledger, first, Outcome.FAILURE, t, POLICY)
     assert [e.soc for e in maybe_prune(ledger, wings, POLICY, 4)] == [7]
     assert promotion_due(ledger, wings)
-    assert [(e.soc, e.activity, e.members) for e in maybe_permanentify(ledger, wings, 5)] == [(7, 1, (1, 2))]
+    assert [(e.soc, e.activity, e.members) for e in maybe_permanentify(ledger, wings)] == [(7, 1, (1, 2))]
     assert ledger.ready == set()
     assert validate(wings) == []
 
@@ -239,13 +239,13 @@ def test_pruned_signature_is_not_promoted_again(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    maybe_permanentify(ledger, wings, 2)
+    maybe_permanentify(ledger, wings)
     for t in (3, 4):
         record_outcome(ledger, son, Outcome.FAILURE, t, POLICY)
     maybe_prune(ledger, wings, POLICY, 4)
     for t in (5, 6, 7):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    events = maybe_permanentify(ledger, wings, 7)
+    events = maybe_permanentify(ledger, wings)
     assert events == ()
 
 
@@ -327,17 +327,15 @@ def assert_ranked_offers_fresh(h):
     """Each SoC's view against one built from its registry and subtree walks."""
     for s in h.composites():
         for r in sorted(h.roles):
-            earliest = {}
+            offered = set()
             for e in h.registries[s].service_entries:
                 if e.role != r:
                     continue
                 if e.via is None:
-                    actors = [e.provider] if r in h.holons[e.provider].capabilities else []
+                    offered.update([e.provider] if r in h.holons[e.provider].capabilities else [])
                 else:
-                    actors = [a for a in h.subtree_atoms(e.via) if r in h.holons[a].capabilities]
-                for a in actors:
-                    earliest[a] = min(earliest.get(a, e.registered_at), e.registered_at)
-            assert list(h.ranked_offers(s, r)) == sorted((at, a) for a, at in earliest.items()), (s, r)
+                    offered.update(a for a in h.subtree_atoms(e.via) if r in h.holons[a].capabilities)
+            assert list(h.ranked_offers(s, r)) == sorted(offered), (s, r)
 
 
 def run_checking_role_atoms(monkeypatch, scenario):
@@ -386,7 +384,7 @@ def test_role_atoms_forget_a_pruned_id_that_promotion_reuses(wings):
     first = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2):
         record_outcome(ledger, first, Outcome.SUCCESS, t, POLICY)
-    (promoted,) = maybe_permanentify(ledger, wings, 2)
+    (promoted,) = maybe_permanentify(ledger, wings)
     assert promoted.soc == max(wings.holons)
     warm_role_atoms(wings)
     assert wings.role_atoms(promoted.soc, 1) == (1,)
@@ -400,7 +398,7 @@ def test_role_atoms_forget_a_pruned_id_that_promotion_reuses(wings):
     second = make_son(1, [(0, 0), (2, 2)])
     for t in (5, 6):
         record_outcome(ledger, second, Outcome.SUCCESS, t, POLICY)
-    (reused,) = maybe_permanentify(ledger, wings, 6)
+    (reused,) = maybe_permanentify(ledger, wings)
     assert reused.soc == promoted.soc and reused.members == (0, 2)
     assert wings.role_atoms(reused.soc, 0) == (0,)
     assert wings.role_atoms(reused.soc, 1) == ()
@@ -561,9 +559,9 @@ def test_an_anchor_stops_blocking_its_member_set_once_it_holds_a_promoted_soc():
         record_outcome(ledger, pair, Outcome.SUCCESS, t, POLICY)
         record_outcome(ledger, trio, Outcome.SUCCESS, t, POLICY)
     # the member sets held when the pass starts decide what it promotes
-    assert [(e.soc, e.members) for e in maybe_permanentify(ledger, h, 2)] == [(5, (0, 1))]
+    assert [(e.soc, e.members) for e in maybe_permanentify(ledger, h)] == [(5, (0, 1))]
     assert ledger.ready == {SonSignature.of(trio)}
-    assert [(e.soc, e.parent, e.members) for e in maybe_permanentify(ledger, h, 3)] == [(6, 4, (0, 1, 2))]
+    assert [(e.soc, e.parent, e.members) for e in maybe_permanentify(ledger, h)] == [(6, 4, (0, 1, 2))]
     assert ledger.ready == set()
     assert validate(h) == []
 
@@ -582,12 +580,12 @@ def test_blocked_ready_signatures_cost_no_holarchy_wide_scan(wings):
     son = make_son(0, [(0, 0), (1, 1)])
     for t in (1, 2):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    assert maybe_permanentify(ledger, wings, 2) == ()
+    assert maybe_permanentify(ledger, wings) == ()
     # SoC 4 holds {0, 1}; the member sets are known now, so later ticks
     # with only the blocked signature ready look nothing up holon by holon
     wings.holons = NoScan(wings.holons)
     for t in (3, 4, 5):
-        assert maybe_permanentify(ledger, wings, t) == ()
+        assert maybe_permanentify(ledger, wings) == ()
     assert ledger.ready == {SonSignature.of(son)}
 
 
@@ -596,7 +594,7 @@ def test_a_quiet_tick_prunes_without_looking_at_any_soc(wings):
     son = make_son(0, [(1, 1), (2, 2)])
     for t in (1, 2):
         record_outcome(ledger, son, Outcome.SUCCESS, t, POLICY)
-    (promoted,) = maybe_permanentify(ledger, wings, 2)
+    (promoted,) = maybe_permanentify(ledger, wings)
     record_outcome(ledger, son, Outcome.FAILURE, 3, POLICY)
     assert maybe_prune(ledger, wings, POLICY, 3) == ()
     # neither a failure nor a promotion since: nothing to count, no SoC to read
@@ -620,7 +618,9 @@ def run_checking_prunes(monkeypatch, scenario):
     """
     failures: dict[SonSignature, list[int]] = {}
     live: dict[int, SonSignature] = {}
-    promoted_at: dict[int, int] = {}
+    # the SoCs this tick's promotion pass grafted; the pruning pass that
+    # follows it in the same tick empties it
+    just_promoted: set[int] = set()
     seen = {"promotions": 0, "prunings": 0, "same_tick": 0}
 
     def booked(ledger, son, outcome, t, policy):
@@ -628,11 +628,11 @@ def run_checking_prunes(monkeypatch, scenario):
             failures.setdefault(SonSignature.of(son), []).append(t)
         return record_outcome(ledger, son, outcome, t, policy)
 
-    def promoting(ledger, h, t):
-        events = maybe_permanentify(ledger, h, t)
+    def promoting(ledger, h):
+        events = maybe_permanentify(ledger, h)
         for ev in events:
             live[ev.soc] = SonSignature(ev.activity, ev.members)
-            promoted_at[ev.soc] = t
+            just_promoted.add(ev.soc)
         seen["promotions"] += len(events)
         return events
 
@@ -647,7 +647,8 @@ def run_checking_prunes(monkeypatch, scenario):
         assert [ev.soc for ev in events] == expected, t
         for ev in events:
             assert ev.members == live.pop(ev.soc).members
-            seen["same_tick"] += promoted_at.pop(ev.soc) == t
+            seen["same_tick"] += ev.soc in just_promoted
+        just_promoted.clear()
         seen["prunings"] += len(events)
         return events
 

@@ -243,7 +243,7 @@ def test_validate_reports_corruption(nested):
     # smuggle in an out of order registry and a foreign provider
     reg = nested.registries[1]
     reg.service_entries = list(reversed(reg.service_entries))
-    reg.service_entries.append(ServiceEntry(provider=6, role=0, registered_at=0))
+    reg.service_entries.append(ServiceEntry(provider=6, role=0))
     codes = {v.code for v in validate(nested)}
     assert "RegistryOrder" in codes
     assert "ProviderNotMember" in codes
@@ -263,7 +263,7 @@ def test_registration_punctualizes_composites(nested):
     ground = nested.registries[1].service_entries
     assert {(e.provider, e.role, e.via) for e in ground} == {(3, 0, None), (4, 1, None)}
     for s in nested.composites():
-        assert nested.registries[s].service_entries == initial_offers(nested, s, 0)
+        assert nested.registries[s].service_entries == initial_offers(nested, s)
 
 
 def _top_down(holons):
@@ -285,9 +285,9 @@ def test_registration_does_not_depend_on_id_order(seed):
     doc = random_scenario_dict(seed)
     for holons in (doc["holarchy"], _top_down(doc["holarchy"])):
         h = build_holarchy(_holons_of(holons), roles(len(doc["roles"])))
-        register_initial_services(h, t=3)
+        register_initial_services(h)
         for s in h.composites():
-            assert h.registries[s].service_entries == initial_offers(h, s, 3), (seed, s)
+            assert h.registries[s].service_entries == initial_offers(h, s), (seed, s)
     # the renumbered holarchy really is numbered top-down
     assert all(m > s for s in h.composites() for m in h.holons[s].members)
 
@@ -309,7 +309,7 @@ def test_validate_reports_a_composite_member_missing_from_its_registry():
 
 def test_validate_reports_a_promoted_team_missing_from_its_anchor(nested):
     register_initial_services(nested)
-    team = nested.graft((5, 6), 0, 1)
+    team = nested.graft((5, 6), 0)
     assert validate(nested) == []
     reg = nested.registries[0]
     reg.service_entries = [e for e in reg.service_entries if e.via != team]
@@ -318,27 +318,31 @@ def test_validate_reports_a_promoted_team_missing_from_its_anchor(nested):
 
 def test_ranked_offers_follow_every_registry_writer(nested):
     assert nested.ranked_offers(0, 0) == ()
-    register_initial_services(nested, t=5)
-    assert nested.ranked_offers(0, 0) == ((5, 3), (5, 5))
-    assert nested.ranked_offers(1, 0) == ((5, 3),)
+    register_initial_services(nested)
+    assert nested.ranked_offers(0, 0) == (3, 5)
+    assert nested.ranked_offers(1, 0) == (3,)
 
-    # a team whose offers are older than the root's own outranks them there
-    assert nested.graft((5, 6), 0, 1) == 7
-    assert nested.ranked_offers(0, 0) == ((1, 5), (5, 3))
-    assert nested.ranked_offers(7, 2) == ((1, 5), (1, 6))
+    # the anchor already offers a team's members, so its views keep their actors
+    assert nested.graft((5, 6), 0) == 7
+    assert nested.ranked_offers(0, 0) == (3, 5)
+    assert nested.ranked_offers(7, 0) == (5,)
+    assert nested.ranked_offers(7, 2) == (5, 6)
 
     assert nested.remove(7) == 0
-    assert nested.ranked_offers(0, 0) == ((5, 3), (5, 5))
+    assert nested.ranked_offers(0, 0) == (3, 5)
 
     # the freed id comes back for a different team
-    assert nested.graft((3, 4), 0, 2) == 7
-    assert nested.ranked_offers(7, 0) == ((2, 3),)
+    assert nested.graft((3, 4), 0) == 7
+    assert nested.ranked_offers(7, 0) == (3,)
     assert nested.ranked_offers(7, 2) == ()
-    assert nested.ranked_offers(0, 0) == ((2, 3), (5, 5))
+
+    # a retraction drops the views it changes
+    nested.registries[0].retract(2)
+    assert nested.ranked_offers(0, 0) == (3,)
 
 
 def test_ranked_offers_skip_providers_that_cannot_play_the_role(nested):
     register_initial_services(nested)
-    assert nested.ranked_offers(1, 0) == ((0, 3),)
-    nested.registries[1].offer([ServiceEntry(4, 0, registered_at=1), ServiceEntry(9, 0, registered_at=1)])
-    assert nested.ranked_offers(1, 0) == ((0, 3),)
+    assert nested.ranked_offers(1, 0) == (3,)
+    nested.registries[1].offer([ServiceEntry(4, 0), ServiceEntry(9, 0)])
+    assert nested.ranked_offers(1, 0) == (3,)
