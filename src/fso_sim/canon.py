@@ -17,22 +17,19 @@ span several SoCs. Everything here is deterministic: candidates are ranked
 by actor id, and role slots are filled with the lexicographically least
 workable assignment.
 
-Escalation only ever widens the view, so a request keeps one candidate pool
-and grows it hop by hop: hop k merges in the registry of the k-th SoC on the
-chain and nothing else. An activity with ``s`` role slots never needs more
-than each role's best ``s`` idle candidates (see :func:`_solve`), so that is
-all the pool keeps: per role the activity asks for, the at most ``s``
-lowest ids among the idle actors the registries merged so far offer, in
-ascending order. The merge order does not matter.
-
-A registry is read through the holarchy's ranked offer view
-(:meth:`Holarchy.ranked_offers`): per role, every actor it offers, once,
-in id order, with punctualized entries already unfolded. The view is
-built on first use and again only after that registry's service entries
-change. A hop reads each view from the front, stops after ``s`` idle
-actors and merges what it read into the list in one step, or takes it
-as the list when the list is empty. Data topics come from each
-registry's maintained topic set. So while the views, the chain and the
+Escalation only ever widens the view. Each SoC on the chain lists the one
+below it as a member, so the actors under it include every actor under the
+SoCs visited before, and hop k reads only the role atoms of the k-th SoC
+(:meth:`Holarchy.role_atoms`): per role, the actors under it that can play
+the role, in id order. They are exactly the actors the visited registries
+offer once each punctualized entry is unfolded, so staffing reads no
+service entry. An activity with ``s`` role slots never needs more than each
+role's best ``s`` idle candidates (see :func:`_solve`), so that is all a
+hop's pool keeps: per role the activity asks for, the at most ``s`` lowest
+ids among the idle actors under the hop's SoC, in ascending order. A hop
+reads each role's atoms from the front and stops after ``s`` idle actors.
+Data topics come from each registry's maintained topic set and carry over
+from hop to hop. So while the chain, the actors under its SoCs and the
 topics stay put, which of the actors its scans read were idle fixes a
 request's answer, and :func:`resolve_request` can replay it from a memo.
 
@@ -356,28 +353,30 @@ def resolve_request(
     Hop k applies the representative rule at the k-th SoC of the chain to
     the root; when it fails, the exception rule passes the request to the
     (k+1)-th, and past the root the request is unresolved. Each escalation
-    widens the view: the community at hop k works with the registries of the
-    whole visited chain, so information published below stays usable above.
-    The pool and the data topics seen so far carry over from hop to hop, and
-    hop k adds only the k-th registry. Escalation hops are recorded for the
-    trace. A staffed request spans the start SoC and its members' home
-    SoCs; an unresolved one ends at the root and spans none. The chain is
-    walked through ``h.parent`` one hop at a time, never built whole: a
-    request staffed at its start SoC, the usual case, looks no higher.
+    widens the view: the community at hop k works with every actor under
+    the k-th SoC and with the information published on the whole visited
+    chain, so information published below stays usable above. The data
+    topics seen so far carry over from hop to hop, and hop k adds only the
+    k-th registry's. Escalation hops are recorded for the trace. A staffed
+    request spans the start SoC and its members' home SoCs; an unresolved
+    one ends at the root and spans none. The chain is walked through
+    ``h.parent`` one hop at a time, never built whole: a request staffed at
+    its start SoC, the usual case, looks no higher.
 
     Each hop takes one pass over the activity's distinct roles. A role's
-    ranked offer view is read from the front, skipping busy actors, and
-    left after ``s`` idle ones, since those beat any later one. What was
-    read joins the role's list: an empty list becomes it, and otherwise,
-    unless the two are equal, their union is sorted and cut to ``s``. The
-    cut loses nothing: an actor that falls off is beaten by ``s`` lower
-    ids, which stay in the pool at every later hop.
+    atoms at the hop's SoC are read from the front, skipping busy actors,
+    and left after ``s`` idle ones, since those beat any later one. That
+    one read is the whole visited chain's pool: the hop's SoC lists the
+    previous hop's as a member, so its role atoms contain every earlier
+    hop's, and no pool is kept from hop to hop.
 
     The answer depends on ``state`` only through which actors the scans
     read were idle, so a ``memo`` keeps, per activity id and start SoC, the
     last staffed and the last failed answer with the actors read idle and
     busy, and replays one while the first are all idle and the second all
-    busy. The caller empties it on a new topic, a graft and a remove.
+    busy. The caller empties it when a registry gets a topic it did not
+    hold, and when the chain from a start SoC it uses, or the actors under
+    a SoC on that chain, change.
     """
     node = h.holons.get(start_soc)
     if node is None or not node.is_composite:
@@ -390,31 +389,26 @@ def resolve_request(
             if idle.isdisjoint(were_busy) and idle.issuperset(were_idle):
                 return answer
     parent = h.parent
-    ranked_offers = h.ranked_offers
+    role_atoms = h.role_atoms
     roles = dict.fromkeys(activity.required_roles)
     s = len(activity.required_roles)
     hops: list[HopRecord] = []
-    pool: Pool = {}
     data: set[str] = set()
     read: list[HolonId] = []  # the actors the scans read idle
     busy: list[HolonId] = []  # the actors they read busy
     soc = start_soc
     while True:
+        pool: Pool = {}
         for role in roles:
-            fresh = []
-            for a in ranked_offers(soc, role):
+            best = pool[role] = []
+            for a in role_atoms(soc, role):
                 if a in idle:
-                    fresh.append(a)
-                    if len(fresh) == s:
+                    best.append(a)
+                    if len(best) == s:
                         break
                 else:
                     busy.append(a)
-            read += fresh
-            best = pool.get(role)
-            if not best:
-                pool[role] = fresh
-            elif fresh and fresh != best:
-                pool[role] = sorted({*best, *fresh})[:s]
+            read += best
         if activity.required_data:
             data |= h.registries[soc].topics
         missing, assignment = _solve(activity, pool, data)

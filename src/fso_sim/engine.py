@@ -41,14 +41,17 @@ dissolved, at most ``retry_bound`` of them. Each failed attempt writes a
 was ``final``, and a request still parked when the run ends gets one more
 record with ``final`` true.
 
-Staffing reads only the activity, its start SoC, the registries and which
-actors its scans read are idle, so each attempt makes one call to
+Staffing reads only the activity, its start SoC, the actors under each SoC
+on its chain, the topics of their registries and which actors its scans
+read are idle, so each attempt makes one call to
 :func:`~fso_sim.canon.resolve_request` with the simulation's memo, which
 answers a repeat from memory (see there). A replay writes the same records
-and, when it fails, spends a retry. The memo is emptied when evolution
-grafts or removes a SoC and when a publish brings a registry a topic it did
-not hold. With debug enabled every attempt is also resolved afresh without
-the memo, and a different answer raises InvariantViolationError.
+and, when it fails, spends a retry. The memo is emptied when a publish
+brings a registry a topic it did not hold, and only then: a start SoC is a
+scenario SoC, and evolution neither puts a promoted SoC on a chain nor
+changes the actors under a scenario SoC. With debug enabled every attempt
+is also resolved afresh without the memo, and a different answer raises
+InvariantViolationError.
 """
 
 from __future__ import annotations
@@ -552,6 +555,9 @@ def _debug_default() -> bool:
 class Simulation:
     """One run over a scenario: deterministic given (scenario, seed).
 
+    The staffing memo ``_memo`` lives for the whole run and is emptied only
+    when a publish brings a registry a topic it did not hold; grafts and
+    removes leave every staffing chain and the actors under it as they were.
     With debug enabled (FSO_SIM_DEBUG=1 or debug=True) the latent/responding
     partition and every rule of :func:`fso_sim.holarchy.validate` are
     re-checked after every step, every attempt is resolved again without
@@ -713,8 +719,7 @@ class Simulation:
         self._pending = parked
 
     def _phase_evolution(self, t: int) -> None:
-        promotions = maybe_permanentify(self.ledger, self.holarchy)
-        for ev in promotions:
+        for ev in maybe_permanentify(self.ledger, self.holarchy):
             self._emit(
                 "Permanentified",
                 soc=ev.soc,
@@ -722,12 +727,8 @@ class Simulation:
                 members=list(ev.members),
                 activity=ev.activity,
             )
-        prunes = maybe_prune(self.ledger, self.holarchy, self.scenario.policy, t)
-        for ev in prunes:
+        for ev in maybe_prune(self.ledger, self.holarchy, self.scenario.policy, t):
             self._emit("Pruned", soc=ev.soc, parent=ev.parent, members=list(ev.members))
-        if promotions or prunes:
-            # a graft or a removal rewrites the registries and the chain staffing reads
-            self._memo.clear()
 
     def _check_invariants(self) -> None:
         try:

@@ -5,8 +5,8 @@ Every dissolved overlay community leaves a record keyed by its signature
 succeeding get promoted: the recurring overlay becomes a permanent SoC
 grafted under the lowest community that contains all its members.
 Promotion does not yet let a later request be answered without climbing:
-that ancestor already offers every member, so its ranked offers stay the
-same, and a promoted SoC is never a request's start SoC nor any holon's
+the members are already under that ancestor, so no SoC's role atoms
+change, and a promoted SoC is never a request's start SoC nor any holon's
 parent, so it is never on a staffing chain. No staffing decision changes.
 Promoted SoCs that then keep failing are pruned again, restoring the
 earlier shape.

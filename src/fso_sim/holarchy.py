@@ -36,10 +36,9 @@ its anchor, so neither edit changes the actor set of any other SoC and the
 role-atom cache keeps every other entry.
 A removed id forgets its role atoms, because :meth:`Holarchy.graft` gives
 each new SoC the next free id, ``max(holons) + 1``, and so may reuse it for
-a different team. Each registry keeps its own ranked offer views
-(:meth:`Holarchy.ranked_offers`), and its only writers,
-:meth:`Registry.offer` and :meth:`Registry.retract`, drop them. A promoted
-SoC starts with a fresh registry and a removed one takes its views with it.
+a different team. Staffing reads the role atoms, not the registries: a
+registry's service entries, unfolded, offer exactly its SoC's role atoms,
+and they stay the record of offers that :func:`validate` audits.
 """
 
 from __future__ import annotations
@@ -131,23 +130,18 @@ class Registry:
     """Per-SoC store of service offers and published information.
 
     Entries are stored in (provider, role) order, which :func:`validate`'s
-    ``RegistryOrder`` rule audits. Staffing does not read that order: it
-    ranks actors by id through :meth:`Holarchy.ranked_offers`, which unfolds
-    each ``via`` entry to the role atoms of its member, so a proxy's
-    provider (the member's representative) is never ranked. Only :meth:`offer`
-    and :meth:`retract` write the entries, and both drop the ranked ``views``
-    :meth:`Holarchy.ranked_offers` keeps here. ``topics`` is the set of
-    topics among ``info_entries``; :func:`fso_sim.canon.publish` keeps it
-    up to date, so staffing never rescans the information list.
+    ``RegistryOrder`` rule audits. Staffing does not read the entries: it
+    reads :meth:`Holarchy.role_atoms`, the actors the entries offer once
+    each ``via`` entry is unfolded to the role atoms of its member, so a
+    proxy's provider (the member's representative) is never ranked. Only
+    :meth:`offer` and :meth:`retract` write the entries. ``topics`` is the
+    set of topics among ``info_entries``; :func:`fso_sim.canon.publish`
+    keeps it up to date, so staffing never rescans the information list.
     """
 
     service_entries: list[ServiceEntry] = field(default_factory=list, init=False)
     info_entries: list[InformationItem] = field(default_factory=list, init=False)
     topics: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
-    # role -> every actor offered for it, ascending
-    views: dict[RoleId, tuple[HolonId, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def topics_present(self) -> set[str]:
         return set(self.topics)
@@ -156,12 +150,10 @@ class Registry:
         """Merge ``entries`` into the service entries, in canonical order."""
         self.service_entries.extend(entries)
         self.service_entries.sort(key=ServiceEntry.sort_key)
-        self.views.clear()
 
     def retract(self, via: HolonId) -> None:
         """Drop every entry registered via the composite member ``via``."""
         self.service_entries = [e for e in self.service_entries if e.via != via]
-        self.views.clear()
 
 
 @dataclass(frozen=True)
@@ -263,33 +255,6 @@ class Holarchy:
             by_role = {r: tuple(actors) for r, actors in buckets.items()}
             self._role_atoms[soc] = by_role
         return by_role.get(role, ())
-
-    def ranked_offers(self, soc: HolonId, role: RoleId) -> tuple[HolonId, ...]:
-        """Every actor ``soc``'s registry offers for ``role``, once each, in id order.
-
-        A direct entry counts when its provider is an existing actor holding
-        the role; a punctualized entry stands for the role atoms of the
-        member it was registered via. The first call for a SoC and role
-        reads the registry once, and the view lives in the registry until
-        its next write.
-        """
-        reg = self.registries[soc]
-        try:
-            return reg.views[role]
-        except KeyError:
-            pass
-        actors: set[HolonId] = set()
-        for entry in reg.service_entries:
-            if entry.role != role:
-                continue
-            if entry.via is None:
-                provider = self.holons.get(entry.provider)
-                if provider is not None and provider.is_atomic and role in provider.capabilities:
-                    actors.add(entry.provider)
-            else:
-                actors.update(self.role_atoms(entry.via, role))
-        view = reg.views[role] = tuple(sorted(actors))
-        return view
 
     def holds_members(self, members: tuple[HolonId, ...]) -> bool:
         """Whether some SoC's member list, sorted, is exactly ``members``."""

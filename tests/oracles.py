@@ -255,15 +255,16 @@ def full_pool_resolve(
 ) -> dict[str, Any]:
     """Settle a staffing request from every registry entry on the chain.
 
-    Unlike :func:`oracle_resolve` this reads the registries rather than the
-    subtrees: at hop k the pool holds every idle actor that some entry of
-    the first k + 1 registries offers for a slot's role, in id order, with
-    nothing cut off. A direct entry counts when its provider is an actor
-    holding the role; a punctualized entry stands for the capable actors
-    under the member it was registered via. Missing slots come from the
-    greedy rule (keep a slot while the kept ones still have an injective
-    assignment), and the assignment is the first injective tuple of the
-    product of the full ranked lists.
+    Unlike :func:`oracle_resolve` and the solver, which read the actors
+    under each SoC, this is the one resolver that reads the registries'
+    entries, unfolded to actors: at hop k the pool holds every idle actor
+    that some entry of the first k + 1 registries offers for a slot's role,
+    in id order, with nothing cut off. A direct entry counts when its
+    provider is an actor holding the role; a punctualized entry stands for
+    the capable actors under the member it was registered via. Missing
+    slots come from the greedy rule (keep a slot while the kept ones still
+    have an injective assignment), and the assignment is the first
+    injective tuple of the product of the full ranked lists.
     """
     chain = chain_up(h, start_soc)
     slots = tuple(sorted(activity.required_roles))

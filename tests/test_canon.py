@@ -328,19 +328,31 @@ def test_the_last_staffed_and_the_last_failed_answer_are_both_kept(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_an_answer_from_memory_is_the_answer_resolved_afresh(seed, data):
+    # evolution grafts and removes teams between steps and never empties the
+    # memo: requests start at scenario SoCs, whose actors no graft changes
     scenario = random_scenario(seed, horizon=20, quiet_evolution=True)
     h = build_holarchy(scenario.holons, scenario.roles)
     register_initial_services(h)
     state, memo = initial_state(h), {}
+    starts = h.composites()
     capable = [a for a in h.atoms() if h.holons[a].capabilities]
+    grafted = []
     for step in range(data.draw(st.integers(1, 6), label="steps")):
         for a in data.draw(st.lists(st.sampled_from(capable), max_size=4), label=f"flips {step}") if capable else ():
             if a in state.inactive:
                 enroll(state, h, a, min(h.holons[a].capabilities), son_id=99)
             else:
                 release(state, a)
+        edit = data.draw(st.sampled_from(["none", "graft", "remove"]), label=f"edit {step}")
+        if edit == "graft":
+            anchor = data.draw(st.sampled_from(starts), label=f"anchor {step}")
+            under = sorted(h.subtree_atoms(anchor))
+            team = data.draw(st.lists(st.sampled_from(under), min_size=1, unique=True), label=f"team {step}")
+            grafted.append(h.graft(tuple(sorted(team)), anchor))
+        elif edit == "remove" and grafted:
+            h.remove(grafted.pop(data.draw(st.integers(0, len(grafted) - 1), label=f"removed {step}")))
         for activity in scenario.activities.activities:
-            for start in h.composites():
+            for start in starts:
                 assert resolve_request(activity, start, h, state, memo) == resolve_request(activity, start, h, state)
 
 

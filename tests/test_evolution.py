@@ -317,14 +317,13 @@ def assert_role_atoms_fresh(h):
             assert list(h.role_atoms(s, r)) == fresh, (s, r)
 
 
-def warm_ranked_offers(h):
-    for s in h.composites():
-        for r in h.roles:
-            h.ranked_offers(s, r)
+def assert_registries_offer_role_atoms(h):
+    """Each SoC's registry, unfolded, offers exactly its role atoms, and they nest.
 
-
-def assert_ranked_offers_fresh(h):
-    """Each SoC's view against one built from its registry and subtree walks."""
+    Staffing reads each hop's role atoms in place of the registries' offer
+    record, so the two must agree; and a hop's own atoms stand for the
+    whole visited chain's only while every SoC's atoms hold its members'.
+    """
     for s in h.composites():
         for r in sorted(h.roles):
             offered = set()
@@ -335,27 +334,27 @@ def assert_ranked_offers_fresh(h):
                     offered.update([e.provider] if r in h.holons[e.provider].capabilities else [])
                 else:
                     offered.update(a for a in h.subtree_atoms(e.via) if r in h.holons[a].capabilities)
-            assert list(h.ranked_offers(s, r)) == sorted(offered), (s, r)
+            assert list(h.role_atoms(s, r)) == sorted(offered), (s, r)
+            if s in h.parent:
+                assert set(h.role_atoms(s, r)) <= set(h.role_atoms(h.parent[s], r)), (s, r)
 
 
 def run_checking_role_atoms(monkeypatch, scenario):
     """Run a scenario, checking the caches after every promotion and pruning.
 
-    The holarchy going into each evolution step has a full role-atom cache
-    and every ranked offer view built, so every check reads entries kept
-    from before the step.
+    The holarchy going into each evolution step has a full role-atom cache,
+    so every check reads entries kept from before the step.
     """
     seen = {"promotions": 0, "prunings": 0}
 
     def checked(fn, counter):
         def evolve(ledger, h, *args):
             warm_role_atoms(h)
-            warm_ranked_offers(h)
             events = fn(ledger, h, *args)
             if events:
                 seen[counter] += len(events)
                 assert_role_atoms_fresh(h)
-                assert_ranked_offers_fresh(h)
+                assert_registries_offer_role_atoms(h)
             return events
 
         return evolve

@@ -316,33 +316,31 @@ def test_validate_reports_a_promoted_team_missing_from_its_anchor(nested):
     assert [(v.code, v.holon) for v in validate(nested)] == [("RepresentativeNotRegistered", 0)]
 
 
-def test_ranked_offers_follow_every_registry_writer(nested):
-    assert nested.ranked_offers(0, 0) == ()
+def test_graft_remove_and_id_reuse_leave_every_scenario_socs_role_atoms(nested):
     register_initial_services(nested)
-    assert nested.ranked_offers(0, 0) == (3, 5)
-    assert nested.ranked_offers(1, 0) == (3,)
+    pairs = [(s, r) for s in nested.composites() for r in sorted(nested.roles)]
 
-    # the anchor already offers a team's members, so its views keep their actors
+    def cached():
+        return {(s, r): nested.role_atoms(s, r) for s, r in pairs}
+
+    def walked():
+        holons = nested.holons
+        return {(s, r): tuple(a for a in sorted(nested.subtree_atoms(s)) if r in holons[a].capabilities) for s, r in pairs}
+
+    before = cached()
+    assert (before[0, 0], before[1, 0], before[2, 2]) == ((3, 5), (3,), (5, 6))
+
+    # a team's members are actors already under its anchor
     assert nested.graft((5, 6), 0) == 7
-    assert nested.ranked_offers(0, 0) == (3, 5)
-    assert nested.ranked_offers(7, 0) == (5,)
-    assert nested.ranked_offers(7, 2) == (5, 6)
+    assert nested.role_atoms(7, 0) == (5,)
+    assert nested.role_atoms(7, 2) == (5, 6)
+    assert cached() == walked() == before
 
     assert nested.remove(7) == 0
-    assert nested.ranked_offers(0, 0) == (3, 5)
+    assert cached() == walked() == before
 
     # the freed id comes back for a different team
     assert nested.graft((3, 4), 0) == 7
-    assert nested.ranked_offers(7, 0) == (3,)
-    assert nested.ranked_offers(7, 2) == ()
-
-    # a retraction drops the views it changes
-    nested.registries[0].retract(2)
-    assert nested.ranked_offers(0, 0) == (3,)
-
-
-def test_ranked_offers_skip_providers_that_cannot_play_the_role(nested):
-    register_initial_services(nested)
-    assert nested.ranked_offers(1, 0) == (3,)
-    nested.registries[1].offer([ServiceEntry(4, 0), ServiceEntry(9, 0)])
-    assert nested.ranked_offers(1, 0) == (3,)
+    assert nested.role_atoms(7, 0) == (3,)
+    assert nested.role_atoms(7, 2) == ()
+    assert cached() == walked() == before
