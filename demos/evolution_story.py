@@ -27,11 +27,11 @@ def run_and_tell(name: str) -> None:
             print(f"t={r.tick}: overlay of actors {[a for a, _ in p['members']]} finished: {p['outcome']}")
         elif r.kind == "Permanentified":
             print(
-                f"t={r.tick}: actors {p['members']} promoted into permanent community "
+                f"t={r.tick}: actors {list(p['members'])} promoted into permanent community "
                 f"{p['soc']} under {p['parent']}"
             )
         elif r.kind == "Pruned":
-            print(f"t={r.tick}: community {p['soc']} pruned, members {p['members']} disband")
+            print(f"t={r.tick}: community {p['soc']} pruned, members {list(p['members'])} disband")
     # one unit per successful overlay the two actors shared, folded from the trace
     strength = float(
         sum(

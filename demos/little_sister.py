@@ -24,13 +24,13 @@ def narrate(record) -> str:
         return f"t={record.tick}: activity {p['activity']} wakes up (request {p['request']})"
     if record.kind == "ExceptionRaised":
         return (
-            f"t={record.tick}: community {p['from_soc']} cannot staff roles {p['missing']}, "
+            f"t={record.tick}: community {p['from_soc']} cannot staff roles {list(p['missing'])}, "
             f"asks {p['to_soc']} (hop {p['hop']})"
         )
     if record.kind == "SonFormed":
         members = ", ".join(f"actor {a} as role {r}" for a, r in p["members"])
         return (
-            f"t={record.tick}: overlay {p['son']} forms across communities {p['spanned_socs']} "
+            f"t={record.tick}: overlay {p['son']} forms across communities {list(p['spanned_socs'])} "
             f"with {members}; works until t={p['dissolves_at']}"
         )
     if record.kind == "SonDissolved":

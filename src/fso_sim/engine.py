@@ -14,7 +14,11 @@ simulator turns a scenario into a
 stream of trace records, one JSON object per line, so that a (scenario,
 seed) pair reproduces the same trace byte for byte. Payload values are
 integers, the strings ``topic`` and ``outcome``, the boolean ``final`` of
-``RequestUnresolved``, and lists of integers or of ``[actor, role]`` pairs.
+``RequestUnresolved``, and arrays of integers or of ``[actor, role]`` pairs.
+In memory an array is the tuple the engine already holds, never a copy; on
+disk it is a JSON array, which :func:`parse_trace` reads back as a list, so
+records compare with the ones written line for line and :func:`report` folds
+either form.
 
 Within a tick the order is fixed: due overlays dissolve, environment
 arrivals are published, triggered activities resolve in activity id order
@@ -158,7 +162,9 @@ class TraceRecord:
 
     Built once per event and then only read, never hashed (its payload is
     a dict, so it could not be): slotted rather than frozen, since a frozen
-    field costs a call on every construction.
+    field costs a call on every construction. An emitted record's arrays
+    are plain tuples shared with the engine's state, a parsed one's are
+    lists, so the two compare equal only by :meth:`to_line`.
     """
 
     tick: int
@@ -609,7 +615,7 @@ class Simulation:
             origin_soc=r.origin_soc,
             attempt=self.scenario.retry_bound - r.retries_left,
             final=final,
-            missing=list(r.last_missing),
+            missing=r.last_missing,
             triggered_at=r.triggered_at,
         )
 
@@ -626,7 +632,7 @@ class Simulation:
                 son=son.id,
                 activity=son.activity,
                 outcome=outcome.value,
-                members=[[a, r] for a, r in son.members],
+                members=son.members,
                 l_size=l_size,
                 r_size=r_size,
             )
@@ -671,7 +677,7 @@ class Simulation:
                 from_soc=hop.from_soc,
                 to_soc=hop.to_soc,
                 hop=hop.hop,
-                missing=list(hop.missing),
+                missing=hop.missing,
             )
         if result.missing:
             r.last_missing = result.missing
@@ -688,8 +694,8 @@ class Simulation:
             activity=son.activity,
             origin_soc=r.origin_soc,
             resolved_soc=result.resolved_soc,
-            members=[[a, role] for a, role in son.members],
-            spanned_socs=sorted(result.spanned_socs),
+            members=son.members,
+            spanned_socs=tuple(sorted(result.spanned_socs)),
             hop_count=len(result.hops),
             triggered_at=r.triggered_at,
             dissolves_at=son.dissolves_at,
@@ -724,11 +730,11 @@ class Simulation:
                 "Permanentified",
                 soc=ev.soc,
                 parent=ev.parent,
-                members=list(ev.members),
+                members=ev.members,
                 activity=ev.activity,
             )
         for ev in maybe_prune(self.ledger, self.holarchy, self.scenario.policy, t):
-            self._emit("Pruned", soc=ev.soc, parent=ev.parent, members=list(ev.members))
+            self._emit("Pruned", soc=ev.soc, parent=ev.parent, members=ev.members)
 
     def _check_invariants(self) -> None:
         try:

@@ -366,7 +366,7 @@ def replay_partition(records: list[Any], atom_count: int) -> list[str]:
     """
     problems = []
     active: dict[int, tuple[int, int]] = {}
-    open_sons: dict[int, list[list[int]]] = {}
+    open_sons: dict[int, Any] = {}
     for r in records:
         if r.kind == "SonFormed":
             son = r.payload["son"]

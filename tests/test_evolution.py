@@ -512,10 +512,10 @@ def test_a_team_stays_blocked_while_its_anchor_lists_it_again(monkeypatch):
     ]
     # activity 2's team (1, 2, 3) is never promoted: SoC 6, then SoC 4, holds it
     assert evolution == [
-        (3, "Permanentified", 5, [1, 2]),
-        (6, "Permanentified", 6, [1, 2, 3]),
-        (12, "Pruned", 5, [1, 2]),
-        (15, "Pruned", 6, [1, 2, 3]),
+        (3, "Permanentified", 5, (1, 2)),
+        (6, "Permanentified", 6, (1, 2, 3)),
+        (12, "Pruned", 5, (1, 2)),
+        (15, "Pruned", 6, (1, 2, 3)),
     ]
 
 
