@@ -28,13 +28,14 @@ promotes or prunes. Each phase runs only when it has work: a tick with no
 dissolve, no arrival and nothing ready to promote or to re-check for
 pruning costs a few comparisons. :meth:`Simulation.step` is still exactly
 one tick; :meth:`Simulation.run` is one loop over due ticks, which are the
-arrival and dissolve ticks and the tick after a prune that freed a ready
-signature for promotion, and it jumps the clock over the rest. The same
+arrival and dissolve ticks and the tick after one that freed a ready
+signature's member set for promotion, by a prune or by a graft that
+relisted its anchor, and it jumps the clock over the rest. The same
 loop drains past the horizon, so every formation has its dissolution on
 record. Events arrive only before the horizon, but drain ticks are full
 ticks: parked requests retry on them, so a SON can form at or after the
-horizon and is drained in turn, and a prune on them frees a signature for
-promotion on the next tick.
+horizon and is drained in turn, and a prune or a graft on them can free a
+signature for promotion on the next tick.
 
 A staffing request is one record from its trigger to its close, and
 :meth:`Simulation._attempt` is the one place an attempt at it is settled,
@@ -779,14 +780,15 @@ class Simulation:
         """Run to the end in one loop over due ticks, then close parked requests.
 
         A tick is due when an arrival or an open overlay's dissolve falls on
-        it, and the clock's own tick is due when a prune has freed a ready
-        signature for promotion. The loop steps the least due tick until none
-        is left. The ticks it jumps over would do nothing, so the trace is
-        that of stepping every tick. Arrivals come only before the horizon,
-        so past it the loop drains: parked requests retry on dissolve ticks
-        and may form SONs, which are drained in turn, and freed signatures
-        are promoted. Requests still parked are closed at the horizon, or
-        after the last step if that is later.
+        it, and the clock's own tick is due when a prune, or a graft that
+        relisted its anchor, has freed a ready signature for promotion. The
+        loop steps the least due tick until none is left. The ticks it jumps
+        over would do nothing, so the trace is that of stepping every tick.
+        Arrivals come only before the horizon, so past it the loop drains:
+        parked requests retry on dissolve ticks and may form SONs, which are
+        drained in turn, and freed signatures are promoted. Requests still
+        parked are closed at the horizon, or after the last step if that is
+        later.
         """
         while True:
             if not promotion_due(self.ledger, self.holarchy):

@@ -16,7 +16,10 @@ stays the same when another source is added or removed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import takewhile
 from math import floor, inf, log1p
+from operator import gt
 from typing import Iterator, NamedTuple
 
 from .holarchy import HolonId, InformationItem, LogicalTime
@@ -135,16 +138,20 @@ def sample_arrivals(
 
     Sorted by (time, source index): simultaneous arrivals keep the order
     sources are declared in, which pins down the whole run.
+
+    Every arrival, and the item it carries, is built here once, when a run
+    is set up. Each arrival is made with ``tuple.__new__``, as
+    ``Arrival._make`` does, which skips the NamedTuple's Python-level
+    constructor; with :class:`InformationItem` slotted rather than frozen,
+    an arrival costs one resumption of its stream and one ``__init__``.
     """
     t0, t1 = window
+    before_end = partial(gt, t1)
+    new = tuple.__new__
     out: list[Arrival] = []
     for index, source in enumerate(sources):
         topic, soc = source.topic, source.injection_soc
-        for t in source.process.arrivals(source_state(seed, index)):
-            if t >= t1:
-                break
-            if t >= t0:
-                out.append(Arrival(t, index, InformationItem(topic, soc, t)))
+        stream = takewhile(before_end, source.process.arrivals(source_state(seed, index)))
+        out += [new(Arrival, (t, index, InformationItem(topic, soc, t))) for t in stream if t >= t0]
     out.sort()
     return out
-

@@ -29,8 +29,11 @@ just the promoted signatures that failed, or were promoted, since the last
 :func:`maybe_prune`, and a tick with neither prunes without looking at any
 SoC. With both sets empty, neither function does anything, so the engine
 skips evolution on such ticks; and since ``maybe_prune`` empties
-``recheck``, a tick can leave work due on the next one only by pruning a
-SoC that blocked a ready signature, which :func:`promotion_due` tells.
+``recheck``, a tick can leave work due on the next one only by freeing the
+member set of a ready signature. A prune frees it by removing the SoC that
+held it. A graft can too: it adds the promoted SoC to its anchor's member
+list, so an anchor that held a ready signature's set when the pass started
+holds it no longer. :func:`promotion_due` tells either.
 """
 
 from __future__ import annotations
@@ -176,8 +179,10 @@ def promotion_due(ledger: ExperienceLedger, h: Holarchy) -> bool:
     """Whether :func:`maybe_permanentify` would promote anything now.
 
     A ready signature waits only while some SoC holds its member set, and a
-    promotion pass takes every other one, so after a pass this turns true
-    only when a prune frees a member set.
+    promotion pass takes only those whose set no SoC held when it started.
+    After a pass this turns true when a prune frees a member set, or when a
+    graft of the pass relisted its anchor, which held a ready signature's
+    set when the pass started.
     """
     return any(not h.holds_members(sig.members) for sig in ledger.ready)
 

@@ -116,9 +116,15 @@ class ServiceEntry:
         return (self.provider, self.role)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class InformationItem:
-    """A published piece of information, matched against activity guards."""
+    """A published piece of information, matched against activity guards.
+
+    :func:`fso_sim.environment.sample_arrivals` builds one per arrival when
+    a run is set up. Slotted rather than frozen, like the other records
+    built per event: a frozen ``__init__`` sets each field through
+    ``object.__setattr__``, and nothing hashes an item.
+    """
 
     topic: str
     source: HolonId

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fso_sim.engine import load_scenario_file
 from fso_sim.environment import (
+    Arrival,
     EventSource,
     PeriodicProcess,
     PoissonProcess,
@@ -19,8 +24,11 @@ from fso_sim.environment import (
     sample_arrivals,
     source_state,
 )
+from fso_sim.holarchy import InformationItem
 
 from oracles import Rng
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_rng_streams_are_reproducible():
@@ -179,3 +187,65 @@ def test_sample_arrivals_output_is_pinned(seed, digest):
         for a in sample_arrivals(sources, (0, 2000), seed)
     ]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+
+def reference_arrivals(sources, window, seed):
+    """Each source's stream walked tick by tick, kept inside the window, sorted."""
+    t0, t1 = window
+    out = []
+    for index, source in enumerate(sources):
+        for t in source.process.arrivals(source_state(seed, index)):
+            if t >= t1:
+                break
+            if t0 <= t:
+                out.append(Arrival(t, index, InformationItem(source.topic, source.injection_soc, t)))
+    return sorted(out)
+
+
+processes = st.one_of(
+    # the two smallest rates overflow their first gap, so their streams are empty
+    st.builds(PoissonProcess, st.sampled_from([5e-324, 1e-310, 0.05, 0.2, 1.0, 7.0]) | st.floats(1e-3, 20.0)),
+    st.builds(PeriodicProcess, st.integers(1, 40), st.integers(0, 300)),
+    # repeated ticks tie on (time, source index)
+    st.lists(st.integers(0, 300), max_size=12).map(lambda ts: ScriptedProcess(tuple(sorted(ts + ts[:3])))),
+)
+event_sources = st.builds(EventSource, st.sampled_from(["a", "b", "c"]), st.integers(0, 20), processes)
+
+
+@given(
+    st.lists(event_sources, max_size=5).map(tuple),
+    st.integers(0, 300),
+    st.integers(-5, 300),
+    st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_sample_arrivals_matches_the_reference(sources, t0, length, seed):
+    # a negative length draws an empty window with t1 < t0
+    window = (t0, t0 + length)
+    arrivals = sample_arrivals(sources, window, seed)
+    assert arrivals == reference_arrivals(sources, window, seed)
+    assert all(type(a) is Arrival and type(a.item) is InformationItem for a in arrivals)
+
+
+def test_sample_arrivals_makes_at_most_two_python_calls_per_arrival():
+    # one resumption of the source's stream and one InformationItem.__init__;
+    # an Arrival built through its NamedTuple constructor would add a third
+    sources = load_scenario_file(str(SCENARIOS / "nine_actors.json")).sources
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    # a collection could run other code's finalizers and callbacks mid-count
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        arrivals = sample_arrivals(sources, (0, 20_000), seed=7)
+    finally:
+        sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
+    assert len(arrivals) > 3000
+    assert calls <= 2 * len(arrivals) + 10 * len(sources)

@@ -560,6 +560,8 @@ def test_an_anchor_stops_blocking_its_member_set_once_it_holds_a_promoted_soc():
     # the member sets held when the pass starts decide what it promotes
     assert [(e.soc, e.members) for e in maybe_permanentify(ledger, h)] == [(5, (0, 1))]
     assert ledger.ready == {SonSignature.of(trio)}
+    # no prune has happened: the graft itself freed the trio's member set
+    assert promotion_due(ledger, h)
     assert [(e.soc, e.parent, e.members) for e in maybe_permanentify(ledger, h)] == [(6, 4, (0, 1, 2))]
     assert ledger.ready == set()
     assert validate(h) == []
