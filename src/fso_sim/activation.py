@@ -14,22 +14,22 @@ raises leaves the state untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .holarchy import Holarchy, HolarchyError, Holon, HolonId, RoleId
+from .holarchy import Holarchy, HolarchyError, Holon, HolonId, HolonKind, RoleId
 
 
 class ActivationError(Exception):
     pass
 
 
-@dataclass(slots=True)
-class Binding:
+class Binding(NamedTuple):
     """What an active actor is doing: which role, inside which overlay.
 
-    Built once per enrollment and then only read, never hashed: slotted
-    rather than frozen, since a frozen field costs a call on every
-    construction.
+    Built once per enrollment and then only read. A tuple, built with
+    ``tuple.__new__`` as ``_make`` does, so building it makes no
+    Python-level call and reading a field is C-level; like every tuple it
+    carries no per-instance dict.
     """
 
     role: RoleId
@@ -61,8 +61,10 @@ def enroll(
     Raises ActivationError when a is already enrolled somewhere or cannot
     play ``role``, and HolarchyError when a is not an actor of this holarchy.
     """
-    node = h.holon(a)
-    if not node.is_atomic:
+    node = h.holons.get(a)
+    if node is None:
+        raise HolarchyError(f"holon {a} does not exist")
+    if node.kind is not HolonKind.ATOMIC:
         raise HolarchyError(f"holon {a} is composite; only actors enroll")
     if a in state.active:
         raise ActivationError(f"actor {a} is already enrolled")
@@ -71,7 +73,7 @@ def enroll(
     if role not in node.capabilities:
         raise ActivationError(f"actor {a} cannot play role {role}")
     state.inactive.remove(a)
-    state.active[a] = Binding(role, son_id)
+    state.active[a] = tuple.__new__(Binding, (role, son_id))
 
 
 def release(state: ActivationState, a: HolonId) -> None:

@@ -49,6 +49,7 @@ from .activation import ActivationState, enroll, release
 from .holarchy import (
     Holarchy,
     HolonId,
+    HolonKind,
     InformationItem,
     LogicalTime,
     Registry,
@@ -162,9 +163,10 @@ class Staffing:
 class Son:
     """A live temporary overlay community answering one activity instance.
 
-    Built once per formation and then only read, never hashed (the ledger
-    keys on its :class:`~fso_sim.evolution.SonSignature`): slotted rather
-    than frozen, since a frozen field costs a call on every construction.
+    Built once per formation and then only read, never hashed: the ledger
+    keys on its :class:`~fso_sim.evolution.SonSignature`, a tuple of the
+    activity and the sorted member ids. Slotted rather than frozen, since a
+    frozen field costs a call on every construction.
     """
 
     id: int
@@ -255,7 +257,7 @@ def _solve(
     the walk meets only taken actors and changes nothing.
     """
     slots = activity.required_roles
-    per_slot = [pool[role] for role in slots]
+    per_slot = list(map(pool.__getitem__, slots))
     slot_of: dict[HolonId, int] = {}
     actor_of: list[HolonId | None] = [None] * len(slots)
 
@@ -379,7 +381,7 @@ def resolve_request(
     a SoC on that chain, change.
     """
     node = h.holons.get(start_soc)
-    if node is None or not node.is_composite:
+    if node is None or node.kind is not HolonKind.COMPOSITE:
         raise CanonError(f"cannot resolve from {start_soc}, which is not a SoC")
 
     idle = state.inactive

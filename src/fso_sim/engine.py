@@ -24,14 +24,16 @@ Within a tick the order is fixed: due overlays dissolve, environment
 arrivals are published, triggered activities resolve in activity id order
 (earlier resolutions see the actors consumed by previous ones), parked
 requests retry if a dissolution freed actors this tick, and evolution
-promotes or prunes. Each phase runs only when it has work: a tick with no
-dissolve, no arrival and nothing ready to promote or to re-check for
-pruning costs a few comparisons. :meth:`Simulation.step` is still exactly
-one tick; :meth:`Simulation.run` is one loop over due ticks, which are the
-arrival and dissolve ticks and the tick after one that freed a ready
-signature's member set for promotion, by a prune or by a graft that
-relisted its anchor, and it jumps the clock over the rest. The same
-loop drains past the horizon, so every formation has its dissolution on
+promotes or prunes. Each phase runs only when it has work: evolution runs
+when a promoted signature is to be re-checked for pruning, or when a ready
+signature's member set is free (:func:`~fso_sim.evolution.promotion_due`),
+never for ready signatures that are all blocked, so a tick with no
+dissolve, no arrival and no evolution due costs a few comparisons.
+:meth:`Simulation.step` is still exactly one tick; :meth:`Simulation.run`
+is one loop over due ticks, which are the arrival and dissolve ticks and
+the tick after one that freed a ready signature's member set for
+promotion, by a prune or by a graft that relisted its anchor, and it jumps
+the clock over the rest. The same loop drains past the horizon, so every formation has its dissolution on
 record. Events arrive only before the horizon, but drain ticks are full
 ticks: parked requests retry on them, so a SON can form at or after the
 horizon and is drained in turn, and a prune or a graft on them can free a
@@ -490,11 +492,8 @@ def write_trace(records: Iterable[TraceRecord]) -> str:
     return "".join(r.to_line() + "\n" for r in records)
 
 
-def _int_field(r: TraceRecord, key: str) -> int:
-    value = r.payload[key]
-    if type(value) is not int:  # True and False are not counts
-        raise MalformedTraceError(f"{r.kind} record has non-integer {key} {value!r}")
-    return value
+def _non_integer(r: TraceRecord, key: str) -> MalformedTraceError:
+    return MalformedTraceError(f"{r.kind} record has non-integer {key} {r.payload[key]!r}")
 
 
 def report(records: Iterable[TraceRecord]) -> Metrics:
@@ -511,11 +510,21 @@ def report(records: Iterable[TraceRecord]) -> Metrics:
             if r.kind == "EventPublished":
                 m.events_published += 1
             elif r.kind in ("SonFormed", "SonDissolved"):
+                # checked inline, field by field, in this order: True and
+                # False are not counts
                 if r.kind == "SonFormed":
                     m.sons_formed += 1
-                    hop_sum += _int_field(r, "hop_count")
-                    latency_sum += r.tick - _int_field(r, "triggered_at")
-                last_sizes = (_int_field(r, "l_size"), _int_field(r, "r_size"))
+                    if type(p["hop_count"]) is not int:
+                        raise _non_integer(r, "hop_count")
+                    hop_sum += p["hop_count"]
+                    if type(p["triggered_at"]) is not int:
+                        raise _non_integer(r, "triggered_at")
+                    latency_sum += r.tick - p["triggered_at"]
+                if type(p["l_size"]) is not int:
+                    raise _non_integer(r, "l_size")
+                if type(p["r_size"]) is not int:
+                    raise _non_integer(r, "r_size")
+                last_sizes = (p["l_size"], p["r_size"])
             elif r.kind == "RequestUnresolved":
                 if not isinstance(p["final"], bool):
                     raise MalformedTraceError(f"{r.kind} record has non-boolean final {p['final']!r}")
@@ -605,9 +614,6 @@ class Simulation:
     def _emit(self, kind: str, **payload: Any) -> None:
         self.trace.append(TraceRecord(tick=self.clock, kind=kind, payload=payload))
 
-    def _sizes(self) -> tuple[int, int]:
-        return len(self.state.inactive), len(self.state.active)
-
     def _emit_unresolved(self, r: _Request, final: bool) -> None:
         self._emit(
             "RequestUnresolved",
@@ -623,19 +629,20 @@ class Simulation:
     # -- tick phases ----------------------------------------------------
 
     def _phase_dissolve(self, t: int) -> None:
+        state = self.state
         for son in self._dissolve_at.pop(t):
             outcome = self.scenario.policy.outcome_of(son.activity, t)
-            dissolve_son(son, t, self.state)
+            dissolve_son(son, t, state)
             record_outcome(self.ledger, son, outcome, t, self.scenario.policy)
-            l_size, r_size = self._sizes()
             self._emit(
                 "SonDissolved",
                 son=son.id,
                 activity=son.activity,
-                outcome=outcome.value,
+                # the member's own attribute: Enum.value is a Python-level property
+                outcome=outcome._value_,
                 members=son.members,
-                l_size=l_size,
-                r_size=r_size,
+                l_size=len(state.inactive),
+                r_size=len(state.active),
             )
 
     def _phase_arrivals(self, t: int) -> list[tuple[ResponseActivity, int, str]]:
@@ -687,7 +694,6 @@ class Simulation:
         son = form_son(activity, result.assignment, self._son_seq, self.clock, self.state, self.holarchy)
         self._son_seq += 1
         self._dissolve_at.setdefault(son.dissolves_at, []).append(son)
-        l_size, r_size = self._sizes()
         self._emit(
             "SonFormed",
             son=son.id,
@@ -700,14 +706,16 @@ class Simulation:
             hop_count=len(result.hops),
             triggered_at=r.triggered_at,
             dissolves_at=son.dissolves_at,
-            l_size=l_size,
-            r_size=r_size,
+            l_size=len(self.state.inactive),
+            r_size=len(self.state.active),
         )
         return False
 
     def _phase_resolve(self, t: int, triggers: list[tuple[ResponseActivity, int, str]]) -> None:
-        # a stable sort: one activity's triggers keep their publication order
-        for activity, soc, topic in sorted(triggers, key=lambda trigger: trigger[0].id):
+        if len(triggers) > 1:
+            # a stable sort: one activity's triggers keep their publication order
+            triggers.sort(key=lambda trigger: trigger[0].id)
+        for activity, soc, topic in triggers:
             r = _Request(self._request_seq, activity, soc, t, self.scenario.retry_bound)
             self._request_seq += 1
             self._emit("ActivityTriggered", activity=activity.id, request=r.request_id, soc=soc, topic=topic)
@@ -759,8 +767,11 @@ class Simulation:
         Each phase runs only when it has work: dissolve on a tick some
         overlay dissolves at, publish and resolve on an arrival tick, retry
         when a dissolution freed actors and a request is parked, evolution
-        while a signature is ready to promote or to re-check for pruning.
-        :meth:`run` is one loop over due ticks that steps each of them.
+        when a promoted signature is to be re-checked for pruning or a ready
+        signature's member set is free. A pass with nothing to re-check and
+        every ready signature blocked would write and change nothing, so
+        none is run. :meth:`run` is one loop over due ticks that steps each
+        of them.
         """
         t = self.clock
         freed = t in self._dissolve_at
@@ -770,7 +781,8 @@ class Simulation:
             self._phase_resolve(t, self._phase_arrivals(t))
         if freed and self._pending:
             self._phase_retry(t)
-        if self.ledger.ready or self.ledger.recheck:
+        ledger = self.ledger
+        if ledger.recheck or (ledger.ready and promotion_due(ledger, self.holarchy)):
             self._phase_evolution(t)
         self.clock = t + 1
         if self.debug:
@@ -790,9 +802,12 @@ class Simulation:
         parked are closed at the horizon, or after the last step if that is
         later.
         """
+        ledger = self.ledger
         while True:
-            if not promotion_due(self.ledger, self.holarchy):
-                due = [*self._dissolve_at, *(a.time for a in self._arrivals[-1:])]
+            if not (ledger.ready and promotion_due(ledger, self.holarchy)):
+                due = [*self._dissolve_at]
+                if self._next_arrival >= 0:
+                    due.append(self._next_arrival)
                 if not due:
                     break
                 self.clock = min(due)

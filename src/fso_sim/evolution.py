@@ -27,13 +27,16 @@ much as the promoted SoC that listed them before. A windowed
 failure count can only rise when a failure is booked, so ``recheck`` holds
 just the promoted signatures that failed, or were promoted, since the last
 :func:`maybe_prune`, and a tick with neither prunes without looking at any
-SoC. With both sets empty, neither function does anything, so the engine
-skips evolution on such ticks; and since ``maybe_prune`` empties
-``recheck``, a tick can leave work due on the next one only by freeing the
-member set of a ready signature. A prune frees it by removing the SoC that
-held it. A graft can too: it adds the promoted SoC to its anchor's member
-list, so an anchor that held a ready signature's set when the pass started
-holds it no longer. :func:`promotion_due` tells either.
+SoC. With ``recheck`` empty and every ready signature blocked, its member
+set held by some SoC, neither function does anything, so the engine runs
+evolution only on a tick with a signature to re-check or with
+:func:`promotion_due` true, and skips it on every other; and since
+``maybe_prune`` empties ``recheck``, a tick can leave work due on the next
+one only by freeing the member set of a ready signature. A prune frees it
+by removing the SoC that held it. A graft can too: it adds the promoted
+SoC to its anchor's member list, so an anchor that held a ready
+signature's set when the pass started holds it no longer.
+:func:`promotion_due` tells either.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from .canon import Son
 from .holarchy import Holarchy, HolonId, LogicalTime
@@ -92,16 +97,26 @@ class Outcome(Enum):
     FAILURE = "failure"
 
 
-@dataclass(frozen=True)
-class SonSignature:
-    """What recurs: the activity and exactly which actors answered it."""
+class SonSignature(NamedTuple):
+    """What recurs: the activity and exactly which actors answered it.
+
+    The ledger's key, built once per dissolve and looked up in its dicts
+    and sets. A tuple rather than a frozen dataclass, so hashing and
+    comparing it are C-level: its hash is ``hash((activity, members))``,
+    as the frozen dataclass's was, so the order of every set of
+    signatures is unchanged, and signatures sort by themselves.
+    """
 
     activity: int
     members: tuple[HolonId, ...]
 
     @staticmethod
     def of(son: Son) -> "SonSignature":
-        return SonSignature(son.activity, tuple(sorted(a for a, _ in son.members)))
+        # tuple.__new__, as _make does, skips the Python-level constructor
+        return tuple.__new__(SonSignature, (son.activity, tuple(sorted(map(itemgetter(0), son.members)))))
+
+
+_MEMBERS = attrgetter("members")
 
 
 @dataclass
@@ -184,7 +199,7 @@ def promotion_due(ledger: ExperienceLedger, h: Holarchy) -> bool:
     graft of the pass relisted its anchor, which held a ready signature's
     set when the pass started.
     """
-    return any(not h.holds_members(sig.members) for sig in ledger.ready)
+    return not all(map(h.holds_members, map(_MEMBERS, ledger.ready)))
 
 
 def maybe_permanentify(ledger: ExperienceLedger, h: Holarchy) -> tuple[PromotionEvent, ...]:
@@ -195,10 +210,7 @@ def maybe_permanentify(ledger: ExperienceLedger, h: Holarchy) -> tuple[Promotion
     keep their original communities; the new SoC references them as a
     secondary, institutional overlay.
     """
-    due = sorted(
-        (sig for sig in ledger.ready if not h.holds_members(sig.members)),
-        key=lambda s: (s.activity, s.members),
-    )
+    due = sorted(sig for sig in ledger.ready if not h.holds_members(sig.members))
     if not due:
         return ()
     events: list[PromotionEvent] = []

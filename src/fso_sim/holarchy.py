@@ -46,6 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 HolonId = int
@@ -105,15 +106,19 @@ class ServiceEntry:
 
     ``via`` is the composite member whose subtree this entry punctualizes,
     or None for an offer registered directly by an atomic member. It exists
-    so that evolution can retract exactly the entries it added.
+    so that evolution can retract exactly the entries it added. A registry
+    keeps its entries sorted by (provider, role), read by the C-level key
+    ``_ENTRY_ORDER``, so a graft's sort makes no Python-level call per
+    entry.
     """
 
     provider: HolonId
     role: RoleId
     via: HolonId | None = None
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.provider, self.role)
+
+# the canonical order of a registry's service entries
+_ENTRY_ORDER = attrgetter("provider", "role")
 
 
 @dataclass(slots=True)
@@ -155,7 +160,7 @@ class Registry:
     def offer(self, entries: Iterable[ServiceEntry]) -> None:
         """Merge ``entries`` into the service entries, in canonical order."""
         self.service_entries.extend(entries)
-        self.service_entries.sort(key=ServiceEntry.sort_key)
+        self.service_entries.sort(key=_ENTRY_ORDER)
 
     def retract(self, via: HolonId) -> None:
         """Drop every entry registered via the composite member ``via``."""
@@ -264,7 +269,8 @@ class Holarchy:
 
     def holds_members(self, members: tuple[HolonId, ...]) -> bool:
         """Whether some SoC's member list, sorted, is exactly ``members``."""
-        return self._member_lists[members] > 0
+        # a count that falls to zero is deleted, so a listed key is held
+        return members in self._member_lists
 
     # -- in-place evolution ----------------------------------------------
 
@@ -494,7 +500,7 @@ def _registry_violations(h: Holarchy) -> list[Violation]:
                         f"provider {entry.provider} is neither a direct member nor a member's representative",
                     )
                 )
-        keys = [e.sort_key() for e in reg.service_entries]
+        keys = list(map(_ENTRY_ORDER, reg.service_entries))
         if keys != sorted(keys):
             out.append(Violation("RegistryOrder", soc, "service entries out of canonical order"))
         times = [item.published_at for item in reg.info_entries]

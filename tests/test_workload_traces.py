@@ -10,13 +10,14 @@ loads it and run to the end with ``Simulation``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from fso_sim.engine import Simulation, load_scenario_file, write_trace
+from fso_sim.engine import Scenario, Simulation, load_scenario_file, write_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,18 +32,24 @@ PINS = {
 }
 
 
-@pytest.fixture(scope="module")
-def workloads():
+@functools.cache
+def _workloads():
     spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize(("workload", "seed"), sorted(PINS))
-def test_workload_trace_is_pinned(workload, seed, workloads, tmp_path):
+def workload_scenario(workload: str, seed: int, tmp_path: Path) -> Scenario:
+    """The benchmark's scenario for ``workload`` at ``seed``, written to a
+    file under ``tmp_path`` and loaded the way the benchmark loads it."""
     path = tmp_path / f"{workload}-{seed}.json"
-    path.write_text(workloads.scenario_json(workload, seed, str(ROOT)), encoding="utf-8")
-    sim = Simulation(load_scenario_file(str(path)))
+    path.write_text(_workloads().scenario_json(workload, seed, str(ROOT)), encoding="utf-8")
+    return load_scenario_file(str(path))
+
+
+@pytest.mark.parametrize(("workload", "seed"), sorted(PINS))
+def test_workload_trace_is_pinned(workload, seed, tmp_path):
+    sim = Simulation(workload_scenario(workload, seed, tmp_path))
     sim.run()
     assert hashlib.sha256(write_trace(sim.trace).encode("utf-8")).hexdigest() == PINS[(workload, seed)]
