@@ -45,9 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .activation import ActivationState, enroll, release
+from .activation import ActivationError, ActivationState, enroll, release
 from .holarchy import (
     Holarchy,
+    HolarchyError,
     HolonId,
     HolonKind,
     InformationItem,
@@ -443,12 +444,25 @@ def form_son(
 
     Raises CanonError, enrolling nobody, when some assigned actor is busy
     by now; the caller should re-resolve instead of forcing the assignment.
+    When an enrollment raises, ActivationError for an actor that cannot
+    play its role or that the assignment repeats and HolarchyError for a
+    holon that is no actor, the members already enrolled are released and
+    the error is raised again, so a call that raises leaves the state as it
+    found it.
     """
     for a, _ in assignment:
         if a in state.active:
             raise CanonError(f"actor {a} became busy before SON {son_id} formed")
-    for a, role in assignment:
-        enroll(state, h, a, role, son_id)
+    try:
+        for a, role in assignment:
+            enroll(state, h, a, role, son_id)
+    except (ActivationError, HolarchyError):
+        # no assigned actor was busy before this call, so each busy one now
+        # was enrolled by it
+        for a, _ in assignment:
+            if a in state.active:
+                release(state, a)
+        raise
     return Son(son_id, activity.id, assignment, t + activity.duration)
 
 

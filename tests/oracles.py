@@ -10,10 +10,11 @@ own search or counting code.
 from __future__ import annotations
 
 import itertools
-from typing import Any
+from typing import Any, Iterable
 
 from fso_sim.activation import ActivationState
 from fso_sim.canon import ResponseActivity
+from fso_sim.engine import TRACE_KINDS, MalformedTraceError, Metrics, TraceRecord
 from fso_sim.holarchy import Holarchy, Holon, HolonId, RoleId, ServiceEntry
 
 DATA_GAP = -1
@@ -526,3 +527,64 @@ def fold_metrics(records: list[Any]) -> dict[str, Any]:
         "prunings": pruned,
         "final_partition_sizes": {"L": sizes[0], "R": sizes[1]} if sizes else {"L": 0, "R": 0},
     }
+
+
+# -- the metrics fold before its one-pass rewrite ----------------------------
+
+
+def _non_integer(r: TraceRecord, key: str) -> MalformedTraceError:
+    return MalformedTraceError(f"{r.kind} record has non-integer {key} {r.payload[key]!r}")
+
+
+def reference_report(records: Iterable[TraceRecord]) -> Metrics:
+    """The metrics fold as one ``if``/``elif`` chain over attribute increments.
+
+    An earlier :func:`fso_sim.engine.report`, kept word for word: the one-pass
+    fold must return the same metrics, or raise the same error, on any trace.
+    """
+    m = Metrics()
+    hop_sum = 0
+    latency_sum = 0
+    last_sizes: tuple[int, int] | None = None
+    for r in records:
+        if r.kind not in TRACE_KINDS:
+            raise MalformedTraceError(f"unknown kind {r.kind!r}")
+        p = r.payload
+        try:
+            if r.kind == "EventPublished":
+                m.events_published += 1
+            elif r.kind in ("SonFormed", "SonDissolved"):
+                # checked inline, field by field, in this order: True and
+                # False are not counts
+                if r.kind == "SonFormed":
+                    m.sons_formed += 1
+                    if type(p["hop_count"]) is not int:
+                        raise _non_integer(r, "hop_count")
+                    hop_sum += p["hop_count"]
+                    if type(p["triggered_at"]) is not int:
+                        raise _non_integer(r, "triggered_at")
+                    latency_sum += r.tick - p["triggered_at"]
+                if type(p["l_size"]) is not int:
+                    raise _non_integer(r, "l_size")
+                if type(p["r_size"]) is not int:
+                    raise _non_integer(r, "r_size")
+                last_sizes = (p["l_size"], p["r_size"])
+            elif r.kind == "RequestUnresolved":
+                if not isinstance(p["final"], bool):
+                    raise MalformedTraceError(f"{r.kind} record has non-boolean final {p['final']!r}")
+                m.unresolved_requests += p["final"]
+            elif r.kind == "Permanentified":
+                m.permanentifications += 1
+            elif r.kind == "Pruned":
+                m.prunings += 1
+        except KeyError as exc:
+            raise MalformedTraceError(f"{r.kind} record lacks key {exc}") from None
+    try:
+        if m.sons_formed:
+            m.mean_hop_count = hop_sum / m.sons_formed
+            m.mean_response_latency = latency_sum / m.sons_formed
+    except OverflowError:
+        raise MalformedTraceError("a mean hop count or latency does not fit a float") from None
+    if last_sizes is not None:
+        m.final_partition_sizes = last_sizes
+    return m

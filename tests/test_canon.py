@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fso_sim import canon
-from fso_sim.activation import Binding, enroll, initial_state, release
+from fso_sim.activation import ActivationError, Binding, enroll, initial_state, release
 from fso_sim.canon import (
     DATA_MISSING,
     ActivityTable,
@@ -21,6 +21,7 @@ from fso_sim.canon import (
     resolve_request,
 )
 from fso_sim.holarchy import (
+    HolarchyError,
     Holon,
     HolonKind,
     InformationItem,
@@ -396,6 +397,25 @@ def test_form_enrolls_nobody_when_a_member_is_busy(tower):
         form_son(activity, plan.assignment, son_id=4, t=0, state=state, h=tower)
     assert state.active == {2: Binding(role=2, son_id=3)}
     assert state.inactive == {0, 1}
+
+
+@pytest.mark.parametrize(
+    ("assignment", "error", "message"),
+    [
+        # actor 1 plays only role 1, so the last member cannot be staffed
+        (((0, 0), (2, 2), (1, 2)), ActivationError, "actor 1 cannot play role 2"),
+        (((0, 0), (1, 1), (0, 0)), ActivationError, "actor 0 is already enrolled"),
+        (((0, 0), (1, 1), (99, 2)), HolarchyError, "holon 99 does not exist"),
+        (((0, 0), (4, 1)), HolarchyError, "holon 4 is composite"),
+    ],
+    ids=["missing capability", "repeated actor", "unknown holon", "composite holon"],
+)
+def test_a_form_that_raises_leaves_the_state_as_it_found_it(tower, assignment, error, message):
+    state = initial_state(tower)
+    before = (set(state.inactive), dict(state.active))
+    with pytest.raises(error, match=message):
+        form_son(act(roles=(0, 1, 2)), assignment, son_id=0, t=0, state=state, h=tower)
+    assert (state.inactive, state.active) == before
 
 
 def test_dissolve_releases_nobody_on_a_mismatched_binding(tower):
