@@ -11,7 +11,7 @@ from fso_sim import EventSource, PeriodicProcess, PoissonProcess, ScriptedProces
 
 
 def times(source: EventSource, seed: int, until: int = 40) -> list[int]:
-    return [a.time for a in sample_arrivals((source,), (0, until), seed)]
+    return [a.published_at for a in sample_arrivals((source,), (0, until), seed)]
 
 
 def main() -> None:

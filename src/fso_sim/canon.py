@@ -147,17 +147,19 @@ class Staffing:
     and ``resolved_soc`` the last SoC reached. ``missing`` is what that SoC
     could not cover, in the form :func:`_solve` reports it; it is empty
     exactly when ``assignment`` pairs every role slot with an actor, and
-    ``spanned_socs`` then holds the start SoC and each member's home SoC.
+    ``spanned_socs`` then holds the start SoC and each member's home SoC,
+    sorted, as the ``SonFormed`` record of every attempt it answers writes.
 
-    Built once per attempt and then only read, never hashed: slotted rather
-    than frozen, since a frozen field costs a call on every construction.
+    Built once per fresh answer and then only read, never hashed: slotted
+    rather than frozen, since a frozen field costs a call on every
+    construction.
     """
 
     hops: tuple[HopRecord, ...]
     missing: tuple[int, ...]
     assignment: tuple[tuple[HolonId, RoleId], ...]
     resolved_soc: HolonId
-    spanned_socs: frozenset[HolonId]
+    spanned_socs: tuple[HolonId, ...]
 
 
 @dataclass(slots=True)
@@ -423,7 +425,7 @@ def resolve_request(
     spanned = {start_soc} if assignment else set()
     for a, _ in assignment:
         spanned.add(parent[a])
-    answer = Staffing(tuple(hops), missing, assignment, soc, frozenset(spanned))
+    answer = Staffing(tuple(hops), missing, assignment, soc, tuple(sorted(spanned)))
     if memo is not None:
         memo.setdefault(pair, {})[not missing] = (answer, read, busy)
     return answer

@@ -91,7 +91,6 @@ from .canon import (
     resolve_request,
 )
 from .environment import (
-    Arrival,
     EventSource,
     PeriodicProcess,
     PoissonProcess,
@@ -112,6 +111,7 @@ from .holarchy import (
     Holarchy,
     Holon,
     HolonKind,
+    InformationItem,
     RoleId,
     ViolationError,
     build_holarchy,
@@ -635,12 +635,12 @@ class Simulation:
         self.ledger = ExperienceLedger()
         self.clock = 0
         self.trace: list[TraceRecord] = []
-        # latest first, so the next arrival is popped off the end
-        self._arrivals: list[Arrival] = sample_arrivals(scenario.sources, (0, self.horizon), self.seed)[::-1]
-        # the tick of the next arrival, -1 when none is left. step() reads it
-        # on every tick, and an int attribute reads faster than a field of
-        # the Arrival tuple
-        self._next_arrival = self._arrivals[-1].time if self._arrivals else -1
+        # latest first, so the next item is popped off the end
+        self._arrivals = sample_arrivals(scenario.sources, (0, self.horizon), self.seed)
+        self._arrivals.reverse()
+        # the tick of the next item, -1 when none is left. step() reads it on
+        # every tick, and an int attribute reads faster than an item's field
+        self._next_arrival = self._arrivals[-1].published_at if self._arrivals else -1
         self._dissolve_at: dict[int, list[Son]] = {}
         self._pending: list[_Request] = []
         self._memo: Memo = {}
@@ -692,26 +692,21 @@ class Simulation:
                 )
             )
 
-    def _phase_arrivals(self, t: int) -> list[tuple[ResponseActivity, int, str]]:
-        triggers: list[tuple[ResponseActivity, int, str]] = []
+    def _phase_arrivals(self, t: int) -> list[tuple[ResponseActivity, InformationItem]]:
+        triggers: list[tuple[ResponseActivity, InformationItem]] = []
         append = self.trace.append
+        arrivals = self._arrivals
         while self._next_arrival == t:
-            arrival = self._arrivals.pop()
-            self._next_arrival = self._arrivals[-1].time if self._arrivals else -1
-            reg = self.holarchy.registries[arrival.item.source]
-            if arrival.item.topic not in reg.topics:
+            item = arrivals.pop()
+            self._next_arrival = arrivals[-1].published_at if arrivals else -1
+            reg = self.holarchy.registries[item.source]
+            if item.topic not in reg.topics:
                 # a data topic new to this registry can change a pair's answer
                 self._memo.clear()
-            triggered = publish(reg, arrival.item, self.scenario.activities)
-            append(
-                TraceRecord(
-                    t,
-                    "EventPublished",
-                    {"soc": arrival.item.source, "source": arrival.source_index, "topic": arrival.item.topic},
-                )
-            )
+            triggered = publish(reg, item, self.scenario.activities)
+            append(TraceRecord(t, "EventPublished", {"soc": item.source, "source": item.source_index, "topic": item.topic}))
             for activity in triggered:
-                triggers.append((activity, arrival.item.source, arrival.item.topic))
+                triggers.append((activity, item))
         return triggers
 
     def _attempt(self, r: _Request) -> bool:
@@ -760,7 +755,7 @@ class Simulation:
                     "origin_soc": r.origin_soc,
                     "resolved_soc": result.resolved_soc,
                     "members": son.members,
-                    "spanned_socs": tuple(sorted(result.spanned_socs)),
+                    "spanned_socs": result.spanned_socs,
                     "hop_count": len(result.hops),
                     "triggered_at": r.triggered_at,
                     "dissolves_at": son.dissolves_at,
@@ -771,19 +766,19 @@ class Simulation:
         )
         return False
 
-    def _phase_resolve(self, t: int, triggers: list[tuple[ResponseActivity, int, str]]) -> None:
+    def _phase_resolve(self, t: int, triggers: list[tuple[ResponseActivity, InformationItem]]) -> None:
         if len(triggers) > 1:
             # a stable sort: one activity's triggers keep their publication order
             triggers.sort(key=lambda trigger: trigger[0].id)
         append = self.trace.append
-        for activity, soc, topic in triggers:
-            r = _Request(self._request_seq, activity, soc, t, self.scenario.retry_bound)
+        for activity, item in triggers:
+            r = _Request(self._request_seq, activity, item.source, t, self.scenario.retry_bound)
             self._request_seq += 1
             append(
                 TraceRecord(
                     t,
                     "ActivityTriggered",
-                    {"activity": activity.id, "request": r.request_id, "soc": soc, "topic": topic},
+                    {"activity": activity.id, "request": r.request_id, "soc": item.source, "topic": item.topic},
                 )
             )
             if self._attempt(r):

@@ -20,7 +20,7 @@ from functools import partial
 from itertools import takewhile
 from math import floor, inf, log1p
 from operator import gt
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .holarchy import HolonId, InformationItem, LogicalTime
 
@@ -112,18 +112,6 @@ class EventSource:
     process: Process
 
 
-class Arrival(NamedTuple):
-    """An item due at ``time`` from the source declared at ``source_index``.
-
-    A tuple, so arrivals order by (time, source index) with no sort key. Two
-    arrivals that tie on both carry equal items, so the item never decides.
-    """
-
-    time: LogicalTime
-    source_index: int
-    item: InformationItem
-
-
 def source_state(seed: int, index: int) -> int:
     """The splitmix64 state source ``index`` starts from under scenario ``seed``."""
     return _mix(((seed & _MASK) + (index + 1) * _GOLDEN) & _MASK)
@@ -133,25 +121,24 @@ def sample_arrivals(
     sources: tuple[EventSource, ...],
     window: tuple[LogicalTime, LogicalTime],
     seed: int,
-) -> list[Arrival]:
-    """All arrivals with t0 <= time < t1, merged across sources.
+) -> list[InformationItem]:
+    """All items due at t0 <= time < t1, merged across sources.
 
     Sorted by (time, source index): simultaneous arrivals keep the order
     sources are declared in, which pins down the whole run.
 
-    Every arrival, and the item it carries, is built here once, when a run
-    is set up. Each arrival is made with ``tuple.__new__``, as
-    ``Arrival._make`` does, which skips the NamedTuple's Python-level
-    constructor; with :class:`InformationItem` slotted rather than frozen,
-    an arrival costs one resumption of its stream and one ``__init__``.
+    Every item is built here once, when a run is set up, with
+    ``tuple.__new__``, as ``InformationItem._make`` does, which skips the
+    NamedTuple's Python-level constructor: an item costs one resumption of
+    its stream and no call of its own.
     """
     t0, t1 = window
     before_end = partial(gt, t1)
     new = tuple.__new__
-    out: list[Arrival] = []
+    out: list[InformationItem] = []
     for index, source in enumerate(sources):
         topic, soc = source.topic, source.injection_soc
         stream = takewhile(before_end, source.process.arrivals(source_state(seed, index)))
-        out += [new(Arrival, (t, index, InformationItem(topic, soc, t))) for t in stream if t >= t0]
+        out += [new(InformationItem, (t, index, soc, topic)) for t in stream if t >= t0]
     out.sort()
     return out

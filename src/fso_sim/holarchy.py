@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 HolonId = int
 RoleId = int
@@ -121,33 +121,35 @@ class ServiceEntry:
 _ENTRY_ORDER = attrgetter("provider", "role")
 
 
-@dataclass(slots=True)
-class InformationItem:
-    """A published piece of information, matched against activity guards.
+class InformationItem(NamedTuple):
+    """A published event: ``topic``, due at ``published_at`` from the source
+    declared at ``source_index``, which injects it into the SoC ``source``.
 
-    :func:`fso_sim.environment.sample_arrivals` builds one per arrival when
-    a run is set up. Slotted rather than frozen, like the other records
-    built per event: a frozen ``__init__`` sets each field through
-    ``object.__setattr__``, and nothing hashes an item.
+    The one record of an arrival: :func:`fso_sim.environment.sample_arrivals`
+    builds it when a run is set up, and the engine publishes it on its tick
+    into the registry that keeps it. A tuple, so items order by (time,
+    source index) with no sort key; two that tie on both are equal.
     """
 
-    topic: str
-    source: HolonId
     published_at: LogicalTime
+    source_index: int
+    source: HolonId
+    topic: str
 
 
 @dataclass
 class Registry:
     """Per-SoC store of service offers and published information.
 
-    Entries are stored in (provider, role) order, which :func:`validate`'s
-    ``RegistryOrder`` rule audits. Staffing does not read the entries: it
-    reads :meth:`Holarchy.role_atoms`, the actors the entries offer once
-    each ``via`` entry is unfolded to the role atoms of its member, so a
-    proxy's provider (the member's representative) is never ranked. Only
-    :meth:`offer` and :meth:`retract` write the entries. ``topics`` is the
-    set of topics among ``info_entries``; :func:`fso_sim.canon.publish`
-    keeps it up to date, so staffing never rescans the information list.
+    Service entries are stored in (provider, role) order, which
+    :func:`validate`'s ``RegistryOrder`` rule audits. Staffing does not read
+    them: it reads :meth:`Holarchy.role_atoms`, the actors the entries offer
+    once each ``via`` entry is unfolded to the role atoms of its member, so
+    a proxy's provider (the member's representative) is never ranked. Only
+    :meth:`offer` and :meth:`retract` write the entries. ``info_entries``
+    keeps, in publication order, the very items sampled at set-up, and
+    ``topics`` is the set of their topics; :func:`fso_sim.canon.publish`
+    keeps both, so staffing never rescans the information list.
     """
 
     service_entries: list[ServiceEntry] = field(default_factory=list, init=False)

@@ -89,7 +89,7 @@ def test_criterion_2_resolution_matches_exhaustive_search():
                 soc = rng.choice(h.composites())
                 publish(
                     h.registries[soc],
-                    InformationItem(topic=topic, source=soc, published_at=0),
+                    InformationItem(published_at=0, source_index=0, source=soc, topic=topic),
                     scenario.activities,
                 )
 
@@ -255,7 +255,7 @@ def test_criterion_7_promotion_and_pruning_fixtures():
 
 def test_criterion_8_poisson_mean_interarrival():
     arrivals = sample_arrivals((EventSource("tick", 0, PoissonProcess(rate=0.2)),), (0, 50_000), seed=20260815)
-    times = [a.time for a in arrivals]
+    times = [a.published_at for a in arrivals]
     gaps = [b - a for a, b in zip([0] + times, times)]
     mean = sum(gaps) / len(gaps)
     ok = 4.75 <= mean <= 5.25

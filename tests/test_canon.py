@@ -59,7 +59,7 @@ def act(id=0, topics=("ping",), roles=(0,), data=(), duration=1):
 
 
 def item(topic, t=0, source=0):
-    return InformationItem(topic=topic, source=source, published_at=t)
+    return InformationItem(published_at=t, source_index=0, source=source, topic=topic)
 
 
 # -- publication -------------------------------------------------------------
@@ -102,12 +102,12 @@ def test_data_topics_are_publishable_without_triggering():
 
 def staffed(soc, assignment):
     """What resolution from root SoC ``soc`` returns when it staffs at hop 0."""
-    return Staffing(hops=(), missing=(), assignment=assignment, resolved_soc=soc, spanned_socs=frozenset({soc}))
+    return Staffing(hops=(), missing=(), assignment=assignment, resolved_soc=soc, spanned_socs=(soc,))
 
 
 def unstaffed(soc, missing):
     """What resolution from root SoC ``soc`` returns when hop 0 fails."""
-    return Staffing(hops=(), missing=missing, assignment=(), resolved_soc=soc, spanned_socs=frozenset())
+    return Staffing(hops=(), missing=missing, assignment=(), resolved_soc=soc, spanned_socs=())
 
 
 def test_guard_enabled_with_local_providers():
@@ -183,7 +183,7 @@ def test_resolve_locally_when_possible(tower):
     assert plan.missing == ()
     assert plan.resolved_soc == 4
     assert plan.hops == ()
-    assert plan.spanned_socs == frozenset({4})
+    assert plan.spanned_socs == (4,)
 
 
 def test_resolve_escalates_and_spans_communities(tower):
@@ -192,7 +192,7 @@ def test_resolve_escalates_and_spans_communities(tower):
     assert len(plan.hops) == 1
     assert plan.resolved_soc == 6
     assert plan.assignment == ((1, 1), (2, 2))
-    assert plan.spanned_socs == frozenset({4, 5})
+    assert plan.spanned_socs == (4, 5)
     assert [(hop.from_soc, hop.to_soc, hop.hop) for hop in plan.hops] == [(4, 6, 1)]
     assert plan.hops[0].missing == (2,)
 
@@ -259,7 +259,7 @@ def test_staffing_climbs_the_chain_it_records(seed, data):
             assert (got.missing == ()) == fills_every_slot
             if got.missing:
                 # unresolved means escalated past the root
-                assert (got.assignment, got.resolved_soc, got.spanned_socs) == ((), chain[-1], frozenset())
+                assert (got.assignment, got.resolved_soc, got.spanned_socs) == ((), chain[-1], ())
 
 
 # -- answers from memory ------------------------------------------------------

@@ -646,6 +646,17 @@ def test_trace_arrays_are_the_engines_tuples_and_fold_as_read_back(path):
     assert report(sim.trace) == report(parse_trace(write_trace(sim.trace)))
 
 
+def test_replayed_son_formed_records_share_their_answers_spanned_socs():
+    # an answer replayed from memory writes the sorted tuple its fresh
+    # resolve built, so no attempt sorts the spanned SoCs again
+    sim = Simulation(load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=4242, horizon=2000)
+    sim.run()
+    spans = [r.payload["spanned_socs"] for r in sim.trace if r.kind == "SonFormed"]
+    assert len(spans) > 100
+    assert all(type(s) is tuple and list(s) == sorted(set(s)) for s in spans)
+    assert len({id(s) for s in spans}) < len(spans)
+
+
 def test_trace_contains_no_floats():
     def no_floats(value):
         if isinstance(value, bool):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from fso_sim.engine import load_scenario_file
 from fso_sim.environment import (
-    Arrival,
     EventSource,
     PeriodicProcess,
     PoissonProcess,
@@ -123,20 +122,20 @@ def test_sample_arrivals_merges_by_time_then_source():
         EventSource("b", 11, ScriptedProcess(times=(2, 4))),
     )
     arrivals = sample_arrivals(sources, (0, 10), seed=0)
-    assert [(a.time, a.source_index, a.item.topic) for a in arrivals] == [
+    assert [(a.published_at, a.source_index, a.topic) for a in arrivals] == [
         (2, 0, "a"),
         (2, 1, "b"),
         (4, 1, "b"),
         (6, 0, "a"),
     ]
-    assert all(a.item.source in (10, 11) for a in arrivals)
+    assert all(a.source in (10, 11) for a in arrivals)
 
 
 def test_sample_window_is_half_open():
     sources = (EventSource("a", 1, ScriptedProcess(times=(0, 5, 9, 10))),)
-    times = [a.time for a in sample_arrivals(sources, (0, 10), seed=3)]
+    times = [a.published_at for a in sample_arrivals(sources, (0, 10), seed=3)]
     assert times == [0, 5, 9]
-    times = [a.time for a in sample_arrivals(sources, (5, 10), seed=3)]
+    times = [a.published_at for a in sample_arrivals(sources, (5, 10), seed=3)]
     assert times == [5, 9]
 
 
@@ -146,8 +145,8 @@ def test_adding_a_source_does_not_shift_others():
         EventSource("a", 1, PoissonProcess(rate=0.2)),
         EventSource("b", 1, PoissonProcess(rate=0.4)),
     )
-    first = [a.time for a in sample_arrivals(one, (0, 500), seed=11)]
-    both = [a.time for a in sample_arrivals(two, (0, 500), seed=11) if a.source_index == 0]
+    first = [a.published_at for a in sample_arrivals(one, (0, 500), seed=11)]
+    both = [a.published_at for a in sample_arrivals(two, (0, 500), seed=11) if a.source_index == 0]
     assert first == both
 
 
@@ -157,7 +156,7 @@ def test_poisson_mean_gap_matches_nearest_tick_rounding():
     rate = 0.2
     expected = math.exp(-rate / 2) / (1 - math.exp(-rate)) + (1 - math.exp(-rate / 2))
     sources = (EventSource("a", 1, PoissonProcess(rate=rate)),)
-    times = [a.time for a in sample_arrivals(sources, (0, 200_000), seed=123)]
+    times = [a.published_at for a in sample_arrivals(sources, (0, 200_000), seed=123)]
     gaps = [b - a for a, b in zip([0] + times, times)]
     mean = sum(gaps) / len(gaps)
     assert expected == pytest.approx(5.0868, abs=2e-4)
@@ -183,7 +182,7 @@ def test_sample_arrivals_output_is_pinned(seed, digest):
         EventSource("e", 14, PoissonProcess(rate=5e-324)),
     )
     rows = [
-        (a.time, a.source_index, a.item.topic, a.item.source, a.item.published_at)
+        (a.published_at, a.source_index, a.topic, a.source, a.published_at)
         for a in sample_arrivals(sources, (0, 2000), seed)
     ]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
@@ -198,7 +197,7 @@ def reference_arrivals(sources, window, seed):
             if t >= t1:
                 break
             if t0 <= t:
-                out.append(Arrival(t, index, InformationItem(source.topic, source.injection_soc, t)))
+                out.append(InformationItem(t, index, source.injection_soc, source.topic))
     return sorted(out)
 
 
@@ -224,12 +223,12 @@ def test_sample_arrivals_matches_the_reference(sources, t0, length, seed):
     window = (t0, t0 + length)
     arrivals = sample_arrivals(sources, window, seed)
     assert arrivals == reference_arrivals(sources, window, seed)
-    assert all(type(a) is Arrival and type(a.item) is InformationItem for a in arrivals)
+    assert all(type(a) is InformationItem for a in arrivals)
 
 
-def test_sample_arrivals_makes_at_most_two_python_calls_per_arrival():
-    # one resumption of the source's stream and one InformationItem.__init__;
-    # an Arrival built through its NamedTuple constructor would add a third
+def test_sample_arrivals_makes_one_python_call_per_arrival():
+    # one resumption of the source's stream; an item built through its
+    # NamedTuple constructor would add a second
     sources = load_scenario_file(str(SCENARIOS / "nine_actors.json")).sources
     calls = 0
 
@@ -248,4 +247,4 @@ def test_sample_arrivals_makes_at_most_two_python_calls_per_arrival():
         if gc_was_enabled:
             gc.enable()
     assert len(arrivals) > 3000
-    assert calls <= 2 * len(arrivals) + 10 * len(sources)
+    assert calls <= len(arrivals) + 10 * len(sources)

@@ -22,8 +22,9 @@ def test_every_public_name_resolves_and_star_imports():
 def test_types_that_only_boxed_values_are_gone():
     # callers pass the holons, the role set, the sources, the missing slots
     # and the assignment these types used to carry; one Staffing record
-    # answers a request, and the engine keeps the activity it staffs
-    gone = ("Rng", "EnvironmentSpec", "HolarchySpec", "Enabled", "Missing", "SonPlan", "Unresolved")
+    # answers a request, the engine keeps the activity it staffs, and an
+    # arrival is the InformationItem it publishes
+    gone = ("Rng", "EnvironmentSpec", "HolarchySpec", "Enabled", "Missing", "SonPlan", "Unresolved", "Arrival")
     for module in (fso_sim, activation, canon, cli, engine, environment, evolution, holarchy):
         assert [name for name in gone if hasattr(module, name)] == [], module.__name__
     assert not hasattr(canon.ActivityTable, "by_id")
@@ -55,7 +56,7 @@ def test_per_event_records_are_slotted_and_the_ledger_key_stays_frozen():
     records = (
         engine.TraceRecord(0, "Pruned", {}),
         canon.HopRecord(1, 0, 1, (2,)),
-        canon.Staffing((), (), ((3, 0),), 1, frozenset({1})),
+        canon.Staffing((), (), ((3, 0),), 1, (1,)),
         canon.Son(0, 0, ((3, 0),), 2),
         activation.Binding(0, 0),
     )
