@@ -19,9 +19,10 @@ def run_and_tell(name: str) -> None:
     scenario = load_scenario((SCENARIOS / f"{name}.json").read_text())
     sim = Simulation(scenario, debug=True)
     sim.run()
+    trace = sim.trace
 
     print(f"--- {name} ---")
-    for r in sim.trace:
+    for r in trace:
         p = r.payload
         if r.kind == "SonDissolved":
             print(f"t={r.tick}: overlay of actors {[a for a, _ in p['members']]} finished: {p['outcome']}")
@@ -36,7 +37,7 @@ def run_and_tell(name: str) -> None:
     strength = float(
         sum(
             1
-            for r in sim.trace
+            for r in trace
             if r.kind == "SonDissolved"
             and r.payload["outcome"] == "success"
             and {0, 1} <= {a for a, _ in r.payload["members"]}

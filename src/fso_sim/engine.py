@@ -48,12 +48,19 @@ dissolved, at most ``retry_bound`` of them. Each failed attempt writes a
 was ``final``, and a request still parked when the run ends gets one more
 record with ``final`` true.
 
-Each emission site builds its record in place, ``TraceRecord(tick, kind,
-{...})`` with the payload written out as a dict literal, and appends it to
-``Simulation.trace`` through no helper frame; only ``RequestUnresolved``,
-which an attempt and the close both write, has a method of its own.
-:func:`report` folds the trace in one pass with its counts in locals,
-checking every record as it goes.
+Each emission site appends one flat row, ``(tick, kind, *values)``, to the
+simulation's row list through no helper frame, with the payload's values in
+the order :data:`TRACE_FIELDS` gives its keys; only ``RequestUnresolved``,
+which an attempt and the close both write, has a method of its own. A row
+holds ints, strings, booleans and the engine's own tuples, so the cycle
+collector stops tracking it once it has passed over it and the tuples
+inside, and no record or payload dict is built while a run lasts.
+:attr:`Simulation.trace` builds the :class:`TraceRecord` list from the rows
+when it is read. :meth:`Simulation.run` folds the rows by position and
+checks nothing, since the engine wrote them; :func:`report` folds records,
+those read back from a file among them, in one pass with its counts in
+locals, checking every record as it goes. The two folds give equal metrics
+for every run's trace.
 
 Staffing reads only the activity, its start SoC, the actors under each SoC
 on its chain, the topics of their registries and which actors its scans
@@ -121,16 +128,32 @@ from .holarchy import (
 
 DEBUG_ENV_VAR = "FSO_SIM_DEBUG"
 
-TRACE_KINDS = (
-    "EventPublished",
-    "ActivityTriggered",
-    "ExceptionRaised",
-    "SonFormed",
-    "SonDissolved",
-    "RequestUnresolved",
-    "Permanentified",
-    "Pruned",
-)
+# each kind's payload keys, in the order an emitted row holds their values
+# after its tick and kind; the kinds are this table's keys
+TRACE_FIELDS: dict[str, tuple[str, ...]] = {
+    "EventPublished": ("soc", "source", "topic"),
+    "ActivityTriggered": ("activity", "request", "soc", "topic"),
+    "ExceptionRaised": ("activity", "request", "from_soc", "to_soc", "hop", "missing"),
+    "SonFormed": (
+        "son",
+        "request",
+        "activity",
+        "origin_soc",
+        "resolved_soc",
+        "members",
+        "spanned_socs",
+        "hop_count",
+        "triggered_at",
+        "dissolves_at",
+        "l_size",
+        "r_size",
+    ),
+    "SonDissolved": ("son", "activity", "outcome", "members", "l_size", "r_size"),
+    "RequestUnresolved": ("activity", "request", "origin_soc", "attempt", "final", "missing", "triggered_at"),
+    "Permanentified": ("soc", "parent", "members", "activity"),
+    "Pruned": ("soc", "parent", "members"),
+}
+TRACE_KINDS = tuple(TRACE_FIELDS)
 
 
 class ParseError(Exception):
@@ -166,18 +189,22 @@ class Scenario:
         return frozenset(range(len(self.role_names)))
 
 
+# what json.dumps builds afresh for every call with these arguments
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass(slots=True)
 class TraceRecord:
-    """One line of a trace.
+    """One line of a trace, as its readers see it.
 
-    Built once per event, where it is emitted, from positional fields and a
-    payload dict literal, and then only read, never hashed (its payload is
-    a dict, so it could not be): slotted rather than frozen, since a frozen
-    field costs a call on every construction, and a slotted object rather
-    than a tuple, which measured a 370 KB higher ``tracemalloc`` peak over
-    ``nine_actors.json`` at 20,000 ticks. An emitted record's arrays
-    are plain tuples shared with the engine's state, a parsed one's are
-    lists, so the two compare equal only by :meth:`to_line`.
+    A run stores no records: it stores rows (see :class:`Simulation`), and
+    :attr:`Simulation.trace` builds one record per row when it is read, as
+    :func:`parse_trace` builds one per line. A record is then only read,
+    never hashed (its payload is a dict, so it could not be): slotted
+    rather than frozen, since a frozen field costs a call on every
+    construction. An emitted record's arrays are plain tuples shared with
+    the engine's state, a parsed one's are lists, so the two compare equal
+    only by :meth:`to_line`.
     """
 
     tick: int
@@ -185,11 +212,7 @@ class TraceRecord:
     payload: dict[str, Any]
 
     def to_line(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "payload": self.payload, "tick": self.tick},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return _encode({"kind": self.kind, "payload": self.payload, "tick": self.tick})
 
 
 @dataclass
@@ -392,7 +415,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
         where, soc, p = f"environment[{i}]", src["injection_soc"], src["process"]
         if src["topic"] not in table.known_topics:
             _fail(f"{where}.topic", f"topic {src['topic']!r} is not used by any activity")
-        if soc not in holarchy.holons or not holarchy.holons[soc].is_composite:
+        if soc not in holarchy.holons or holarchy.holons[soc].kind is not HolonKind.COMPOSITE:
             _fail(f"{where}.injection_soc", f"no composite holon {soc}; events are published to SoCs")
         process: Process
         if p["kind"] == "poisson":
@@ -584,6 +607,56 @@ def report(records: Iterable[TraceRecord]) -> Metrics:
     )
 
 
+def _position(kind: str, key: str) -> int:
+    """Where a row of ``kind`` holds the value of ``key``."""
+    return 2 + TRACE_FIELDS[kind].index(key)
+
+
+_HOP_COUNT = _position("SonFormed", "hop_count")
+_TRIGGERED_AT = _position("SonFormed", "triggered_at")
+_FINAL = _position("RequestUnresolved", "final")
+
+
+def _fold_rows(rows: list[tuple[Any, ...]]) -> Metrics:
+    """:func:`report`'s fold over a run's own rows, by position and unchecked."""
+    published = formed = unresolved = promoted = pruned = 0
+    hop_sum = latency_sum = 0
+    hop_count, triggered_at, final = _HOP_COUNT, _TRIGGERED_AT, _FINAL
+    # the last row that carries the partition sizes
+    sized = None
+    for row in rows:
+        kind = row[1]
+        if kind == "SonFormed":
+            formed += 1
+            hop_sum += row[hop_count]
+            latency_sum += row[0] - row[triggered_at]
+            sized = row
+        elif kind == "SonDissolved":
+            sized = row
+        elif kind == "EventPublished":
+            published += 1
+        elif kind == "RequestUnresolved":
+            if row[final]:
+                unresolved += 1
+        elif kind == "Permanentified":
+            promoted += 1
+        elif kind == "Pruned":
+            pruned += 1
+    sizes = (0, 0)
+    if sized is not None:
+        sizes = (sized[_position(sized[1], "l_size")], sized[_position(sized[1], "r_size")])
+    return Metrics(
+        events_published=published,
+        sons_formed=formed,
+        mean_hop_count=hop_sum / formed if formed else 0.0,
+        mean_response_latency=latency_sum / formed if formed else 0.0,
+        unresolved_requests=unresolved,
+        permanentifications=promoted,
+        prunings=pruned,
+        final_partition_sizes=sizes,
+    )
+
+
 # -- the simulation loop -----------------------------------------------------
 
 
@@ -616,6 +689,10 @@ class Simulation:
     partition and every rule of :func:`fso_sim.holarchy.validate` are
     re-checked after every step, every attempt is resolved again without
     the staffing memo ``_memo``, and violations raise InvariantViolationError.
+
+    The trace is held as rows (see the module docstring) in ``_rows``.
+    :attr:`trace` builds the records from them on every read, so a caller
+    that reads it more than once should hold the list it returns.
     """
 
     def __init__(
@@ -634,7 +711,7 @@ class Simulation:
         self.state = initial_state(self.holarchy)
         self.ledger = ExperienceLedger()
         self.clock = 0
-        self.trace: list[TraceRecord] = []
+        self._rows: list[tuple[Any, ...]] = []
         # latest first, so the next item is popped off the end
         self._arrivals = sample_arrivals(scenario.sources, (0, self.horizon), self.seed)
         self._arrivals.reverse()
@@ -649,21 +726,25 @@ class Simulation:
 
     # -- emission -------------------------------------------------------
 
+    @property
+    def trace(self) -> list[TraceRecord]:
+        """The records of the rows written so far, built afresh on each read."""
+        fields = TRACE_FIELDS
+        return [TraceRecord(row[0], row[1], dict(zip(fields[row[1]], row[2:]))) for row in self._rows]
+
     def _emit_unresolved(self, r: _Request, final: bool) -> None:
-        """Write the ``RequestUnresolved`` record of a failed attempt or of a close."""
-        self.trace.append(
-            TraceRecord(
+        """Write the ``RequestUnresolved`` row of a failed attempt or of a close."""
+        self._rows.append(
+            (
                 self.clock,
                 "RequestUnresolved",
-                {
-                    "activity": r.activity.id,
-                    "request": r.request_id,
-                    "origin_soc": r.origin_soc,
-                    "attempt": self.scenario.retry_bound - r.retries_left,
-                    "final": final,
-                    "missing": r.last_missing,
-                    "triggered_at": r.triggered_at,
-                },
+                r.activity.id,
+                r.request_id,
+                r.origin_soc,
+                self.scenario.retry_bound - r.retries_left,
+                final,
+                r.last_missing,
+                r.triggered_at,
             )
         )
 
@@ -671,30 +752,28 @@ class Simulation:
 
     def _phase_dissolve(self, t: int) -> None:
         state = self.state
-        append = self.trace.append
+        append = self._rows.append
         for son in self._dissolve_at.pop(t):
             outcome = self.scenario.policy.outcome_of(son.activity, t)
             dissolve_son(son, t, state)
             record_outcome(self.ledger, son, outcome, t, self.scenario.policy)
             append(
-                TraceRecord(
+                (
                     t,
                     "SonDissolved",
-                    {
-                        "son": son.id,
-                        "activity": son.activity,
-                        # the member's own attribute: Enum.value is a Python-level property
-                        "outcome": outcome._value_,
-                        "members": son.members,
-                        "l_size": len(state.inactive),
-                        "r_size": len(state.active),
-                    },
+                    son.id,
+                    son.activity,
+                    # the member's own attribute: Enum.value is a Python-level property
+                    outcome._value_,
+                    son.members,
+                    len(state.inactive),
+                    len(state.active),
                 )
             )
 
     def _phase_arrivals(self, t: int) -> list[tuple[ResponseActivity, InformationItem]]:
         triggers: list[tuple[ResponseActivity, InformationItem]] = []
-        append = self.trace.append
+        append = self._rows.append
         arrivals = self._arrivals
         while self._next_arrival == t:
             item = arrivals.pop()
@@ -704,7 +783,7 @@ class Simulation:
                 # a data topic new to this registry can change a pair's answer
                 self._memo.clear()
             triggered = publish(reg, item, self.scenario.activities)
-            append(TraceRecord(t, "EventPublished", {"soc": item.source, "source": item.source_index, "topic": item.topic}))
+            append((t, "EventPublished", item.source, item.source_index, item.topic))
             for activity in triggered:
                 triggers.append((activity, item))
         return triggers
@@ -721,22 +800,9 @@ class Simulation:
                     f"tick {self.clock}: activity {activity.id} at SoC {r.origin_soc} was answered from"
                     f" memory with {result}, but resolves to {fresh}"
                 )
-        append = self.trace.append
+        append = self._rows.append
         for hop in result.hops:
-            append(
-                TraceRecord(
-                    self.clock,
-                    "ExceptionRaised",
-                    {
-                        "activity": activity.id,
-                        "request": r.request_id,
-                        "from_soc": hop.from_soc,
-                        "to_soc": hop.to_soc,
-                        "hop": hop.hop,
-                        "missing": hop.missing,
-                    },
-                )
-            )
+            append((self.clock, "ExceptionRaised", activity.id, r.request_id, hop.from_soc, hop.to_soc, hop.hop, hop.missing))
         if result.missing:
             r.last_missing = result.missing
             self._emit_unresolved(r, final=r.retries_left == 0)
@@ -745,23 +811,21 @@ class Simulation:
         self._son_seq += 1
         self._dissolve_at.setdefault(son.dissolves_at, []).append(son)
         append(
-            TraceRecord(
+            (
                 self.clock,
                 "SonFormed",
-                {
-                    "son": son.id,
-                    "request": r.request_id,
-                    "activity": son.activity,
-                    "origin_soc": r.origin_soc,
-                    "resolved_soc": result.resolved_soc,
-                    "members": son.members,
-                    "spanned_socs": result.spanned_socs,
-                    "hop_count": len(result.hops),
-                    "triggered_at": r.triggered_at,
-                    "dissolves_at": son.dissolves_at,
-                    "l_size": len(self.state.inactive),
-                    "r_size": len(self.state.active),
-                },
+                son.id,
+                r.request_id,
+                son.activity,
+                r.origin_soc,
+                result.resolved_soc,
+                son.members,
+                result.spanned_socs,
+                len(result.hops),
+                r.triggered_at,
+                son.dissolves_at,
+                len(self.state.inactive),
+                len(self.state.active),
             )
         )
         return False
@@ -770,17 +834,11 @@ class Simulation:
         if len(triggers) > 1:
             # a stable sort: one activity's triggers keep their publication order
             triggers.sort(key=lambda trigger: trigger[0].id)
-        append = self.trace.append
+        append = self._rows.append
         for activity, item in triggers:
             r = _Request(self._request_seq, activity, item.source, t, self.scenario.retry_bound)
             self._request_seq += 1
-            append(
-                TraceRecord(
-                    t,
-                    "ActivityTriggered",
-                    {"activity": activity.id, "request": r.request_id, "soc": item.source, "topic": item.topic},
-                )
-            )
+            append((t, "ActivityTriggered", activity.id, r.request_id, item.source, item.topic))
             if self._attempt(r):
                 self._pending.append(r)
 
@@ -796,17 +854,11 @@ class Simulation:
         self._pending = parked
 
     def _phase_evolution(self, t: int) -> None:
-        append = self.trace.append
+        append = self._rows.append
         for ev in maybe_permanentify(self.ledger, self.holarchy):
-            append(
-                TraceRecord(
-                    t,
-                    "Permanentified",
-                    {"soc": ev.soc, "parent": ev.parent, "members": ev.members, "activity": ev.activity},
-                )
-            )
+            append((t, "Permanentified", ev.soc, ev.parent, ev.members, ev.activity))
         for ev in maybe_prune(self.ledger, self.holarchy, self.scenario.policy, t):
-            append(TraceRecord(t, "Pruned", {"soc": ev.soc, "parent": ev.parent, "members": ev.members}))
+            append((t, "Pruned", ev.soc, ev.parent, ev.members))
 
     def _check_invariants(self) -> None:
         try:
@@ -879,7 +931,7 @@ class Simulation:
         for r in self._pending:
             self._emit_unresolved(r, final=True)
         self._pending = []
-        return report(self.trace)
+        return _fold_rows(self._rows)
 
 
 def run_scenario(

@@ -91,6 +91,8 @@ class Holon:
     representative: HolonId | None = None
     origin: HolonOrigin = HolonOrigin.SCENARIO
 
+    # set-up and staffing compare ``kind`` directly: each read of a property
+    # is a Python-level call
     @property
     def is_atomic(self) -> bool:
         return self.kind is HolonKind.ATOMIC
@@ -209,7 +211,7 @@ class Holarchy:
         self.registries = registries
         self._role_atoms: RoleAtoms = {}
         # sorted member list -> how many SoCs list exactly it; only _set_soc writes it
-        self._member_lists = Counter(tuple(sorted(n.members)) for n in holons.values() if n.is_composite)
+        self._member_lists = Counter(tuple(sorted(n.members)) for n in holons.values() if n.kind is HolonKind.COMPOSITE)
 
     # -- basic queries -------------------------------------------------
 
@@ -220,7 +222,7 @@ class Holarchy:
             raise HolarchyError(f"holon {h} does not exist") from None
 
     def atoms(self) -> tuple[HolonId, ...]:
-        return tuple(sorted(i for i, n in self.holons.items() if n.is_atomic))
+        return tuple(sorted(i for i, n in self.holons.items() if n.kind is HolonKind.ATOMIC))
 
     def composites(self) -> tuple[HolonId, ...]:
         return tuple(sorted(i for i, n in self.holons.items() if n.is_composite))
@@ -236,7 +238,7 @@ class Holarchy:
     def subtree_atoms(self, h: HolonId) -> frozenset[HolonId]:
         """All atomic actors reachable through member edges from ``h``."""
         node = self.holon(h)
-        if node.is_atomic:
+        if node.kind is HolonKind.ATOMIC:
             return frozenset({h})
         found: set[HolonId] = set()
         seen: set[HolonId] = set()
@@ -247,7 +249,7 @@ class Holarchy:
                 continue
             seen.add(current)
             n = self.holon(current)
-            if n.is_atomic:
+            if n.kind is HolonKind.ATOMIC:
                 found.add(current)
             else:
                 stack.extend(n.members)
@@ -328,7 +330,7 @@ class Holarchy:
         A composite ``m`` proxies the roles of its own, already filled, registry.
         """
         member = self.holons[m]
-        if member.is_atomic:
+        if member.kind is HolonKind.ATOMIC:
             for role in member.capabilities:
                 yield ServiceEntry(m, role)
         else:
@@ -353,7 +355,7 @@ def build_holarchy(holons: Iterable[Holon], roles: frozenset[RoleId]) -> Holarch
     for node in holons:
         if node.id in by_id:
             raise ViolationError(Violation("DuplicateId", node.id, f"holon id {node.id} declared twice"))
-        if node.is_composite:
+        if node.kind is HolonKind.COMPOSITE:
             parent.update(dict.fromkeys(node.members, node.id))
             registries[node.id] = Registry()
         by_id[node.id] = node
@@ -377,7 +379,7 @@ def register_initial_services(h: Holarchy) -> None:
     """
     order = [h.root]
     for soc in order:
-        order += [m for m in h.holons[soc].members if h.holons[m].is_composite]
+        order += [m for m in h.holons[soc].members if h.holons[m].kind is HolonKind.COMPOSITE]
     for soc in reversed(order):
         h.registries[soc].offer(e for m in h.holons[soc].members for e in h._offers(m))
 
@@ -402,7 +404,7 @@ def _structure_violations(h: Holarchy) -> Iterator[Violation]:
             yield Violation("NegativeId", i, f"holon id {i} is negative")
         if node.id != i:
             yield Violation("IdMismatch", i, f"keyed {i} but carries id {node.id}")
-        if node.is_atomic:
+        if node.kind is HolonKind.ATOMIC:
             if node.members:
                 yield Violation("AtomicWithMembers", i, f"atomic holon {i} lists members")
             if node.representative is not None:
@@ -421,7 +423,7 @@ def _structure_violations(h: Holarchy) -> Iterator[Violation]:
                 yield Violation("UnknownMember", i, f"SoC {i} lists unknown member {m}")
             elif node.origin is HolonOrigin.PERMANENTIFIED:
                 # promoted SoCs are leaf composites holding existing actors
-                if not member.is_atomic:
+                if member.kind is not HolonKind.ATOMIC:
                     yield Violation("NonAtomicOverlayMember", i, f"member {m} is not an existing actor")
             elif m in parents:
                 yield Violation("MultipleParents", m, f"holon {m} is a member of both {parents[m]} and {i}")
@@ -439,7 +441,7 @@ def _structure_violations(h: Holarchy) -> Iterator[Violation]:
         root = roots[0]
         if root != h.root:
             yield Violation("RootMismatch", h.root, f"recorded root differs from structural root {root}")
-        if h.holons[root].is_atomic:
+        if h.holons[root].kind is HolonKind.ATOMIC:
             yield Violation("AtomicRoot", root, f"root holon {root} must be a composite SoC")
         # with single parents, every unreachable holon sits on a cycle or
         # under one; a holon met twice on the walk has two parents already
@@ -450,7 +452,7 @@ def _structure_violations(h: Holarchy) -> Iterator[Violation]:
             node = h.holons.get(current)
             if current not in seen and node is not None:
                 seen.add(current)
-                if node.is_composite and node.origin is HolonOrigin.SCENARIO:
+                if node.kind is HolonKind.COMPOSITE and node.origin is HolonOrigin.SCENARIO:
                     stack += node.members
         missing = h.holons.keys() - seen
         if missing:

@@ -40,7 +40,7 @@ from fso_sim.environment import EventSource, PeriodicProcess, PoissonProcess, Sc
 from fso_sim.evolution import EvolutionPolicy, Outcome, SonSignature, promotion_due, record_outcome
 from fso_sim.holarchy import Holon, HolonKind
 
-from generators import random_scenario
+from generators import random_scenario, shared_member_list_scenario_dict
 from oracles import fold_metrics, reference_report, replay_partition, request_attempt_check, son_lifecycle_check
 from test_golden_traces import FIXTURES
 from test_workload_traces import workload_scenario
@@ -598,13 +598,14 @@ def calls_per_record(sim: Simulation) -> float:
     return calls / len(sim.trace)
 
 
-# measured on Python 3.11 at 4.83, 7.45 and 6.79 calls per record. A
-# keyword-argument helper frame per record made 5.83, 8.45 and 7.79; a frozen
+# measured on Python 3.11 at 3.83, 6.41 and 5.52 calls per record. A
+# TraceRecord built per record made 4.83, 7.45 and 6.79; a keyword-argument
+# helper frame per record as well made 5.83, 8.45 and 7.79; a frozen
 # dataclass ledger key, a Python-level sort key per service entry, an
 # evolution pass on every tick with a ready signature and a generator in
 # the run loop made 11.44 and 15.41 on the first two
 @pytest.mark.parametrize(
-    ("workload", "budget"), [("nine_actors.json", 5.3), ("promotion_churn", 8.2), ("escalation_512", 7.5)]
+    ("workload", "budget"), [("nine_actors.json", 4.2), ("promotion_churn", 7.1), ("escalation_512", 6.1)]
 )
 def test_a_run_stays_within_its_budget_of_python_calls_per_trace_record(workload, budget, tmp_path):
     if workload.endswith(".json"):
@@ -714,6 +715,53 @@ def test_report_folds_match_independent_fold():
         assert again == metrics
 
 
+def fold_runs():
+    """The shipped scenarios at seeds 1 and 4242, generator seeds 0-39 and
+    the shared-member-list family, as (label, scenario, seed) triples."""
+    for path in sorted(SCENARIOS.glob("*.json")):
+        for seed in (1, 4242):
+            yield f"{path.stem}-{seed}", load_scenario_file(str(path)), seed
+    for seed in range(40):
+        yield f"generated-{seed}", random_scenario(seed), None
+    for seed in range(40):
+        yield f"shared-members-{seed}", scenario_from_dict(shared_member_list_scenario_dict(seed)), None
+
+
+def test_a_runs_metrics_are_reports_fold_of_its_trace_as_held_and_as_read_back():
+    # run() folds the engine's rows by position and checks nothing; report
+    # folds records by key and checks each. The two must agree on every run
+    for label, scenario, seed in fold_runs():
+        sim = Simulation(scenario, seed=seed, debug=False)
+        metrics = sim.run()
+        trace = sim.trace
+        assert metrics == report(trace), label
+        assert metrics == report(parse_trace(write_trace(trace))), label
+
+
+def test_a_run_builds_no_trace_record(monkeypatch):
+    def refused(*args):
+        raise AssertionError("run() built a TraceRecord")
+
+    sim = Simulation(load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=4242, horizon=2000)
+    monkeypatch.setattr(engine, "TraceRecord", refused)
+    sim.run()
+    monkeypatch.undo()
+    assert len(sim.trace) > 1000
+
+
+def test_a_finished_runs_rows_are_flat_tuples_the_collector_no_longer_tracks():
+    sim = Simulation(load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=1)
+    sim.run()
+    rows = sim._rows
+    assert rows and {type(row) for row in rows} == {tuple}
+    assert {type(value) for row in rows for value in row} <= {int, str, bool, tuple}
+    # a pass untracks a tuple whose items are all untracked, so a row holding
+    # (actor, role) pairs inside its members tuple can take one pass a level
+    for _ in range(3):
+        gc.collect()
+    assert not any(gc.is_tracked(row) for row in rows)
+
+
 def test_report_of_empty_trace_is_all_zero():
     m = report([])
     assert m == Metrics()
@@ -725,8 +773,8 @@ def test_report_rejects_incomplete_records():
         report([TraceRecord(tick=0, kind="SonFormed", payload={})])
 
 
-# each kind's payload keys, listed once: every emission site writes its
-# payload as a dict literal, so a misspelt key would otherwise pass unseen
+# each kind's payload keys, listed here apart from the engine's own table of
+# them, so a key misspelt or out of place there does not pass unseen
 PAYLOAD_KEYS = {
     "EventPublished": {"soc", "source", "topic"},
     "ActivityTriggered": {"activity", "request", "soc", "topic"},
