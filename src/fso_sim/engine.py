@@ -56,11 +56,10 @@ holds ints, strings, booleans and the engine's own tuples, so the cycle
 collector stops tracking it once it has passed over it and the tuples
 inside, and no record or payload dict is built while a run lasts.
 :attr:`Simulation.trace` builds the :class:`TraceRecord` list from the rows
-when it is read. :meth:`Simulation.run` folds the rows by position and
-checks nothing, since the engine wrote them; :func:`report` folds records,
-those read back from a file among them, in one pass with its counts in
-locals, checking every record as it goes. The two folds give equal metrics
-for every run's trace.
+when it is read. Metrics come from one fold, :func:`_fold_rows`, which
+reads rows by position and checks nothing. :meth:`Simulation.run` passes it
+the rows the engine wrote; :func:`report` checks each record, those read
+back from a file among them, and passes it on as a row in the same pass.
 
 Staffing reads only the activity, its start SoC, the actors under each SoC
 on its chain, the topics of their registries and which actors its scans
@@ -165,7 +164,7 @@ class ValidationError(Exception):
 
 
 class MalformedTraceError(Exception):
-    pass
+    """A trace line is not a record, or a record does not fold into metrics."""
 
 
 class InvariantViolationError(Exception):
@@ -493,15 +492,16 @@ def load_scenario_file(path: str) -> Scenario:
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
-    """Parse one record per line, skipping blank lines.
+    """Parse one record per line, skipping lines of only JSON whitespace.
 
     Only a line feed ends a line. A string may hold any other line break,
     such as U+2028, and the carriage return of a CRLF ending is JSON
-    whitespace.
+    whitespace. Space, tab and carriage return are the only others, so a
+    line of any other blank, such as U+00A0 or a form feed, is malformed.
     """
     records = []
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if not line.strip(" \t\r"):
             continue
         try:
             doc = json.loads(line, object_pairs_hook=_unique_keys)
@@ -525,100 +525,75 @@ def write_trace(records: Iterable[TraceRecord]) -> str:
     return "".join(r.to_line() + "\n" for r in records)
 
 
-def _non_integer(r: TraceRecord, key: str) -> MalformedTraceError:
-    return MalformedTraceError(f"{r.kind} record has non-integer {key} {r.payload[key]!r}")
-
-
-def report(records: Iterable[TraceRecord]) -> Metrics:
-    """Fold a trace into metrics; a run's metrics come from its own trace.
-
-    One pass, with the counts and sums in locals. The kinds that carry no
-    check are tested first. Every record is still checked, in this order:
-    its kind must be one of :data:`TRACE_KINDS`; a ``SonFormed`` record's
-    ``hop_count`` and ``triggered_at``, then a ``SonFormed`` or
-    ``SonDissolved`` record's ``l_size`` and ``r_size``, must be integers
-    (True and False are not counts); a ``RequestUnresolved`` record's
-    ``final`` must be True or False. A missing key, a field of the wrong
-    type, an unknown kind and means too large for a float raise
-    MalformedTraceError.
-    """
-    published = formed = unresolved = promoted = pruned = 0
-    hop_sum = latency_sum = 0
-    # the payload of the last record that carries the partition sizes
-    sized = None
-    for r in records:
-        kind = r.kind
-        if kind == "ExceptionRaised" or kind == "ActivityTriggered":
-            continue
-        if kind == "EventPublished":
-            published += 1
-            continue
-        p = r.payload
-        try:
-            if kind == "SonFormed":
-                formed += 1
-                hop_count = p["hop_count"]
-                if type(hop_count) is not int:
-                    raise _non_integer(r, "hop_count")
-                hop_sum += hop_count
-                triggered_at = p["triggered_at"]
-                if type(triggered_at) is not int:
-                    raise _non_integer(r, "triggered_at")
-                latency_sum += r.tick - triggered_at
-            elif kind == "RequestUnresolved":
-                final = p["final"]
-                if final is True:
-                    unresolved += 1
-                elif final is not False:
-                    raise MalformedTraceError(f"{kind} record has non-boolean final {final!r}")
-                continue
-            elif kind == "Permanentified":
-                promoted += 1
-                continue
-            elif kind == "Pruned":
-                pruned += 1
-                continue
-            elif kind != "SonDissolved":
-                raise MalformedTraceError(f"unknown kind {kind!r}")
-            # SonFormed or SonDissolved
-            if type(p["l_size"]) is not int:
-                raise _non_integer(r, "l_size")
-            if type(p["r_size"]) is not int:
-                raise _non_integer(r, "r_size")
-            sized = p
-        except KeyError as exc:
-            raise MalformedTraceError(f"{kind} record lacks key {exc}") from None
-    mean_hop_count = mean_response_latency = 0.0
-    if formed:
-        try:
-            mean_hop_count = hop_sum / formed
-            mean_response_latency = latency_sum / formed
-        except OverflowError:
-            raise MalformedTraceError("a mean hop count or latency does not fit a float") from None
-    return Metrics(
-        events_published=published,
-        sons_formed=formed,
-        mean_hop_count=mean_hop_count,
-        mean_response_latency=mean_response_latency,
-        unresolved_requests=unresolved,
-        permanentifications=promoted,
-        prunings=pruned,
-        final_partition_sizes=(0, 0) if sized is None else (sized["l_size"], sized["r_size"]),
-    )
-
-
 def _position(kind: str, key: str) -> int:
     """Where a row of ``kind`` holds the value of ``key``."""
     return 2 + TRACE_FIELDS[kind].index(key)
 
 
+# the fields the fold reads, by kind and key, each with the type a record
+# must give it; report checks a record's fields in this order
+_FOLDED: dict[tuple[str, str], type] = {
+    ("SonFormed", "hop_count"): int,
+    ("SonFormed", "triggered_at"): int,
+    ("SonFormed", "l_size"): int,
+    ("SonFormed", "r_size"): int,
+    ("SonDissolved", "l_size"): int,
+    ("SonDissolved", "r_size"): int,
+    ("RequestUnresolved", "final"): bool,
+}
 _HOP_COUNT = _position("SonFormed", "hop_count")
 _TRIGGERED_AT = _position("SonFormed", "triggered_at")
 _FINAL = _position("RequestUnresolved", "final")
 
 
-def _fold_rows(rows: list[tuple[Any, ...]]) -> Metrics:
-    """:func:`report`'s fold over a run's own rows, by position and unchecked."""
+def report(records: Iterable[TraceRecord]) -> Metrics:
+    """Fold a trace into metrics: check each record, then pass it as a row
+    to :func:`_fold_rows`, the fold that gives a run its own metrics.
+
+    One pass over ``records``. A record is checked for exactly the fields
+    the fold reads, in this order: its kind must be one of
+    :data:`TRACE_KINDS`; a ``SonFormed`` record's ``hop_count`` and
+    ``triggered_at``, then a ``SonFormed`` or ``SonDissolved`` record's
+    ``l_size`` and ``r_size``, must be integers (True and False are not
+    counts); a ``RequestUnresolved`` record's ``final`` must be True or
+    False. A missing key among those, a field of the wrong type, an unknown
+    kind and means too large for a float raise MalformedTraceError. The
+    fold reads no other key, so a record may lack one.
+    """
+    # each kind's payload keys, and where its row holds each field the fold
+    # reads, with that field's key and type
+    specs = {
+        kind: (keys, [(_position(kind, key), key, t) for (k, key), t in _FOLDED.items() if k == kind])
+        for kind, keys in TRACE_FIELDS.items()
+    }
+
+    def rows() -> Iterable[tuple[Any, ...]]:
+        for r in records:
+            kind, p = r.kind, r.payload
+            try:
+                keys, checks = specs[kind]
+            except (KeyError, TypeError):
+                raise MalformedTraceError(f"unknown kind {kind!r}") from None
+            row = (r.tick, kind, *map(p.get, keys))
+            for i, key, t in checks:
+                if type(row[i]) is not t:
+                    if key not in p:
+                        raise MalformedTraceError(f"{kind} record lacks key {key!r}")
+                    word = "boolean" if t is bool else "integer"
+                    raise MalformedTraceError(f"{kind} record has non-{word} {key} {row[i]!r}")
+            yield row
+
+    return _fold_rows(rows())
+
+
+def _fold_rows(rows: Iterable[tuple[Any, ...]]) -> Metrics:
+    """The one metrics fold: one pass over rows, by position and unchecked.
+
+    :meth:`Simulation.run` passes its own rows, which the engine wrote;
+    :func:`report` passes the rows of the records it has checked. Means too
+    large for a float, which only a record read back can give, raise
+    MalformedTraceError.
+    """
     published = formed = unresolved = promoted = pruned = 0
     hop_sum = latency_sum = 0
     hop_count, triggered_at, final = _HOP_COUNT, _TRIGGERED_AT, _FINAL
@@ -642,14 +617,21 @@ def _fold_rows(rows: list[tuple[Any, ...]]) -> Metrics:
             promoted += 1
         elif kind == "Pruned":
             pruned += 1
+    mean_hop_count = mean_response_latency = 0.0
+    if formed:
+        try:
+            mean_hop_count = hop_sum / formed
+            mean_response_latency = latency_sum / formed
+        except OverflowError:
+            raise MalformedTraceError("a mean hop count or latency does not fit a float") from None
     sizes = (0, 0)
     if sized is not None:
         sizes = (sized[_position(sized[1], "l_size")], sized[_position(sized[1], "r_size")])
     return Metrics(
         events_published=published,
         sons_formed=formed,
-        mean_hop_count=hop_sum / formed if formed else 0.0,
-        mean_response_latency=latency_sum / formed if formed else 0.0,
+        mean_hop_count=mean_hop_count,
+        mean_response_latency=mean_response_latency,
         unresolved_requests=unresolved,
         permanentifications=promoted,
         prunings=pruned,

@@ -539,8 +539,9 @@ def _non_integer(r: TraceRecord, key: str) -> MalformedTraceError:
 def reference_report(records: Iterable[TraceRecord]) -> Metrics:
     """The metrics fold as one ``if``/``elif`` chain over attribute increments.
 
-    An earlier :func:`fso_sim.engine.report`, kept word for word: the one-pass
-    fold must return the same metrics, or raise the same error, on any trace.
+    An earlier :func:`fso_sim.engine.report`, kept word for word: ``report``,
+    which checks each record and folds it with the fold of a run's own rows,
+    must return the same metrics, or raise the same error, on any trace.
     """
     m = Metrics()
     hop_sum = 0

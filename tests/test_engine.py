@@ -693,6 +693,11 @@ def test_parse_trace_ends_records_at_line_feeds_only():
     assert [r.payload["topic"] for r in records] == ["a\u2028b\x85c"] * 2
     with pytest.raises(MalformedTraceError, match="^line 3: "):
         parse_trace(rec + "\n\n{broken\n")
+    # JSON whitespace is space, tab, CR and LF: a line of any other blank
+    # is malformed, not skipped
+    for blank in ("\u00a0", "\u3000", "\u2028", "\f", "\x1c"):
+        with pytest.raises(MalformedTraceError, match="^line 2: "):
+            parse_trace(rec + "\n" + blank + "\n" + rec + "\n")
 
 
 def test_parse_trace_rejects_an_object_that_repeats_a_key():
@@ -728,14 +733,33 @@ def fold_runs():
 
 
 def test_a_runs_metrics_are_reports_fold_of_its_trace_as_held_and_as_read_back():
-    # run() folds the engine's rows by position and checks nothing; report
-    # folds records by key and checks each. The two must agree on every run
+    # report rebuilds each record's row and folds it with run()'s own fold,
+    # so the two agree when the rebuilt rows fold as the run's do: from
+    # records as held, as read back, and as an iterator read once
     for label, scenario, seed in fold_runs():
         sim = Simulation(scenario, seed=seed, debug=False)
         metrics = sim.run()
         trace = sim.trace
         assert metrics == report(trace), label
         assert metrics == report(parse_trace(write_trace(trace))), label
+        assert metrics == report(iter(trace)), label
+
+
+def test_run_and_report_share_one_fold(monkeypatch):
+    calls = 0
+    fold_rows = engine._fold_rows
+
+    def counted(rows):
+        nonlocal calls
+        calls += 1
+        return fold_rows(rows)
+
+    monkeypatch.setattr(engine, "_fold_rows", counted)
+    sim = Simulation(load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=4242, horizon=2000)
+    metrics = sim.run()
+    assert calls == 1
+    assert report(sim.trace) == metrics
+    assert calls == 2
 
 
 def test_a_run_builds_no_trace_record(monkeypatch):
