@@ -45,8 +45,12 @@ class ActivationState:
 
 
 def initial_state(h: Holarchy) -> ActivationState:
-    """All actors idle: L is the full actor population, R is empty."""
-    return ActivationState(inactive=set(h.subtree_atoms(h.root)), active={})
+    """All actors idle: L is the full actor population, R is empty.
+
+    The population is read from the holon table: the structural rules put
+    every holon under the root, so that is every actor the root reaches.
+    """
+    return ActivationState(inactive={i for i, n in h.holons.items() if n.kind is HolonKind.ATOMIC}, active={})
 
 
 def enroll(

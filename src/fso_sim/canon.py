@@ -20,7 +20,7 @@ workable assignment.
 Escalation only ever widens the view. Each SoC on the chain lists the one
 below it as a member, so the actors under it include every actor under the
 SoCs visited before, and hop k reads only the role atoms of the k-th SoC
-(:meth:`Holarchy.role_atoms`): per role, the actors under it that can play
+(:meth:`Holarchy.atoms_by_role`): per role, the actors under it that can play
 the role, in id order. They are exactly the actors the visited registries
 offer once each punctualized entry is unfolded, so staffing reads no
 service entry. An activity with ``s`` role slots never needs more than each
@@ -368,7 +368,8 @@ def resolve_request(
     ``h.parent`` one hop at a time, never built whole: a request staffed at
     its start SoC, the usual case, looks no higher.
 
-    Each hop takes one pass over the activity's distinct roles. A role's
+    Each hop reads its SoC's role atoms (:meth:`Holarchy.atoms_by_role`)
+    once and takes one pass over the activity's distinct roles. A role's
     atoms at the hop's SoC are read from the front, skipping busy actors,
     and left after ``s`` idle ones, since those beat any later one. That
     one read is the whole visited chain's pool: the hop's SoC lists the
@@ -394,7 +395,7 @@ def resolve_request(
             if idle.isdisjoint(were_busy) and idle.issuperset(were_idle):
                 return answer
     parent = h.parent
-    role_atoms = h.role_atoms
+    atoms_by_role = h.atoms_by_role
     roles = dict.fromkeys(activity.required_roles)
     s = len(activity.required_roles)
     hops: list[HopRecord] = []
@@ -404,9 +405,10 @@ def resolve_request(
     soc = start_soc
     while True:
         pool: Pool = {}
+        by_role = atoms_by_role(soc)
         for role in roles:
             best = pool[role] = []
-            for a in role_atoms(soc, role):
+            for a in by_role.get(role, ()):
                 if a in idle:
                     best.append(a)
                     if len(best) == s:

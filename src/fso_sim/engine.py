@@ -5,12 +5,15 @@ A scenario is a strict UTF-8 JSON document in the format of the shipped
 import, into its own checker, so no third-party package is needed; integers
 must be written without a fraction (``1``, not ``1.0``). It then checks by
 hand only what a schema cannot state: role ids below the number of roles,
-the holarchy's structure (the rules of :func:`fso_sim.holarchy.validate`,
-which :func:`~fso_sim.holarchy.build_holarchy` enforces), unique activity
-ids, that each source's topic is used by some activity and its injection
-SoC is an existing composite, that scripted times ascend, and that failure
-windows stop no earlier than they start and name existing activities. The
-simulator turns a scenario into a
+unique activity ids, that each source's topic is used by some activity,
+that scripted times ascend, and that failure windows stop no earlier than
+they start and name existing activities. The holarchy's structure (the
+rules of :func:`fso_sim.holarchy.validate`, which
+:func:`~fso_sim.holarchy.build_holarchy` enforces) and that each source
+injects into an existing composite are checked by :class:`Scenario`
+itself, once, when it is made, whether by the loader or by hand; a
+:class:`Simulation` builds its holarchy from what that check kept and
+checks nothing again. The simulator turns a scenario into a
 stream of trace records, one JSON object per line, so that a (scenario,
 seed) pair reproduces the same trace byte for byte. Payload values are
 integers, the strings ``topic`` and ``outcome``, the boolean ``final`` of
@@ -173,6 +176,18 @@ class InvariantViolationError(Exception):
 
 @dataclass(frozen=True)
 class Scenario:
+    """Everything one run needs, with its holarchy's structure checked once.
+
+    Construction checks the holons against the structural rules of
+    :func:`~fso_sim.holarchy.validate`, raising the first fault as
+    :class:`~fso_sim.holarchy.ViolationError`, and checks that each source
+    injects into an existing composite, raising ValidationError in the
+    loader's words. The checked holon table, parent map and root are kept as
+    plain attributes, not dataclass fields, the way
+    :class:`~fso_sim.canon.ActivityTable` keeps its topic lookup; each
+    :class:`Simulation` builds its own holarchy from copies of them.
+    """
+
     role_names: tuple[str, ...]
     holons: tuple[Holon, ...]
     activities: ActivityTable
@@ -181,6 +196,19 @@ class Scenario:
     horizon: int
     seed: int
     retry_bound: int
+
+    def __post_init__(self) -> None:
+        h = build_holarchy(self.holons, self.roles)
+        for i, src in enumerate(self.sources):
+            node = h.holons.get(src.injection_soc)
+            if node is None or node.kind is not HolonKind.COMPOSITE:
+                _fail(
+                    f"environment[{i}].injection_soc",
+                    f"no composite holon {src.injection_soc}; events are published to SoCs",
+                )
+        object.__setattr__(self, "_holons", h.holons)
+        object.__setattr__(self, "_parent", h.parent)
+        object.__setattr__(self, "_root", h.root)
 
     @property
     def roles(self) -> frozenset[RoleId]:
@@ -368,9 +396,17 @@ def _fail(where: str, msg: str) -> NoReturn:
     raise ValidationError(f"{where}: {msg}")
 
 
+# a holon's kind by its name in the format: a dict read, not an Enum call
+_HOLON_KINDS = {kind.value: kind for kind in HolonKind}
+
+
 def scenario_from_dict(doc: Any) -> Scenario:
     """Check a document against the schema, then convert it, checking by
     hand only the rules the schema cannot state (see the module docstring).
+
+    The holarchy's structure and the sources' injection SoCs are checked by
+    the :class:`Scenario` this builds; a structural fault is reported as
+    ValidationError under ``holarchy``.
     """
     try:
         _check_scenario(doc)
@@ -384,11 +420,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
         members = tuple(h.get("members", ()))
         # a community's representative defaults to its lowest member
         rep = h.get("representative", min(members, default=None))
-        holons.append(Holon(h["id"], HolonKind(h["kind"]), frozenset(h.get("capabilities", ())), members, rep))
-    try:
-        holarchy = build_holarchy(holons, frozenset(range(len(role_names))))
-    except ViolationError as exc:
-        _fail("holarchy", str(exc))
+        holons.append(Holon(h["id"], _HOLON_KINDS[h["kind"]], frozenset(h.get("capabilities", ())), members, rep))
 
     activities = []
     for i, a in enumerate(doc["activities"]):
@@ -414,8 +446,6 @@ def scenario_from_dict(doc: Any) -> Scenario:
         where, soc, p = f"environment[{i}]", src["injection_soc"], src["process"]
         if src["topic"] not in table.known_topics:
             _fail(f"{where}.topic", f"topic {src['topic']!r} is not used by any activity")
-        if soc not in holarchy.holons or holarchy.holons[soc].kind is not HolonKind.COMPOSITE:
-            _fail(f"{where}.injection_soc", f"no composite holon {soc}; events are published to SoCs")
         process: Process
         if p["kind"] == "poisson":
             process = PoissonProcess(rate=float(p["rate"]))
@@ -435,21 +465,24 @@ def scenario_from_dict(doc: Any) -> Scenario:
         if w["activity"] not in {a.id for a in table.activities}:
             _fail(f"policy.failure_injections[{i}].activity", f"no activity with id {w['activity']}")
 
-    return Scenario(
-        role_names=role_names,
-        holons=tuple(holons),
-        activities=table,
-        sources=tuple(sources),
-        policy=EvolutionPolicy(
-            permanentify_threshold=policy["permanentify_threshold"],
-            prune_failure_threshold=policy["prune_failure_threshold"],
-            prune_window=policy["prune_window"],
-            failure_injections=tuple(FailureWindow(**w) for w in windows),
-        ),
-        horizon=doc["horizon"],
-        seed=doc["seed"],
-        retry_bound=doc["retry_bound"],
-    )
+    try:
+        return Scenario(
+            role_names=role_names,
+            holons=tuple(holons),
+            activities=table,
+            sources=tuple(sources),
+            policy=EvolutionPolicy(
+                permanentify_threshold=policy["permanentify_threshold"],
+                prune_failure_threshold=policy["prune_failure_threshold"],
+                prune_window=policy["prune_window"],
+                failure_injections=tuple(FailureWindow(**w) for w in windows),
+            ),
+            horizon=doc["horizon"],
+            seed=doc["seed"],
+            retry_bound=doc["retry_bound"],
+        )
+    except ViolationError as exc:
+        _fail("holarchy", str(exc))
 
 
 def _reject_constant(token: str) -> float:
@@ -664,6 +697,12 @@ def _debug_default() -> bool:
 class Simulation:
     """One run over a scenario: deterministic given (scenario, seed).
 
+    The scenario's structure was checked when the :class:`Scenario` was
+    made, so set-up checks nothing again: it builds the run's own mutable
+    :class:`~fso_sim.holarchy.Holarchy` from copies of the holon table and
+    parent map that check kept, registers the initial service offers and
+    samples every arrival.
+
     The staffing memo ``_memo`` lives for the whole run and is emptied only
     when a publish brings a registry a topic it did not hold; grafts and
     removes leave every staffing chain and the actors under it as they were.
@@ -688,7 +727,7 @@ class Simulation:
         self.seed = scenario.seed if seed is None else seed
         self.horizon = scenario.horizon if horizon is None else horizon
         self.debug = _debug_default() if debug is None else debug
-        self.holarchy: Holarchy = build_holarchy(scenario.holons, scenario.roles)
+        self.holarchy = Holarchy(dict(scenario._holons), dict(scenario._parent), scenario._root, scenario.roles)
         register_initial_services(self.holarchy)
         self.state = initial_state(self.holarchy)
         self.ledger = ExperienceLedger()

@@ -17,15 +17,19 @@ root) are stated once, in :func:`validate`, as :class:`Violation` data.
 break as a :class:`ViolationError` carrying it; a debug run audits them
 after every tick.
 
-A run has exactly one holarchy, built by :func:`build_holarchy` and only
-ever touched by the engine's single logical event loop. Registries are its
-everyday mutable surface. Its structure changes in place, through
+A scenario's structure is checked once, when its
+:class:`~fso_sim.engine.Scenario` is made: that calls :func:`build_holarchy`
+and keeps the checked holon table, parent map and root. Each run then
+builds its own holarchy from copies of those with the :class:`Holarchy`
+constructor, which checks nothing, and only the run's single logical event
+loop touches it. Registries are its everyday mutable surface. Its
+structure changes in place, through
 :meth:`Holarchy.graft` and :meth:`Holarchy.remove` alone, when evolution
 promotes a recurring overlay into a permanent SoC or prunes one again (see
 :mod:`fso_sim.evolution`).
 
 A holarchy memoises two things its structure already knows. The actors
-under each SoC, bucketed by role (:meth:`Holarchy.role_atoms`), fill
+under each SoC, bucketed by role (:meth:`Holarchy.atoms_by_role`), fill
 lazily. The member lists are a counted index: how many SoCs list each
 sorted member list (:meth:`Holarchy.holds_members`). It is built with the
 holarchy, and the one helper that adds, relists or deletes a SoC keeps it.
@@ -102,8 +106,7 @@ class Holon:
         return self.kind is HolonKind.COMPOSITE
 
 
-@dataclass(frozen=True)
-class ServiceEntry:
+class ServiceEntry(NamedTuple):
     """One service offer in a registry.
 
     ``via`` is the composite member whose subtree this entry punctualizes,
@@ -111,7 +114,9 @@ class ServiceEntry:
     so that evolution can retract exactly the entries it added. A registry
     keeps its entries sorted by (provider, role), read by the C-level key
     ``_ENTRY_ORDER``, so a graft's sort makes no Python-level call per
-    entry.
+    entry. A tuple, built with ``tuple.__new__`` as ``_make`` does, so
+    registering an offer makes no Python-level call either; it hashes and
+    compares as the tuple of its three fields.
     """
 
     provider: HolonId
@@ -145,7 +150,7 @@ class Registry:
 
     Service entries are stored in (provider, role) order, which
     :func:`validate`'s ``RegistryOrder`` rule audits. Staffing does not read
-    them: it reads :meth:`Holarchy.role_atoms`, the actors the entries offer
+    them: it reads :meth:`Holarchy.atoms_by_role`, the actors the entries offer
     once each ``via`` entry is unfolded to the role atoms of its member, so
     a proxy's provider (the member's representative) is never ranked. Only
     :meth:`offer` and :meth:`retract` write the entries. ``info_entries``
@@ -202,16 +207,21 @@ class Holarchy:
         parent: dict[HolonId, HolonId],
         root: HolonId,
         roles: frozenset[RoleId],
-        registries: dict[HolonId, Registry],
     ) -> None:
+        """Hold the given tables as they are, with an empty registry per SoC.
+
+        Nothing is checked here: :func:`build_holarchy` checks before it
+        calls this, and a run passes copies of tables its scenario checked.
+        """
         self.holons = holons
         self.parent = parent
         self.root = root
         self.roles = roles
-        self.registries = registries
+        socs = [n for n in holons.values() if n.kind is HolonKind.COMPOSITE]
+        self.registries = {n.id: Registry() for n in socs}
         self._role_atoms: RoleAtoms = {}
         # sorted member list -> how many SoCs list exactly it; only _set_soc writes it
-        self._member_lists = Counter(tuple(sorted(n.members)) for n in holons.values() if n.kind is HolonKind.COMPOSITE)
+        self._member_lists = Counter([tuple(sorted(n.members)) for n in socs])
 
     # -- basic queries -------------------------------------------------
 
@@ -255,11 +265,12 @@ class Holarchy:
                 stack.extend(n.members)
         return frozenset(found)
 
-    def role_atoms(self, soc: HolonId, role: RoleId) -> tuple[HolonId, ...]:
-        """The actors under ``soc`` that can play ``role``, in id order.
+    def atoms_by_role(self, soc: HolonId) -> dict[RoleId, tuple[HolonId, ...]]:
+        """Per role, the actors under ``soc`` that can play it, in id order.
 
-        The first call for a SoC walks its subtree once and buckets every
-        actor by capability; later calls read the bucket.
+        A role no actor under ``soc`` plays has no key. The first call for a
+        SoC walks its subtree once and buckets every actor by capability;
+        later calls return the same dict, which callers only read.
         """
         by_role = self._role_atoms.get(soc)
         if by_role is None:
@@ -269,7 +280,11 @@ class Holarchy:
                     buckets.setdefault(r, []).append(a)
             by_role = {r: tuple(actors) for r, actors in buckets.items()}
             self._role_atoms[soc] = by_role
-        return by_role.get(role, ())
+        return by_role
+
+    def role_atoms(self, soc: HolonId, role: RoleId) -> tuple[HolonId, ...]:
+        """The actors under ``soc`` that can play ``role``, in id order."""
+        return self.atoms_by_role(soc).get(role, ())
 
     def holds_members(self, members: tuple[HolonId, ...]) -> bool:
         """Whether some SoC's member list, sorted, is exactly ``members``."""
@@ -292,7 +307,7 @@ class Holarchy:
         self._set_soc(soc, promoted)
         self.parent[soc] = anchor
         self.registries[soc] = Registry()
-        self.registries[soc].offer(e for m in members for e in self._offers(m))
+        self.registries[soc].offer([e for m in members for e in self._offers(m)])
         old = self.holons[anchor]
         self._set_soc(anchor, replace(old, members=old.members + (soc,)))
         self.registries[anchor].offer(self._offers(soc))
@@ -324,20 +339,18 @@ class Holarchy:
             self.holons[soc] = node
             self._member_lists[tuple(sorted(node.members))] += 1
 
-    def _offers(self, m: HolonId) -> Iterator[ServiceEntry]:
+    def _offers(self, m: HolonId) -> list[ServiceEntry]:
         """The entries member ``m`` adds to its SoC's registry.
 
         A composite ``m`` proxies the roles of its own, already filled, registry.
         """
         member = self.holons[m]
+        new = tuple.__new__
         if member.kind is HolonKind.ATOMIC:
-            for role in member.capabilities:
-                yield ServiceEntry(m, role)
-        else:
-            rep = member.representative
-            assert rep is not None
-            for role in {e.role for e in self.registries[m].service_entries}:
-                yield ServiceEntry(rep, role, via=m)
+            return [new(ServiceEntry, (m, role, None)) for role in member.capabilities]
+        rep = member.representative
+        assert rep is not None
+        return [new(ServiceEntry, (rep, role, m)) for role in {e.role for e in self.registries[m].service_entries}]
 
 
 def build_holarchy(holons: Iterable[Holon], roles: frozenset[RoleId]) -> Holarchy:
@@ -347,21 +360,20 @@ def build_holarchy(holons: Iterable[Holon], roles: frozenset[RoleId]) -> Holarch
     registry; initial service offers are registered separately with
     :func:`register_initial_services`. The first violation of the structural
     rules of :func:`validate`, or a ``DuplicateId``, which a holarchy keyed by
-    id cannot hold, is raised as a :class:`ViolationError`.
+    id cannot hold, is raised as a :class:`ViolationError`. This is where a
+    scenario's structure is checked, once, when the scenario is made.
     """
     by_id: dict[HolonId, Holon] = {}
     parent: dict[HolonId, HolonId] = {}
-    registries: dict[HolonId, Registry] = {}
     for node in holons:
         if node.id in by_id:
             raise ViolationError(Violation("DuplicateId", node.id, f"holon id {node.id} declared twice"))
         if node.kind is HolonKind.COMPOSITE:
             parent.update(dict.fromkeys(node.members, node.id))
-            registries[node.id] = Registry()
         by_id[node.id] = node
     # -1 when every holon is listed somewhere, which the rules reject
     root = next((i for i in by_id if i not in parent), -1)
-    h = Holarchy(by_id, parent, root, roles, registries)
+    h = Holarchy(by_id, parent, root, roles)
     # a fresh holarchy's registries are empty, so only the structure can fail
     for v in _structure_violations(h):
         raise ViolationError(v)
@@ -377,11 +389,12 @@ def register_initial_services(h: Holarchy) -> None:
     are filled leaves first, in reverse breadth-first order from the root,
     so each member's registry is complete before its SoC's reads it.
     """
+    holons, offers = h.holons, h._offers
     order = [h.root]
     for soc in order:
-        order += [m for m in h.holons[soc].members if h.holons[m].kind is HolonKind.COMPOSITE]
+        order += [m for m in holons[soc].members if holons[m].kind is HolonKind.COMPOSITE]
     for soc in reversed(order):
-        h.registries[soc].offer(e for m in h.holons[soc].members for e in h._offers(m))
+        h.registries[soc].offer([e for m in holons[soc].members for e in offers(m)])
 
 
 def validate(h: Holarchy) -> list[Violation]:

@@ -116,8 +116,8 @@ def test_enumerate_prints_the_state_count(capsys):
     assert capsys.readouterr().out.strip() == "512"
 
 
-def test_enumerate_builds_the_holarchy_once(monkeypatch, capsys):
-    # loading builds it to check the structure; the count reads the holons
+def count_holarchy_builds(monkeypatch) -> list:
+    """The argument tuples of every ``build_holarchy`` call the CLI makes from now on."""
     calls = []
     for module in (engine, cli):
         if hasattr(module, "build_holarchy"):
@@ -127,8 +127,26 @@ def test_enumerate_builds_the_holarchy_once(monkeypatch, capsys):
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, "build_holarchy", counted)
+    return calls
+
+
+def test_enumerate_builds_the_holarchy_once(monkeypatch, capsys):
+    # loading builds it to check the structure; the count reads the holons
+    calls = count_holarchy_builds(monkeypatch)
     assert run_cli("enumerate", "--scenario", str(SCENARIOS / "nine_actors.json")) == 0
     assert capsys.readouterr().out.strip() == "512"
+    assert len(calls) == 1
+
+
+def test_run_builds_the_holarchy_once(monkeypatch, capsys, tmp_path):
+    # the scenario checks its structure when the loader makes it; the run
+    # builds its own holarchy from what that check kept, unchecked
+    calls = count_holarchy_builds(monkeypatch)
+    code = run_cli(
+        "run", "--scenario", str(SCENARIOS / "nine_actors.json"), "--seed", "1", "--trace", str(tmp_path / "t")
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["sons_formed"] > 0
     assert len(calls) == 1
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fso_sim import canon, engine
+from fso_sim import canon, engine, holarchy
 from fso_sim.canon import DATA_MISSING, ResponseActivity
 from fso_sim.engine import (
     TRACE_KINDS,
@@ -38,12 +38,12 @@ from fso_sim.engine import (
 )
 from fso_sim.environment import EventSource, PeriodicProcess, PoissonProcess, ScriptedProcess
 from fso_sim.evolution import EvolutionPolicy, Outcome, SonSignature, promotion_due, record_outcome
-from fso_sim.holarchy import Holon, HolonKind
+from fso_sim.holarchy import Holon, HolonKind, ViolationError
 
 from generators import random_scenario, shared_member_list_scenario_dict
 from oracles import fold_metrics, reference_report, replay_partition, request_attempt_check, son_lifecycle_check
 from test_golden_traces import FIXTURES
-from test_workload_traces import workload_scenario
+from test_workload_traces import workload_file, workload_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SCHEMA = json.loads((Path(engine.__file__).parent / "schema" / "scenario.schema.json").read_text())
@@ -188,6 +188,55 @@ def test_load_rejects_structural_breakage():
     with pytest.raises(ValidationError) as err:
         scenario_from_dict(doc)
     assert "holarchy" in str(err.value)
+
+
+def test_a_hand_built_scenario_with_a_broken_structure_is_refused_when_it_is_made():
+    scenario = load_scenario_file(str(SCENARIOS / "nine_actors.json"))
+    # actor 3 is a member of SoC 11; SoC 10 lists it as well
+    holons = tuple(
+        dataclasses.replace(node, members=node.members + (3,)) if node.id == 10 else node for node in scenario.holons
+    )
+    with pytest.raises(ViolationError) as err:
+        dataclasses.replace(scenario, holons=holons)
+    assert err.value.violation.code == "MultipleParents"
+    assert str(err.value) == "holon 3 is a member of both 10 and 11"
+
+
+@pytest.mark.parametrize("soc", [3, 99], ids=["an_actor", "no_holon"])
+def test_a_hand_built_scenario_must_inject_into_a_soc(soc):
+    # such a run used to fail at its first arrival with a bare KeyError
+    scenario = load_scenario_file(str(SCENARIOS / "nine_actors.json"))
+    sources = (EventSource("alarm", injection_soc=soc, process=PeriodicProcess(5)),)
+    with pytest.raises(ValidationError) as err:
+        dataclasses.replace(scenario, sources=sources)
+    assert str(err.value) == f"environment[0].injection_soc: no composite holon {soc}; events are published to SoCs"
+
+
+def test_a_scenario_is_checked_once_however_it_is_made(monkeypatch):
+    checks = 0
+    check = holarchy._structure_violations
+
+    def counted(h):
+        nonlocal checks
+        checks += 1
+        return check(h)
+
+    monkeypatch.setattr(holarchy, "_structure_violations", counted)
+    scenario = load_scenario_file(str(SCENARIOS / "nine_actors.json"))
+    assert checks == 1
+    # a run builds its holarchy from what the check kept
+    Simulation(scenario, debug=False).run()
+    Simulation(scenario, seed=7, debug=False).run()
+    assert checks == 1
+    # a scenario made by hand is a new object, checked once in its turn
+    other = dataclasses.replace(scenario, seed=7)
+    assert checks == 2
+    Simulation(other, debug=False).run()
+    assert checks == 2
+    # a debug run still audits the rules after every tick
+    sim = Simulation(other, debug=True)
+    sim.step()
+    assert checks == 3
 
 
 # what an edit may put in place of a leaf
@@ -577,8 +626,8 @@ def test_evolution_runs_only_on_ticks_with_something_due(monkeypatch, tmp_path):
     assert passes <= 400
 
 
-def calls_per_record(sim: Simulation) -> float:
-    """Python-level calls per trace record over ``sim.run()``."""
+def calls_during(fn):
+    """What ``fn()`` returns, and the Python-level calls it made."""
     calls = 0
 
     def count(frame, event, arg):
@@ -590,22 +639,29 @@ def calls_per_record(sim: Simulation) -> float:
     gc.disable()
     sys.setprofile(count)
     try:
-        sim.run()
+        out = fn()
     finally:
         sys.setprofile(None)
         if gc_was_enabled:
             gc.enable()
+    return out, calls
+
+
+def calls_per_record(sim: Simulation) -> float:
+    """Python-level calls per trace record over ``sim.run()``."""
+    _, calls = calls_during(sim.run)
     return calls / len(sim.trace)
 
 
-# measured on Python 3.11 at 3.83, 6.41 and 5.52 calls per record. A
-# TraceRecord built per record made 4.83, 7.45 and 6.79; a keyword-argument
-# helper frame per record as well made 5.83, 8.45 and 7.79; a frozen
-# dataclass ledger key, a Python-level sort key per service entry, an
-# evolution pass on every tick with a ready signature and a generator in
-# the run loop made 11.44 and 15.41 on the first two
+# measured on Python 3.11 at 3.83, 5.76 and 5.10 calls per record. One
+# role-atoms call per role per escalation hop made 3.83, 6.41 and 5.52; a
+# TraceRecord built per record as well made 4.83, 7.45 and 6.79; a
+# keyword-argument helper frame per record as well made 5.83, 8.45 and
+# 7.79; a frozen dataclass ledger key, a Python-level sort key per service
+# entry, an evolution pass on every tick with a ready signature and a
+# generator in the run loop made 11.44 and 15.41 on the first two
 @pytest.mark.parametrize(
-    ("workload", "budget"), [("nine_actors.json", 4.2), ("promotion_churn", 7.1), ("escalation_512", 6.1)]
+    ("workload", "budget"), [("nine_actors.json", 4.2), ("promotion_churn", 6.3), ("escalation_512", 5.6)]
 )
 def test_a_run_stays_within_its_budget_of_python_calls_per_trace_record(workload, budget, tmp_path):
     if workload.endswith(".json"):
@@ -614,6 +670,17 @@ def test_a_run_stays_within_its_budget_of_python_calls_per_trace_record(workload
     else:
         sim = Simulation(workload_scenario(workload, 4242, tmp_path), debug=False)
     assert calls_per_record(sim) <= budget
+
+
+def test_loading_and_setting_up_a_run_stays_within_its_budget_of_python_calls_per_holon(tmp_path):
+    # measured on Python 3.11 at 16.36 calls per holon (9,568 for 585
+    # holons), loading included. Checking the structure in the loader and
+    # again in Simulation, an Enum call per holon kind, a dataclass
+    # constructor per service entry and a walk from the root for the idle
+    # set made 23.66 (13,840)
+    path = workload_file("escalation_512", 4242, tmp_path)
+    sim, calls = calls_during(lambda: Simulation(load_scenario_file(path), debug=False))
+    assert calls / len(sim.scenario.holons) <= 18.0
 
 
 # -- traces and metrics --------------------------------------------------------

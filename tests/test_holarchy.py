@@ -12,7 +12,6 @@ from fso_sim.holarchy import (
     Holon,
     HolarchyError,
     HolonKind,
-    Registry,
     ServiceEntry,
     ViolationError,
     build_holarchy,
@@ -141,14 +140,14 @@ def test_malformed_holons_rejected():
 
 
 def test_validate_reports_an_atomic_root_and_a_negative_id():
-    lone = Holarchy({0: Holon(0, HolonKind.ATOMIC, frozenset({0}))}, {}, 0, frozenset({0}), {})
+    # the constructor checks nothing, so it holds what build_holarchy refuses
+    lone = Holarchy({0: Holon(0, HolonKind.ATOMIC, frozenset({0}))}, {}, 0, frozenset({0}))
     assert [v.code for v in validate(lone)] == ["AtomicRoot"]
     negative = Holarchy(
         {-1: Holon(-1, HolonKind.ATOMIC, frozenset({0})), 1: Holon(1, HolonKind.COMPOSITE, members=(-1,), representative=-1)},
         {-1: 1},
         1,
         frozenset({0}),
-        {1: Registry()},
     )
     assert [v.code for v in validate(negative)] == ["NegativeId"]
     assert rejection((atom(0, 0),), frozenset({0})) == "AtomicRoot"

@@ -40,12 +40,17 @@ def _workloads():
     return module
 
 
+def workload_file(workload: str, seed: int, tmp_path: Path) -> str:
+    """The benchmark's scenario file for ``workload`` at ``seed``, written under ``tmp_path``."""
+    path = tmp_path / f"{workload}-{seed}.json"
+    path.write_text(_workloads().scenario_json(workload, seed, str(ROOT)), encoding="utf-8")
+    return str(path)
+
+
 def workload_scenario(workload: str, seed: int, tmp_path: Path) -> Scenario:
     """The benchmark's scenario for ``workload`` at ``seed``, written to a
     file under ``tmp_path`` and loaded the way the benchmark loads it."""
-    path = tmp_path / f"{workload}-{seed}.json"
-    path.write_text(_workloads().scenario_json(workload, seed, str(ROOT)), encoding="utf-8")
-    return load_scenario_file(str(path))
+    return load_scenario_file(workload_file(workload, seed, tmp_path))
 
 
 @pytest.mark.parametrize(("workload", "seed"), sorted(PINS))
