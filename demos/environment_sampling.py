@@ -1,6 +1,6 @@
 """Event source behavior: the three process kinds, side by side.
 
-Samples each kind over the same window and shows how the Poisson stream
+Samples each kind up to the same horizon and shows how the Poisson stream
 depends on the seed while periodic and scripted sources do not, plus the
 empirical mean gap of a long Poisson draw.
 """
@@ -11,7 +11,7 @@ from fso_sim import EventSource, PeriodicProcess, PoissonProcess, ScriptedProces
 
 
 def times(source: EventSource, seed: int, until: int = 40) -> list[int]:
-    return [a.published_at for a in sample_arrivals((source,), (0, until), seed)]
+    return [a.published_at for a in sample_arrivals((source,), until, seed)]
 
 
 def main() -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from fso_sim import (
+    HolonKind,
     build_holarchy,
     enumerate_activation_space,
     load_scenario,
@@ -36,7 +37,7 @@ def main() -> None:
         print(f"SoC {soc} ({above_text}), representative {node.representative}")
         for m in node.members:
             member = h.holons[m]
-            if member.is_atomic:
+            if member.kind is HolonKind.ATOMIC:
                 caps = sorted(member.capabilities)
                 print(f"  actor {m}, roles {caps}")
             else:

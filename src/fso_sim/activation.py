@@ -115,6 +115,6 @@ def enumerate_activation_space(holons: Iterable[Holon]) -> int:
     """
     total = 1
     for node in holons:
-        if node.is_atomic:
+        if node.kind is HolonKind.ATOMIC:
             total *= 1 + len(node.capabilities)
     return total

@@ -25,6 +25,7 @@ from .engine import (
     report,
     write_trace,
 )
+from .holarchy import HolonKind
 
 
 def _u64(text: str) -> int:
@@ -126,7 +127,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     # loading already enforced every structural rule of the holarchy
     scenario = _load(args.scenario)
     holons = scenario.holons
-    atoms = sum(1 for node in holons if node.is_atomic)
+    atoms = sum(1 for node in holons if node.kind is HolonKind.ATOMIC)
     print(
         f"scenario ok: {len(holons)} holons ({atoms} actors), "
         f"{len(scenario.role_names)} roles, {len(scenario.activities.activities)} activities"
@@ -142,7 +143,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError:
         # the count is exact, but Python converts no integer past its digit
         # limit to text; raising the limit would change it for the process
-        actors = sum(1 for node in holons if node.is_atomic)
+        actors = sum(1 for node in holons if node.kind is HolonKind.ATOMIC)
         print(f"cannot enumerate: the count for {actors} actors has too many digits to print", file=sys.stderr)
         return 1
     print(text)

@@ -4,16 +4,17 @@ A scenario is a strict UTF-8 JSON document in the format of the shipped
 ``schema/scenario.schema.json``. The loader compiles that schema once, at
 import, into its own checker, so no third-party package is needed; integers
 must be written without a fraction (``1``, not ``1.0``). It then checks by
-hand only what a schema cannot state: role ids below the number of roles,
-unique activity ids, that each source's topic is used by some activity,
-that scripted times ascend, and that failure windows stop no earlier than
-they start and name existing activities. The holarchy's structure (the
-rules of :func:`fso_sim.holarchy.validate`, which
-:func:`~fso_sim.holarchy.build_holarchy` enforces) and that each source
-injects into an existing composite are checked by :class:`Scenario`
-itself, once, when it is made, whether by the loader or by hand; a
-:class:`Simulation` builds its holarchy from what that check kept and
-checks nothing again. The simulator turns a scenario into a
+hand that role ids are below the number of roles, that activity ids are
+unique and that scripted times ascend. :class:`Scenario` itself checks the
+rest, once, when it is made, whether by the loader or by hand: ``horizon``
+and ``retry_bound`` within the schema's ranges, each source's topic used
+by some activity, failure windows that stop no earlier than they start and
+name existing activities, the holarchy's structure (the rules of
+:func:`fso_sim.holarchy.validate`, which
+:func:`~fso_sim.holarchy.build_holarchy` enforces) and each source
+injecting into an existing composite. A :class:`Simulation` builds its
+holarchy from what that check kept and checks nothing again but the range
+of a ``horizon`` it is given. The simulator turns a scenario into a
 stream of trace records, one JSON object per line, so that a (scenario,
 seed) pair reproduces the same trace byte for byte. Payload values are
 integers, the strings ``topic`` and ``outcome``, the boolean ``final`` of
@@ -83,7 +84,7 @@ import json
 import operator
 import os
 import reprlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Any, Callable, Iterable, NoReturn
 
@@ -155,6 +156,8 @@ TRACE_FIELDS: dict[str, tuple[str, ...]] = {
     "Permanentified": ("soc", "parent", "members", "activity"),
     "Pruned": ("soc", "parent", "members"),
 }
+# a tuple, not a set or the dict's keys: parse_trace tests a line's kind with
+# ``in``, and a hash-based test raises TypeError on an unhashable kind such as []
 TRACE_KINDS = tuple(TRACE_FIELDS)
 
 
@@ -176,13 +179,17 @@ class InvariantViolationError(Exception):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one run needs, with its holarchy's structure checked once.
+    """Everything one run needs, checked once, when it is made.
 
-    Construction checks the holons against the structural rules of
-    :func:`~fso_sim.holarchy.validate`, raising the first fault as
-    :class:`~fso_sim.holarchy.ViolationError`, and checks that each source
-    injects into an existing composite, raising ValidationError in the
-    loader's words. The checked holon table, parent map and root are kept as
+    Construction checks, in this order, that ``horizon`` and
+    ``retry_bound`` lie in the schema's ranges, that each source's topic is
+    used by some activity, and that each failure window stops no earlier
+    than it starts and names an existing activity, raising ValidationError
+    in the loader's words. It then checks the holons against the
+    structural rules of :func:`~fso_sim.holarchy.validate`, raising the
+    first fault as :class:`~fso_sim.holarchy.ViolationError`, and that each
+    source injects into an existing composite, raising ValidationError
+    again. The checked holon table, parent map and root are kept as
     plain attributes, not dataclass fields, the way
     :class:`~fso_sim.canon.ActivityTable` keeps its topic lookup; each
     :class:`Simulation` builds its own holarchy from copies of them.
@@ -198,6 +205,17 @@ class Scenario:
     retry_bound: int
 
     def __post_init__(self) -> None:
+        for key in ("horizon", "retry_bound"):
+            _check_number(key, getattr(self, key))
+        for i, src in enumerate(self.sources):
+            if src.topic not in self.activities.known_topics:
+                _fail(f"environment[{i}].topic", f"topic {src.topic!r} is not used by any activity")
+        ids = {a.id for a in self.activities.activities}
+        for i, w in enumerate(self.policy.failure_injections):
+            if w.stop < w.start:
+                _fail(f"policy.failure_injections[{i}]", f"stop {w.stop} precedes start {w.start}")
+            if w.activity not in ids:
+                _fail(f"policy.failure_injections[{i}].activity", f"no activity with id {w.activity}")
         h = build_holarchy(self.holons, self.roles)
         for i, src in enumerate(self.sources):
             node = h.holons.get(src.injection_soc)
@@ -254,19 +272,9 @@ class Metrics:
     final_partition_sizes: tuple[int, int] = (0, 0)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "events_published": self.events_published,
-            "sons_formed": self.sons_formed,
-            "mean_hop_count": self.mean_hop_count,
-            "mean_response_latency": self.mean_response_latency,
-            "unresolved_requests": self.unresolved_requests,
-            "permanentifications": self.permanentifications,
-            "prunings": self.prunings,
-            "final_partition_sizes": {
-                "L": self.final_partition_sizes[0],
-                "R": self.final_partition_sizes[1],
-            },
-        }
+        doc = asdict(self)
+        doc["final_partition_sizes"] = dict(zip("LR", self.final_partition_sizes))
+        return doc
 
 
 # -- scenario parsing --------------------------------------------------------
@@ -396,6 +404,18 @@ def _fail(where: str, msg: str) -> NoReturn:
     raise ValidationError(f"{where}: {msg}")
 
 
+# the schema's own checkers of the two numbers a run takes as they are given
+_NUMBERS = {key: _compile(_SCHEMA["properties"][key], _SCHEMA["$defs"]) for key in ("horizon", "retry_bound")}
+
+
+def _check_number(key: str, value: Any) -> None:
+    """Hold ``value`` to the schema's rule for the top-level ``key``, in its words."""
+    try:
+        _NUMBERS[key](value)
+    except _Invalid as exc:
+        _fail(key, exc.args[0])
+
+
 # a holon's kind by its name in the format: a dict read, not an Enum call
 _HOLON_KINDS = {kind.value: kind for kind in HolonKind}
 
@@ -443,9 +463,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
 
     sources = []
     for i, src in enumerate(doc["environment"]):
-        where, soc, p = f"environment[{i}]", src["injection_soc"], src["process"]
-        if src["topic"] not in table.known_topics:
-            _fail(f"{where}.topic", f"topic {src['topic']!r} is not used by any activity")
+        p = src["process"]
         process: Process
         if p["kind"] == "poisson":
             process = PoissonProcess(rate=float(p["rate"]))
@@ -454,17 +472,10 @@ def scenario_from_dict(doc: Any) -> Scenario:
         elif p["times"] == sorted(p["times"]):
             process = ScriptedProcess(times=tuple(p["times"]))
         else:
-            _fail(f"{where}.process.times", "must be ascending")
-        sources.append(EventSource(topic=src["topic"], injection_soc=soc, process=process))
+            _fail(f"environment[{i}].process.times", "must be ascending")
+        sources.append(EventSource(topic=src["topic"], injection_soc=src["injection_soc"], process=process))
 
     policy = doc["policy"]
-    windows = policy.get("failure_injections", ())
-    for i, w in enumerate(windows):
-        if w["stop"] < w["start"]:
-            _fail(f"policy.failure_injections[{i}]", f"stop {w['stop']} precedes start {w['start']}")
-        if w["activity"] not in {a.id for a in table.activities}:
-            _fail(f"policy.failure_injections[{i}].activity", f"no activity with id {w['activity']}")
-
     try:
         return Scenario(
             role_names=role_names,
@@ -475,7 +486,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
                 permanentify_threshold=policy["permanentify_threshold"],
                 prune_failure_threshold=policy["prune_failure_threshold"],
                 prune_window=policy["prune_window"],
-                failure_injections=tuple(FailureWindow(**w) for w in windows),
+                failure_injections=tuple(FailureWindow(**w) for w in policy.get("failure_injections", ())),
             ),
             horizon=doc["horizon"],
             seed=doc["seed"],
@@ -690,18 +701,15 @@ class _Request:
     last_missing: tuple[int, ...] = ()
 
 
-def _debug_default() -> bool:
-    return os.environ.get(DEBUG_ENV_VAR, "") == "1"
-
-
 class Simulation:
     """One run over a scenario: deterministic given (scenario, seed).
 
-    The scenario's structure was checked when the :class:`Scenario` was
-    made, so set-up checks nothing again: it builds the run's own mutable
-    :class:`~fso_sim.holarchy.Holarchy` from copies of the holon table and
-    parent map that check kept, registers the initial service offers and
-    samples every arrival.
+    The scenario was checked when the :class:`Scenario` was made, so
+    set-up checks only that a ``horizon`` override lies in the schema's
+    range, raising ValidationError in the words :class:`Scenario` uses. It
+    builds the run's own mutable :class:`~fso_sim.holarchy.Holarchy` from
+    copies of the holon table and parent map that check kept, registers the
+    initial service offers and samples every arrival.
 
     The staffing memo ``_memo`` lives for the whole run and is emptied only
     when a publish brings a registry a topic it did not hold; grafts and
@@ -725,8 +733,10 @@ class Simulation:
     ) -> None:
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
+        if horizon is not None:
+            _check_number("horizon", horizon)
         self.horizon = scenario.horizon if horizon is None else horizon
-        self.debug = _debug_default() if debug is None else debug
+        self.debug = os.environ.get(DEBUG_ENV_VAR) == "1" if debug is None else debug
         self.holarchy = Holarchy(dict(scenario._holons), dict(scenario._parent), scenario._root, scenario.roles)
         register_initial_services(self.holarchy)
         self.state = initial_state(self.holarchy)
@@ -734,7 +744,7 @@ class Simulation:
         self.clock = 0
         self._rows: list[tuple[Any, ...]] = []
         # latest first, so the next item is popped off the end
-        self._arrivals = sample_arrivals(scenario.sources, (0, self.horizon), self.seed)
+        self._arrivals = sample_arrivals(scenario.sources, self.horizon, self.seed)
         self._arrivals.reverse()
         # the tick of the next item, -1 when none is left. step() reads it on
         # every tick, and an int attribute reads faster than an item's field

@@ -117,12 +117,11 @@ def source_state(seed: int, index: int) -> int:
     return _mix(((seed & _MASK) + (index + 1) * _GOLDEN) & _MASK)
 
 
-def sample_arrivals(
-    sources: tuple[EventSource, ...],
-    window: tuple[LogicalTime, LogicalTime],
-    seed: int,
-) -> list[InformationItem]:
-    """All items due at t0 <= time < t1, merged across sources.
+def sample_arrivals(sources: tuple[EventSource, ...], horizon: LogicalTime, seed: int) -> list[InformationItem]:
+    """All items due before ``horizon``, merged across sources.
+
+    No process yields a negative time, so that is every item due at
+    0 <= time < horizon, and none when ``horizon`` is 0 or less.
 
     Sorted by (time, source index): simultaneous arrivals keep the order
     sources are declared in, which pins down the whole run.
@@ -132,13 +131,12 @@ def sample_arrivals(
     NamedTuple's Python-level constructor: an item costs one resumption of
     its stream and no call of its own.
     """
-    t0, t1 = window
-    before_end = partial(gt, t1)
+    before_end = partial(gt, horizon)
     new = tuple.__new__
     out: list[InformationItem] = []
     for index, source in enumerate(sources):
         topic, soc = source.topic, source.injection_soc
         stream = takewhile(before_end, source.process.arrivals(source_state(seed, index)))
-        out += [new(InformationItem, (t, index, soc, topic)) for t in stream if t >= t0]
+        out += [new(InformationItem, (t, index, soc, topic)) for t in stream]
     out.sort()
     return out

@@ -59,9 +59,6 @@ class FailureWindow:
     start: LogicalTime
     stop: LogicalTime
 
-    def applies(self, activity: int, t: LogicalTime) -> bool:
-        return activity == self.activity and self.start <= t < self.stop
-
 
 @dataclass(frozen=True)
 class EvolutionPolicy:

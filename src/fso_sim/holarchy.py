@@ -95,16 +95,6 @@ class Holon:
     representative: HolonId | None = None
     origin: HolonOrigin = HolonOrigin.SCENARIO
 
-    # set-up and staffing compare ``kind`` directly: each read of a property
-    # is a Python-level call
-    @property
-    def is_atomic(self) -> bool:
-        return self.kind is HolonKind.ATOMIC
-
-    @property
-    def is_composite(self) -> bool:
-        return self.kind is HolonKind.COMPOSITE
-
 
 class ServiceEntry(NamedTuple):
     """One service offer in a registry.
@@ -235,7 +225,7 @@ class Holarchy:
         return tuple(sorted(i for i, n in self.holons.items() if n.kind is HolonKind.ATOMIC))
 
     def composites(self) -> tuple[HolonId, ...]:
-        return tuple(sorted(i for i, n in self.holons.items() if n.is_composite))
+        return tuple(sorted(i for i, n in self.holons.items() if n.kind is HolonKind.COMPOSITE))
 
     def chain_to_root(self, start: HolonId) -> tuple[HolonId, ...]:
         """start, parent(start), ..., root along primary edges."""
@@ -281,10 +271,6 @@ class Holarchy:
             by_role = {r: tuple(actors) for r, actors in buckets.items()}
             self._role_atoms[soc] = by_role
         return by_role
-
-    def role_atoms(self, soc: HolonId, role: RoleId) -> tuple[HolonId, ...]:
-        """The actors under ``soc`` that can play ``role``, in id order."""
-        return self.atoms_by_role(soc).get(role, ())
 
     def holds_members(self, members: tuple[HolonId, ...]) -> bool:
         """Whether some SoC's member list, sorted, is exactly ``members``."""
@@ -482,10 +468,10 @@ def _capable_socs(h: Holarchy) -> set[HolonId]:
     """The SoCs above an actor with a capability, found walking member edges up from the actors."""
     containers: dict[HolonId, list[HolonId]] = {}
     for i, node in h.holons.items():
-        for m in node.members if node.is_composite else ():
+        for m in node.members if node.kind is HolonKind.COMPOSITE else ():
             containers.setdefault(m, []).append(i)
     found: set[HolonId] = set()
-    stack = [i for i, node in h.holons.items() if node.is_atomic and node.capabilities]
+    stack = [i for i, node in h.holons.items() if node.kind is HolonKind.ATOMIC and node.capabilities]
     while stack:
         for c in containers.get(stack.pop(), ()):
             if c not in found:
@@ -499,14 +485,14 @@ def _registry_violations(h: Holarchy) -> list[Violation]:
     capable = _capable_socs(h)
     for soc, reg in h.registries.items():
         node = h.holons.get(soc)
-        if node is None or not node.is_composite:
+        if node is None or node.kind is not HolonKind.COMPOSITE:
             out.append(Violation("RegistryOwnerInvalid", soc, "registry owner is not a composite holon"))
             continue
         members = set(node.members)
         rep_of_member = {
             h.holons[m].representative: m
             for m in node.members
-            if m in h.holons and h.holons[m].is_composite
+            if m in h.holons and h.holons[m].kind is HolonKind.COMPOSITE
         }
         for entry in reg.service_entries:
             if entry.provider not in members and entry.provider not in rep_of_member:

@@ -15,7 +15,7 @@ from typing import Any, Iterable
 from fso_sim.activation import ActivationState
 from fso_sim.canon import ResponseActivity
 from fso_sim.engine import TRACE_KINDS, MalformedTraceError, Metrics, TraceRecord
-from fso_sim.holarchy import Holarchy, Holon, HolonId, RoleId, ServiceEntry
+from fso_sim.holarchy import Holarchy, Holon, HolonId, HolonKind, RoleId, ServiceEntry
 
 DATA_GAP = -1
 
@@ -63,7 +63,7 @@ def parent_scan(h: Holarchy) -> dict[HolonId, HolonId]:
     """
     parents: dict[HolonId, HolonId] = {}
     for i, node in h.holons.items():
-        if node.is_composite and node.origin.value == "scenario":
+        if node.kind is HolonKind.COMPOSITE and node.origin.value == "scenario":
             for m in node.members:
                 parents[m] = i
     return parents
@@ -73,7 +73,7 @@ def chain_up(h: Holarchy, start: HolonId) -> list[HolonId]:
     """start and its ancestors, walking raw primary membership."""
     direct: dict[HolonId, HolonId] = {}
     for i, node in h.holons.items():
-        if node.is_composite and node.origin.value == "scenario":
+        if node.kind is HolonKind.COMPOSITE and node.origin.value == "scenario":
             for m in node.members:
                 direct[m] = i
     chain = [start]
@@ -87,7 +87,7 @@ def atoms_under(h: Holarchy, top: HolonId) -> set[HolonId]:
     frontier = [top]
     while frontier:
         node = h.holons[frontier.pop()]
-        if node.is_atomic:
+        if node.kind is HolonKind.ATOMIC:
             out.add(node.id)
         else:
             frontier.extend(node.members)
@@ -104,7 +104,7 @@ def initial_offers(h: Holarchy, soc: HolonId) -> list[ServiceEntry]:
     out = []
     for m in h.holons[soc].members:
         node = h.holons[m]
-        if node.is_atomic:
+        if node.kind is HolonKind.ATOMIC:
             out += [ServiceEntry(m, r) for r in node.capabilities]
         else:
             roles = {r for a in atoms_under(h, m) for r in h.holons[a].capabilities}
@@ -114,7 +114,7 @@ def initial_offers(h: Holarchy, soc: HolonId) -> list[ServiceEntry]:
 
 def count_activation_states(h: Holarchy) -> int:
     """Count role-assignment states by explicitly enumerating all of them."""
-    atoms = sorted(a for a, n in h.holons.items() if n.is_atomic)
+    atoms = sorted(a for a, n in h.holons.items() if n.kind is HolonKind.ATOMIC)
     choice_sets = [[None] + sorted(h.holons[a].capabilities) for a in atoms]
     return sum(1 for _ in itertools.product(*choice_sets))
 
@@ -124,7 +124,7 @@ def structural_check(h: Holarchy) -> list[str]:
     problems = []
     parent_count: dict[HolonId, int] = {i: 0 for i in h.holons}
     for i, node in h.holons.items():
-        if node.is_composite:
+        if node.kind is HolonKind.COMPOSITE:
             for m in node.members:
                 if m not in h.holons:
                     problems.append(f"{i} lists missing member {m}")
@@ -277,7 +277,7 @@ def full_pool_resolve(
                 continue
             if entry.via is None:
                 node = h.holons.get(entry.provider)
-                if node is None or not node.is_atomic or entry.role not in node.capabilities:
+                if node is None or node.kind is not HolonKind.ATOMIC or entry.role not in node.capabilities:
                     continue
                 actors = {entry.provider}
             else:

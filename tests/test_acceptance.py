@@ -254,7 +254,7 @@ def test_criterion_7_promotion_and_pruning_fixtures():
 
 
 def test_criterion_8_poisson_mean_interarrival():
-    arrivals = sample_arrivals((EventSource("tick", 0, PoissonProcess(rate=0.2)),), (0, 50_000), seed=20260815)
+    arrivals = sample_arrivals((EventSource("tick", 0, PoissonProcess(rate=0.2)),), 50_000, seed=20260815)
     times = [a.published_at for a in arrivals]
     gaps = [b - a for a, b in zip([0] + times, times)]
     mean = sum(gaps) / len(gaps)

@@ -185,6 +185,30 @@ def test_run_prints_metrics(capsys):
     }
 
 
+def readme_examples():
+    """Each ``$ fso-sim`` command in the README's "Command line" section, with the text shown after it."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples, shown = [], None
+    for line in section.splitlines():
+        if line.startswith("$ fso-sim "):
+            shown = []
+            examples.append((line.split()[2:], shown))
+        elif line.startswith("```"):
+            shown = None
+        elif shown is not None:
+            shown.append(line)
+    return [(argv, "\n".join(shown).rstrip("\n") + "\n") for argv, shown in examples]
+
+
+def test_the_readmes_command_line_examples_are_what_the_cli_prints(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["run", "validate", "enumerate"]
+    for argv, shown in examples:
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == shown, argv
+
+
 def test_run_writes_trace_and_metrics_files(tmp_path, capsys):
     trace_path = tmp_path / "out.trace"
     metrics_path = tmp_path / "metrics.json"

@@ -37,7 +37,7 @@ from fso_sim.engine import (
     write_trace,
 )
 from fso_sim.environment import EventSource, PeriodicProcess, PoissonProcess, ScriptedProcess
-from fso_sim.evolution import EvolutionPolicy, Outcome, SonSignature, promotion_due, record_outcome
+from fso_sim.evolution import EvolutionPolicy, FailureWindow, Outcome, SonSignature, promotion_due, record_outcome
 from fso_sim.holarchy import Holon, HolonKind, ViolationError
 
 from generators import random_scenario, shared_member_list_scenario_dict
@@ -210,6 +210,49 @@ def test_a_hand_built_scenario_must_inject_into_a_soc(soc):
     with pytest.raises(ValidationError) as err:
         dataclasses.replace(scenario, sources=sources)
     assert str(err.value) == f"environment[0].injection_soc: no composite holon {soc}; events are published to SoCs"
+
+
+def policy_with_window(scenario, window):
+    return {"policy": dataclasses.replace(scenario.policy, failure_injections=(window,))}
+
+
+# each used to be taken: a retry bound of -1 closed a failed attempt with
+# final false and dropped the request, so unresolved_requests read 0; a
+# topic no activity uses raised CanonError at its first arrival; and such a
+# failure window never applied
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda s: {"retry_bound": -1}, "retry_bound: must be at least 0, got -1"),
+        (lambda s: {"horizon": -1}, "horizon: must be at least 0, got -1"),
+        (lambda s: {"horizon": (1 << 53) + 1}, "horizon: must be at most 9007199254740992, got 9007199254740993"),
+        (
+            lambda s: {"sources": (EventSource("nobody_listens", injection_soc=9, process=PoissonProcess(0.2)),)},
+            "environment[0].topic: topic 'nobody_listens' is not used by any activity",
+        ),
+        (
+            lambda s: policy_with_window(s, FailureWindow(0, 50, 10)),
+            "policy.failure_injections[0]: stop 10 precedes start 50",
+        ),
+        (
+            lambda s: policy_with_window(s, FailureWindow(77, 0, 100)),
+            "policy.failure_injections[0].activity: no activity with id 77",
+        ),
+    ],
+    ids=[
+        "negative_retry_bound",
+        "negative_horizon",
+        "horizon_past_2_53",
+        "unused_topic",
+        "window_stops_early",
+        "window_of_no_activity",
+    ],
+)
+def test_a_hand_built_scenario_is_held_to_the_loaders_rules(change, message):
+    scenario = load_scenario_file(str(SCENARIOS / "nine_actors.json"))
+    with pytest.raises(ValidationError) as err:
+        dataclasses.replace(scenario, **change(scenario))
+    assert str(err.value) == message
 
 
 def test_a_scenario_is_checked_once_however_it_is_made(monkeypatch):
@@ -577,6 +620,22 @@ def test_seed_and_horizon_overrides():
     assert sim.horizon == 30
     sim.run()
     assert all(r.tick <= 30 + 10 for r in sim.trace)
+
+
+@pytest.mark.parametrize(
+    "horizon,message",
+    [
+        (-1, "horizon: must be at least 0, got -1"),
+        ((1 << 53) + 1, "horizon: must be at most 9007199254740992, got 9007199254740993"),
+    ],
+    ids=["negative", "past_2_53"],
+)
+def test_the_horizon_override_is_held_to_the_scenarios_range(horizon, message):
+    s = load_scenario_file(str(SCENARIOS / "minimal.json"))
+    with pytest.raises(ValidationError) as err:
+        Simulation(s, horizon=horizon)
+    assert str(err.value) == message
+    assert [Simulation(s, horizon=h).horizon for h in (0, 1 << 53)] == [0, 1 << 53]
 
 
 def test_an_idle_step_runs_evolution_only_when_a_ready_team_is_free(monkeypatch):

@@ -278,7 +278,7 @@ def test_failure_windows_of_several_activities_select_outcomes():
     )
     for activity in range(4):
         for t in range(15):
-            failing = any(w.applies(activity, t) for w in windows)
+            failing = any(w.activity == activity and w.start <= t < w.stop for w in windows)
             assert policy.outcome_of(activity, t) is (Outcome.FAILURE if failing else Outcome.SUCCESS)
 
 
@@ -306,15 +306,14 @@ def test_policy_rejects_nonsense():
 def warm_role_atoms(h):
     """Fill the cache for every SoC and role; later checks read it back."""
     for s in h.composites():
-        for r in h.roles:
-            h.role_atoms(s, r)
+        h.atoms_by_role(s)
 
 
 def assert_role_atoms_fresh(h):
     for s in h.composites():
         for r in sorted(h.roles):
             fresh = sorted(a for a in h.subtree_atoms(s) if r in h.holons[a].capabilities)
-            assert list(h.role_atoms(s, r)) == fresh, (s, r)
+            assert list(h.atoms_by_role(s).get(r, ())) == fresh, (s, r)
 
 
 def assert_registries_offer_role_atoms(h):
@@ -334,9 +333,10 @@ def assert_registries_offer_role_atoms(h):
                     offered.update([e.provider] if r in h.holons[e.provider].capabilities else [])
                 else:
                     offered.update(a for a in h.subtree_atoms(e.via) if r in h.holons[a].capabilities)
-            assert list(h.role_atoms(s, r)) == sorted(offered), (s, r)
+            atoms = h.atoms_by_role(s).get(r, ())
+            assert list(atoms) == sorted(offered), (s, r)
             if s in h.parent:
-                assert set(h.role_atoms(s, r)) <= set(h.role_atoms(h.parent[s], r)), (s, r)
+                assert set(atoms) <= set(h.atoms_by_role(h.parent[s]).get(r, ())), (s, r)
 
 
 def run_checking_role_atoms(monkeypatch, scenario):
@@ -386,7 +386,7 @@ def test_role_atoms_forget_a_pruned_id_that_promotion_reuses(wings):
     (promoted,) = maybe_permanentify(ledger, wings)
     assert promoted.soc == max(wings.holons)
     warm_role_atoms(wings)
-    assert wings.role_atoms(promoted.soc, 1) == (1,)
+    assert wings.atoms_by_role(promoted.soc).get(1, ()) == (1,)
 
     for t in (3, 4):
         record_outcome(ledger, first, Outcome.FAILURE, t, POLICY)
@@ -399,8 +399,8 @@ def test_role_atoms_forget_a_pruned_id_that_promotion_reuses(wings):
         record_outcome(ledger, second, Outcome.SUCCESS, t, POLICY)
     (reused,) = maybe_permanentify(ledger, wings)
     assert reused.soc == promoted.soc and reused.members == (0, 2)
-    assert wings.role_atoms(reused.soc, 0) == (0,)
-    assert wings.role_atoms(reused.soc, 1) == ()
+    assert wings.atoms_by_role(reused.soc).get(0, ()) == (0,)
+    assert wings.atoms_by_role(reused.soc).get(1, ()) == ()
     assert_role_atoms_fresh(wings)
 
 

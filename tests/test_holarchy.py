@@ -85,7 +85,7 @@ def test_representative_defaults_to_lowest_member():
     doc = random_scenario_dict(3)
     for h in doc["holarchy"]:
         h.pop("representative", None)
-    socs = [n for n in scenario_from_dict(doc).holons if n.is_composite]
+    socs = [n for n in scenario_from_dict(doc).holons if n.kind is HolonKind.COMPOSITE]
     assert socs and all(n.representative == min(n.members) for n in socs)
 
 
@@ -320,7 +320,7 @@ def test_graft_remove_and_id_reuse_leave_every_scenario_socs_role_atoms(nested):
     pairs = [(s, r) for s in nested.composites() for r in sorted(nested.roles)]
 
     def cached():
-        return {(s, r): nested.role_atoms(s, r) for s, r in pairs}
+        return {(s, r): nested.atoms_by_role(s).get(r, ()) for s, r in pairs}
 
     def walked():
         holons = nested.holons
@@ -331,8 +331,8 @@ def test_graft_remove_and_id_reuse_leave_every_scenario_socs_role_atoms(nested):
 
     # a team's members are actors already under its anchor
     assert nested.graft((5, 6), 0) == 7
-    assert nested.role_atoms(7, 0) == (5,)
-    assert nested.role_atoms(7, 2) == (5, 6)
+    assert nested.atoms_by_role(7).get(0, ()) == (5,)
+    assert nested.atoms_by_role(7).get(2, ()) == (5, 6)
     assert cached() == walked() == before
 
     assert nested.remove(7) == 0
@@ -340,6 +340,6 @@ def test_graft_remove_and_id_reuse_leave_every_scenario_socs_role_atoms(nested):
 
     # the freed id comes back for a different team
     assert nested.graft((3, 4), 0) == 7
-    assert nested.role_atoms(7, 0) == (3,)
-    assert nested.role_atoms(7, 2) == ()
+    assert nested.atoms_by_role(7).get(0, ()) == (3,)
+    assert nested.atoms_by_role(7).get(2, ()) == ()
     assert cached() == walked() == before
