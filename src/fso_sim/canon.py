@@ -23,22 +23,31 @@ SoCs visited before, and hop k reads only the role atoms of the k-th SoC
 (:meth:`Holarchy.atoms_by_role`): per role, the actors under it that can play
 the role, in id order. They are exactly the actors the visited registries
 offer once each punctualized entry is unfolded, so staffing reads no
-service entry. An activity with ``s`` role slots never needs more than each
-role's best ``s`` idle candidates (see :func:`_solve`), so that is all a
-hop's pool keeps: per role the activity asks for, the at most ``s`` lowest
-ids among the idle actors under the hop's SoC, in ascending order. A hop
-reads each role's atoms from the front and stops after ``s`` idle actors.
-Data topics come from each registry's maintained topic set and carry over
-from hop to hop. So while the chain, the actors under its SoCs and the
-topics stay put, which of the actors its scans read were idle fixes a
-request's answer, and :func:`resolve_request` can replay it from a memo.
+service entry.
+
+A hop staffs by first fit. It walks the activity's slots in sorted role
+order, and each slot takes the first idle actor in its role's atoms that
+no earlier slot holds; a slot whose role has no idle actor is missing. A
+scan reads a role's atoms from the front and stops at the actor it takes,
+so it reads only the busy actors it passes and the idle actors it meets.
+While no slot has to reroute another, that is the least assignment. Only
+when a slot meets idle actors of its role but finds every one held by an
+earlier slot, a held conflict, may an augmenting path free one. Then the
+hop builds a pool and solves the role matching on it (:func:`_solve`). An
+activity with ``s`` role slots never needs more than each role's best
+``s`` idle candidates, so that is all the pool keeps: per role the
+activity asks for, the at most ``s`` lowest ids among the idle actors
+under the hop's SoC, in ascending order. Data topics come from each
+registry's maintained topic set and carry over from hop to hop. So while
+the chain, the actors under its SoCs and the topics stay put, which of the
+actors its scans read were idle fixes a request's answer, and
+:func:`resolve_request` can replay it from a memo.
 
 Each solve builds one matching of slots to candidates and reads both
 answers from it: which slots cannot be covered, and the least assignment.
-Most slots are filled by taking their first candidate no other slot holds,
-and a solve that never had to reroute a slot is already the least
-assignment, so it skips the pass that looks for a smaller one (see
-:func:`_solve`).
+It fills most slots by the same first fit, and a solve that never had to
+reroute a slot is already the least assignment, so it skips the pass that
+looks for a smaller one (see :func:`_solve`).
 """
 
 from __future__ import annotations
@@ -218,7 +227,10 @@ def _solve(
     Returns ``(missing, assignment)``. ``missing`` lists the role of each
     uncoverable slot, then one ``DATA_MISSING`` per absent data topic, and
     is empty exactly when ``assignment`` pairs every slot with an actor;
-    otherwise ``assignment`` is empty.
+    otherwise ``assignment`` is empty. :func:`resolve_request` settles a hop
+    by first fit and calls this only on a held conflict, where a slot finds
+    every idle actor of its role held by an earlier slot. This is the one
+    statement of the matching, which the tests hold to brute force.
 
     Slots are filled in sorted role order with the smallest-ranked actor
     that still leaves the rest completable, which makes the chosen
@@ -369,12 +381,19 @@ def resolve_request(
     its start SoC, the usual case, looks no higher.
 
     Each hop reads its SoC's role atoms (:meth:`Holarchy.atoms_by_role`)
-    once and takes one pass over the activity's distinct roles. A role's
-    atoms at the hop's SoC are read from the front, skipping busy actors,
-    and left after ``s`` idle ones, since those beat any later one. That
-    one read is the whole visited chain's pool: the hop's SoC lists the
-    previous hop's as a member, so its role atoms contain every earlier
-    hop's, and no pool is kept from hop to hop.
+    once and staffs by first fit: each slot, in order, takes the first
+    idle actor of its role that no earlier slot holds, and slots of one
+    role share one scan from the front. That is exact. When slot ``i``
+    scans, earlier slots hold at most ``i < s`` actors, so the actor it
+    takes is among its role's best ``s`` idle ones and is the one
+    :func:`_solve`'s first-fit pass gives it; a slot whose role has no
+    idle actor is what :func:`_solve` reports missing. Only a held
+    conflict, a slot whose role's idle actors are all held, may need an
+    augmenting path: the hop then drops what its scan read, reads each
+    role's best ``s`` idle actors into a pool and calls :func:`_solve`.
+    The hop's role atoms are the whole visited chain's: the hop's SoC lists
+    the previous hop's as a member, so its role atoms contain every earlier
+    hop's, and no candidate is kept from hop to hop.
 
     The answer depends on ``state`` only through which actors the scans
     read were idle, so a ``memo`` keeps, per activity id and start SoC, the
@@ -396,29 +415,64 @@ def resolve_request(
                 return answer
     parent = h.parent
     atoms_by_role = h.atoms_by_role
-    roles = dict.fromkeys(activity.required_roles)
-    s = len(activity.required_roles)
+    slots = activity.required_roles
+    s = len(slots)
     hops: list[HopRecord] = []
     data: set[str] = set()
     read: list[HolonId] = []  # the actors the scans read idle
     busy: list[HolonId] = []  # the actors they read busy
     soc = start_soc
     while True:
-        pool: Pool = {}
         by_role = atoms_by_role(soc)
-        for role in roles:
-            best = pool[role] = []
-            for a in by_role.get(role, ()):
+        if activity.required_data:
+            data |= h.registries[soc].topics
+        # first fit: each slot takes its role's first idle actor no earlier
+        # slot holds; slots of one role are adjacent and share one scan
+        read_before, busy_before = len(read), len(busy)
+        actors: list[HolonId] = []
+        uncovered: list[int] = []
+        held = False
+        role = None
+        for slot in slots:
+            if slot != role:
+                role = slot
+                atoms = iter(by_role.get(role, ()))
+                seen_idle = False
+            for a in atoms:
                 if a in idle:
-                    best.append(a)
-                    if len(best) == s:
+                    seen_idle = True
+                    if a not in actors:
+                        actors.append(a)
+                        read.append(a)
                         break
                 else:
                     busy.append(a)
-            read += best
-        if activity.required_data:
-            data |= h.registries[soc].topics
-        missing, assignment = _solve(activity, pool, data)
+            else:
+                if seen_idle:
+                    # every idle actor of the role is held: an augmenting
+                    # path may free one, so the matching decides the hop
+                    held = True
+                    break
+                uncovered.append(role)
+        if held:
+            del read[read_before:], busy[busy_before:]
+            pool: Pool = {}
+            for role in dict.fromkeys(slots):
+                best = pool[role] = []
+                for a in by_role.get(role, ()):
+                    if a in idle:
+                        best.append(a)
+                        if len(best) == s:
+                            break
+                    else:
+                        busy.append(a)
+                read += best
+            missing, assignment = _solve(activity, pool, data)
+        else:
+            if activity.required_data:
+                uncovered += [DATA_MISSING] * len(activity.required_data - data)
+            missing = tuple(uncovered)
+            assignment = () if missing else tuple(zip(actors, slots))
         up = parent.get(soc)
         if not missing or up is None:
             break

@@ -181,7 +181,7 @@ class InvariantViolationError(Exception):
 class Scenario:
     """Everything one run needs, checked once, when it is made.
 
-    Construction checks, in this order, that ``horizon`` and
+    Construction checks, in this order, that ``horizon``, ``seed`` and
     ``retry_bound`` lie in the schema's ranges, that each source's topic is
     used by some activity, and that each failure window stops no earlier
     than it starts and names an existing activity, raising ValidationError
@@ -205,7 +205,7 @@ class Scenario:
     retry_bound: int
 
     def __post_init__(self) -> None:
-        for key in ("horizon", "retry_bound"):
+        for key in _NUMBERS:
             _check_number(key, getattr(self, key))
         for i, src in enumerate(self.sources):
             if src.topic not in self.activities.known_topics:
@@ -404,8 +404,10 @@ def _fail(where: str, msg: str) -> NoReturn:
     raise ValidationError(f"{where}: {msg}")
 
 
-# the schema's own checkers of the two numbers a run takes as they are given
-_NUMBERS = {key: _compile(_SCHEMA["properties"][key], _SCHEMA["$defs"]) for key in ("horizon", "retry_bound")}
+# the schema's own checkers of the three numbers a run takes as they are given
+_NUMBERS = {
+    key: _compile(_SCHEMA["properties"][key], _SCHEMA["$defs"]) for key in ("horizon", "seed", "retry_bound")
+}
 
 
 def _check_number(key: str, value: Any) -> None:
@@ -705,11 +707,12 @@ class Simulation:
     """One run over a scenario: deterministic given (scenario, seed).
 
     The scenario was checked when the :class:`Scenario` was made, so
-    set-up checks only that a ``horizon`` override lies in the schema's
-    range, raising ValidationError in the words :class:`Scenario` uses. It
-    builds the run's own mutable :class:`~fso_sim.holarchy.Holarchy` from
-    copies of the holon table and parent map that check kept, registers the
-    initial service offers and samples every arrival.
+    set-up checks only that a ``seed`` or ``horizon`` override lies in the
+    schema's range, raising ValidationError in the words :class:`Scenario`
+    uses. It builds the run's own mutable
+    :class:`~fso_sim.holarchy.Holarchy` from copies of the holon table and
+    parent map that check kept, registers the initial service offers and
+    samples every arrival.
 
     The staffing memo ``_memo`` lives for the whole run and is emptied only
     when a publish brings a registry a topic it did not hold; grafts and
@@ -732,6 +735,8 @@ class Simulation:
         debug: bool | None = None,
     ) -> None:
         self.scenario = scenario
+        if seed is not None:
+            _check_number("seed", seed)
         self.seed = scenario.seed if seed is None else seed
         if horizon is not None:
             _check_number("horizon", horizon)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fso_sim import canon
@@ -21,6 +21,7 @@ from fso_sim.canon import (
     resolve_request,
 )
 from fso_sim.holarchy import (
+    Holarchy,
     HolarchyError,
     Holon,
     HolonKind,
@@ -265,16 +266,18 @@ def test_staffing_climbs_the_chain_it_records(seed, data):
 # -- answers from memory ------------------------------------------------------
 
 
-def count_solves(monkeypatch):
-    calls = []
-    solve = canon._solve
+def count_scans(monkeypatch):
+    """The SoCs whose role atoms a resolve reads from now on. A fresh
+    resolve reads one per hop, and an answer from memory reads none."""
+    socs = []
+    atoms_by_role = Holarchy.atoms_by_role
 
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
+    def counted(self, soc):
+        socs.append(soc)
+        return atoms_by_role(self, soc)
 
-    monkeypatch.setattr(canon, "_solve", counted)
-    return calls
+    monkeypatch.setattr(Holarchy, "atoms_by_role", counted)
+    return socs
 
 
 def test_an_actor_read_busy_that_comes_free_changes_the_answer(monkeypatch):
@@ -284,9 +287,9 @@ def test_an_actor_read_busy_that_comes_free_changes_the_answer(monkeypatch):
     assert resolve_request(act(), 2, h, state, memo) == staffed(2, ((1, 0),))
     # actor 1 is still idle, but 0, which the scan passed over, now ranks first
     release(state, 0)
-    solves = count_solves(monkeypatch)
+    scans = count_scans(monkeypatch)
     assert resolve_request(act(), 2, h, state, memo) == staffed(2, ((0, 0),))
-    assert len(solves) == 1
+    assert scans == [2]
 
 
 def test_an_actor_read_idle_that_turns_busy_is_not_replayed(monkeypatch):
@@ -294,9 +297,9 @@ def test_an_actor_read_idle_that_turns_busy_is_not_replayed(monkeypatch):
     state, memo = initial_state(h), {}
     assert resolve_request(act(), 2, h, state, memo) == staffed(2, ((0, 0),))
     enroll(state, h, 0, 0, son_id=9)
-    solves = count_solves(monkeypatch)
+    scans = count_scans(monkeypatch)
     assert resolve_request(act(), 2, h, state, memo) == staffed(2, ((1, 0),))
-    assert len(solves) == 1
+    assert scans == [2]
 
 
 def test_an_actor_the_scan_never_read_changes_no_answer(monkeypatch):
@@ -306,9 +309,9 @@ def test_an_actor_the_scan_never_read_changes_no_answer(monkeypatch):
     first = resolve_request(act(), 3, h, state, memo)
     enroll(state, h, 1, 0, son_id=8)
     enroll(state, h, 2, 1, son_id=9)
-    solves = count_solves(monkeypatch)
+    scans = count_scans(monkeypatch)
     assert resolve_request(act(), 3, h, state, memo) is first
-    assert solves == []
+    assert scans == []
 
 
 def test_the_last_staffed_and_the_last_failed_answer_are_both_kept(monkeypatch):
@@ -318,12 +321,12 @@ def test_the_last_staffed_and_the_last_failed_answer_are_both_kept(monkeypatch):
     enroll(state, h, 0, 0, son_id=9)
     failed_answer = resolve_request(act(), 1, h, state, memo)
     assert failed_answer == unstaffed(1, (0,))
-    solves = count_solves(monkeypatch)
+    scans = count_scans(monkeypatch)
     release(state, 0)
     assert resolve_request(act(), 1, h, state, memo) is staffed_answer
     enroll(state, h, 0, 0, son_id=10)
     assert resolve_request(act(), 1, h, state, memo) is failed_answer
-    assert solves == []
+    assert scans == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,6 +358,113 @@ def test_an_answer_from_memory_is_the_answer_resolved_afresh(seed, data):
         for activity in scenario.activities.activities:
             for start in starts:
                 assert resolve_request(activity, start, h, state, memo) == resolve_request(activity, start, h, state)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_an_answer_replayed_from_memory_is_the_fresh_answer(data):
+    # two floors under a root, actors that may play several roles and
+    # activities that may repeat a role, so hops escalate and slots collide
+    n_atoms = data.draw(st.integers(2, 7), label="atoms")
+    caps = [data.draw(st.frozensets(st.integers(0, 2), min_size=1, max_size=3), label=f"caps{a}") for a in range(n_atoms)]
+    split = data.draw(st.integers(1, n_atoms - 1), label="split")
+    floors = (n_atoms, n_atoms + 1)
+    h = build(
+        *(atom(a, *caps[a]) for a in range(n_atoms)),
+        soc(floors[0], range(split)),
+        soc(floors[1], range(split, n_atoms)),
+        soc(n_atoms + 2, floors),
+    )
+    roles = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=4), min_size=1, max_size=3), label="activities")
+    activities = [act(id=i, roles=r) for i, r in enumerate(roles)]
+    state, memo = initial_state(h), {}
+    replays = 0
+    for step in range(data.draw(st.integers(1, 8), label="steps")):
+        for a in data.draw(st.lists(st.integers(0, n_atoms - 1), max_size=3), label=f"flips {step}"):
+            if a in state.inactive:
+                enroll(state, h, a, min(caps[a]), son_id=99)
+            else:
+                release(state, a)
+        for activity in activities:
+            for start in floors:
+                stored = [answer for answer, _, _ in memo.get((activity.id, start), {}).values()]
+                got = resolve_request(activity, start, h, state, memo)
+                replays += any(got is answer for answer in stored)
+                assert got == resolve_request(activity, start, h, state)
+    event("some answer replayed" if replays else "no answer replayed")
+
+
+# -- first fit, and the matching only where a slot's idle actors are all held --
+
+
+@st.composite
+def one_soc_cases(draw):
+    """Each actor's roles, the busy actors, an activity's slots, its data
+    needs and the data published, for a request to a lone SoC: one hop.
+
+    A few actors, each playing up to three roles, crowd the slots, so a slot
+    often finds every idle actor of its role held by an earlier slot.
+    """
+    n_atoms = draw(st.integers(1, 6))
+    caps = tuple(draw(st.frozensets(st.integers(0, 2), max_size=3)) for _ in range(n_atoms))
+    busy = draw(st.frozensets(st.integers(0, n_atoms - 1)))
+    slots = tuple(sorted(draw(st.lists(st.integers(0, 2), min_size=1, max_size=5))))
+    needs = draw(st.frozensets(st.sampled_from("xy")))
+    published = draw(st.frozensets(st.sampled_from("xy")))
+    return caps, busy, slots, needs, published
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_soc_cases())
+# actor 0 plays both roles: role 1 finds it held by role 0's slot, and the
+# matching moves role 0 to actor 1
+@example(((frozenset({0, 1}), frozenset({0})), frozenset(), (0, 1), frozenset(), frozenset()))
+# held as well, but nobody can take role 0 over: role 1 is missing
+@example(((frozenset({0, 1}),), frozenset(), (0, 1), frozenset(), frozenset({"x"})))
+# a repeated role past a busy actor, and a role nobody plays, then a data gap
+@example(((frozenset({0}),) * 3, frozenset({0}), (0, 0, 2), frozenset({"x", "y"}), frozenset({"y"})))
+def test_a_hops_first_fit_answer_is_the_matching_on_the_best_s_pool(case):
+    caps, busy, slots, needs, published = case
+    n = len(caps)
+    h = build(*(atom(a, *caps[a]) for a in range(n)), soc(n, range(n)))
+    table = ActivityTable(activities=(act(data=("x", "y")),))
+    for topic in sorted(published):
+        publish(h.registries[n], item(topic), table)
+    state = initial_state(h)
+    for a in sorted(busy):
+        if caps[a]:
+            enroll(state, h, a, min(caps[a]), son_id=99)
+    activity = act(roles=slots, data=needs)
+    pool = {
+        role: [a for a in range(n) if role in caps[a] and a in state.inactive][: len(slots)]
+        for role in set(slots)
+    }
+    got = resolve_request(activity, n, h, state)
+    assert (got.missing, got.assignment) == _solve(activity, pool, set(published))
+
+
+def test_a_hop_runs_the_matching_only_when_a_slots_idle_actors_are_all_held(monkeypatch):
+    h = build(atom(0, 0, 1), atom(1, 0), soc(2, [0, 1]))
+    state = initial_state(h)
+    solves = []
+    solve = canon._solve
+
+    def counted(*args):
+        solves.append(args[0].required_roles)
+        return solve(*args)
+
+    monkeypatch.setattr(canon, "_solve", counted)
+    # first fit staffs every slot, and a role nobody plays is missing at once
+    assert resolve_request(act(roles=(0, 0)), 2, h, state) == staffed(2, ((0, 0), (1, 0)))
+    assert resolve_request(act(roles=(0, 3)), 2, h, state) == unstaffed(2, (3,))
+    enroll(state, h, 0, 1, son_id=9)
+    # role 1's one actor is busy: no idle actor, so missing without a matching
+    assert resolve_request(act(roles=(1,)), 2, h, state) == unstaffed(2, (1,))
+    assert solves == []
+    release(state, 0)
+    # role 0's slot takes actor 0, the only actor of role 1
+    assert resolve_request(act(roles=(0, 1)), 2, h, state) == staffed(2, ((1, 0), (0, 1)))
+    assert solves == [(0, 1)]
 
 
 # -- overlay lifecycle -------------------------------------------------------
