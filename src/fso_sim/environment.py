@@ -8,30 +8,76 @@ Poisson sources draw exponential gaps and snap them to the nearest tick
 Randomness comes from splitmix64, written out in integer arithmetic, so
 that runs are reproducible bit for bit across platforms and Python versions.
 Each source draws from its own stream: :func:`source_state` mixes the
-scenario seed with the source's index into the stream's starting state, and
-the process's ``arrivals`` steps it. A source's arrival pattern therefore
-stays the same when another source is added or removed.
+scenario seed with the source's index into the stream's starting state. A
+source's arrival pattern therefore stays the same when another source is
+added or removed.
+
+A Poisson stream is drawn a chunk of steps at a time by :func:`_outputs`,
+which computes many splitmix64 steps in a handful of operations on one
+Python int. Each step gets its own 128-bit lane of that int and every lane
+is cut back to 64 bits before it is multiplied, so no lane's product
+reaches its neighbour; each lane thus holds exactly the value the step
+computes alone, and the stream's outputs, gaps and arrival times are the
+ones a step-by-step draw gives.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import takewhile
-from math import floor, inf, log1p
-from operator import gt
-from typing import Iterator
+from itertools import count, repeat, takewhile
+from math import exp, expm1, floor, inf, log1p, sqrt
+from operator import gt, itemgetter
+from typing import Iterable, Iterator
 
 from .holarchy import HolonId, InformationItem, LogicalTime
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# the most splitmix64 steps one call of _outputs computes, which keeps its
+# ints near 8 KiB
+_LANES = 512
+# every lane's low 64 bits
+_LANE_MASK = int.from_bytes(_MASK.to_bytes(16, "little") * _LANES, "little")
+# lane j holds (j + 1) * GOLDEN mod 2**64, the j-th lane's step past its base
+_STEPS = int.from_bytes(
+    b"".join(((j * _GOLDEN) & _MASK).to_bytes(16, "little") for j in range(1, _LANES + 1)), "little"
+)
+
 
 def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _outputs(streams: list[tuple[int, int]]) -> memoryview:
+    """The outputs, cut to 53 bits, of the ``n`` splitmix64 steps after each ``(state, n)``, stream after stream.
+
+    Step k of a stream at ``state`` mixes ``state + k * GOLDEN``. The steps
+    go into consecutive 128-bit lanes of one int, at most ``_LANES`` in all,
+    and the mix runs on the whole int: a shift carries bits of the next
+    lane only into a lane's top 64 bits, which the mask clears before each
+    multiply, so each lane's 64-by-64-bit product stays within its lane.
+    """
+    bases = []
+    lanes = 0
+    for state, n in streams:
+        # lane ``lanes + k - 1`` is to hold state + k * GOLDEN once _STEPS is added
+        bases.append(((state - lanes * _GOLDEN) & _MASK).to_bytes(16, "little") * n)
+        lanes += n
+    z = (int.from_bytes(b"".join(bases), "little") + (_STEPS & ((1 << 128 * lanes) - 1))) & _LANE_MASK
+    z = ((z ^ (z >> 30)) & _LANE_MASK) * 0xBF58476D1CE4E5B9 & _LANE_MASK
+    z = ((z ^ (z >> 27)) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
+    # the shift brings the next lane's bits no lower than bit 97, so once
+    # shifted by 11 each lane's low word is its output's top 53 bits
+    z = (z ^ (z >> 31)) >> 11
+    # in the host's byte order each word reads right; a big-endian host
+    # gets the words last first, so a lane's low word is the later one
+    words = memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")
+    return words[::-2] if sys.byteorder == "big" else words[::2]
 
 
 @dataclass(frozen=True)
@@ -49,21 +95,49 @@ class PoissonProcess:
             raise ValueError("poisson rate must be positive")
 
     def arrivals(self, state: int) -> Iterator[LogicalTime]:
-        # each gap is -log1p(-u) / rate, u the next output of the splitmix64
-        # stream at ``state`` cut to 53 bits, uniform in [0, 1); the step is
-        # unrolled here because a call to _mix costs more than its arithmetic
+        """Every arrival of the stream at ``state``, drawn ``_LANES`` steps at a time."""
+        at: tuple[int, LogicalTime] | None = (state, 0)
+        while at is not None:
+            times: list[LogicalTime] = []
+            at = self._walk(_outputs([(at[0], _LANES)]), *at, inf, times)
+            yield from times
+
+    def _walk(
+        self, outputs: memoryview, state: int, t: LogicalTime, horizon: float, times: list[LogicalTime]
+    ) -> tuple[int, LogicalTime] | None:
+        """Append the times after ``t`` that ``outputs``, the steps drawn after ``state``, reach before ``horizon``.
+
+        Returns the state and the time the stream goes on from, or None once
+        it has passed the horizon or ended.
+        """
+        neg_rate = -self.rate
+        append = times.append
+        try:
+            for z in outputs:
+                # the gap -log1p(-u) / rate for u = z * 2**-53 uniform in
+                # [0, 1), with its two signs moved into constants: the same float
+                t += floor(log1p(z * -(2.0**-53)) / neg_rate + 0.5) or 1
+                if t >= horizon:
+                    return None
+                append(t)
+        except OverflowError:
+            # floor of an infinite gap; rate > 0, so a gap is never NaN
+            return None
+        return (state + len(outputs) * _GOLDEN) & _MASK, t
+
+    def _chunk(self, ticks: int) -> int:
+        """How many steps to draw for ``ticks`` more ticks, at most ``_LANES``.
+
+        That is the arrivals expected, plus two standard deviations and
+        four, so that few streams need a second chunk. Every factor is
+        bounded, whatever the rate and horizon, before ``int`` is taken.
+        """
         rate = self.rate
-        t = 0
-        while True:
-            state = (state + _GOLDEN) & _MASK
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            # rate > 0, so a gap is never NaN and only an overflow ends the stream
-            gap = -log1p(-(((z ^ (z >> 31)) >> 11) * 2.0**-53)) / rate
-            if gap == inf:
-                return
-            t += floor(gap + 0.5) or 1
-            yield t
+        # arrivals per tick, 1 / the mean snapped gap h / p + 1 - h, for
+        # p = 1 - exp(-rate) and h = exp(-rate / 2): at most 1
+        p, h = -expm1(-rate), exp(-rate / 2)
+        expected = p / (h + (1 - h) * p) * min(max(ticks, 0), 1 << 53)
+        return int(min(expected + 2 * sqrt(expected) + 4, _LANES))
 
 
 @dataclass(frozen=True)
@@ -78,10 +152,7 @@ class PeriodicProcess:
             raise ValueError("offset must not be negative")
 
     def arrivals(self, state: int) -> Iterator[LogicalTime]:
-        t = self.offset
-        while True:
-            yield t
-            t += self.period
+        return count(self.offset, self.period)
 
 
 @dataclass(frozen=True)
@@ -97,7 +168,7 @@ class ScriptedProcess:
             raise ValueError("scripted times must be ascending")
 
     def arrivals(self, state: int) -> Iterator[LogicalTime]:
-        yield from self.times
+        return iter(self.times)
 
 
 Process = PoissonProcess | PeriodicProcess | ScriptedProcess
@@ -126,17 +197,49 @@ def sample_arrivals(sources: tuple[EventSource, ...], horizon: LogicalTime, seed
     Sorted by (time, source index): simultaneous arrivals keep the order
     sources are declared in, which pins down the whole run.
 
-    Every item is built here once, when a run is set up, with
-    ``tuple.__new__``, as ``InformationItem._make`` does, which skips the
-    NamedTuple's Python-level constructor: an item costs one resumption of
-    its stream and no call of its own.
+    Poisson streams are drawn in chunks sized to the ticks left: every
+    stream's first chunk in one call of :func:`_outputs` (or a few, when
+    they pass ``_LANES`` steps), and each stream not yet past the horizon
+    again from its state after the chunk. The items are built source by
+    source with ``tuple.__new__``, as ``InformationItem._make`` does, and
+    ``map``, so that no Python-level call is made per item. The sort is
+    stable and keyed on the time alone, so items due on one tick keep the
+    source order they were built in.
     """
     before_end = partial(gt, horizon)
+    times_of: list[Iterable[LogicalTime]] = []
+    # Poisson streams not yet past the horizon: (process, times, state, last time)
+    streams = []
+    for index, source in enumerate(sources):
+        process = source.process
+        if isinstance(process, PoissonProcess):
+            times_of.append([])
+            streams.append((process, times_of[-1], source_state(seed, index), 0))
+        else:
+            times_of.append(takewhile(before_end, process.arrivals(0)))
+    while streams:
+        # the streams whose next chunks fit in one call; the first always does
+        chunks, later, lanes = [], [], 0
+        for stream in streams:
+            process, _, _, t = stream
+            n = process._chunk(horizon - t)
+            if lanes + n <= _LANES:
+                chunks.append((stream, n))
+                lanes += n
+            else:
+                later.append(stream)
+        outputs = _outputs([(state, n) for (_, _, state, _), n in chunks])
+        start = 0
+        for (process, times, state, t), n in chunks:
+            at = process._walk(outputs[start : start + n], state, t, horizon, times)
+            start += n
+            if at is not None:
+                later.append((process, times, *at))
+        streams = later
     new = tuple.__new__
     out: list[InformationItem] = []
-    for index, source in enumerate(sources):
-        topic, soc = source.topic, source.injection_soc
-        stream = takewhile(before_end, source.process.arrivals(source_state(seed, index)))
-        out += [new(InformationItem, (t, index, soc, topic)) for t in stream]
-    out.sort()
+    for index, (source, times) in enumerate(zip(sources, times_of)):
+        rows = zip(times, repeat(index), repeat(source.injection_soc), repeat(source.topic))
+        out += map(new, repeat(InformationItem), rows)
+    out.sort(key=itemgetter(0))
     return out

@@ -346,8 +346,9 @@ def build_holarchy(holons: Iterable[Holon], roles: frozenset[RoleId]) -> Holarch
     registry; initial service offers are registered separately with
     :func:`register_initial_services`. The first violation of the structural
     rules of :func:`validate`, or a ``DuplicateId``, which a holarchy keyed by
-    id cannot hold, is raised as a :class:`ViolationError`. This is where a
-    scenario's structure is checked, once, when the scenario is made.
+    id cannot hold, is raised as a :class:`ViolationError`, before anything
+    is built. This is where a scenario's structure is checked, once, when
+    the scenario is made.
     """
     by_id: dict[HolonId, Holon] = {}
     parent: dict[HolonId, HolonId] = {}
@@ -359,11 +360,9 @@ def build_holarchy(holons: Iterable[Holon], roles: frozenset[RoleId]) -> Holarch
         by_id[node.id] = node
     # -1 when every holon is listed somewhere, which the rules reject
     root = next((i for i in by_id if i not in parent), -1)
-    h = Holarchy(by_id, parent, root, roles)
-    # a fresh holarchy's registries are empty, so only the structure can fail
-    for v in _structure_violations(h):
+    for v in _structure_violations(by_id, parent, root, roles):
         raise ViolationError(v)
-    return h
+    return Holarchy(by_id, parent, root, roles)
 
 
 def register_initial_services(h: Holarchy) -> None:
@@ -391,14 +390,17 @@ def validate(h: Holarchy) -> list[Violation]:
     all of them, with the registry rules, after every tick. An empty list
     means the holarchy is sound.
     """
-    return [*_structure_violations(h), *_registry_violations(h)]
+    return [*_structure_violations(h.holons, h.parent, h.root, h.roles), *_registry_violations(h)]
 
 
-def _structure_violations(h: Holarchy) -> Iterator[Violation]:
+def _structure_violations(
+    holons: dict[HolonId, Holon], parent: dict[HolonId, HolonId], root: HolonId, roles: frozenset[RoleId]
+) -> Iterator[Violation]:
+    """The structural rules broken by a holon table with its recorded parent map and root."""
     # primary parents, recomputed from raw member lists: only
     # scenario-original SoCs contribute parental edges
     parents: dict[HolonId, HolonId] = {}
-    for i, node in h.holons.items():
+    for i, node in holons.items():
         if i < 0:
             yield Violation("NegativeId", i, f"holon id {i} is negative")
         if node.id != i:
@@ -409,7 +411,7 @@ def _structure_violations(h: Holarchy) -> Iterator[Violation]:
             if node.representative is not None:
                 yield Violation("AtomicWithRepresentative", i, f"atomic holon {i} names a representative")
             for role in node.capabilities:
-                if role not in h.roles:
+                if role not in roles:
                     yield Violation("UnknownRole", i, f"holon {i} claims undeclared role {role}")
             continue
         if node.capabilities:
@@ -417,7 +419,7 @@ def _structure_violations(h: Holarchy) -> Iterator[Violation]:
         if not node.members:
             yield Violation("EmptyComposite", i, f"composite holon {i} has no members")
         for m in node.members:
-            member = h.holons.get(m)
+            member = holons.get(m)
             if member is None:
                 yield Violation("UnknownMember", i, f"SoC {i} lists unknown member {m}")
             elif node.origin is HolonOrigin.PERMANENTIFIED:
@@ -433,33 +435,33 @@ def _structure_violations(h: Holarchy) -> Iterator[Violation]:
                 "RepresentativeNotMember", i, f"representative {node.representative} is not a member of SoC {i}"
             )
 
-    roots = [i for i in h.holons if i not in parents]
+    roots = [i for i in holons if i not in parents]
     if len(roots) != 1:
-        yield Violation("RootCount", h.root, f"membership must have exactly one root, found {sorted(roots)}")
+        yield Violation("RootCount", root, f"membership must have exactly one root, found {sorted(roots)}")
     else:
-        root = roots[0]
-        if root != h.root:
-            yield Violation("RootMismatch", h.root, f"recorded root differs from structural root {root}")
-        if h.holons[root].kind is HolonKind.ATOMIC:
-            yield Violation("AtomicRoot", root, f"root holon {root} must be a composite SoC")
+        found = roots[0]
+        if found != root:
+            yield Violation("RootMismatch", root, f"recorded root differs from structural root {found}")
+        if holons[found].kind is HolonKind.ATOMIC:
+            yield Violation("AtomicRoot", found, f"root holon {found} must be a composite SoC")
         # with single parents, every unreachable holon sits on a cycle or
         # under one; a holon met twice on the walk has two parents already
         seen: set[HolonId] = set()
-        stack = [root]
+        stack = [found]
         while stack:
             current = stack.pop()
-            node = h.holons.get(current)
+            node = holons.get(current)
             if current not in seen and node is not None:
                 seen.add(current)
                 if node.kind is HolonKind.COMPOSITE and node.origin is HolonOrigin.SCENARIO:
                     stack += node.members
-        missing = h.holons.keys() - seen
+        missing = holons.keys() - seen
         if missing:
-            yield Violation("Unreachable", root, f"holons {sorted(missing)} are not reachable from root {root}")
+            yield Violation("Unreachable", found, f"holons {sorted(missing)} are not reachable from root {found}")
 
-    if h.parent != parents:
-        for child in sorted(h.parent.keys() | parents.keys()):
-            recorded, listed = h.parent.get(child), parents.get(child)
+    if parent != parents:
+        for child in sorted(parent.keys() | parents.keys()):
+            recorded, listed = parent.get(child), parents.get(child)
             if recorded != listed:
                 yield Violation("ParentMapInconsistent", child, f"recorded parent {recorded}, member lists say {listed}")
 

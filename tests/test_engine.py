@@ -270,10 +270,10 @@ def test_a_scenario_is_checked_once_however_it_is_made(monkeypatch):
     checks = 0
     check = holarchy._structure_violations
 
-    def counted(h):
+    def counted(*args):
         nonlocal checks
         checks += 1
-        return check(h)
+        return check(*args)
 
     monkeypatch.setattr(holarchy, "_structure_violations", counted)
     scenario = load_scenario_file(str(SCENARIOS / "nine_actors.json"))

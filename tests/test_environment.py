@@ -11,9 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fso_sim import environment
 from fso_sim.engine import load_scenario_file
 from fso_sim.environment import (
     EventSource,
@@ -28,6 +29,24 @@ from fso_sim.holarchy import InformationItem
 from oracles import Rng
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# the most steps one call of the lane kernel draws
+CAP = environment._LANES
+
+
+def rng_times(rng, rate, horizon):
+    """The arrival times before ``horizon`` of a Poisson stream whose gaps ``rng`` draws, one ``Rng.random`` each.
+
+    A gap that overflows to infinity ends the stream.
+    """
+    t = 0
+    while True:
+        gap = -math.log1p(-rng.random()) / rate
+        if not math.isfinite(gap):
+            return
+        t += max(1, math.floor(gap + 0.5))
+        if t >= horizon:
+            return
+        yield t
 
 
 def test_rng_streams_are_reproducible():
@@ -77,15 +96,7 @@ def test_poisson_gaps_are_positive_integers():
 def test_poisson_gaps_match_the_rng_reference(rate):
     # the reference draws each gap through Rng.random; a gap that overflows
     # to infinity ends both streams
-    ref = Rng(1).child(0)
-    expected = []
-    t = 0
-    while len(expected) < 10_000:
-        gap = -math.log1p(-ref.random()) / rate
-        if not math.isfinite(gap):
-            break
-        t += max(1, math.floor(gap + 0.5))
-        expected.append(t)
+    expected = list(itertools.islice(rng_times(Rng(1).child(0), rate, math.inf), 10_000))
     times = list(itertools.islice(PoissonProcess(rate=rate).arrivals(source_state(seed=1, index=0)), 10_000))
     assert times == expected
     if rate == 1e-310:
@@ -104,6 +115,19 @@ def test_poisson_gap_overflowing_to_infinity_ends_the_stream(rate):
     process = PoissonProcess(rate=rate)
     assert list(process.arrivals(source_state(seed=1, index=0))) == []
     assert sample_arrivals((EventSource("a", 1, process),), 10_000, seed=1) == []
+
+
+@pytest.mark.parametrize("horizon", [20, 0])
+@pytest.mark.parametrize("rate", [1.7976931348623157e308, math.inf, 5e-324, 1e-310])
+def test_extreme_rates_and_horizons_are_pinned(rate, horizon):
+    # the schema's largest rate, and a hand-built infinite one, publish on
+    # every tick; a rate whose first gap overflows publishes nothing; no
+    # source publishes before a horizon of 0
+    arrivals = sample_arrivals((EventSource("a", 1, PoissonProcess(rate=rate)),), horizon, seed=1)
+    every_tick = rate > 1
+    assert [a.published_at for a in arrivals] == (list(range(1, horizon)) if every_tick else [])
+    if every_tick:
+        assert list(itertools.islice(PoissonProcess(rate=rate).arrivals(0), 5)) == [1, 2, 3, 4, 5]
 
 
 def test_periodic_and_scripted_are_exact():
@@ -187,14 +211,22 @@ def test_sample_arrivals_output_is_pinned(seed, digest):
 
 
 def reference_arrivals(sources, horizon, seed):
-    """Each source's stream walked tick by tick, kept at 0 <= t < horizon, sorted."""
+    """Each source's items at 0 <= t < horizon, from its process's definition, sorted.
+
+    A Poisson source draws its gaps from ``Rng(seed).child(index)``, one
+    ``Rng.random`` per gap, so the reference shares no code with the lane
+    kernel.
+    """
     out = []
     for index, source in enumerate(sources):
-        for t in source.process.arrivals(source_state(seed, index)):
-            if t >= horizon:
-                break
-            if 0 <= t:
-                out.append(InformationItem(t, index, source.injection_soc, source.topic))
+        process = source.process
+        if isinstance(process, PoissonProcess):
+            times = rng_times(Rng(seed).child(index), process.rate, horizon)
+        elif isinstance(process, PeriodicProcess):
+            times = range(process.offset, horizon, process.period)
+        else:
+            times = [t for t in process.times if t < horizon]
+        out += [InformationItem(t, index, source.injection_soc, source.topic) for t in times]
     return sorted(out)
 
 
@@ -221,10 +253,73 @@ def test_sample_arrivals_matches_the_reference(sources, horizon, seed):
     assert all(type(a) is InformationItem for a in arrivals)
 
 
-def test_sample_arrivals_makes_one_python_call_per_arrival():
-    # one resumption of the source's stream; an item built through its
-    # NamedTuple constructor would add a second
+@given(st.integers(0, 2**64 - 1))
+@settings(max_examples=15, deadline=None)
+@pytest.mark.parametrize("lanes", [1, CAP - 1, CAP])
+def test_the_lane_kernel_draws_what_the_rng_draws(lanes, state):
+    rng = Rng(state)
+    assert list(environment._outputs([(state, lanes)])) == [rng.next_u64() >> 11 for _ in range(lanes)]
+
+
+# at most CAP lanes in all, as the kernel takes
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(1, CAP // 4)), min_size=2, max_size=4))
+@settings(max_examples=60, deadline=None)
+@example([(0, CAP - 1), (2**64 - 1, 1)])
+@example([(1, 1), (1, 1), (2**63, 2)])
+def test_the_lane_kernel_draws_several_streams_in_one_call(streams):
+    expected = []
+    for state, n in streams:
+        rng = Rng(state)
+        expected += [rng.next_u64() >> 11 for _ in range(n)]
+    assert list(environment._outputs(streams)) == expected
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 50))
+@settings(max_examples=5, deadline=None)
+@pytest.mark.parametrize("count", [1, CAP - 1, CAP, CAP + 1])
+def test_a_poisson_stream_goes_on_from_its_state_after_a_chunk(count, seed, index):
+    # arrivals draws CAP steps a call, so the last count continues once
+    expected = list(itertools.islice(rng_times(Rng(seed).child(index), 0.5, math.inf), count))
+    assert list(itertools.islice(PoissonProcess(rate=0.5).arrivals(source_state(seed, index)), count)) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+def test_sample_arrivals_over_many_chunks_matches_the_reference(seed, monkeypatch):
+    # each fast stream is drawn in chunks that fill a call alone, and a
+    # last one that shares a call with the other's
+    sources = tuple(EventSource("a", 1, PoissonProcess(rate=rate)) for rate in (1.0, 1.0, 0.2))
+    chunks = []
+    outputs = environment._outputs
+
+    def counted(streams):
+        chunks.append(len(streams))
+        return outputs(streams)
+
+    monkeypatch.setattr(environment, "_outputs", counted)
+    arrivals = sample_arrivals(sources, 3000, seed)
+    assert max(chunks) > 1 and sum(chunks) > len(sources)
+    assert arrivals == reference_arrivals(sources, 3000, seed)
+
+
+def test_sample_arrivals_makes_a_few_python_calls_per_source_and_chunk(monkeypatch):
+    # measured on Python 3.11: 35 calls for nine_actors.json's one source in
+    # eight chunks, that is sample_arrivals, 2 per source (source_state and
+    # _mix) and 4 per chunk (_chunk, _walk, _outputs and the list of its
+    # streams); the budget is that plus 10%. A Python-level call per
+    # arrival, as a generator step or a NamedTuple constructor makes, would
+    # add thousands, and so would a chunk per arrival.
     sources = load_scenario_file(str(SCENARIOS / "nine_actors.json")).sources
+    chunks = 0
+    outputs = environment._outputs
+
+    def counted(streams):
+        nonlocal chunks
+        chunks += len(streams)
+        return outputs(streams)
+
+    monkeypatch.setattr(environment, "_outputs", counted)
+    expected = sample_arrivals(sources, 20_000, seed=7)
+    monkeypatch.undo()
     calls = 0
 
     def count(frame, event, arg):
@@ -241,5 +336,6 @@ def test_sample_arrivals_makes_one_python_call_per_arrival():
         sys.setprofile(None)
         if gc_was_enabled:
             gc.enable()
-    assert len(arrivals) > 3000
-    assert calls <= len(arrivals) + 10 * len(sources)
+    assert arrivals == expected and len(arrivals) > 3000
+    assert chunks <= len(arrivals) // CAP + 2 * len(sources)
+    assert calls <= 1.1 * (1 + 2 * len(sources) + 4 * chunks)
