@@ -6,13 +6,8 @@ import, into its own checker, so no third-party package is needed; integers
 must be written without a fraction (``1``, not ``1.0``). It then checks by
 hand that role ids are below the number of roles, that activity ids are
 unique and that scripted times ascend. :class:`Scenario` itself checks the
-rest, once, when it is made, whether by the loader or by hand: ``horizon``
-and ``retry_bound`` within the schema's ranges, each source's topic used
-by some activity, failure windows that stop no earlier than they start and
-name existing activities, the holarchy's structure (the rules of
-:func:`fso_sim.holarchy.validate`, which
-:func:`~fso_sim.holarchy.build_holarchy` enforces) and each source
-injecting into an existing composite. A :class:`Simulation` builds its
+rest (see there), once, when it is made, whether by the loader or by hand,
+the holarchy's structure among it. A :class:`Simulation` builds its
 holarchy from what that check kept and checks nothing again but the range
 of a ``horizon`` it is given. The simulator turns a scenario into a
 stream of trace records, one JSON object per line, so that a (scenario,
@@ -28,19 +23,18 @@ Within a tick the order is fixed: due overlays dissolve, environment
 arrivals are published, triggered activities resolve in activity id order
 (earlier resolutions see the actors consumed by previous ones), parked
 requests retry if a dissolution freed actors this tick, and evolution
-promotes or prunes. Each phase runs only when it has work: evolution runs
-when a promoted signature is to be re-checked for pruning, or when a ready
+promotes or prunes. Each phase runs only when it has work; evolution runs
+only when a promoted signature is to be re-checked for pruning or a ready
 signature's member set is free (:func:`~fso_sim.evolution.promotion_due`),
-never for ready signatures that are all blocked, so a tick with no
-dissolve, no arrival and no evolution due costs a few comparisons.
-:meth:`Simulation.step` is still exactly one tick; :meth:`Simulation.run`
-is one loop over due ticks, which are the arrival and dissolve ticks and
-the tick after one that freed a ready signature's member set for
-promotion, by a prune or by a graft that relisted its anchor, and it jumps
-the clock over the rest. The same loop drains past the horizon, so every formation has its dissolution on
-record. Events arrive only before the horizon, but drain ticks are full
-ticks: parked requests retry on them, so a SON can form at or after the
-horizon and is drained in turn, and a prune or a graft on them can free a
+so a tick with no dissolve, no arrival and no evolution due costs a few
+comparisons. :meth:`Simulation.step` is exactly one tick;
+:meth:`Simulation.run` is one loop over due ticks, which are the arrival
+and dissolve ticks and the tick after one that freed a ready signature's
+member set, by a prune or by a graft that relisted its anchor, and it
+jumps the clock over the rest. The same loop drains past the horizon, so
+every formation has its dissolution on record. Drain ticks are full ticks:
+parked requests retry on them, so a SON can form at or after the horizon
+and is drained in turn, and a prune or a graft on them can free a
 signature for promotion on the next tick.
 
 A staffing request is one record from its trigger to its close, and
@@ -52,18 +46,18 @@ dissolved, at most ``retry_bound`` of them. Each failed attempt writes a
 was ``final``, and a request still parked when the run ends gets one more
 record with ``final`` true.
 
-Each emission site appends one flat row, ``(tick, kind, *values)``, to the
-simulation's row list through no helper frame, with the payload's values in
-the order :data:`TRACE_FIELDS` gives its keys; only ``RequestUnresolved``,
-which an attempt and the close both write, has a method of its own. A row
-holds ints, strings, booleans and the engine's own tuples, so the cycle
-collector stops tracking it once it has passed over it and the tuples
-inside, and no record or payload dict is built while a run lasts.
-:attr:`Simulation.trace` builds the :class:`TraceRecord` list from the rows
-when it is read. Metrics come from one fold, :func:`_fold_rows`, which
-reads rows by position and checks nothing. :meth:`Simulation.run` passes it
-the rows the engine wrote; :func:`report` checks each record, those read
-back from a file among them, and passes it on as a row in the same pass.
+The trace is one flat list of values. Each emission site extends it,
+through no helper frame, with a record's tick, kind and payload values in
+the order :data:`TRACE_FIELDS` gives its keys, so a kind's record is
+``2 + len(TRACE_FIELDS[kind])`` values wide; only ``RequestUnresolved``,
+which an attempt and the close both write, has a method of its own. The
+list holds ints, strings, booleans and the engine's own tuples, and no
+record, payload dict or row tuple is kept while a run lasts.
+:attr:`Simulation.trace` cuts the :class:`TraceRecord` list out of it when
+it is read. Metrics come from one fold, :func:`_fold_rows`, which steps
+through such a list by width and checks nothing. :meth:`Simulation.run`
+passes it the engine's list; :func:`report` checks each record, those read
+back from a file among them, and passes it their values.
 
 Staffing reads only the activity, its start SoC, the actors under each SoC
 on its chain, the topics of their registries and which actors its scans
@@ -115,6 +109,7 @@ from .evolution import (
     maybe_permanentify,
     maybe_prune,
     promotion_due,
+    ready_free,
     record_outcome,
 )
 from .holarchy import (
@@ -131,8 +126,8 @@ from .holarchy import (
 
 DEBUG_ENV_VAR = "FSO_SIM_DEBUG"
 
-# each kind's payload keys, in the order an emitted row holds their values
-# after its tick and kind; the kinds are this table's keys
+# each kind's payload keys, in the order a trace list holds their values
+# after a record's tick and kind; the kinds are this table's keys
 TRACE_FIELDS: dict[str, tuple[str, ...]] = {
     "EventPublished": ("soc", "source", "topic"),
     "ActivityTriggered": ("activity", "request", "soc", "topic"),
@@ -242,10 +237,10 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 class TraceRecord:
     """One line of a trace, as its readers see it.
 
-    A run stores no records: it stores rows (see :class:`Simulation`), and
-    :attr:`Simulation.trace` builds one record per row when it is read, as
-    :func:`parse_trace` builds one per line. A record is then only read,
-    never hashed (its payload is a dict, so it could not be): slotted
+    A run stores only their values (see the module docstring);
+    :attr:`Simulation.trace` builds records from them when it is read, as
+    :func:`parse_trace` does from lines. A record is then only read, never
+    hashed (its payload is a dict, so it could not be): slotted
     rather than frozen, since a frozen field costs a call on every
     construction. An emitted record's arrays are plain tuples shared with
     the engine's state, a parsed one's are lists, so the two compare equal
@@ -572,10 +567,12 @@ def write_trace(records: Iterable[TraceRecord]) -> str:
 
 
 def _position(kind: str, key: str) -> int:
-    """Where a row of ``kind`` holds the value of ``key``."""
+    """Where a record of ``kind`` holds the value of ``key``, counting from its tick."""
     return 2 + TRACE_FIELDS[kind].index(key)
 
 
+# how many values of a trace list a record of each kind takes
+_WIDTH = {kind: 2 + len(keys) for kind, keys in TRACE_FIELDS.items()}
 # the fields the fold reads, by kind and key, each with the type a record
 # must give it; report checks a record's fields in this order
 _FOLDED: dict[tuple[str, str], type] = {
@@ -587,13 +584,10 @@ _FOLDED: dict[tuple[str, str], type] = {
     ("SonDissolved", "r_size"): int,
     ("RequestUnresolved", "final"): bool,
 }
-_HOP_COUNT = _position("SonFormed", "hop_count")
-_TRIGGERED_AT = _position("SonFormed", "triggered_at")
-_FINAL = _position("RequestUnresolved", "final")
 
 
 def report(records: Iterable[TraceRecord]) -> Metrics:
-    """Fold a trace into metrics: check each record, then pass it as a row
+    """Fold a trace into metrics: check each record, then pass their values
     to :func:`_fold_rows`, the fold that gives a run its own metrics.
 
     One pass over ``records``. A record is checked for exactly the fields
@@ -606,63 +600,81 @@ def report(records: Iterable[TraceRecord]) -> Metrics:
     kind and means too large for a float raise MalformedTraceError. The
     fold reads no other key, so a record may lack one.
     """
-    # each kind's payload keys, and where its row holds each field the fold
-    # reads, with that field's key and type
+    # each kind's payload keys, and where its values hold each field the
+    # fold reads, with that field's key and type
     specs = {
         kind: (keys, [(_position(kind, key), key, t) for (k, key), t in _FOLDED.items() if k == kind])
         for kind, keys in TRACE_FIELDS.items()
     }
-
-    def rows() -> Iterable[tuple[Any, ...]]:
-        for r in records:
-            kind, p = r.kind, r.payload
-            try:
-                keys, checks = specs[kind]
-            except (KeyError, TypeError):
-                raise MalformedTraceError(f"unknown kind {kind!r}") from None
-            row = (r.tick, kind, *map(p.get, keys))
-            for i, key, t in checks:
-                if type(row[i]) is not t:
-                    if key not in p:
-                        raise MalformedTraceError(f"{kind} record lacks key {key!r}")
-                    word = "boolean" if t is bool else "integer"
-                    raise MalformedTraceError(f"{kind} record has non-{word} {key} {row[i]!r}")
-            yield row
-
-    return _fold_rows(rows())
+    values: list[Any] = []
+    for r in records:
+        kind, p = r.kind, r.payload
+        try:
+            keys, checks = specs[kind]
+        except (KeyError, TypeError):
+            raise MalformedTraceError(f"unknown kind {kind!r}") from None
+        row = (r.tick, kind, *map(p.get, keys))
+        for i, key, t in checks:
+            if type(row[i]) is not t:
+                if key not in p:
+                    raise MalformedTraceError(f"{kind} record lacks key {key!r}")
+                word = "boolean" if t is bool else "integer"
+                raise MalformedTraceError(f"{kind} record has non-{word} {key} {row[i]!r}")
+        values += row
+    return _fold_rows(values)
 
 
-def _fold_rows(rows: Iterable[tuple[Any, ...]]) -> Metrics:
-    """The one metrics fold: one pass over rows, by position and unchecked.
+def _fold_rows(values: list[Any]) -> Metrics:
+    """The one metrics fold: one pass over a trace list, by width and unchecked.
 
-    :meth:`Simulation.run` passes its own rows, which the engine wrote;
-    :func:`report` passes the rows of the records it has checked. Means too
+    :meth:`Simulation.run` passes its own list, which the engine wrote;
+    :func:`report` the values of the records it has checked. Means too
     large for a float, which only a record read back can give, raise
     MalformedTraceError.
     """
     published = formed = unresolved = promoted = pruned = 0
     hop_sum = latency_sum = 0
-    hop_count, triggered_at, final = _HOP_COUNT, _TRIGGERED_AT, _FINAL
-    # the last row that carries the partition sizes
-    sized = None
-    for row in rows:
-        kind = row[1]
-        if kind == "SonFormed":
-            formed += 1
-            hop_sum += row[hop_count]
-            latency_sum += row[0] - row[triggered_at]
-            sized = row
-        elif kind == "SonDissolved":
-            sized = row
+    # offsets from a record's kind and each kind's width, as locals: a dict
+    # read per record costs the fold a third more
+    hop_count, triggered_at = _position("SonFormed", "hop_count") - 1, _position("SonFormed", "triggered_at") - 1
+    final = _position("RequestUnresolved", "final") - 1
+    w_raised, w_published, w_triggered, w_formed, w_dissolved, w_unresolved, w_promoted, w_pruned = map(
+        _WIDTH.get,
+        ("ExceptionRaised", "EventPublished", "ActivityTriggered", "SonFormed")
+        + ("SonDissolved", "RequestUnresolved", "Permanentified", "Pruned"),
+    )
+    # the kind's index of the last record that carries the partition sizes
+    sized = -1
+    # the index of a record's kind, one past its tick; common kinds go first
+    i, n = 1, len(values)
+    while i < n:
+        kind = values[i]
+        if kind == "ExceptionRaised":
+            i += w_raised
         elif kind == "EventPublished":
             published += 1
+            i += w_published
+        elif kind == "ActivityTriggered":
+            i += w_triggered
+        elif kind == "SonFormed":
+            formed += 1
+            hop_sum += values[i + hop_count]
+            latency_sum += values[i - 1] - values[i + triggered_at]
+            sized = i
+            i += w_formed
+        elif kind == "SonDissolved":
+            sized = i
+            i += w_dissolved
         elif kind == "RequestUnresolved":
-            if row[final]:
+            if values[i + final]:
                 unresolved += 1
+            i += w_unresolved
         elif kind == "Permanentified":
             promoted += 1
-        elif kind == "Pruned":
+            i += w_promoted
+        else:  # Pruned, the one kind left
             pruned += 1
+            i += w_pruned
     mean_hop_count = mean_response_latency = 0.0
     if formed:
         try:
@@ -671,8 +683,9 @@ def _fold_rows(rows: Iterable[tuple[Any, ...]]) -> Metrics:
         except OverflowError:
             raise MalformedTraceError("a mean hop count or latency does not fit a float") from None
     sizes = (0, 0)
-    if sized is not None:
-        sizes = (sized[_position(sized[1], "l_size")], sized[_position(sized[1], "r_size")])
+    if sized >= 0:
+        kind = values[sized]
+        sizes = (values[sized - 1 + _position(kind, "l_size")], values[sized - 1 + _position(kind, "r_size")])
     return Metrics(
         events_published=published,
         sons_formed=formed,
@@ -714,16 +727,16 @@ class Simulation:
     parent map that check kept, registers the initial service offers and
     samples every arrival.
 
-    The staffing memo ``_memo`` lives for the whole run and is emptied only
-    when a publish brings a registry a topic it did not hold; grafts and
-    removes leave every staffing chain and the actors under it as they were.
-    With debug enabled (FSO_SIM_DEBUG=1 or debug=True) the latent/responding
-    partition and every rule of :func:`fso_sim.holarchy.validate` are
-    re-checked after every step, every attempt is resolved again without
-    the staffing memo ``_memo``, and violations raise InvariantViolationError.
+    The staffing memo ``_memo`` lives for the whole run (see the module
+    docstring). With debug enabled (FSO_SIM_DEBUG=1 or debug=True) the
+    latent/responding partition, every rule of
+    :func:`fso_sim.holarchy.validate` and the kept answer of
+    :func:`~fso_sim.evolution.promotion_due` are re-checked after every
+    step, every attempt is resolved again without ``_memo``, and violations
+    raise InvariantViolationError.
 
-    The trace is held as rows (see the module docstring) in ``_rows``.
-    :attr:`trace` builds the records from them on every read, so a caller
+    The trace is the flat list ``_values`` (see the module docstring), and
+    :attr:`trace` cuts the records out of it on every read, so a caller
     that reads it more than once should hold the list it returns.
     """
 
@@ -747,7 +760,7 @@ class Simulation:
         self.state = initial_state(self.holarchy)
         self.ledger = ExperienceLedger()
         self.clock = 0
-        self._rows: list[tuple[Any, ...]] = []
+        self._values: list[Any] = []
         # latest first, so the next item is popped off the end
         self._arrivals = sample_arrivals(scenario.sources, self.horizon, self.seed)
         self._arrivals.reverse()
@@ -764,13 +777,20 @@ class Simulation:
 
     @property
     def trace(self) -> list[TraceRecord]:
-        """The records of the rows written so far, built afresh on each read."""
-        fields = TRACE_FIELDS
-        return [TraceRecord(row[0], row[1], dict(zip(fields[row[1]], row[2:]))) for row in self._rows]
+        """The records written so far, cut out of ``_values`` afresh on each read."""
+        values, fields, width = self._values, TRACE_FIELDS, _WIDTH
+        records = []
+        i, n = 0, len(values)
+        while i < n:
+            kind = values[i + 1]
+            j = i + width[kind]
+            records.append(TraceRecord(values[i], kind, dict(zip(fields[kind], values[i + 2 : j]))))
+            i = j
+        return records
 
     def _emit_unresolved(self, r: _Request, final: bool) -> None:
-        """Write the ``RequestUnresolved`` row of a failed attempt or of a close."""
-        self._rows.append(
+        """Write the ``RequestUnresolved`` record of a failed attempt or of a close."""
+        self._values.extend(
             (
                 self.clock,
                 "RequestUnresolved",
@@ -788,12 +808,12 @@ class Simulation:
 
     def _phase_dissolve(self, t: int) -> None:
         state = self.state
-        append = self._rows.append
+        extend = self._values.extend
         for son in self._dissolve_at.pop(t):
             outcome = self.scenario.policy.outcome_of(son.activity, t)
             dissolve_son(son, t, state)
             record_outcome(self.ledger, son, outcome, t, self.scenario.policy)
-            append(
+            extend(
                 (
                     t,
                     "SonDissolved",
@@ -809,7 +829,7 @@ class Simulation:
 
     def _phase_arrivals(self, t: int) -> list[tuple[ResponseActivity, InformationItem]]:
         triggers: list[tuple[ResponseActivity, InformationItem]] = []
-        append = self._rows.append
+        extend = self._values.extend
         arrivals = self._arrivals
         while self._next_arrival == t:
             item = arrivals.pop()
@@ -819,7 +839,7 @@ class Simulation:
                 # a data topic new to this registry can change a pair's answer
                 self._memo.clear()
             triggered = publish(reg, item, self.scenario.activities)
-            append((t, "EventPublished", item.source, item.source_index, item.topic))
+            extend((t, "EventPublished", item.source, item.source_index, item.topic))
             for activity in triggered:
                 triggers.append((activity, item))
         return triggers
@@ -836,9 +856,9 @@ class Simulation:
                     f"tick {self.clock}: activity {activity.id} at SoC {r.origin_soc} was answered from"
                     f" memory with {result}, but resolves to {fresh}"
                 )
-        append = self._rows.append
+        extend = self._values.extend
         for hop in result.hops:
-            append((self.clock, "ExceptionRaised", activity.id, r.request_id, hop.from_soc, hop.to_soc, hop.hop, hop.missing))
+            extend((self.clock, "ExceptionRaised", activity.id, r.request_id, hop.from_soc, hop.to_soc, hop.hop, hop.missing))
         if result.missing:
             r.last_missing = result.missing
             self._emit_unresolved(r, final=r.retries_left == 0)
@@ -846,7 +866,7 @@ class Simulation:
         son = form_son(activity, result.assignment, self._son_seq, self.clock, self.state, self.holarchy)
         self._son_seq += 1
         self._dissolve_at.setdefault(son.dissolves_at, []).append(son)
-        append(
+        extend(
             (
                 self.clock,
                 "SonFormed",
@@ -870,11 +890,11 @@ class Simulation:
         if len(triggers) > 1:
             # a stable sort: one activity's triggers keep their publication order
             triggers.sort(key=lambda trigger: trigger[0].id)
-        append = self._rows.append
+        extend = self._values.extend
         for activity, item in triggers:
             r = _Request(self._request_seq, activity, item.source, t, self.scenario.retry_bound)
             self._request_seq += 1
-            append((t, "ActivityTriggered", activity.id, r.request_id, item.source, item.topic))
+            extend((t, "ActivityTriggered", activity.id, r.request_id, item.source, item.topic))
             if self._attempt(r):
                 self._pending.append(r)
 
@@ -890,11 +910,11 @@ class Simulation:
         self._pending = parked
 
     def _phase_evolution(self, t: int) -> None:
-        append = self._rows.append
+        extend = self._values.extend
         for ev in maybe_permanentify(self.ledger, self.holarchy):
-            append((t, "Permanentified", ev.soc, ev.parent, ev.members, ev.activity))
+            extend((t, "Permanentified", ev.soc, ev.parent, ev.members, ev.activity))
         for ev in maybe_prune(self.ledger, self.holarchy, self.scenario.policy, t):
-            append((t, "Pruned", ev.soc, ev.parent, ev.members))
+            extend((t, "Pruned", ev.soc, ev.parent, ev.members))
 
     def _check_invariants(self) -> None:
         try:
@@ -907,22 +927,16 @@ class Simulation:
         if 0 <= self._next_arrival < self.clock:
             problems.append(f"the arrival due at tick {self._next_arrival} was never published")
         problems.extend(f"the overlays due at tick {t} never dissolved" for t in sorted(self._dissolve_at) if t < self.clock)
+        if promotion_due(self.ledger, self.holarchy) != ready_free(self.ledger, self.holarchy):
+            problems.append("promotion_due's kept answer is stale")
         if problems:
             raise InvariantViolationError(f"tick {self.clock}: " + "; ".join(problems))
 
     # -- driving --------------------------------------------------------
 
     def step(self) -> None:
-        """Process exactly one tick: dissolve, publish, resolve, retry, evolve.
-
-        Each phase runs only when it has work: dissolve on a tick some
-        overlay dissolves at, publish and resolve on an arrival tick, retry
-        when a dissolution freed actors and a request is parked, evolution
-        when a promoted signature is to be re-checked for pruning or a ready
-        signature's member set is free. A pass with nothing to re-check and
-        every ready signature blocked would write and change nothing, so
-        none is run. :meth:`run` is one loop over due ticks that steps each
-        of them.
+        """Process exactly one tick: dissolve, publish, resolve, retry, evolve,
+        each phase only when it has work (see the module docstring).
         """
         t = self.clock
         freed = t in self._dissolve_at
@@ -942,16 +956,10 @@ class Simulation:
     def run(self) -> Metrics:
         """Run to the end in one loop over due ticks, then close parked requests.
 
-        A tick is due when an arrival or an open overlay's dissolve falls on
-        it, and the clock's own tick is due when a prune, or a graft that
-        relisted its anchor, has freed a ready signature for promotion. The
-        loop steps the least due tick until none is left. The ticks it jumps
-        over would do nothing, so the trace is that of stepping every tick.
-        Arrivals come only before the horizon, so past it the loop drains:
-        parked requests retry on dissolve ticks and may form SONs, which are
-        drained in turn, and freed signatures are promoted. Requests still
-        parked are closed at the horizon, or after the last step if that is
-        later.
+        The loop steps the least due tick (see the module docstring) until
+        none is left; the ticks it jumps over would do nothing, so the trace
+        is that of stepping every tick. Requests still parked are closed at
+        the horizon, or after the last step if that is later.
         """
         ledger = self.ledger
         while True:
@@ -967,7 +975,7 @@ class Simulation:
         for r in self._pending:
             self._emit_unresolved(r, final=True)
         self._pending = []
-        return _fold_rows(self._rows)
+        return _fold_rows(self._values)
 
 
 def run_scenario(

@@ -132,6 +132,9 @@ class ExperienceLedger:
     promoted: dict[SonSignature, HolonId] = field(default_factory=dict)
     ready: set[SonSignature] = field(default_factory=set)
     recheck: set[SonSignature] = field(default_factory=set)
+    # promotion_due's last answer, keyed by the holarchy's edit count it
+    # read; None once ``ready`` has changed since
+    due: tuple[int, bool] | None = field(default=None, compare=False, repr=False)
 
 
 def record_outcome(
@@ -158,6 +161,7 @@ def record_outcome(
         rec.successes += 1
         if rec.successes == policy.permanentify_threshold:
             ledger.ready.add(sig)
+            ledger.due = None
     else:
         del rec.failure_times[: bisect_right(rec.failure_times, t - policy.prune_window)]
         rec.failure_times.append(t)
@@ -194,8 +198,18 @@ def promotion_due(ledger: ExperienceLedger, h: Holarchy) -> bool:
     promotion pass takes only those whose set no SoC held when it started.
     After a pass this turns true when a prune frees a member set, or when a
     graft of the pass relisted its anchor, which held a ready signature's
-    set when the pass started.
+    set when the pass started. So the answer of :func:`ready_free` is kept
+    in ``ledger.due`` and read again until ``ready`` or a member list
+    changes (``h.edits``); a debug run checks it after every step.
     """
+    due = ledger.due
+    if due is None or due[0] != h.edits:
+        due = ledger.due = (h.edits, ready_free(ledger, h))
+    return due[1]
+
+
+def ready_free(ledger: ExperienceLedger, h: Holarchy) -> bool:
+    """Whether some ready signature's member set is listed by no SoC, by a scan."""
     return not all(map(h.holds_members, map(_MEMBERS, ledger.ready)))
 
 
@@ -217,6 +231,7 @@ def maybe_permanentify(ledger: ExperienceLedger, h: Holarchy) -> tuple[Promotion
             # signature stays ready until that SoC is pruned
             continue
         ledger.ready.discard(sig)
+        ledger.due = None
         anchor = _lca(h, [h.parent[m] for m in sig.members])
         soc_id = h.graft(sig.members, anchor)
         ledger.promoted[sig] = soc_id

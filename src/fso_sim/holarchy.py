@@ -47,6 +47,7 @@ and they stay the record of offers that :func:`validate` audits.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -103,7 +104,7 @@ class ServiceEntry(NamedTuple):
     or None for an offer registered directly by an atomic member. It exists
     so that evolution can retract exactly the entries it added. A registry
     keeps its entries sorted by (provider, role), read by the C-level key
-    ``_ENTRY_ORDER``, so a graft's sort makes no Python-level call per
+    ``_ENTRY_ORDER``, so a sort or an insert makes no Python-level call per
     entry. A tuple, built with ``tuple.__new__`` as ``_make`` does, so
     registering an offer makes no Python-level call either; it hashes and
     compares as the tuple of its three fields.
@@ -157,9 +158,17 @@ class Registry:
         return set(self.topics)
 
     def offer(self, entries: Iterable[ServiceEntry]) -> None:
-        """Merge ``entries`` into the service entries, in canonical order."""
-        self.service_entries.extend(entries)
-        self.service_entries.sort(key=_ENTRY_ORDER)
+        """Merge ``entries`` into the service entries, in canonical order.
+
+        An empty list is filled and sorted; into a filled one each entry is
+        inserted after those that order with it, where a stable sort puts it.
+        """
+        if not self.service_entries:
+            self.service_entries.extend(entries)
+            self.service_entries.sort(key=_ENTRY_ORDER)
+            return
+        for e in entries:
+            insort(self.service_entries, e, key=_ENTRY_ORDER)
 
     def retract(self, via: HolonId) -> None:
         """Drop every entry registered via the composite member ``via``."""
@@ -210,8 +219,10 @@ class Holarchy:
         socs = [n for n in holons.values() if n.kind is HolonKind.COMPOSITE]
         self.registries = {n.id: Registry() for n in socs}
         self._role_atoms: RoleAtoms = {}
-        # sorted member list -> how many SoCs list exactly it; only _set_soc writes it
+        # sorted member list -> how many SoCs list exactly it; only _set_soc
+        # writes it, and counts its calls in ``edits``
         self._member_lists = Counter([tuple(sorted(n.members)) for n in socs])
+        self.edits = 0
 
     # -- basic queries -------------------------------------------------
 
@@ -313,6 +324,7 @@ class Holarchy:
 
     def _set_soc(self, soc: HolonId, node: Holon | None) -> None:
         """Add, relist or, given None, delete the SoC ``soc``, and count its member list."""
+        self.edits += 1
         old = self.holons.get(soc)
         if old is not None:
             key = tuple(sorted(old.members))

@@ -677,3 +677,36 @@ def test_pruning_matches_a_brute_force_recount_on_generated_scenarios(monkeypatc
     assert total["promotions"] >= 20
     assert total["prunings"] >= 4
     assert total["same_tick"] >= 1
+
+
+def test_promotion_due_scans_again_only_after_ready_or_a_member_list_changes(wings, monkeypatch):
+    ledger = ExperienceLedger()
+    scans = []
+    holds = wings.holds_members
+    monkeypatch.setattr(wings, "holds_members", lambda members: scans.append(members) or holds(members))
+
+    def answer():
+        scans.clear()
+        return promotion_due(ledger, wings), len(scans)
+
+    # wing 4 lists exactly actors 0 and 1, so their team waits
+    pair = make_son(0, [(0, 0), (1, 1)])
+    for t in (1, 2):
+        record_outcome(ledger, pair, Outcome.SUCCESS, t, POLICY)
+    assert answer() == (False, 1)
+    assert answer() == (False, 0)
+    # a success that puts a free team in ready
+    trio = make_son(1, [(0, 0), (1, 1), (2, 2)], activity=1)
+    for t in (3, 4):
+        record_outcome(ledger, trio, Outcome.SUCCESS, t, POLICY)
+    assert answer()[0] and scans
+    assert answer() == (True, 0)
+    # a graft relists roof 6, so the trio is promoted and the pair waits
+    assert [e.members for e in maybe_permanentify(ledger, wings)] == [(0, 1, 2)]
+    assert answer() == (False, 1)
+    assert answer() == (False, 0)
+    # a graft or a remove outside the ledger's passes is a member list change too
+    team = wings.graft((0, 2), 6)
+    assert answer() == (False, 1)
+    wings.remove(team)
+    assert answer() == (False, 1)

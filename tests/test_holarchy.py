@@ -12,6 +12,7 @@ from fso_sim.holarchy import (
     Holon,
     HolarchyError,
     HolonKind,
+    Registry,
     ServiceEntry,
     ViolationError,
     build_holarchy,
@@ -343,3 +344,18 @@ def test_graft_remove_and_id_reuse_leave_every_scenario_socs_role_atoms(nested):
     assert nested.atoms_by_role(7).get(0, ()) == (3,)
     assert nested.atoms_by_role(7).get(2, ()) == ()
     assert cached() == walked() == before
+
+
+def test_offering_into_a_filled_registry_gives_the_order_a_stable_sort_gives():
+    rng = random.Random(0)
+
+    def entries(n):
+        # few providers and roles, so keys repeat and only ``via`` tells entries apart
+        return [ServiceEntry(rng.randrange(4), rng.randrange(3), rng.choice((None, 7, 8))) for _ in range(n)]
+
+    for _ in range(50):
+        first, later = entries(rng.randrange(1, 12)), entries(rng.randrange(12))
+        reg = Registry()
+        reg.offer(first)
+        reg.offer(later)
+        assert reg.service_entries == sorted(first + later, key=lambda e: (e.provider, e.role))
