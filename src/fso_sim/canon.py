@@ -43,11 +43,10 @@ the chain, the actors under its SoCs and the topics stay put, which of the
 actors its scans read were idle fixes a request's answer, and
 :func:`resolve_request` can replay it from a memo.
 
-Each solve builds one matching of slots to candidates and reads both
-answers from it: which slots cannot be covered, and the least assignment.
-It fills most slots by the same first fit, and a solve that never had to
-reroute a slot is already the least assignment, so it skips the pass that
-looks for a smaller one (see :func:`_solve`).
+Each solve builds one matching of slots to candidates by augmenting from
+each slot in turn, and reads both answers from it: which slots cannot be
+covered, and, by one walk over the slots, the least assignment (see
+:func:`_solve`).
 """
 
 from __future__ import annotations
@@ -251,12 +250,10 @@ def _solve(
     when its augment fails. The slots kept so far are perfectly matched,
     so slot ``i`` is the only free vertex on the slot side, and by Berge's
     theorem the kept slots plus ``i`` have a perfect matching exactly when
-    an augmenting path starts at ``i``. An augment takes a free candidate
-    when it has one, a path of length one, before it looks for longer
-    paths, and a failed augment writes nothing. The pass does that first
-    step inline, giving each slot the first candidate no slot holds yet,
-    and calls the augment only for a slot whose candidates are all held;
-    a slot with no candidates is missing at once.
+    an augmenting path starts at ``i``. An augment takes the first
+    candidate no slot holds yet, a path of length one, before it looks for
+    longer paths; a failed augment writes nothing, and a slot with no
+    candidates fails at once.
 
     The least assignment then walks the slots in order, holding slots
     before ``i`` fixed and the rest perfectly matched. Only candidates
@@ -266,10 +263,7 @@ def _solve(
     actor; then ``j`` is the only free slot among the later ones, so by
     Berge again they can be completed exactly when an augment from ``j``
     that avoids the fixed actors and the candidate succeeds. If it fails,
-    the move is undone. The walk runs only when some augment rerouted:
-    otherwise every candidate ranked before a slot's actor was held, when
-    that slot took it, by an earlier slot that the walk holds fixed, so
-    the walk meets only taken actors and changes nothing.
+    the move is undone.
     """
     slots = activity.required_roles
     per_slot = list(map(pool.__getitem__, slots))
@@ -311,43 +305,30 @@ def _solve(
             stack.append((slot, iter(per_slot[slot])))
         return False
 
-    missing: list[int] = []
-    rerouted = False
-    for i, candidates in enumerate(per_slot):
-        for a in candidates:
-            if a not in slot_of:
-                slot_of[a] = i
-                actor_of[i] = a
-                break
-        else:
-            if candidates and augment(i, set()):
-                rerouted = True
-            else:
-                missing.append(slots[i])
+    missing = [role for i, role in enumerate(slots) if not augment(i, set())]
     if activity.required_data:
         missing += [DATA_MISSING] * len(activity.required_data - available_data)
     if missing:
         return tuple(missing), ()
 
-    if rerouted:
-        taken: set[HolonId] = set()
-        for i, candidates in enumerate(per_slot):
-            current = actor_of[i]
-            for c in candidates:
-                if c == current:
-                    break
-                if c in taken:
-                    continue
-                j = slot_of.get(c)
-                del slot_of[current]
-                slot_of[c] = i
-                actor_of[i] = c
-                if j is None or augment(j, taken | {c}):
-                    break
-                slot_of[current] = i
-                slot_of[c] = j
-                actor_of[i] = current
-            taken.add(actor_of[i])
+    taken: set[HolonId] = set()
+    for i, candidates in enumerate(per_slot):
+        current = actor_of[i]
+        for c in candidates:
+            if c == current:
+                break
+            if c in taken:
+                continue
+            j = slot_of.get(c)
+            del slot_of[current]
+            slot_of[c] = i
+            actor_of[i] = c
+            if j is None or augment(j, taken | {c}):
+                break
+            slot_of[current] = i
+            slot_of[c] = j
+            actor_of[i] = current
+        taken.add(actor_of[i])
     return (), tuple(zip(actor_of, slots))
 
 
@@ -385,12 +366,13 @@ def resolve_request(
     idle actor of its role that no earlier slot holds, and slots of one
     role share one scan from the front. That is exact. When slot ``i``
     scans, earlier slots hold at most ``i < s`` actors, so the actor it
-    takes is among its role's best ``s`` idle ones and is the one
-    :func:`_solve`'s first-fit pass gives it; a slot whose role has no
-    idle actor is what :func:`_solve` reports missing. Only a held
-    conflict, a slot whose role's idle actors are all held, may need an
-    augmenting path: the hop then drops what its scan read, reads each
-    role's best ``s`` idle actors into a pool and calls :func:`_solve`.
+    takes is among its role's best ``s`` idle ones and is the free
+    candidate :func:`_solve`'s augment from that slot takes first; a slot
+    whose role has no idle actor is one whose augment fails, which
+    :func:`_solve` reports missing. Only a held conflict, a slot whose
+    role's idle actors are all held, may need an augmenting path: the hop
+    then drops what its scan read, reads each role's best ``s`` idle
+    actors into a pool and calls :func:`_solve`.
     The hop's role atoms are the whole visited chain's: the hop's SoC lists
     the previous hop's as a member, so its role atoms contain every earlier
     hop's, and no candidate is kept from hop to hop.

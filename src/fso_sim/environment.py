@@ -12,10 +12,11 @@ scenario seed with the source's index into the stream's starting state. A
 source's arrival pattern therefore stays the same when another source is
 added or removed.
 
-A Poisson stream is drawn a chunk of steps at a time by :func:`_outputs`,
-which computes many splitmix64 steps in a handful of operations on one
-Python int. Each step gets its own 128-bit lane of that int and every lane
-is cut back to 64 bits before it is multiplied, so no lane's product
+Each process lists its arrivals before a horizon. A Poisson stream is
+drawn a chunk of steps at a time, one call of :func:`_outputs` per chunk,
+which computes the chunk's splitmix64 steps in a handful of operations on
+one Python int. Each step gets its own 128-bit lane of that int and every
+lane is cut back to 64 bits before it is multiplied, so no lane's product
 reaches its neighbour; each lane thus holds exactly the value the step
 computes alone, and the stream's outputs, gaps and arrival times are the
 ones a step-by-step draw gives.
@@ -24,12 +25,11 @@ ones a step-by-step draw gives.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
-from itertools import count, repeat, takewhile
-from math import exp, expm1, floor, inf, log1p, sqrt
-from operator import gt, itemgetter
-from typing import Iterable, Iterator
+from itertools import repeat
+from math import exp, expm1, floor, log1p, sqrt
+from operator import itemgetter
 
 from .holarchy import HolonId, InformationItem, LogicalTime
 
@@ -53,22 +53,17 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _outputs(streams: list[tuple[int, int]]) -> memoryview:
-    """The outputs, cut to 53 bits, of the ``n`` splitmix64 steps after each ``(state, n)``, stream after stream.
+def _outputs(state: int, n: int) -> memoryview:
+    """The outputs, cut to 53 bits, of the ``n <= _LANES`` splitmix64 steps after ``state``.
 
-    Step k of a stream at ``state`` mixes ``state + k * GOLDEN``. The steps
-    go into consecutive 128-bit lanes of one int, at most ``_LANES`` in all,
-    and the mix runs on the whole int: a shift carries bits of the next
-    lane only into a lane's top 64 bits, which the mask clears before each
-    multiply, so each lane's 64-by-64-bit product stays within its lane.
+    Step k mixes ``state + k * GOLDEN``. The steps go into consecutive
+    128-bit lanes of one int and the mix runs on the whole int: a shift
+    carries bits of the next lane only into a lane's top 64 bits, which the
+    mask clears before each multiply, so each lane's 64-by-64-bit product
+    stays within its lane.
     """
-    bases = []
-    lanes = 0
-    for state, n in streams:
-        # lane ``lanes + k - 1`` is to hold state + k * GOLDEN once _STEPS is added
-        bases.append(((state - lanes * _GOLDEN) & _MASK).to_bytes(16, "little") * n)
-        lanes += n
-    z = (int.from_bytes(b"".join(bases), "little") + (_STEPS & ((1 << 128 * lanes) - 1))) & _LANE_MASK
+    # lane k - 1 is to hold state + k * GOLDEN once _STEPS is added
+    z = (int.from_bytes(state.to_bytes(16, "little") * n, "little") + (_STEPS & ((1 << 128 * n) - 1))) & _LANE_MASK
     z = ((z ^ (z >> 30)) & _LANE_MASK) * 0xBF58476D1CE4E5B9 & _LANE_MASK
     z = ((z ^ (z >> 27)) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
     # the shift brings the next lane's bits no lower than bit 97, so once
@@ -76,7 +71,7 @@ def _outputs(streams: list[tuple[int, int]]) -> memoryview:
     z = (z ^ (z >> 31)) >> 11
     # in the host's byte order each word reads right; a big-endian host
     # gets the words last first, so a lane's low word is the later one
-    words = memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")
+    words = memoryview(z.to_bytes(16 * n, sys.byteorder)).cast("Q")
     return words[::-2] if sys.byteorder == "big" else words[::2]
 
 
@@ -94,36 +89,31 @@ class PoissonProcess:
         if not self.rate > 0:
             raise ValueError("poisson rate must be positive")
 
-    def arrivals(self, state: int) -> Iterator[LogicalTime]:
-        """Every arrival of the stream at ``state``, drawn ``_LANES`` steps at a time."""
-        at: tuple[int, LogicalTime] | None = (state, 0)
-        while at is not None:
-            times: list[LogicalTime] = []
-            at = self._walk(_outputs([(at[0], _LANES)]), *at, inf, times)
-            yield from times
+    def arrivals(self, state: int, horizon: LogicalTime) -> list[LogicalTime]:
+        """The times before ``horizon`` of the stream at ``state``, drawn a chunk of steps per :func:`_outputs` call.
 
-    def _walk(
-        self, outputs: memoryview, state: int, t: LogicalTime, horizon: float, times: list[LogicalTime]
-    ) -> tuple[int, LogicalTime] | None:
-        """Append the times after ``t`` that ``outputs``, the steps drawn after ``state``, reach before ``horizon``.
-
-        Returns the state and the time the stream goes on from, or None once
-        it has passed the horizon or ended.
+        Each chunk is sized by :meth:`_chunk` to the ticks left, and the
+        stream goes on from its state after the chunk while it has not
+        passed the horizon.
         """
         neg_rate = -self.rate
+        times: list[LogicalTime] = []
         append = times.append
-        try:
-            for z in outputs:
-                # the gap -log1p(-u) / rate for u = z * 2**-53 uniform in
-                # [0, 1), with its two signs moved into constants: the same float
-                t += floor(log1p(z * -(2.0**-53)) / neg_rate + 0.5) or 1
-                if t >= horizon:
-                    return None
-                append(t)
-        except OverflowError:
-            # floor of an infinite gap; rate > 0, so a gap is never NaN
-            return None
-        return (state + len(outputs) * _GOLDEN) & _MASK, t
+        t = 0
+        while True:
+            n = self._chunk(horizon - t)
+            try:
+                for z in _outputs(state, n):
+                    # the gap -log1p(-u) / rate for u = z * 2**-53 uniform in
+                    # [0, 1), with its two signs moved into constants: the same float
+                    t += floor(log1p(z * -(2.0**-53)) / neg_rate + 0.5) or 1
+                    if t >= horizon:
+                        return times
+                    append(t)
+            except OverflowError:
+                # floor of an infinite gap; rate > 0, so a gap is never NaN
+                return times
+            state = (state + n * _GOLDEN) & _MASK
 
     def _chunk(self, ticks: int) -> int:
         """How many steps to draw for ``ticks`` more ticks, at most ``_LANES``.
@@ -151,8 +141,8 @@ class PeriodicProcess:
         if self.offset < 0:
             raise ValueError("offset must not be negative")
 
-    def arrivals(self, state: int) -> Iterator[LogicalTime]:
-        return count(self.offset, self.period)
+    def arrivals(self, state: int, horizon: LogicalTime) -> range:
+        return range(self.offset, horizon, self.period)
 
 
 @dataclass(frozen=True)
@@ -167,8 +157,8 @@ class ScriptedProcess:
         if list(self.times) != sorted(self.times):
             raise ValueError("scripted times must be ascending")
 
-    def arrivals(self, state: int) -> Iterator[LogicalTime]:
-        return iter(self.times)
+    def arrivals(self, state: int, horizon: LogicalTime) -> tuple[LogicalTime, ...]:
+        return self.times[: bisect_left(self.times, horizon)]
 
 
 Process = PoissonProcess | PeriodicProcess | ScriptedProcess
@@ -197,48 +187,16 @@ def sample_arrivals(sources: tuple[EventSource, ...], horizon: LogicalTime, seed
     Sorted by (time, source index): simultaneous arrivals keep the order
     sources are declared in, which pins down the whole run.
 
-    Poisson streams are drawn in chunks sized to the ticks left: every
-    stream's first chunk in one call of :func:`_outputs` (or a few, when
-    they pass ``_LANES`` steps), and each stream not yet past the horizon
-    again from its state after the chunk. The items are built source by
-    source with ``tuple.__new__``, as ``InformationItem._make`` does, and
-    ``map``, so that no Python-level call is made per item. The sort is
-    stable and keyed on the time alone, so items due on one tick keep the
-    source order they were built in.
+    Each source's times come from its process's ``arrivals``. The items are
+    built source by source with ``tuple.__new__``, as
+    ``InformationItem._make`` does, and ``map``, so that no Python-level
+    call is made per item. The sort is stable and keyed on the time alone,
+    so items due on one tick keep the source order they were built in.
     """
-    before_end = partial(gt, horizon)
-    times_of: list[Iterable[LogicalTime]] = []
-    # Poisson streams not yet past the horizon: (process, times, state, last time)
-    streams = []
-    for index, source in enumerate(sources):
-        process = source.process
-        if isinstance(process, PoissonProcess):
-            times_of.append([])
-            streams.append((process, times_of[-1], source_state(seed, index), 0))
-        else:
-            times_of.append(takewhile(before_end, process.arrivals(0)))
-    while streams:
-        # the streams whose next chunks fit in one call; the first always does
-        chunks, later, lanes = [], [], 0
-        for stream in streams:
-            process, _, _, t = stream
-            n = process._chunk(horizon - t)
-            if lanes + n <= _LANES:
-                chunks.append((stream, n))
-                lanes += n
-            else:
-                later.append(stream)
-        outputs = _outputs([(state, n) for (_, _, state, _), n in chunks])
-        start = 0
-        for (process, times, state, t), n in chunks:
-            at = process._walk(outputs[start : start + n], state, t, horizon, times)
-            start += n
-            if at is not None:
-                later.append((process, times, *at))
-        streams = later
     new = tuple.__new__
     out: list[InformationItem] = []
-    for index, (source, times) in enumerate(zip(sources, times_of)):
+    for index, source in enumerate(sources):
+        times = source.process.arrivals(source_state(seed, index), horizon)
         rows = zip(times, repeat(index), repeat(source.injection_soc), repeat(source.topic))
         out += map(new, repeat(InformationItem), rows)
     out.sort(key=itemgetter(0))

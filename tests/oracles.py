@@ -14,7 +14,7 @@ from typing import Any, Iterable
 
 from fso_sim.activation import ActivationState
 from fso_sim.canon import ResponseActivity
-from fso_sim.engine import TRACE_KINDS, MalformedTraceError, Metrics, TraceRecord
+from fso_sim.engine import TRACE_FIELDS, TRACE_KINDS, MalformedTraceError, Metrics, TraceRecord
 from fso_sim.holarchy import Holarchy, Holon, HolonId, HolonKind, RoleId, ServiceEntry
 
 DATA_GAP = -1
@@ -356,6 +356,27 @@ def first_difference(a: list[str], b: list[str]) -> tuple[int, str | None, str |
             return i, x, y
     return None
 
+
+# the payload keys whose values name holons: a SoC, a parent, a list of
+# SoCs, or ``members``, which lists ids or, on an overlay's records,
+# ``[actor, role]`` pairs
+HOLON_ID_KEYS = frozenset(
+    {"soc", "from_soc", "to_soc", "origin_soc", "resolved_soc", "parent", "spanned_socs", "members"}
+)
+# kind -> its holon id keys, in payload order
+HOLON_ID_FIELDS = {kind: tuple(k for k in keys if k in HOLON_ID_KEYS) for kind, keys in TRACE_FIELDS.items()}
+
+
+def shift_holon_ids(record: TraceRecord, delta: int) -> TraceRecord:
+    """``record`` with every holon id in its payload moved by ``delta``."""
+    payload = dict(record.payload)
+    for key in HOLON_ID_FIELDS[record.kind]:
+        value = payload[key]
+        if isinstance(value, int):
+            payload[key] = value + delta
+        else:
+            payload[key] = [v + delta if isinstance(v, int) else [v[0] + delta, v[1]] for v in value]
+    return TraceRecord(record.tick, record.kind, payload)
 
 
 def replay_partition(records: list[Any], atom_count: int) -> list[str]:

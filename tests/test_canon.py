@@ -675,7 +675,7 @@ def solver_cases(draw):
 # must reroute slot 1, and a failed try must be undone
 @example(((0, 0, 1), {0: [0, 1, 2], 1: [0]}, frozenset(), frozenset()))
 # every slot fills with its first candidate no slot holds, skipping held
-# ones, so nothing reroutes and the least-assignment walk is skipped
+# ones, so nothing reroutes and the least-assignment walk changes nothing
 @example(((0, 1), {0: [0, 1], 1: [0, 2]}, frozenset(), frozenset()))
 # an empty role list, a slot whose only candidate is held and cannot be
 # rerouted, and an absent data topic: missing is (1, 2, DATA_MISSING)

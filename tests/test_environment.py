@@ -83,11 +83,9 @@ def test_source_state_is_where_the_reference_child_stream_starts(seed, index):
 
 
 def test_poisson_gaps_are_positive_integers():
-    times = []
-    gen = PoissonProcess(rate=0.3).arrivals(1)
-    for _ in range(200):
-        times.append(next(gen))
+    times = PoissonProcess(rate=0.3).arrivals(1, 1000)
     gaps = [b - a for a, b in zip([0] + times, times)]
+    assert len(times) > 200
     assert all(isinstance(t, int) for t in times)
     assert all(g >= 1 for g in gaps)
 
@@ -97,7 +95,9 @@ def test_poisson_gaps_match_the_rng_reference(rate):
     # the reference draws each gap through Rng.random; a gap that overflows
     # to infinity ends both streams
     expected = list(itertools.islice(rng_times(Rng(1).child(0), rate, math.inf), 10_000))
-    times = list(itertools.islice(PoissonProcess(rate=rate).arrivals(source_state(seed=1, index=0)), 10_000))
+    # the horizon just past the 10,000th arrival, or none for a stream that ends first
+    horizon = expected[-1] + 1 if len(expected) == 10_000 else math.inf
+    times = PoissonProcess(rate=rate).arrivals(source_state(seed=1, index=0), horizon)
     assert times == expected
     if rate == 1e-310:
         assert len(times) < 10_000
@@ -113,7 +113,7 @@ def test_poisson_gap_overflowing_to_infinity_ends_the_stream(rate):
     # the rate passes the positivity check, but Exp(rate) overflows, so no
     # arrival can come before any finite horizon
     process = PoissonProcess(rate=rate)
-    assert list(process.arrivals(source_state(seed=1, index=0))) == []
+    assert process.arrivals(source_state(seed=1, index=0), math.inf) == []
     assert sample_arrivals((EventSource("a", 1, process),), 10_000, seed=1) == []
 
 
@@ -127,13 +127,21 @@ def test_extreme_rates_and_horizons_are_pinned(rate, horizon):
     every_tick = rate > 1
     assert [a.published_at for a in arrivals] == (list(range(1, horizon)) if every_tick else [])
     if every_tick:
-        assert list(itertools.islice(PoissonProcess(rate=rate).arrivals(0), 5)) == [1, 2, 3, 4, 5]
+        assert PoissonProcess(rate=rate).arrivals(0, 6) == [1, 2, 3, 4, 5]
 
 
 def test_periodic_and_scripted_are_exact():
-    gen = PeriodicProcess(period=4, offset=3).arrivals(0)
-    assert [next(gen) for _ in range(4)] == [3, 7, 11, 15]
-    assert list(ScriptedProcess(times=(2, 5, 5, 9)).arrivals(0)) == [2, 5, 5, 9]
+    periodic = PeriodicProcess(period=4, offset=3)
+    assert list(periodic.arrivals(0, 16)) == [3, 7, 11, 15]
+    assert list(periodic.arrivals(0, 15)) == [3, 7, 11]
+    # no tick at or past the offset comes before the horizon
+    assert [list(periodic.arrivals(0, h)) for h in (3, 0, -5)] == [[], [], []]
+    scripted = ScriptedProcess(times=(2, 5, 5, 9))
+    assert list(scripted.arrivals(0, 10)) == [2, 5, 5, 9]
+    # a time on the horizon is not before it, repeated or not
+    assert list(scripted.arrivals(0, 9)) == [2, 5, 5]
+    assert list(scripted.arrivals(0, 5)) == [2]
+    assert [list(scripted.arrivals(0, h)) for h in (2, 0, -5)] == [[], [], []]
     with pytest.raises(ValueError):
         ScriptedProcess(times=(5, 2))
     with pytest.raises(ValueError):
@@ -255,69 +263,60 @@ def test_sample_arrivals_matches_the_reference(sources, horizon, seed):
 
 @given(st.integers(0, 2**64 - 1))
 @settings(max_examples=15, deadline=None)
+@example(0)
+@example(2**64 - 1)
 @pytest.mark.parametrize("lanes", [1, CAP - 1, CAP])
 def test_the_lane_kernel_draws_what_the_rng_draws(lanes, state):
     rng = Rng(state)
-    assert list(environment._outputs([(state, lanes)])) == [rng.next_u64() >> 11 for _ in range(lanes)]
+    assert list(environment._outputs(state, lanes)) == [rng.next_u64() >> 11 for _ in range(lanes)]
 
 
-# at most CAP lanes in all, as the kernel takes
-@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(1, CAP // 4)), min_size=2, max_size=4))
-@settings(max_examples=60, deadline=None)
-@example([(0, CAP - 1), (2**64 - 1, 1)])
-@example([(1, 1), (1, 1), (2**63, 2)])
-def test_the_lane_kernel_draws_several_streams_in_one_call(streams):
-    expected = []
-    for state, n in streams:
-        rng = Rng(state)
-        expected += [rng.next_u64() >> 11 for _ in range(n)]
-    assert list(environment._outputs(streams)) == expected
+def chunk_sizes(monkeypatch) -> list[int]:
+    """The steps each later call of the lane kernel draws, one entry per call."""
+    sizes = []
+    outputs = environment._outputs
+
+    def counted(state, n):
+        sizes.append(n)
+        return outputs(state, n)
+
+    monkeypatch.setattr(environment, "_outputs", counted)
+    return sizes
 
 
 @given(st.integers(0, 2**64 - 1), st.integers(0, 50))
 @settings(max_examples=5, deadline=None)
 @pytest.mark.parametrize("count", [1, CAP - 1, CAP, CAP + 1])
 def test_a_poisson_stream_goes_on_from_its_state_after_a_chunk(count, seed, index):
-    # arrivals draws CAP steps a call, so the last count continues once
+    # a chunk draws at most CAP steps, so a stream with CAP arrivals or more
+    # before the horizon goes on into a second chunk
     expected = list(itertools.islice(rng_times(Rng(seed).child(index), 0.5, math.inf), count))
-    assert list(itertools.islice(PoissonProcess(rate=0.5).arrivals(source_state(seed, index)), count)) == expected
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sizes = chunk_sizes(monkeypatch)
+        times = PoissonProcess(rate=0.5).arrivals(source_state(seed, index), expected[-1] + 1)
+    assert times == expected
+    assert max(sizes) <= CAP and len(sizes) >= (2 if count >= CAP else 1)
 
 
 @pytest.mark.parametrize("seed", [1, 4242])
 def test_sample_arrivals_over_many_chunks_matches_the_reference(seed, monkeypatch):
-    # each fast stream is drawn in chunks that fill a call alone, and a
-    # last one that shares a call with the other's
+    # each fast stream is drawn in several chunks of at most CAP steps
     sources = tuple(EventSource("a", 1, PoissonProcess(rate=rate)) for rate in (1.0, 1.0, 0.2))
-    chunks = []
-    outputs = environment._outputs
-
-    def counted(streams):
-        chunks.append(len(streams))
-        return outputs(streams)
-
-    monkeypatch.setattr(environment, "_outputs", counted)
+    sizes = chunk_sizes(monkeypatch)
     arrivals = sample_arrivals(sources, 3000, seed)
-    assert max(chunks) > 1 and sum(chunks) > len(sources)
+    assert max(sizes) <= CAP and len(sizes) > 2 * len(sources)
     assert arrivals == reference_arrivals(sources, 3000, seed)
 
 
 def test_sample_arrivals_makes_a_few_python_calls_per_source_and_chunk(monkeypatch):
-    # measured on Python 3.11: 35 calls for nine_actors.json's one source in
-    # eight chunks, that is sample_arrivals, 2 per source (source_state and
-    # _mix) and 4 per chunk (_chunk, _walk, _outputs and the list of its
-    # streams); the budget is that plus 10%. A Python-level call per
-    # arrival, as a generator step or a NamedTuple constructor makes, would
-    # add thousands, and so would a chunk per arrival.
+    # measured on Python 3.11: 20 calls for nine_actors.json's one source in
+    # eight chunks, that is sample_arrivals, 3 per source (source_state,
+    # _mix and arrivals) and 2 per chunk (_chunk and _outputs); the budget
+    # is that plus 10%. A Python-level call per arrival, as a generator step
+    # or a NamedTuple constructor makes, would add thousands, and so would a
+    # chunk per arrival.
     sources = load_scenario_file(str(SCENARIOS / "nine_actors.json")).sources
-    chunks = 0
-    outputs = environment._outputs
-
-    def counted(streams):
-        nonlocal chunks
-        chunks += len(streams)
-        return outputs(streams)
-
-    monkeypatch.setattr(environment, "_outputs", counted)
+    sizes = chunk_sizes(monkeypatch)
     expected = sample_arrivals(sources, 20_000, seed=7)
     monkeypatch.undo()
     calls = 0
@@ -337,5 +336,6 @@ def test_sample_arrivals_makes_a_few_python_calls_per_source_and_chunk(monkeypat
         if gc_was_enabled:
             gc.enable()
     assert arrivals == expected and len(arrivals) > 3000
+    chunks = len(sizes)
     assert chunks <= len(arrivals) // CAP + 2 * len(sources)
-    assert calls <= 1.1 * (1 + 2 * len(sources) + 4 * chunks)
+    assert calls <= 1.1 * (1 + 3 * len(sources) + 2 * chunks)
