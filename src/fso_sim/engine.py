@@ -75,9 +75,11 @@ InvariantViolationError.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import reprlib
+from collections import Counter
 from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Any, Callable, Iterable, NoReturn
@@ -116,6 +118,7 @@ from .holarchy import (
     Holarchy,
     Holon,
     HolonKind,
+    HolonOrigin,
     InformationItem,
     RoleId,
     ViolationError,
@@ -303,18 +306,52 @@ def _compile(node: dict[str, Any], defs: dict[str, Any]) -> Callable[[Any], None
     A node holds exactly one of type, const, oneOf and $ref, plus the
     keywords its type admits and annotations; objects are closed. Anything
     else raises ValueError: the schema states no rule the loader skips.
+    Each form gets a closure of its own, so a check tests no flag of its
+    node's form.
     """
     kind = node.get("type")
     extra = node.keys() - _ANNOTATIONS - _FORMS - (_TYPES[kind][2] if kind in _TYPES else set())
     if extra or len(node.keys() & _FORMS) != 1 or kind not in (None, *_TYPES):
         raise ValueError(f"unsupported schema keywords {sorted(extra or node)}")
     if "$ref" in node:
-        return _compile(defs[node["$ref"].removeprefix("#/$defs/")], defs)
+        return _compile(_deref(node, defs), defs)
     if "oneOf" in node:
         return _one_of(node["oneOf"], defs)
     if "const" in node:
         return _const(node["const"])
-    return _typed(node, defs)
+    if kind == "object":
+        return _object(node, defs)
+    if kind == "array":
+        return _array(node, defs)
+    return _scalar(node)
+
+
+def _deref(node: dict[str, Any], defs: dict[str, Any]) -> dict[str, Any]:
+    return defs[node["$ref"].removeprefix("#/$defs/")] if "$ref" in node else node
+
+
+# schema type -> the Python types a value may have to pass with no call
+_EXACT = {"integer": frozenset({int}), "number": frozenset({int, float}), "string": frozenset({str})}
+
+
+def _fast(node: dict[str, Any], defs: dict[str, Any]) -> tuple[frozenset[type], Any, Any]:
+    """``(types, low, high)``: a value of one of ``types`` that lies in
+    ``[low, high]``, or anywhere when ``low`` is None, passes the node.
+
+    Its container tests that inline and calls the node's checker only on a
+    value that fails it, which the checker may still pass (an ``int``
+    subclass) and otherwise words. With no types the checker always runs:
+    for an object, an array, a ``oneOf``, a ``const`` that is no number or
+    string, and an ``exclusiveMinimum``, which no closed range states.
+    """
+    node = _deref(node, defs)
+    if "const" in node:
+        const = node["const"]
+        return frozenset({type(const)} & {int, float, str}), const, const
+    types = frozenset() if "exclusiveMinimum" in node else _EXACT.get(node.get("type"), frozenset())
+    if "minimum" in node or "maximum" in node:
+        return types, node.get("minimum", -math.inf), node.get("maximum", math.inf)
+    return types, None, None
 
 
 def _const(expected: Any) -> Callable[[Any], None]:
@@ -325,15 +362,67 @@ def _const(expected: Any) -> Callable[[Any], None]:
     return check
 
 
-def _typed(node: dict[str, Any], defs: dict[str, Any]) -> Callable[[Any], None]:
-    types, name, _ = _TYPES[node["type"]]
-    is_object, is_array = node["type"] == "object", node["type"] == "array"
-    if is_object and node.get("additionalProperties") is not False:
+def _object(node: dict[str, Any], defs: dict[str, Any]) -> Callable[[Any], None]:
+    """Check the value's keys, then each property in the schema's order,
+    a scalar one by its inline test (:func:`_fast`) unless it fails that."""
+    if node.get("additionalProperties") is not False:
         raise ValueError("objects must set additionalProperties to false")
-    props = {key: _compile(sub, defs) for key, sub in node.get("properties", {}).items()}
+    known = node.get("properties", {}).keys()
+    props = [(key, *_fast(sub, defs), _compile(sub, defs)) for key, sub in node.get("properties", {}).items()]
     required = frozenset(node.get("required", ()))
-    item = _compile(node["items"], defs) if is_array else None
+
+    def check(value: Any) -> None:
+        if not isinstance(value, dict):
+            raise _Invalid(f"expected an object, got {reprlib.repr(value)}")
+        if not known >= value.keys():
+            raise _Invalid(f"unknown keys {sorted(value.keys() - known)}")
+        if not required <= value.keys():
+            raise _Invalid(f"missing keys {sorted(required - value.keys())}")
+        for key, types, low, high, sub in props:
+            if key in value:
+                v = value[key]
+                if type(v) in types and (low is None or low <= v <= high):
+                    continue
+                try:
+                    sub(v)
+                except _Invalid as exc:
+                    exc.args += (f".{key}",)
+                    raise
+
+    return check
+
+
+def _array(node: dict[str, Any], defs: dict[str, Any]) -> Callable[[Any], None]:
+    """Accept an array of scalars by C-level passes over its items' types
+    and least and greatest item; walk the items one by one otherwise, so
+    that a bad one is reported with its message and index."""
+    item = _compile(node["items"], defs)
+    types, low, high = _fast(node["items"], defs)
+    # min and max pass over a NaN, so an array holding a float is walked
+    types -= {float}
     least = node.get("minItems", 0)
+
+    def check(value: Any) -> None:
+        if not isinstance(value, list):
+            raise _Invalid(f"expected an array, got {reprlib.repr(value)}")
+        if len(value) < least:
+            raise _Invalid(f"must have at least {least} item(s), got {len(value)}")
+        if not value or (
+            set(map(type, value)) <= types and (low is None or low <= min(value) and max(value) <= high)
+        ):
+            return
+        for i, element in enumerate(value):
+            try:
+                item(element)
+            except _Invalid as exc:
+                exc.args += (f"[{i}]",)
+                raise
+
+    return check
+
+
+def _scalar(node: dict[str, Any]) -> Callable[[Any], None]:
+    types, name, _ = _TYPES[node["type"]]
     bounds = [(node[key], *_BOUNDS[key]) for key in _BOUNDS if key in node]
 
     def check(value: Any) -> None:
@@ -342,27 +431,6 @@ def _typed(node: dict[str, Any], defs: dict[str, Any]) -> Callable[[Any], None]:
         for bound, test, wording in bounds:
             if not test(value, bound):
                 raise _Invalid(f"must be {wording} {bound}, got {reprlib.repr(value)}")
-        if is_object:
-            if not props.keys() >= value.keys():
-                raise _Invalid(f"unknown keys {sorted(value.keys() - props.keys())}")
-            if not required <= value.keys():
-                raise _Invalid(f"missing keys {sorted(required - value.keys())}")
-            for key, sub in props.items():
-                if key in value:
-                    try:
-                        sub(value[key])
-                    except _Invalid as exc:
-                        exc.args += (f".{key}",)
-                        raise
-        elif is_array:
-            if len(value) < least:
-                raise _Invalid(f"must have at least {least} item(s), got {len(value)}")
-            for i, element in enumerate(value):
-                try:
-                    item(element)
-                except _Invalid as exc:
-                    exc.args += (f"[{i}]",)
-                    raise
 
     return check
 
@@ -433,11 +501,13 @@ def scenario_from_dict(doc: Any) -> Scenario:
 
     role_names = tuple(doc["roles"])
     holons = []
+    new, origin = tuple.__new__, HolonOrigin.SCENARIO
     for h in doc["holarchy"]:
         members = tuple(h.get("members", ()))
         # a community's representative defaults to its lowest member
-        rep = h.get("representative", min(members, default=None))
-        holons.append(Holon(h["id"], _HOLON_KINDS[h["kind"]], frozenset(h.get("capabilities", ())), members, rep))
+        rep = h["representative"] if "representative" in h else min(members, default=None)
+        caps = frozenset(h.get("capabilities", ()))
+        holons.append(new(Holon, (h["id"], _HOLON_KINDS[h["kind"]], caps, members, rep, origin)))
 
     activities = []
     for i, a in enumerate(doc["activities"]):
@@ -501,8 +571,9 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """Build a JSON object, refusing one that repeats a key."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+        # the first key, in document order, that occurs twice; counted once
+        counts = Counter(key for key, _ in pairs)
+        raise ValueError(f"duplicate key {next(k for k, _ in pairs if counts[k] > 1)!r}")
     return doc
 
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -81,12 +81,15 @@ class HolonOrigin(Enum):
     PERMANENTIFIED = "permanentified"
 
 
-@dataclass(frozen=True)
-class Holon:
+class Holon(NamedTuple):
     """A node that is both a whole and a part.
 
     Atomic holons carry capabilities and have no members. Composite holons
     (SoCs) carry an ordered member list and a representative drawn from it.
+    A tuple, built by the loader with ``tuple.__new__`` as ``_make`` does,
+    so setting up a scenario makes no Python-level call per holon to build
+    it; an edit makes a new one with ``_replace``. It hashes and compares as
+    the tuple of its six fields.
     """
 
     id: HolonId
@@ -306,7 +309,7 @@ class Holarchy:
         self.registries[soc] = Registry()
         self.registries[soc].offer([e for m in members for e in self._offers(m)])
         old = self.holons[anchor]
-        self._set_soc(anchor, replace(old, members=old.members + (soc,)))
+        self._set_soc(anchor, old._replace(members=old.members + (soc,)))
         self.registries[anchor].offer(self._offers(soc))
         return soc
 
@@ -318,7 +321,7 @@ class Holarchy:
         # the next promotion may reuse the id for a different team
         self._role_atoms.pop(soc, None)
         old = self.holons[anchor]
-        self._set_soc(anchor, replace(old, members=tuple(m for m in old.members if m != soc)))
+        self._set_soc(anchor, old._replace(members=tuple(m for m in old.members if m != soc)))
         self.registries[anchor].retract(soc)
         return anchor
 
@@ -412,29 +415,30 @@ def _structure_violations(
     # primary parents, recomputed from raw member lists: only
     # scenario-original SoCs contribute parental edges
     parents: dict[HolonId, HolonId] = {}
-    for i, node in holons.items():
+    # unpacked at once: each field read of a tuple subclass costs a descriptor call
+    for i, (id_, kind, capabilities, members, representative, origin) in holons.items():
         if i < 0:
             yield Violation("NegativeId", i, f"holon id {i} is negative")
-        if node.id != i:
-            yield Violation("IdMismatch", i, f"keyed {i} but carries id {node.id}")
-        if node.kind is HolonKind.ATOMIC:
-            if node.members:
+        if id_ != i:
+            yield Violation("IdMismatch", i, f"keyed {i} but carries id {id_}")
+        if kind is HolonKind.ATOMIC:
+            if members:
                 yield Violation("AtomicWithMembers", i, f"atomic holon {i} lists members")
-            if node.representative is not None:
+            if representative is not None:
                 yield Violation("AtomicWithRepresentative", i, f"atomic holon {i} names a representative")
-            for role in node.capabilities:
+            for role in capabilities:
                 if role not in roles:
                     yield Violation("UnknownRole", i, f"holon {i} claims undeclared role {role}")
             continue
-        if node.capabilities:
+        if capabilities:
             yield Violation("CapabilityOnComposite", i, f"composite holon {i} lists capabilities")
-        if not node.members:
+        if not members:
             yield Violation("EmptyComposite", i, f"composite holon {i} has no members")
-        for m in node.members:
+        for m in members:
             member = holons.get(m)
             if member is None:
                 yield Violation("UnknownMember", i, f"SoC {i} lists unknown member {m}")
-            elif node.origin is HolonOrigin.PERMANENTIFIED:
+            elif origin is HolonOrigin.PERMANENTIFIED:
                 # promoted SoCs are leaf composites holding existing actors
                 if member.kind is not HolonKind.ATOMIC:
                     yield Violation("NonAtomicOverlayMember", i, f"member {m} is not an existing actor")
@@ -442,10 +446,8 @@ def _structure_violations(
                 yield Violation("MultipleParents", m, f"holon {m} is a member of both {parents[m]} and {i}")
             else:
                 parents[m] = i
-        if node.representative not in node.members:
-            yield Violation(
-                "RepresentativeNotMember", i, f"representative {node.representative} is not a member of SoC {i}"
-            )
+        if representative not in members:
+            yield Violation("RepresentativeNotMember", i, f"representative {representative} is not a member of SoC {i}")
 
     roots = [i for i in holons if i not in parents]
     if len(roots) != 1:

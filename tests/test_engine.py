@@ -8,13 +8,14 @@ import functools
 import gc
 import hashlib
 import json
+import math
 import os
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fso_sim import canon, engine, holarchy
@@ -44,7 +45,7 @@ from fso_sim.holarchy import Holarchy, Holon, HolonKind, ViolationError
 from generators import random_scenario, shared_member_list_scenario_dict
 from oracles import fold_metrics, reference_report, replay_partition, request_attempt_check, son_lifecycle_check
 from test_golden_traces import FIXTURES
-from test_workload_traces import workload_file, workload_scenario
+from test_workload_traces import _workloads, workload_file, workload_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SCHEMA = json.loads((Path(engine.__file__).parent / "schema" / "scenario.schema.json").read_text())
@@ -183,6 +184,28 @@ def test_load_rejects_an_object_that_repeats_a_key():
     load_scenario(text)
 
 
+def _object_text(keys):
+    return "{" + ",".join(f'"{key}":0' for key in keys) + "}"
+
+
+def test_both_readers_name_the_repeated_key_of_a_large_object_in_linear_time():
+    # counting each key's occurrences over the whole list took 0.38 s to
+    # refuse 5,000 keys with one repeat and 18.8 s for 40,000
+    keys = [f"k{i}" for i in range(200_000)]
+    keys.insert(150_000, "k123456")
+    with pytest.raises(ParseError) as err:
+        load_scenario(_object_text(keys))
+    assert str(err.value) == "duplicate key 'k123456'"
+    line = '{"kind":"Pruned","payload":' + _object_text(keys) + ',"tick":3}'
+    with pytest.raises(MalformedTraceError) as err:
+        parse_trace(line)
+    assert str(err.value) == "line 1: duplicate key 'k123456'"
+    # of two repeated keys, the one that comes first in the document is named
+    with pytest.raises(ParseError) as err:
+        load_scenario(_object_text(["a", "b", "b", "a"]))
+    assert str(err.value) == "duplicate key 'a'"
+
+
 def test_load_rejects_structural_breakage():
     doc = minimal_doc()
     doc["holarchy"][2]["members"] = [0, 0]
@@ -195,7 +218,7 @@ def test_a_hand_built_scenario_with_a_broken_structure_is_refused_when_it_is_mad
     scenario = load_scenario_file(str(SCENARIOS / "nine_actors.json"))
     # actor 3 is a member of SoC 11; SoC 10 lists it as well
     holons = tuple(
-        dataclasses.replace(node, members=node.members + (3,)) if node.id == 10 else node for node in scenario.holons
+        node._replace(members=node.members + (3,)) if node.id == 10 else node for node in scenario.holons
     )
     with pytest.raises(ViolationError) as err:
         dataclasses.replace(scenario, holons=holons)
@@ -324,6 +347,17 @@ def _edit(doc, rng):
             container[key] = copy.deepcopy(rng.choice(LEAF_VALUES))
 
 
+@functools.cache
+def strict_validator():
+    """jsonschema's validator for the shipped schema, taking only an ``int``,
+    not a ``bool``, for an integer: by default it takes ``2.0`` too."""
+    import jsonschema
+
+    base = jsonschema.Draft202012Validator
+    checker = base.TYPE_CHECKER.redefine("integer", lambda _, value: type(value) is int)
+    return jsonschema.validators.extend(base, type_checker=checker)(SCHEMA)
+
+
 # Edits come from a hypothesis-driven Random, so every slot is equally likely;
 # most edited documents break a rule both sides see, and at 300 examples a
 # loader that took True for an integer still passed now and then.
@@ -331,17 +365,100 @@ def _edit(doc, rng):
 @given(st.sampled_from(range(len(BASE_DOCS))), st.integers(1, 3), st.randoms(use_true_random=False))
 def test_loader_rejects_whatever_jsonschema_rejects(base, edits, rng):
     """The loader accepts a document or raises ValidationError, and never
-    accepts one that jsonschema rejects."""
-    import jsonschema
-
+    accepts one that jsonschema rejects; its compiled schema check raises
+    exactly when jsonschema rejects."""
     doc = copy.deepcopy(BASE_DOCS[base])
     for _ in range(edits):
         _edit(doc, rng)
+    valid = strict_validator().is_valid(doc)
+    try:
+        engine._check_scenario(doc)
+    except engine._Invalid:
+        assert not valid
+    else:
+        assert valid
     try:
         scenario_from_dict(doc)
     except ValidationError:
         return
-    jsonschema.validate(doc, SCHEMA)
+    assert valid
+
+
+class Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    ("holon", "key", "items", "message"),
+    [
+        (0, "capabilities", [True], "[0]: expected an integer, got True"),
+        (0, "capabilities", [1.0], "[0]: expected an integer, got 1.0"),
+        (0, "capabilities", [0, -1], "[1]: must be at least 0, got -1"),
+        (0, "capabilities", [0, True, -1], "[1]: expected an integer, got True"),
+        (0, "capabilities", [-1, 2.5], "[0]: must be at least 0, got -1"),
+        (2, "members", [0, "1"], "[1]: expected an integer, got '1'"),
+        (2, "members", [], ": must have at least 1 item(s), got 0"),
+        (0, "capabilities", [1 << 64], None),
+        (0, "capabilities", [Int(1), 0], None),
+        (0, "capabilities", [], None),
+    ],
+)
+def test_an_array_of_scalars_is_refused_at_its_first_bad_item(holon, key, items, message):
+    doc = minimal_doc()
+    doc["holarchy"][holon][key] = items
+    if message is None:
+        # array items have no maximum, and an int subclass is an int
+        engine._check_scenario(doc)
+        return
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == f"holarchy[{holon}].{key}{message}"
+
+
+SCALAR_ITEMS = [
+    {"type": "integer", "minimum": 0},
+    {"type": "integer", "minimum": -3, "maximum": 3},
+    {"type": "number", "minimum": 0, "maximum": 10},
+    {"type": "number", "exclusiveMinimum": 0},
+    {"type": "string"},
+    {"const": "atomic"},
+    {"const": 2},
+]
+ITEM_VALUES = st.one_of(
+    st.integers(-5, 12),
+    st.integers(-5, 12).map(Int),
+    st.sampled_from([True, False, 1 << 64, -(1 << 64), "atomic", "x", None]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SCALAR_ITEMS), st.lists(ITEM_VALUES, max_size=6), st.sampled_from([0, 2]))
+@example(SCALAR_ITEMS[2], [1.0, math.nan], 0)
+@example(SCALAR_ITEMS[2], [3, math.nan, 1], 0)
+@example(SCALAR_ITEMS[2], [math.inf], 0)
+@example(SCALAR_ITEMS[0], [True], 0)
+@example(SCALAR_ITEMS[0], [1.0], 0)
+@example(SCALAR_ITEMS[0], [Int(3), 2], 2)
+def test_an_array_of_scalars_passes_exactly_when_each_of_its_items_does(items, value, least):
+    # the array's C-level passes must accept what walking its items accepts,
+    # NaN (which min and max pass over), bool, int subclasses and 1.0 among it
+    array = engine._compile({"type": "array", "items": items, "minItems": least}, {})
+    item = engine._compile(items, {})
+    faults = []
+    for i, element in enumerate(value):
+        try:
+            item(element)
+        except engine._Invalid as exc:
+            faults.append((exc.args[0], f"[{i}]"))
+    if len(value) < least:
+        faults.insert(0, (f"must have at least {least} item(s), got {len(value)}",))
+    try:
+        array(value)
+    except engine._Invalid as exc:
+        assert faults and exc.args == faults[0]
+    else:
+        assert not faults
 
 
 def test_schema_compiler_refuses_unsupported_keywords():
@@ -780,15 +897,21 @@ def test_a_run_stays_within_its_budget_of_python_calls_per_trace_record(workload
     assert calls_per_record(sim) <= budget
 
 
-def test_loading_and_setting_up_a_run_stays_within_its_budget_of_python_calls_per_holon(tmp_path):
-    # measured on Python 3.11 at 16.36 calls per holon (9,568 for 585
-    # holons), loading included. Checking the structure in the loader and
-    # again in Simulation, an Enum call per holon kind, a dataclass
-    # constructor per service entry and a walk from the root for the idle
-    # set made 23.66 (13,840)
-    path = workload_file("escalation_512", 4242, tmp_path)
-    sim, calls = calls_during(lambda: Simulation(load_scenario_file(path), debug=False))
-    assert calls / len(sim.scenario.holons) <= 18.0
+def test_loading_and_setting_up_a_run_stays_within_its_budget_of_python_calls_per_holon(tmp_path, monkeypatch):
+    # measured on Python 3.11 at 8.70 calls per holon (5,087 for 585
+    # holons) and 8.33 (39,007 for 4,681), loading included, so a set-up
+    # step that grows faster than the holon count fails on the larger tree.
+    # A constructor frame per holon and a schema checker per scalar property
+    # and array item made 14.27 and 13.69; checking the structure in the
+    # loader and again in Simulation, an Enum call per holon kind, a
+    # dataclass constructor per service entry and a walk from the root for
+    # the idle set as well made 23.66 (13,840 for 585)
+    for levels, holons in ((3, 585), (4, 4681)):
+        monkeypatch.setitem(_workloads().PARAMS["escalation_512"], "levels", levels)
+        path = workload_file("escalation_512", 4242, tmp_path)
+        sim, calls = calls_during(lambda: Simulation(load_scenario_file(path), debug=False))
+        assert len(sim.scenario.holons) == holons
+        assert calls / holons <= 9.57
 
 
 # -- traces and metrics --------------------------------------------------------
