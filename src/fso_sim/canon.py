@@ -58,7 +58,6 @@ from .holarchy import (
     Holarchy,
     HolarchyError,
     HolonId,
-    HolonKind,
     InformationItem,
     LogicalTime,
     Registry,
@@ -359,7 +358,8 @@ def resolve_request(
     request spans the start SoC and its members' home SoCs; an unresolved
     one ends at the root and spans none. The chain is walked through
     ``h.parent`` one hop at a time, never built whole: a request staffed at
-    its start SoC, the usual case, looks no higher.
+    its start SoC, the usual case, looks no higher. A start that is not a
+    SoC of the scenario, a promoted one included, raises CanonError.
 
     Each hop reads its SoC's role atoms (:meth:`Holarchy.atoms_by_role`)
     once and staffs by first fit: each slot, in order, takes the first
@@ -385,9 +385,9 @@ def resolve_request(
     hold, and when the chain from a start SoC it uses, or the actors under
     a SoC on that chain, change.
     """
-    node = h.holons.get(start_soc)
-    if node is None or node.kind is not HolonKind.COMPOSITE:
-        raise CanonError(f"cannot resolve from {start_soc}, which is not a SoC")
+    # the registries are keyed by exactly the scenario's SoCs
+    if start_soc not in h.registries:
+        raise CanonError(f"cannot resolve from {start_soc}, which is not a SoC of the scenario")
 
     idle = state.inactive
     if memo is not None:

@@ -14,8 +14,9 @@ earlier shape.
 Promotion and pruning edit the run's one holarchy in place, through
 :meth:`Holarchy.graft` and :meth:`Holarchy.remove`, and return only their
 events. Evolution decides only what is due and where it hangs: ``graft``
-allocates the new SoC's id, builds it and registers its offers, and an id
-that ``remove`` frees may be allocated again to a different team.
+allocates the new SoC's id, builds it and lists it in its anchor, writing
+no registry, and an id that ``remove`` frees may be allocated again to a
+different team.
 
 Both look only at what can have changed since the last tick. The ledger
 keeps the signatures that have reached the promotion threshold but are not

@@ -3,13 +3,15 @@
 A holarchy is a tree of holons. Atomic holons are actors with role
 capabilities; composite holons are service-oriented communities (SoCs) with
 an ordered member list and a distinguished representative that stands for
-the whole community one level up. Each SoC owns a registry holding the
-service offers and published information visible at that level. Offers
-aggregate upward: a composite member's representative offers, in its SoC's
-registry, every role the member's own registry offers. So a member's
-registry is filled before its SoC's: :func:`register_initial_services`
-goes leaves first, and :meth:`Holarchy.graft` fills a promoted SoC's
-registry before it writes the anchor's proxies.
+the whole community one level up. Each SoC of the scenario owns a
+registry holding the service offers and published information visible at
+that level. Offers aggregate upward: a composite member's representative
+offers, in its SoC's registry, every role the member's own registry
+offers. So a member's registry is filled before its SoC's:
+:func:`register_initial_services`, the one writer of service entries,
+goes leaves first. A promoted SoC keeps no registry, and its anchor's
+registry gets no proxy entries for it: sources inject only at scenario
+SoCs, and staffing reads role atoms, not entries.
 
 The structural rules (a tree of nested communities under one composite
 root) are stated once, in :func:`validate`, as :class:`Violation` data.
@@ -26,7 +28,7 @@ loop touches it. Registries are its everyday mutable surface. Its
 structure changes in place, through
 :meth:`Holarchy.graft` and :meth:`Holarchy.remove` alone, when evolution
 promotes a recurring overlay into a permanent SoC or prunes one again (see
-:mod:`fso_sim.evolution`).
+:mod:`fso_sim.evolution`); neither touches a registry.
 
 A holarchy memoises two things its structure already knows. The actors
 under each SoC, bucketed by role (:meth:`Holarchy.atoms_by_role`), fill
@@ -42,12 +44,13 @@ A removed id forgets its role atoms, because :meth:`Holarchy.graft` gives
 each new SoC the next free id, ``max(holons) + 1``, and so may reuse it for
 a different team. Staffing reads the role atoms, not the registries: a
 registry's service entries, unfolded, offer exactly its SoC's role atoms,
-and they stay the record of offers that :func:`validate` audits.
+and they stay the record of offers that :func:`validate` audits. A graft
+leaves that true, because a promoted team's actors are already under its
+anchor.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -104,13 +107,12 @@ class ServiceEntry(NamedTuple):
     """One service offer in a registry.
 
     ``via`` is the composite member whose subtree this entry punctualizes,
-    or None for an offer registered directly by an atomic member. It exists
-    so that evolution can retract exactly the entries it added. A registry
-    keeps its entries sorted by (provider, role), read by the C-level key
-    ``_ENTRY_ORDER``, so a sort or an insert makes no Python-level call per
-    entry. A tuple, built with ``tuple.__new__`` as ``_make`` does, so
-    registering an offer makes no Python-level call either; it hashes and
-    compares as the tuple of its three fields.
+    the member a proxy unfolds to, or None for an offer registered directly
+    by an atomic member. A registry keeps its entries sorted by (provider,
+    role), read by the C-level key ``_ENTRY_ORDER``, so the sort makes no
+    Python-level call per entry. A tuple, built with ``tuple.__new__`` as
+    ``_make`` does, so registering an offer makes no Python-level call
+    either; it hashes and compares as the tuple of its three fields.
     """
 
     provider: HolonId
@@ -147,7 +149,7 @@ class Registry:
     them: it reads :meth:`Holarchy.atoms_by_role`, the actors the entries offer
     once each ``via`` entry is unfolded to the role atoms of its member, so
     a proxy's provider (the member's representative) is never ranked. Only
-    :meth:`offer` and :meth:`retract` write the entries. ``info_entries``
+    :func:`register_initial_services` writes the entries. ``info_entries``
     keeps, in publication order, the very items sampled at set-up, and
     ``topics`` is the set of their topics; :func:`fso_sim.canon.publish`
     keeps both, so staffing never rescans the information list.
@@ -159,23 +161,6 @@ class Registry:
 
     def topics_present(self) -> set[str]:
         return set(self.topics)
-
-    def offer(self, entries: Iterable[ServiceEntry]) -> None:
-        """Merge ``entries`` into the service entries, in canonical order.
-
-        An empty list is filled and sorted; into a filled one each entry is
-        inserted after those that order with it, where a stable sort puts it.
-        """
-        if not self.service_entries:
-            self.service_entries.extend(entries)
-            self.service_entries.sort(key=_ENTRY_ORDER)
-            return
-        for e in entries:
-            insort(self.service_entries, e, key=_ENTRY_ORDER)
-
-    def retract(self, via: HolonId) -> None:
-        """Drop every entry registered via the composite member ``via``."""
-        self.service_entries = [e for e in self.service_entries if e.via != via]
 
 
 @dataclass(frozen=True)
@@ -195,7 +180,7 @@ RoleAtoms = dict[HolonId, dict[RoleId, tuple[HolonId, ...]]]
 
 
 class Holarchy:
-    """A validated holon tree with its per-SoC registries.
+    """A validated holon tree with a registry per SoC of its scenario.
 
     ``parent`` maps every non-root holon to its primary enclosing SoC. A
     promoted (permanentified) SoC references its members secondarily: those
@@ -297,8 +282,9 @@ class Holarchy:
         """Promote ``members`` to a new SoC under ``anchor``; returns its id.
 
         The SoC takes the next free id, perhaps one :meth:`remove` freed,
-        and its lowest member as representative. Its registry gets the
-        members' offers, and the anchor's its proxies.
+        and its lowest member as representative. Only the holon table, the
+        parent map and the member lists change: the SoC gets no registry,
+        and its anchor's registry no proxy entries.
         """
         soc = max(self.holons) + 1
         promoted = Holon(
@@ -306,23 +292,18 @@ class Holarchy:
         )
         self._set_soc(soc, promoted)
         self.parent[soc] = anchor
-        self.registries[soc] = Registry()
-        self.registries[soc].offer([e for m in members for e in self._offers(m)])
         old = self.holons[anchor]
         self._set_soc(anchor, old._replace(members=old.members + (soc,)))
-        self.registries[anchor].offer(self._offers(soc))
         return soc
 
     def remove(self, soc: HolonId) -> HolonId:
         """Undo :meth:`graft` for ``soc``; returns the SoC it hung under."""
         anchor = self.parent.pop(soc)
         self._set_soc(soc, None)
-        del self.registries[soc]
         # the next promotion may reuse the id for a different team
         self._role_atoms.pop(soc, None)
         old = self.holons[anchor]
         self._set_soc(anchor, old._replace(members=tuple(m for m in old.members if m != soc)))
-        self.registries[anchor].retract(soc)
         return anchor
 
     def _set_soc(self, soc: HolonId, node: Holon | None) -> None:
@@ -339,19 +320,6 @@ class Holarchy:
         else:
             self.holons[soc] = node
             self._member_lists[tuple(sorted(node.members))] += 1
-
-    def _offers(self, m: HolonId) -> list[ServiceEntry]:
-        """The entries member ``m`` adds to its SoC's registry.
-
-        A composite ``m`` proxies the roles of its own, already filled, registry.
-        """
-        member = self.holons[m]
-        new = tuple.__new__
-        if member.kind is HolonKind.ATOMIC:
-            return [new(ServiceEntry, (m, role, None)) for role in member.capabilities]
-        rep = member.representative
-        assert rep is not None
-        return [new(ServiceEntry, (rep, role, m)) for role in {e.role for e in self.registries[m].service_entries}]
 
 
 def build_holarchy(holons: Iterable[Holon], roles: frozenset[RoleId]) -> Holarchy:
@@ -387,14 +355,25 @@ def register_initial_services(h: Holarchy) -> None:
     members are punctualized: their representative appears as a proxy
     provider for every role the member's own registry offers. Registries
     are filled leaves first, in reverse breadth-first order from the root,
-    so each member's registry is complete before its SoC's reads it.
+    so each member's registry is complete before its SoC's reads it. Each
+    registry is given its entries once, sorted, and nothing writes them
+    again.
     """
-    holons, offers = h.holons, h._offers
+    holons, registries = h.holons, h.registries
+    new = tuple.__new__
     order = [h.root]
     for soc in order:
         order += [m for m in holons[soc].members if holons[m].kind is HolonKind.COMPOSITE]
     for soc in reversed(order):
-        h.registries[soc].offer([e for m in holons[soc].members for e in offers(m)])
+        entries: list[ServiceEntry] = []
+        for m in holons[soc].members:
+            _, kind, capabilities, _, rep, _ = holons[m]
+            if kind is HolonKind.ATOMIC:
+                entries += [new(ServiceEntry, (m, role, None)) for role in capabilities]
+            else:
+                entries += [new(ServiceEntry, (rep, role, m)) for role in {e.role for e in registries[m].service_entries}]
+        entries.sort(key=_ENTRY_ORDER)
+        registries[soc].service_entries = entries
 
 
 def validate(h: Holarchy) -> list[Violation]:
@@ -481,18 +460,19 @@ def _structure_violations(
 
 
 def _capable_socs(h: Holarchy) -> set[HolonId]:
-    """The SoCs above an actor with a capability, found walking member edges up from the actors."""
-    containers: dict[HolonId, list[HolonId]] = {}
-    for i, node in h.holons.items():
-        for m in node.members if node.kind is HolonKind.COMPOSITE else ():
-            containers.setdefault(m, []).append(i)
+    """The SoCs above an actor with a capability, found walking the parent map up from the actors.
+
+    A promoted SoC is no actor's parent, so it is never found.
+    """
+    parent = h.parent
     found: set[HolonId] = set()
-    stack = [i for i, node in h.holons.items() if node.kind is HolonKind.ATOMIC and node.capabilities]
-    while stack:
-        for c in containers.get(stack.pop(), ()):
-            if c not in found:
-                found.add(c)
-                stack.append(c)
+    for i, node in h.holons.items():
+        if node.kind is HolonKind.ATOMIC and node.capabilities:
+            # an ancestor already found has its own ancestors found too
+            s = parent.get(i)
+            while s is not None and s not in found:
+                found.add(s)
+                s = parent.get(s)
     return found
 
 
@@ -527,8 +507,8 @@ def _registry_violations(h: Holarchy) -> list[Violation]:
             out.append(Violation("InfoOrder", soc, "info entries not monotone in published_at"))
 
         # punctualization: once anything is registered, every composite
-        # member with a capable actor under it must appear through its
-        # representative
+        # member that is a capable actor's ancestor must appear through its
+        # representative; a promoted member is no one's ancestor
         if reg.service_entries:
             for m in node.members:
                 if m in capable and not any(e.via == m for e in reg.service_entries):

@@ -226,6 +226,16 @@ def test_resolve_does_not_see_sibling_data(tower):
     assert out.missing == (DATA_MISSING,)
 
 
+@pytest.mark.parametrize("start", ["promoted", 0, 99], ids=["promoted SoC", "actor", "unknown id"])
+def test_resolve_starts_only_at_a_scenario_soc(tower, start):
+    # a promoted SoC keeps no registry, so asking it for data must not
+    # reach for one
+    if start == "promoted":
+        start = tower.graft((0, 2), 6)
+    with pytest.raises(CanonError, match=f"cannot resolve from {start}, "):
+        resolve_request(act(roles=(0,), data=("reading",)), start, tower, initial_state(tower))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_staffing_climbs_the_chain_it_records(seed, data):

@@ -5,6 +5,8 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fso_sim import engine
 from fso_sim.canon import Son
@@ -30,6 +32,7 @@ from fso_sim.holarchy import (
 )
 
 from generators import random_scenario, shared_member_list_scenario_dict
+from test_workload_traces import workload_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -110,10 +113,9 @@ def test_promotion_grafts_under_lowest_common_community(wings):
     # members keep their original primary communities
     assert wings.parent[1] == 4 and wings.parent[2] == 5
     assert ev.soc in wings.holons[6].members
-    # the anchor registry now punctualizes the new community too
-    vias = {(e.provider, e.role, e.via) for e in wings.registries[6].service_entries if e.via == ev.soc}
-    assert vias == {(1, 1, ev.soc), (1, 2, ev.soc)}
-    assert [e for e in wings.registries[ev.soc].service_entries] != []
+    # the promoted SoC keeps no registry, and its anchor's gains no proxies
+    assert ev.soc not in wings.registries
+    assert wings.registries[6].service_entries == build_wings().registries[6].service_entries
     assert validate(wings) == []
 
 
@@ -317,24 +319,26 @@ def assert_role_atoms_fresh(h):
 
 
 def assert_registries_offer_role_atoms(h):
-    """Each SoC's registry, unfolded, offers exactly its role atoms, and they nest.
+    """Each registry, unfolded, offers exactly its SoC's role atoms, and every SoC's atoms nest.
 
     Staffing reads each hop's role atoms in place of the registries' offer
     record, so the two must agree; and a hop's own atoms stand for the
     whole visited chain's only while every SoC's atoms hold its members'.
+    A promoted SoC keeps no registry, so only the nesting speaks for it.
     """
     for s in h.composites():
         for r in sorted(h.roles):
-            offered = set()
-            for e in h.registries[s].service_entries:
-                if e.role != r:
-                    continue
-                if e.via is None:
-                    offered.update([e.provider] if r in h.holons[e.provider].capabilities else [])
-                else:
-                    offered.update(a for a in h.subtree_atoms(e.via) if r in h.holons[a].capabilities)
             atoms = h.atoms_by_role(s).get(r, ())
-            assert list(atoms) == sorted(offered), (s, r)
+            if s in h.registries:
+                offered = set()
+                for e in h.registries[s].service_entries:
+                    if e.role != r:
+                        continue
+                    if e.via is None:
+                        offered.update([e.provider] if r in h.holons[e.provider].capabilities else [])
+                    else:
+                        offered.update(a for a in h.subtree_atoms(e.via) if r in h.holons[a].capabilities)
+                assert list(atoms) == sorted(offered), (s, r)
             if s in h.parent:
                 assert set(atoms) <= set(h.atoms_by_role(h.parent[s]).get(r, ())), (s, r)
 
@@ -404,6 +408,80 @@ def test_role_atoms_forget_a_pruned_id_that_promotion_reuses(wings):
     assert_role_atoms_fresh(wings)
 
 
+# -- evolution writes no registry ------------------------------------------------
+
+
+def set_up_entries(scenario):
+    """Per SoC of ``scenario``, the service entries set-up writes."""
+    h = build_holarchy(scenario.holons, scenario.roles)
+    register_initial_services(h)
+    return {s: r.service_entries for s, r in h.registries.items()}
+
+
+def audit_edits(monkeypatch, check):
+    """Call ``check(h)`` after every graft and remove of later runs; returns the edit counts."""
+    edits = {"graft": 0, "remove": 0}
+
+    def audited(name):
+        edit = getattr(Holarchy, name)
+
+        def wrapper(h, *args):
+            out = edit(h, *args)
+            edits[name] += 1
+            check(h)
+            return out
+
+        return wrapper
+
+    for name in edits:
+        monkeypatch.setattr(Holarchy, name, audited(name))
+    return edits
+
+
+def assert_registries_as_set_up(h, entries):
+    """The registries are keyed by the scenario's SoCs, each holds what
+    set-up wrote into it, and the holarchy validates."""
+    assert {s: r.service_entries for s, r in h.registries.items()} == entries
+    assert validate(h) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_grafts_and_removes_on_generated_holarchies_write_no_registry(seed, rng):
+    scenario = random_scenario(seed)
+    entries = set_up_entries(scenario)
+    h = build_holarchy(scenario.holons, scenario.roles)
+    register_initial_services(h)
+    promoted = []
+    for _ in range(rng.randint(1, 12)):
+        if promoted and rng.random() < 0.4:
+            h.remove(promoted.pop(rng.randrange(len(promoted))))
+        else:
+            # a team is some actors already under its anchor
+            anchor = rng.choice(sorted(entries))
+            actors = sorted(h.subtree_atoms(anchor))
+            promoted.append(h.graft(tuple(sorted(rng.sample(actors, rng.randint(1, len(actors))))), anchor))
+        assert_registries_as_set_up(h, entries)
+
+
+@pytest.mark.parametrize(
+    ("name", "seed"),
+    [("promotion.json", None), ("pruning.json", None), ("promotion_churn", 1), ("promotion_churn", 4242)],
+)
+def test_whole_runs_write_no_registry(monkeypatch, tmp_path, name, seed):
+    if seed is None:
+        scenario = engine.load_scenario_file(str(SCENARIOS / name))
+    else:
+        scenario = workload_scenario(name, seed, tmp_path)
+    entries = set_up_entries(scenario)
+    edits = audit_edits(monkeypatch, lambda h: assert_registries_as_set_up(h, entries))
+    sim = engine.Simulation(scenario)
+    sim.run()
+    assert_registries_as_set_up(sim.holarchy, entries)
+    assert edits["graft"] >= 1
+    assert edits["remove"] >= (name != "promotion.json")
+
+
 # -- the member-list count stays true through evolution ------------------------
 
 
@@ -417,28 +495,14 @@ def assert_member_lists_counted(h, teams):
 def audit_member_lists(monkeypatch):
     """Audit the count after every graft and remove of later runs, for every
     team in the run's ledger and every listed SoC; returns the edit counts."""
-    edits = {"graft": 0, "remove": 0}
     ledgers = []
 
     def recorded():
         ledgers.append(ExperienceLedger())
         return ledgers[-1]
 
-    def audited(name):
-        edit = getattr(Holarchy, name)
-
-        def wrapper(h, *args):
-            out = edit(h, *args)
-            edits[name] += 1
-            assert_member_lists_counted(h, {sig.members for sig in ledgers[-1].son_outcomes})
-            return out
-
-        return wrapper
-
     monkeypatch.setattr(engine, "ExperienceLedger", recorded)
-    for name in ("graft", "remove"):
-        monkeypatch.setattr(Holarchy, name, audited(name))
-    return edits
+    return audit_edits(monkeypatch, lambda h: assert_member_lists_counted(h, {sig.members for sig in ledgers[-1].son_outcomes}))
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)

@@ -12,7 +12,6 @@ from fso_sim.holarchy import (
     Holon,
     HolarchyError,
     HolonKind,
-    Registry,
     ServiceEntry,
     ViolationError,
     build_holarchy,
@@ -307,12 +306,15 @@ def test_validate_reports_a_composite_member_missing_from_its_registry():
     assert [(v.code, v.holon) for v in validate(h)] == [("RepresentativeNotRegistered", 0)]
 
 
-def test_validate_reports_a_promoted_team_missing_from_its_anchor(nested):
+def test_validate_asks_proxies_of_scenario_members_only(nested):
     register_initial_services(nested)
     team = nested.graft((5, 6), 0)
+    # the anchor offers no proxy of the promoted team, and needs none
+    assert team not in nested.registries
+    assert all(e.via != team for e in nested.registries[0].service_entries)
     assert validate(nested) == []
     reg = nested.registries[0]
-    reg.service_entries = [e for e in reg.service_entries if e.via != team]
+    reg.service_entries = [e for e in reg.service_entries if e.via != 2]
     assert [(v.code, v.holon) for v in validate(nested)] == [("RepresentativeNotRegistered", 0)]
 
 
@@ -344,18 +346,3 @@ def test_graft_remove_and_id_reuse_leave_every_scenario_socs_role_atoms(nested):
     assert nested.atoms_by_role(7).get(0, ()) == (3,)
     assert nested.atoms_by_role(7).get(2, ()) == ()
     assert cached() == walked() == before
-
-
-def test_offering_into_a_filled_registry_gives_the_order_a_stable_sort_gives():
-    rng = random.Random(0)
-
-    def entries(n):
-        # few providers and roles, so keys repeat and only ``via`` tells entries apart
-        return [ServiceEntry(rng.randrange(4), rng.randrange(3), rng.choice((None, 7, 8))) for _ in range(n)]
-
-    for _ in range(50):
-        first, later = entries(rng.randrange(1, 12)), entries(rng.randrange(12))
-        reg = Registry()
-        reg.offer(first)
-        reg.offer(later)
-        assert reg.service_entries == sorted(first + later, key=lambda e: (e.provider, e.role))
