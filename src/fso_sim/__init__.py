@@ -24,17 +24,12 @@ from .canon import (
     resolve_request,
 )
 from .engine import (
-    Metrics,
     Scenario,
     Simulation,
-    TraceRecord,
     load_scenario,
     load_scenario_file,
-    parse_trace,
-    report,
     run_scenario,
     scenario_from_dict,
-    write_trace,
 )
 from .environment import (
     EventSource,
@@ -60,6 +55,7 @@ from .holarchy import (
     register_initial_services,
     validate,
 )
+from .trace import Metrics, TraceRecord, parse_trace, report, write_trace
 
 __version__ = "0.1.0"
 

@@ -14,18 +14,9 @@ import os
 import sys
 
 from .activation import enumerate_activation_space
-from .engine import (
-    InvariantViolationError,
-    MalformedTraceError,
-    ParseError,
-    Simulation,
-    ValidationError,
-    load_scenario_file,
-    parse_trace,
-    report,
-    write_trace,
-)
+from .engine import InvariantViolationError, ParseError, Simulation, ValidationError, load_scenario_file
 from .holarchy import HolonKind
+from .trace import MalformedTraceError, parse_trace, report, write_trace
 
 
 def _u64(text: str) -> int:

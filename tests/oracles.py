@@ -14,8 +14,8 @@ from typing import Any, Iterable
 
 from fso_sim.activation import ActivationState
 from fso_sim.canon import ResponseActivity
-from fso_sim.engine import TRACE_FIELDS, TRACE_KINDS, MalformedTraceError, Metrics, TraceRecord
 from fso_sim.holarchy import Holarchy, Holon, HolonId, HolonKind, RoleId, ServiceEntry
+from fso_sim.trace import TRACE_FIELDS, TRACE_KINDS, MalformedTraceError, Metrics, TraceRecord
 
 DATA_GAP = -1
 

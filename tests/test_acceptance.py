@@ -14,9 +14,10 @@ from pathlib import Path
 
 from fso_sim.activation import enroll, enumerate_activation_space, initial_state
 from fso_sim.canon import publish, resolve_request
-from fso_sim.engine import Simulation, load_scenario_file, run_scenario, write_trace
+from fso_sim.engine import Simulation, load_scenario_file, run_scenario
 from fso_sim.environment import EventSource, PoissonProcess, sample_arrivals
 from fso_sim.holarchy import InformationItem, build_holarchy, register_initial_services, validate
+from fso_sim.trace import write_trace
 
 from generators import random_scenario
 from oracles import (

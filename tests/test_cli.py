@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fso_sim import cli, engine
 from fso_sim.canon import CanonError
+from fso_sim.trace import write_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -326,6 +327,13 @@ def assert_clean_failure(code, capsys, needle):
     return err
 
 
+def test_report_rejects_the_non_standard_numbers(tmp_path, capsys):
+    bad = tmp_path / "nan.trace"
+    bad.write_text('{"tick":0,"kind":"Pruned","payload":{"soc":NaN,"parent":Infinity,"members":[-Infinity]}}\n')
+    err = assert_clean_failure(run_cli("report", "--trace", str(bad)), capsys, "malformed trace")
+    assert err == "malformed trace: line 1: NaN is not a JSON number\n"
+
+
 def test_validate_rejects_non_utf8_scenario(tmp_path, capsys):
     bad = tmp_path / "latin1.json"
     bad.write_bytes('{"roles": ["café"]}'.encode("latin-1"))
@@ -623,7 +631,7 @@ def test_mutated_scenarios_exit_zero_or_one(tmp_path, capsys, data, name):
 @pytest.fixture(scope="module")
 def shipped_trace():
     trace, _ = engine.run_scenario(engine.load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=7)
-    return [json.loads(line) for line in engine.write_trace(trace).splitlines()]
+    return [json.loads(line) for line in write_trace(trace).splitlines()]
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

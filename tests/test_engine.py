@@ -18,29 +18,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fso_sim.trace
 from fso_sim import canon, engine, holarchy
 from fso_sim.canon import DATA_MISSING, ResponseActivity
 from fso_sim.engine import (
-    TRACE_FIELDS,
-    TRACE_KINDS,
     InvariantViolationError,
-    MalformedTraceError,
-    Metrics,
     ParseError,
     Simulation,
-    TraceRecord,
     ValidationError,
     load_scenario,
     load_scenario_file,
-    parse_trace,
-    report,
     run_scenario,
     scenario_from_dict,
-    write_trace,
 )
 from fso_sim.environment import EventSource, PeriodicProcess, PoissonProcess, ScriptedProcess
 from fso_sim.evolution import EvolutionPolicy, FailureWindow, Outcome, SonSignature, promotion_due, record_outcome
 from fso_sim.holarchy import Holarchy, Holon, HolonKind, ViolationError
+from fso_sim.trace import (
+    TRACE_FIELDS,
+    TRACE_KINDS,
+    MalformedTraceError,
+    Metrics,
+    TraceRecord,
+    parse_trace,
+    report,
+    write_trace,
+)
 
 from generators import random_scenario, shared_member_list_scenario_dict
 from oracles import fold_metrics, reference_report, replay_partition, request_attempt_check, son_lifecycle_check
@@ -1010,6 +1013,16 @@ def test_parse_trace_rejects_an_object_that_repeats_a_key():
         assert str(err.value) == f"line 2: duplicate key {key!r}"
 
 
+def test_parse_trace_rejects_the_non_standard_numbers():
+    # the scenario loader refuses them too; written back out, they would be
+    # bare tokens, and the trace would not be JSON
+    good = '{"kind":"Pruned","payload":{"members":[0],"parent":1,"soc":2},"tick":3}\n'
+    for token in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(MalformedTraceError) as err:
+            parse_trace(good + good.replace('"soc":2', f'"soc":{token}'))
+        assert str(err.value) == f"line 2: {token} is not a JSON number"
+
+
 def test_report_folds_match_independent_fold():
     for seed in range(4):
         trace, metrics = run_scenario(random_scenario(seed, horizon=150))
@@ -1044,28 +1057,29 @@ def test_a_runs_metrics_are_reports_fold_of_its_trace_as_held_and_as_read_back()
 
 
 def test_run_and_report_share_one_fold(monkeypatch):
-    calls = 0
-    fold_rows = engine._fold_rows
+    # both look the fold up in fso_sim.trace, so one patch there sees both;
+    # run() hands it the engine's own list, not values rebuilt from records
+    folded = []
+    fold_rows = fso_sim.trace._fold_rows
 
-    def counted(rows):
-        nonlocal calls
-        calls += 1
-        return fold_rows(rows)
+    def counted(values):
+        folded.append(values)
+        return fold_rows(values)
 
-    monkeypatch.setattr(engine, "_fold_rows", counted)
+    monkeypatch.setattr(fso_sim.trace, "_fold_rows", counted)
     sim = Simulation(load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=4242, horizon=2000)
     metrics = sim.run()
-    assert calls == 1
+    assert len(folded) == 1 and folded[0] is sim._values
     assert report(sim.trace) == metrics
-    assert calls == 2
+    assert len(folded) == 2
 
 
 def test_a_run_builds_no_trace_record(monkeypatch):
     def refused(*args):
         raise AssertionError("run() built a TraceRecord")
 
-    sim = Simulation(load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=4242, horizon=2000)
-    monkeypatch.setattr(engine, "TraceRecord", refused)
+    sim = Simulation(load_scenario_file(str(SCENARIOS / "nine_actors.json")), seed=4242, horizon=2000, debug=False)
+    monkeypatch.setattr(fso_sim.trace, "TraceRecord", refused)
     sim.run()
     monkeypatch.undo()
     assert len(sim.trace) > 1000

@@ -16,15 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from fso_sim.engine import (
-    InvariantViolationError,
-    Simulation,
-    load_scenario_file,
-    parse_trace,
-    scenario_from_dict,
-    write_trace,
-)
+from fso_sim.engine import InvariantViolationError, Simulation, load_scenario_file, scenario_from_dict
 from fso_sim.evolution import promotion_due
+from fso_sim.trace import parse_trace, write_trace
 
 from generators import random_scenario
 

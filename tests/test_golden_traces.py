@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from fso_sim.engine import load_scenario_file, run_scenario, scenario_from_dict, write_trace
+from fso_sim.engine import load_scenario_file, run_scenario, scenario_from_dict
+from fso_sim.trace import write_trace
 
 from generators import random_scenario, shared_member_list_scenario_dict
 

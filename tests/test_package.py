@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fso_sim
-from fso_sim import activation, canon, cli, engine, environment, evolution, holarchy
+from fso_sim import activation, canon, cli, engine, environment, evolution, holarchy, trace
 
 
 def test_every_public_name_resolves_and_star_imports():
@@ -48,13 +48,26 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def test_the_trace_module_imports_nothing_else_from_the_package():
+    # the trace's format, reader, writer and fold stand alone, so the
+    # engine, the CLI and any other reader build on it, never the reverse
+    tree = ast.parse(Path(trace.__file__).read_text(encoding="utf-8"))
+    imported = [
+        f"{'.' * node.level}{node.module or ''}" if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imported and [name for name in imported if name.startswith((".", "fso_sim"))] == []
+
+
 def test_per_event_records_are_slotted_and_the_ledger_key_stays_frozen():
     # the records built on every event carry no per-instance dict; the
     # ledger keys on SonSignature, so it must stay hashable and immutable,
     # with the hash a frozen dataclass of its two fields had, which fixes
     # the iteration order of the ledger's sets
     records = (
-        engine.TraceRecord(0, "Pruned", {}),
+        trace.TraceRecord(0, "Pruned", {}),
         canon.HopRecord(1, 0, 1, (2,)),
         canon.Staffing((), (), ((3, 0),), 1, (1,)),
         canon.Son(0, 0, ((3, 0),), 2),

@@ -22,7 +22,8 @@ import json
 import math
 from pathlib import Path
 
-from fso_sim.engine import TRACE_FIELDS, Simulation, load_scenario_file, scenario_from_dict
+from fso_sim.engine import Simulation, load_scenario_file, scenario_from_dict
+from fso_sim.trace import TRACE_FIELDS
 
 from generators import random_scenario, random_scenario_dict, shared_member_list_scenario_dict
 from oracles import HOLON_ID_KEYS, first_difference, shift_holon_ids

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from fso_sim.engine import Scenario, Simulation, load_scenario_file, write_trace
+from fso_sim.engine import Scenario, Simulation, load_scenario_file
+from fso_sim.trace import write_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 
