@@ -52,6 +52,7 @@ covered, and, by one walk over the slots, the least assignment (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .activation import ActivationError, ActivationState, enroll, release
 from .holarchy import (
@@ -63,6 +64,9 @@ from .holarchy import (
     Registry,
     RoleId,
 )
+
+# an assignment pair's actor, read without a Python-level frame
+_ACTOR = itemgetter(0)
 
 # stands in for a missing data topic inside a missing-roles list; never a
 # real role id, never enrollable
@@ -153,9 +157,12 @@ class Staffing:
     ``hops`` are the escalations taken, so ``len(hops)`` is the hop count
     and ``resolved_soc`` the last SoC reached. ``missing`` is what that SoC
     could not cover, in the form :func:`_solve` reports it; it is empty
-    exactly when ``assignment`` pairs every role slot with an actor, and
-    ``spanned_socs`` then holds the start SoC and each member's home SoC,
-    sorted, as the ``SonFormed`` record of every attempt it answers writes.
+    exactly when ``assignment`` pairs every role slot with an actor. Then
+    ``team`` holds the assigned actors' ids, sorted, which the overlay
+    formed from this answer carries to the experience ledger as its key,
+    and ``spanned_socs`` the start SoC and each member's home SoC, sorted,
+    as the ``SonFormed`` record of every attempt it answers writes; an
+    unstaffed answer has both empty.
 
     Built once per fresh answer and then only read, never hashed: slotted
     rather than frozen, since a frozen field costs a call on every
@@ -165,6 +172,7 @@ class Staffing:
     hops: tuple[HopRecord, ...]
     missing: tuple[int, ...]
     assignment: tuple[tuple[HolonId, RoleId], ...]
+    team: tuple[HolonId, ...]
     resolved_soc: HolonId
     spanned_socs: tuple[HolonId, ...]
 
@@ -173,15 +181,21 @@ class Staffing:
 class Son:
     """A live temporary overlay community answering one activity instance.
 
-    Built once per formation and then only read, never hashed: the ledger
-    keys on its :class:`~fso_sim.evolution.SonSignature`, a tuple of the
-    activity and the sorted member ids. Slotted rather than frozen, since a
-    frozen field costs a call on every construction.
+    ``members`` are the answer's ``(actor, role)`` pairs and ``team`` its
+    sorted actor ids, the tuple the answer built once and every replay of
+    it shares. The ledger books the overlay under ``(activity, team)``,
+    which equals its :class:`~fso_sim.evolution.SonSignature`, so no
+    dissolve sorts the members again.
+
+    Built once per formation and then only read, never hashed. Slotted
+    rather than frozen, since a frozen field costs a call on every
+    construction.
     """
 
     id: int
     activity: int
     members: tuple[tuple[HolonId, RoleId], ...]
+    team: tuple[HolonId, ...]
     dissolves_at: LogicalTime
 
 
@@ -381,9 +395,12 @@ def resolve_request(
     read were idle, so a ``memo`` keeps, per activity id and start SoC, the
     last staffed and the last failed answer with the actors read idle and
     busy, and replays one while the first are all idle and the second all
-    busy. The caller empties it when a registry gets a topic it did not
-    hold, and when the chain from a start SoC it uses, or the actors under
-    a SoC on that chain, change.
+    busy. A replay returns the answer object itself, so its ``team`` and
+    ``spanned_socs`` are sorted once, when the answer is first built, on
+    the first-fit path and the matching path alike. The caller empties the
+    memo when a registry gets a topic it did not hold, and when the chain
+    from a start SoC it uses, or the actors under a SoC on that chain,
+    change.
     """
     # the registries are keyed by exactly the scenario's SoCs
     if start_soc not in h.registries:
@@ -460,10 +477,11 @@ def resolve_request(
             break
         hops.append(HopRecord(soc, up, len(hops) + 1, missing))
         soc = up
-    spanned = {start_soc} if assignment else set()
-    for a, _ in assignment:
+    team = tuple(sorted(map(_ACTOR, assignment))) if assignment else ()
+    spanned = {start_soc} if team else set()
+    for a in team:
         spanned.add(parent[a])
-    answer = Staffing(tuple(hops), missing, assignment, soc, tuple(sorted(spanned)))
+    answer = Staffing(tuple(hops), missing, assignment, team, soc, tuple(sorted(spanned)))
     if memo is not None:
         memo.setdefault(pair, {})[not missing] = (answer, read, busy)
     return answer
@@ -474,13 +492,14 @@ def resolve_request(
 
 def form_son(
     activity: ResponseActivity,
-    assignment: tuple[tuple[HolonId, RoleId], ...],
+    answer: Staffing,
     son_id: int,
     t: LogicalTime,
     state: ActivationState,
     h: Holarchy,
 ) -> Son:
-    """Enroll the assigned members and open the overlay for ``activity``.
+    """Enroll the members a staffed ``answer`` assigns and open the overlay
+    for ``activity``, carrying the answer's ``team`` along.
 
     Raises CanonError, enrolling nobody, when some assigned actor is busy
     by now; the caller should re-resolve instead of forcing the assignment.
@@ -490,6 +509,7 @@ def form_son(
     the error is raised again, so a call that raises leaves the state as it
     found it.
     """
+    assignment = answer.assignment
     for a, _ in assignment:
         if a in state.active:
             raise CanonError(f"actor {a} became busy before SON {son_id} formed")
@@ -503,7 +523,7 @@ def form_son(
             if a in state.active:
                 release(state, a)
         raise
-    return Son(son_id, activity.id, assignment, t + activity.duration)
+    return Son(son_id, activity.id, assignment, answer.team, t + activity.duration)
 
 
 def dissolve_son(son: Son, t: LogicalTime, state: ActivationState) -> None:

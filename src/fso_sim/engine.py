@@ -654,7 +654,7 @@ class Simulation:
             r.last_missing = result.missing
             self._emit_unresolved(r, final=r.retries_left == 0)
             return r.retries_left > 0
-        son = form_son(activity, result.assignment, self._son_seq, self.clock, self.state, self.holarchy)
+        son = form_son(activity, result, self._son_seq, self.clock, self.state, self.holarchy)
         self._son_seq += 1
         self._dissolve_at.setdefault(son.dissolves_at, []).append(son)
         extend(

@@ -98,11 +98,14 @@ class Outcome(Enum):
 class SonSignature(NamedTuple):
     """What recurs: the activity and exactly which actors answered it.
 
-    The ledger's key, built once per dissolve and looked up in its dicts
-    and sets. A tuple rather than a frozen dataclass, so hashing and
-    comparing it are C-level: its hash is ``hash((activity, members))``,
+    The ledger's key. A tuple rather than a frozen dataclass, so hashing
+    and comparing it are C-level: its hash is ``hash((activity, members))``,
     as the frozen dataclass's was, so the order of every set of
-    signatures is unchanged, and signatures sort by themselves.
+    signatures is unchanged, and signatures sort by themselves. A plain
+    ``(activity, members)`` tuple hashes and compares equal to it, so
+    :func:`record_outcome` looks a signature up by the overlay's
+    ``(activity, team)`` and builds one only the first time it books it.
+    :meth:`of` is the reference definition of an overlay's signature.
     """
 
     activity: int
@@ -119,6 +122,15 @@ _MEMBERS = attrgetter("members")
 
 @dataclass
 class SignatureRecord:
+    """One signature's outcomes, with the signature they are booked under.
+
+    ``signature`` is the :class:`SonSignature` built when the signature was
+    first booked, the same object that keys ``son_outcomes``; the ledger's
+    sets take it, so they hold signatures and never the plain tuples a
+    lookup uses.
+    """
+
+    signature: SonSignature
     successes: int = 0
     failure_times: list[LogicalTime] = field(default_factory=list)
 
@@ -153,21 +165,28 @@ def record_outcome(
     signature goes into ``ledger.recheck``. Booking a failure at ``t``
     forgets the signature's failures at or before ``t - prune_window``,
     which no later window can count.
+
+    The record is looked up by ``(son.activity, son.team)``, the sorted
+    team its staffing answer built, which equals ``SonSignature.of(son)``.
+    Only a signature booked for the first time is built as a
+    :class:`SonSignature`, and kept on its :class:`SignatureRecord` for the
+    sets to take.
     """
-    sig = SonSignature.of(son)
-    rec = ledger.son_outcomes.get(sig)
+    key = (son.activity, son.team)
+    rec = ledger.son_outcomes.get(key)
     if rec is None:
-        rec = ledger.son_outcomes[sig] = SignatureRecord()
+        sig = tuple.__new__(SonSignature, key)
+        rec = ledger.son_outcomes[sig] = SignatureRecord(sig)
     if outcome is Outcome.SUCCESS:
         rec.successes += 1
         if rec.successes == policy.permanentify_threshold:
-            ledger.ready.add(sig)
+            ledger.ready.add(rec.signature)
             ledger.due = None
     else:
         del rec.failure_times[: bisect_right(rec.failure_times, t - policy.prune_window)]
         rec.failure_times.append(t)
-        if sig in ledger.promoted:
-            ledger.recheck.add(sig)
+        if key in ledger.promoted:
+            ledger.recheck.add(rec.signature)
 
 
 @dataclass(frozen=True)

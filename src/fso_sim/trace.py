@@ -22,18 +22,25 @@ those read back from a file among them, and passes it their values.
 
 The JSON hooks here serve the scenario loader too, so both readers refuse
 an object that repeats a key and the non-standard tokens NaN, Infinity and
--Infinity. This module imports nothing else from the package.
+-Infinity. :func:`parse_trace` also refuses a number literal beyond a
+float's range, such as ``1e400``, which JSON reads as infinity without a
+token; a valid trace holds no literal with a fraction or an exponent, so
+that hook never runs on one. This module imports nothing else from the
+package.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 # each kind's payload keys, in the order a trace list holds their values
-# after a record's tick and kind; the kinds are this table's keys
+# after a record's tick and kind; the kinds are this table's keys. Every
+# value is an int, a str, a bool or an array of ints or [actor, role] pairs,
+# never a float, so reading a valid trace calls no parse_float hook
 TRACE_FIELDS: dict[str, tuple[str, ...]] = {
     "EventPublished": ("soc", "source", "topic"),
     "ActivityTriggered": ("activity", "request", "soc", "topic"),
@@ -110,6 +117,13 @@ def _reject_constant(token: str) -> float:
     raise ValueError(f"{token} is not a JSON number")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):
+        raise ValueError(f"{literal} is beyond a float's range")
+    return value
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """Build a JSON object, refusing one that repeats a key."""
     doc = dict(pairs)
@@ -133,7 +147,9 @@ def parse_trace(text: str) -> list[TraceRecord]:
         if not line.strip(" \t\r"):
             continue
         try:
-            doc = json.loads(line, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+            doc = json.loads(
+                line, parse_float=_finite_float, parse_constant=_reject_constant, object_pairs_hook=_unique_keys
+            )
         except json.JSONDecodeError as exc:
             raise MalformedTraceError(f"line {lineno}: {exc.msg}") from None
         except (ValueError, RecursionError) as exc:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -103,12 +105,13 @@ def test_data_topics_are_publishable_without_triggering():
 
 def staffed(soc, assignment):
     """What resolution from root SoC ``soc`` returns when it staffs at hop 0."""
-    return Staffing(hops=(), missing=(), assignment=assignment, resolved_soc=soc, spanned_socs=(soc,))
+    team = tuple(sorted(a for a, _ in assignment))
+    return Staffing(hops=(), missing=(), assignment=assignment, team=team, resolved_soc=soc, spanned_socs=(soc,))
 
 
 def unstaffed(soc, missing):
     """What resolution from root SoC ``soc`` returns when hop 0 fails."""
-    return Staffing(hops=(), missing=missing, assignment=(), resolved_soc=soc, spanned_socs=())
+    return Staffing(hops=(), missing=missing, assignment=(), team=(), resolved_soc=soc, spanned_socs=())
 
 
 def test_guard_enabled_with_local_providers():
@@ -268,6 +271,7 @@ def test_staffing_climbs_the_chain_it_records(seed, data):
                 and all(a in state.inactive and role in h.holons[a].capabilities for a, role in got.assignment)
             )
             assert (got.missing == ()) == fills_every_slot
+            assert got.team == tuple(sorted(actors))
             if got.missing:
                 # unresolved means escalated past the root
                 assert (got.assignment, got.resolved_soc, got.spanned_socs) == ((), chain[-1], ())
@@ -449,8 +453,12 @@ def test_a_hops_first_fit_answer_is_the_matching_on_the_best_s_pool(case):
         role: [a for a in range(n) if role in caps[a] and a in state.inactive][: len(slots)]
         for role in set(slots)
     }
-    got = resolve_request(activity, n, h, state)
+    with mock.patch.object(canon, "_solve", wraps=_solve) as solve:
+        got = resolve_request(activity, n, h, state)
     assert (got.missing, got.assignment) == _solve(activity, pool, set(published))
+    # either path sorts the team once, into the answer
+    assert got.team == tuple(sorted(a for a, _ in got.assignment))
+    event(f"{'matching' if solve.called else 'first fit'}, {'unstaffed' if got.missing else 'staffed'}")
 
 
 def test_a_hop_runs_the_matching_only_when_a_slots_idle_actors_are_all_held(monkeypatch):
@@ -484,7 +492,7 @@ def test_form_and_dissolve_round_trip(tower):
     state = initial_state(tower)
     activity = act(roles=(1, 2), duration=4)
     plan = resolve_request(activity, 4, tower, state)
-    son = form_son(activity, plan.assignment, son_id=0, t=10, state=state, h=tower)
+    son = form_son(activity, plan, son_id=0, t=10, state=state, h=tower)
     assert son.activity == activity.id
     assert son.dissolves_at == 14
     assert state.active == {1: Binding(role=1, son_id=0), 2: Binding(role=2, son_id=0)}
@@ -502,7 +510,7 @@ def test_form_rejects_stale_plans(tower):
     plan = resolve_request(activity, 4, tower, state)
     enroll(state, tower, 1, 1, son_id=3)
     with pytest.raises(CanonError, match="actor 1 became busy before SON 4 formed"):
-        form_son(activity, plan.assignment, son_id=4, t=0, state=state, h=tower)
+        form_son(activity, plan, son_id=4, t=0, state=state, h=tower)
 
 
 def test_form_enrolls_nobody_when_a_member_is_busy(tower):
@@ -514,7 +522,7 @@ def test_form_enrolls_nobody_when_a_member_is_busy(tower):
     # enrolled 0 and 1 before noticing
     enroll(state, tower, 2, 2, son_id=3)
     with pytest.raises(CanonError, match="actor 2 became busy before SON 4 formed"):
-        form_son(activity, plan.assignment, son_id=4, t=0, state=state, h=tower)
+        form_son(activity, plan, son_id=4, t=0, state=state, h=tower)
     assert state.active == {2: Binding(role=2, son_id=3)}
     assert state.inactive == {0, 1}
 
@@ -534,7 +542,7 @@ def test_a_form_that_raises_leaves_the_state_as_it_found_it(tower, assignment, e
     state = initial_state(tower)
     before = (set(state.inactive), dict(state.active))
     with pytest.raises(error, match=message):
-        form_son(act(roles=(0, 1, 2)), assignment, son_id=0, t=0, state=state, h=tower)
+        form_son(act(roles=(0, 1, 2)), staffed(4, assignment), son_id=0, t=0, state=state, h=tower)
     assert (state.inactive, state.active) == before
 
 
@@ -542,7 +550,7 @@ def test_dissolve_releases_nobody_on_a_mismatched_binding(tower):
     state = initial_state(tower)
     activity = act(roles=(0, 1, 2), duration=2)
     plan = resolve_request(activity, 4, tower, state)
-    son = form_son(activity, plan.assignment, son_id=0, t=0, state=state, h=tower)
+    son = form_son(activity, plan, son_id=0, t=0, state=state, h=tower)
     # the last member is rebound to another overlay behind the SON's back
     release(state, 2)
     enroll(state, tower, 2, 2, son_id=1)

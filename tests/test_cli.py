@@ -334,6 +334,13 @@ def test_report_rejects_the_non_standard_numbers(tmp_path, capsys):
     assert err == "malformed trace: line 1: NaN is not a JSON number\n"
 
 
+def test_report_rejects_a_number_beyond_a_floats_range(tmp_path, capsys):
+    bad = tmp_path / "overflow.trace"
+    bad.write_text('{"tick":0,"kind":"Pruned","payload":{"soc":1e400,"parent":1,"members":[-1e400]}}\n')
+    err = assert_clean_failure(run_cli("report", "--trace", str(bad)), capsys, "malformed trace")
+    assert err == "malformed trace: line 1: 1e400 is beyond a float's range\n"
+
+
 def test_validate_rejects_non_utf8_scenario(tmp_path, capsys):
     bad = tmp_path / "latin1.json"
     bad.write_bytes('{"roles": ["café"]}'.encode("latin-1"))

@@ -32,6 +32,7 @@ from fso_sim.holarchy import (
 )
 
 from generators import random_scenario, shared_member_list_scenario_dict
+from test_trace_relations import RUNS
 from test_workload_traces import workload_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -53,10 +54,12 @@ def build(*holons, roles=frozenset({0, 1, 2})):
 
 
 def make_son(sid, members, activity=0, formed=0, duration=1):
+    members = tuple(members)
     return Son(
         id=sid,
         activity=activity,
-        members=tuple(members),
+        members=members,
+        team=tuple(sorted(a for a, _ in members)),
         dissolves_at=formed + duration,
     )
 
@@ -774,3 +777,77 @@ def test_promotion_due_scans_again_only_after_ready_or_a_member_list_changes(win
     assert answer() == (False, 1)
     wings.remove(team)
     assert answer() == (False, 1)
+
+
+# -- the ledger against one rebuilt from the trace ------------------------------
+
+
+def ledger_from_trace(records, policy):
+    """The ledger a run's records imply, keyed by :meth:`SonSignature.of`.
+
+    Returns ``(outcomes, ready, promoted)``: per signature its successes
+    and the failure times a window can still count, then the ready set and
+    the live promoted SoC of each promoted signature. Each ``SonDissolved``
+    record is keyed from its activity and members alone, so the team its
+    overlay carried takes no part.
+    """
+    outcomes: dict[SonSignature, tuple[int, list[int]]] = {}
+    ready: set[SonSignature] = set()
+    promoted: dict[SonSignature, int] = {}
+    for r in records:
+        p = r.payload
+        if r.kind == "SonDissolved":
+            sig = SonSignature.of(Son(p["son"], p["activity"], p["members"], (), r.tick))
+            successes, failures = outcomes.get(sig, (0, []))
+            if p["outcome"] == Outcome.SUCCESS.value:
+                successes += 1
+                if successes == policy.permanentify_threshold:
+                    ready.add(sig)
+            else:
+                failures = [f for f in failures if f > r.tick - policy.prune_window] + [r.tick]
+            outcomes[sig] = (successes, failures)
+        elif r.kind == "Permanentified":
+            sig = SonSignature(p["activity"], p["members"])
+            ready.remove(sig)
+            promoted[sig] = p["soc"]
+        elif r.kind == "Pruned":
+            (sig,) = [s for s, soc in promoted.items() if soc == p["soc"]]
+            del promoted[sig]
+    return outcomes, ready, promoted
+
+
+def only_signatures(ledger):
+    """Whether every key and member of the ledger is the record's own
+    :class:`SonSignature`: a lookup by a plain ``(activity, team)`` tuple
+    must leave no plain tuple behind."""
+    return all(type(sig) is SonSignature and rec.signature is sig for sig, rec in ledger.son_outcomes.items()) and all(
+        type(sig) is SonSignature for sig in (*ledger.ready, *ledger.recheck, *ledger.promoted)
+    )
+
+
+def test_the_ledger_after_a_run_is_the_one_its_trace_implies(monkeypatch):
+    # a pruning pass sees recheck filled, before it empties it
+    def checked_prune(ledger, h, policy, t):
+        assert only_signatures(ledger), t
+        return maybe_prune(ledger, h, policy, t)
+
+    monkeypatch.setattr(engine, "maybe_prune", checked_prune)
+    booked = failed = promotions = prunings = 0
+    for name, doc, seed in RUNS:
+        sim = engine.Simulation(engine.scenario_from_dict(doc), seed=seed)
+        sim.run()
+        ledger, records = sim.ledger, sim.trace
+        outcomes, ready, live = ledger_from_trace(records, sim.scenario.policy)
+        got = {sig: (rec.successes, rec.failure_times) for sig, rec in ledger.son_outcomes.items()}
+        assert got == outcomes, name
+        # a tick that leaves a signature to re-check ends in a pruning pass,
+        # which empties recheck, so no run ends with one
+        assert (ledger.ready, ledger.recheck, ledger.promoted) == (ready, set(), live), name
+        assert only_signatures(ledger), name
+        booked += len(outcomes)
+        failed += sum(bool(failures) for _, failures in outcomes.values())
+        promotions += sum(r.kind == "Permanentified" for r in records)
+        prunings += sum(r.kind == "Pruned" for r in records)
+    # 134 signatures, 43 with failures still in their window, 89 promotions
+    # and 25 prunings
+    assert booked >= 100 and failed >= 30 and promotions >= 60 and prunings >= 20

@@ -69,8 +69,8 @@ def test_per_event_records_are_slotted_and_the_ledger_key_stays_frozen():
     records = (
         trace.TraceRecord(0, "Pruned", {}),
         canon.HopRecord(1, 0, 1, (2,)),
-        canon.Staffing((), (), ((3, 0),), 1, (1,)),
-        canon.Son(0, 0, ((3, 0),), 2),
+        canon.Staffing((), (), ((3, 0),), (3,), 1, (1,)),
+        canon.Son(0, 0, ((3, 0),), (3,), 2),
         activation.Binding(0, 0),
     )
     assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
